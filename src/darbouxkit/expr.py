@@ -18,9 +18,10 @@ through radical symbols.
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Union
+
+import numpy as np
 
 Scalar = Union[int, Fraction, "GaussRat"]
 
@@ -349,13 +350,17 @@ def register_function(name: str, evaluate: Callable[[complex], complex],
                       derivative: Callable[[Expr, Expr], Expr]) -> None:
     """Register a unary function usable in Apply nodes.
 
+    ``evaluate`` maps a complex scalar to one.  A numpy ufunc also
+    receives array arguments whole; any other callable is applied to
+    them point by point.
+
     ``derivative(arg, d_arg)`` must return the derivative of
     ``name(arg)`` given the argument and its derivative.
     """
     _FUNCTIONS[name] = _FunctionRule(evaluate, derivative)
 
 
-register_function("exp", cmath.exp, lambda arg, d_arg: d_arg * Apply("exp", arg))
+register_function("exp", np.exp, lambda arg, d_arg: d_arg * Apply("exp", arg))
 
 
 # ---------------------------------------------------------------------------
@@ -944,21 +949,23 @@ def nth_derivative(e: Expr, table: DerivationTable, n: int) -> Expr:
 # ---------------------------------------------------------------------------
 
 
-def evaluate(e: Expr, bindings: Mapping[str, complex]) -> complex:
+def evaluate(e: Expr, bindings: Mapping[str, complex]) -> complex | np.ndarray:
     """IEEE double-complex value of ``e``; every free name must be bound.
 
-    The independent variable is bound under the key ``"x"``.
+    The independent variable is bound under the key ``"x"``.  Any binding
+    may be a complex scalar or a 1-D numpy array; array bindings share one
+    length and the tree is walked once for all of their points, giving a
+    complex128 array (a subtree free of array-bound names stays a scalar).
+    A registered function that is not a numpy ufunc is applied to an
+    array argument point by point.  A zero denominator or a zero base of
+    a negative power at any point raises :class:`EvalSingularity`.
     """
     if isinstance(e, Const):
         return e.value.to_complex()
     if isinstance(e, Var):
-        if "x" not in bindings:
-            raise UnboundSymbol("no binding for x")
-        return complex(bindings["x"])
+        return _binding(bindings, "x")
     if isinstance(e, (Param, Sym, Radical)):
-        if e.name not in bindings:
-            raise UnboundSymbol(f"no binding for {e.name!r}")
-        return complex(bindings[e.name])
+        return _binding(bindings, e.name)
     if isinstance(e, Add):
         return sum(evaluate(t, bindings) for t in e.terms)
     if isinstance(e, Mul):
@@ -968,17 +975,28 @@ def evaluate(e: Expr, bindings: Mapping[str, complex]) -> complex:
         return out
     if isinstance(e, Pow):
         base = evaluate(e.base, bindings)
-        if base == 0 and e.exponent < 0:
+        if e.exponent < 0 and np.any(base == 0):
             raise EvalSingularity("zero base with negative exponent")
         return base ** e.exponent
     if isinstance(e, Div):
         den = evaluate(e.den, bindings)
-        if den == 0:
+        if np.any(den == 0):
             raise EvalSingularity("division by numeric zero")
         return evaluate(e.num, bindings) / den
     if isinstance(e, Apply):
-        return _FUNCTIONS[e.func].evaluate(evaluate(e.arg, bindings))
+        fn = _FUNCTIONS[e.func].evaluate
+        arg = evaluate(e.arg, bindings)
+        if isinstance(arg, np.ndarray) and not isinstance(fn, np.ufunc):
+            return np.array([fn(v) for v in arg.tolist()], dtype=np.complex128)
+        return fn(arg)
     raise TypeError(f"unknown node {e!r}")
+
+
+def _binding(bindings: Mapping[str, complex], name: str):
+    if name not in bindings:
+        raise UnboundSymbol(f"no binding for {name!r}")
+    value = bindings[name]
+    return value if isinstance(value, np.ndarray) else complex(value)
 
 
 def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:

@@ -339,7 +339,9 @@ def check_susy_oscillator(seed: int, config: VerifyConfig) -> dict:
     return _exact("susy-oscillator", ok)
 
 
-def _sweep_rigid_q(rng: Random, config: VerifyConfig) -> float:
+def _sweep_rigid_q(rng: Random, config: VerifyConfig) -> tuple[float, int]:
+    """Worst residual over five random samples, and the number of grid
+    points each sweep checks."""
     worst = 0.0
     for _ in range(5):
         omega2 = normalize(const(Fraction(rng.randint(1, 4))) +
@@ -352,21 +354,22 @@ def _sweep_rigid_q(rng: Random, config: VerifyConfig) -> float:
             companion(app.family), bindings={"m": m_value},
             interval=config.interval, h=config.step,
         )
+        indices = grid.sample_indices(5)
         worst = max(
             worst,
             residual_sweep(
                 app.fundamental.matrix,
                 LinearSystem(app.fundamental.system.a, app.table),
                 grid.binder(),
-                grid.sample_indices(5),
+                indices,
                 grid.xs,
                 bindings={"m": m_value},
             ),
         )
-    return worst
+    return worst, len(indices)
 
 
-def _sweep_frenet_s(rng: Random, config: VerifyConfig) -> float:
+def _sweep_frenet_s(rng: Random, config: VerifyConfig) -> tuple[float, int]:
     worst = 0.0
     for _ in range(5):
         kappa = normalize(const(Fraction(rng.randint(2, 4))) +
@@ -378,18 +381,19 @@ def _sweep_frenet_s(rng: Random, config: VerifyConfig) -> float:
             companion(app.family), bindings={"m": m_value},
             interval=config.interval, h=config.step,
         )
+        indices = grid.sample_indices(5)
         worst = max(
             worst,
             residual_sweep(
                 app.fundamental.matrix,
                 LinearSystem(app.fundamental.system.a, app.table),
                 grid.binder(),
-                grid.sample_indices(5),
+                indices,
                 grid.xs,
                 bindings={"m": m_value},
             ),
         )
-    return worst
+    return worst, len(indices)
 
 
 def check_applications(seed: int, config: VerifyConfig) -> dict:
@@ -410,8 +414,10 @@ def check_applications(seed: int, config: VerifyConfig) -> dict:
     ok = ok and is_zero(rigid_s.family.q - w1 ** 2 / 4)
     if not ok:
         return _exact("applications", False, seed=seed)
-    worst = max(_sweep_rigid_q(rng, config), _sweep_frenet_s(rng, config))
-    return _report("applications", float(worst), config.tolerance, seed=seed, samples=5)
+    worst_q, samples = _sweep_rigid_q(rng, config)
+    worst_s, _ = _sweep_frenet_s(rng, config)
+    return _report("applications", float(max(worst_q, worst_s)), config.tolerance,
+                   seed=seed, samples=samples)
 
 
 def check_orientation_mutation(seed: int, config: VerifyConfig) -> dict:

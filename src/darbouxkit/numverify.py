@@ -1,11 +1,16 @@
 """Independent numerical oracle.
 
-Classical fixed-step RK4 over complex state vectors, plus residual and
+Classical fixed-step RK4 over complex state vectors or matrices (a
+fundamental matrix is one matrix state), plus residual and
 first-integral drift measurements of symbolic predictions along
-integrated trajectories.  Defaults: step 1e-3 on [0, 1], pass
-tolerance 1e-8 (global RK4 error ~ h^4 leaves three orders of margin
-for roundoff).  No adaptivity and no stiffness handling; coefficient
-poles are avoided by shifting the interval, never by special-casing.
+integrated trajectories.  Each expression is evaluated for many points
+at once with array bindings: the coefficient matrix per block of steps
+at the block's grid nodes and midpoints, a residual at all its sample
+points, a first integral along the whole trajectory.  Defaults: step
+1e-3 on [0, 1], pass tolerance 1e-8 (global RK4 error ~ h^4 leaves
+three orders of margin for roundoff).  No adaptivity and no stiffness
+handling; coefficient poles are avoided by shifting the interval, never
+by special-casing.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from .linsys import ExprMatrix, LinearSystem
 DEFAULT_STEP = 1e-3
 DEFAULT_INTERVAL = (0.0, 1.0)
 DEFAULT_TOLERANCE = 1e-8
+_BLOCK = 256  # RK4 steps per coefficient evaluation; bounds the arrays of one block
 
 
 @dataclass(frozen=True)
@@ -28,7 +34,7 @@ class Trajectory:
     """Grid values of one integrated initial-value problem."""
 
     xs: np.ndarray
-    states: np.ndarray  # shape (len(xs), n), complex128
+    states: np.ndarray  # shape (len(xs), n) or (len(xs), n, m), complex128
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -45,19 +51,28 @@ class Trajectory:
         return self.states[-1]
 
 
-def _compile_matrix(a: ExprMatrix, bindings: Mapping[str, complex]):
-    rows = [[normalize(e) for e in row] for row in a.rows]
+def _grid_values(exprs: Sequence[Expr], env: Mapping, xs: np.ndarray, what: str) -> list:
+    """Values of ``exprs`` at the points ``xs``; ``env`` may bind names to
+    arrays aligned with ``xs``.  On a singularity the points are retried
+    one by one so that the error names the first singular ``x``."""
+    try:
+        return [evaluate(e, {**env, "x": xs.astype(np.complex128)}) for e in exprs]
+    except EvalSingularity as exc:
+        for i, x in enumerate(xs.tolist()):
+            point = {k: v[i] if isinstance(v, np.ndarray) else v for k, v in env.items()}
+            point["x"] = x
+            try:
+                for e in exprs:
+                    evaluate(e, point)
+            except EvalSingularity as at_x:
+                raise EvalSingularity(f"{what} singular at x = {x}: {at_x}") from exc
+        raise
 
-    def rhs(x: float) -> np.ndarray:
-        env = dict(bindings)
-        env["x"] = x
-        try:
-            vals = [[evaluate(e, env) for e in row] for row in rows]
-        except EvalSingularity as exc:
-            raise EvalSingularity(f"coefficient singular at x = {x}: {exc}") from exc
-        return np.array(vals, dtype=np.complex128)
 
-    return rhs
+def _stacked(binder: Callable, indices: Sequence[int], xs: np.ndarray) -> dict:
+    """Binder values at the given grid indices, one array per name."""
+    points = [binder(int(k), float(xs[k])) for k in indices]
+    return {name: np.array([p[name] for p in points]) for name in points[0]}
 
 
 def integrate(
@@ -69,34 +84,37 @@ def integrate(
 ) -> Trajectory:
     """RK4 integration of ``X' = -A(x) X`` from the given state.
 
-    ``bindings`` fixes numeric values for every parameter and symbol
-    appearing in the coefficient matrix.
+    The state is a vector of length n or an n x m matrix whose columns
+    are integrated together.  ``bindings`` fixes numeric values for every
+    parameter and symbol appearing in the coefficient matrix.
     """
-    a_of_x = _compile_matrix(system.a, bindings or {})
+    entries = [normalize(e) for row in system.a.rows for e in row]
     x_start, x_end = interval
     if x_end <= x_start:
         raise ValueError("empty integration interval")
     steps = max(1, round((x_end - x_start) / h))
     h = (x_end - x_start) / steps
-    xs = np.empty(steps + 1)
-    states = np.empty((steps + 1, len(x0_state)), dtype=np.complex128)
-    xs[0] = x_start
-    states[0] = np.asarray(x0_state, dtype=np.complex128)
-
-    def f(x, y):
-        return -a_of_x(x) @ y
-
-    y = states[0]
-    x = x_start
-    for k in range(steps):
-        k1 = f(x, y)
-        k2 = f(x + h / 2, y + (h / 2) * k1)
-        k3 = f(x + h / 2, y + (h / 2) * k2)
-        k4 = f(x + h, y + h * k3)
-        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        x = x_start + (k + 1) * h
-        xs[k + 1] = x
-        states[k + 1] = y
+    xs = x_start + np.arange(steps + 1) * h
+    y = np.asarray(x0_state, dtype=np.complex128)
+    states = np.empty((steps + 1,) + y.shape, dtype=np.complex128)
+    states[0] = y
+    for first in range(0, steps, _BLOCK):
+        last = min(first + _BLOCK, steps)
+        nodes = np.empty(2 * (last - first) + 1)
+        nodes[0::2] = xs[first:last + 1]
+        nodes[1::2] = xs[first:last] + h / 2
+        values = _grid_values(entries, bindings or {}, nodes, "coefficient")
+        # -A at the nodes; step k uses f[i], f[i + 1], f[i + 2] with i = 2 (k - first)
+        f = -np.stack([np.broadcast_to(v, nodes.shape) for v in values], axis=-1)
+        f = f.reshape(-1, system.n, system.n)
+        for k in range(first, last):
+            i = 2 * (k - first)
+            k1 = f[i] @ y
+            k2 = f[i + 1] @ (y + (h / 2) * k1)
+            k3 = f[i + 1] @ (y + (h / 2) * k2)
+            k4 = f[i + 2] @ (y + h * k3)
+            y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+            states[k + 1] = y
     return Trajectory(xs, states, {"h": h, "interval": interval})
 
 
@@ -107,13 +125,8 @@ def fundamental_trajectories(
     bindings: Mapping[str, complex] | None = None,
 ) -> list[Trajectory]:
     """One trajectory per canonical basis initial state."""
-    n = system.n
-    out = []
-    for k in range(n):
-        e_k = [0.0] * n
-        e_k[k] = 1.0
-        out.append(integrate(system, e_k, interval, h, bindings))
-    return out
+    whole = integrate(system, np.eye(system.n), interval, h, bindings)
+    return [Trajectory(whole.xs, whole.states[:, :, k], whole.meta) for k in range(system.n)]
 
 
 def residual_sweep(
@@ -134,15 +147,11 @@ def residual_sweep(
     ``bindings`` the constant parameter values.
     """
     raw = candidate.diff(system.table) + (system.a @ candidate)
-    worst = 0.0
-    for k in sample_indices:
-        env = dict(bindings or {})
-        env.update(binder(int(k), float(xs[k])))
-        env["x"] = float(xs[k])
-        for row in raw.rows:
-            for e in row:
-                worst = max(worst, abs(evaluate(e, env)))
-    return worst
+    indices = np.asarray(sample_indices, dtype=int)
+    env = {**(bindings or {}), **_stacked(binder, indices, xs)}
+    entries = [e for row in raw.rows for e in row]
+    values = _grid_values(entries, env, xs[indices], "residual")
+    return float(max(np.max(np.abs(v)) for v in values))
 
 
 def drift(
@@ -153,21 +162,14 @@ def drift(
     extra: Callable[[int, float], Mapping[str, complex]] | None = None,
 ) -> float:
     """Max deviation of a first integral from its initial value."""
-    integral = normalize(integral)
-    base = None
-    worst = 0.0
-    for k, x in enumerate(trajectory.xs):
-        env = dict(bindings or {})
-        if extra is not None:
-            env.update(extra(k, float(x)))
-        env["x"] = float(x)
-        env.update({name: trajectory.states[k][i] for i, name in enumerate(names)})
-        value = evaluate(integral, env)
-        if base is None:
-            base = value
-        else:
-            worst = max(worst, abs(value - base))
-    return worst
+    xs = trajectory.xs
+    env = dict(bindings or {})
+    if extra is not None:
+        env.update(_stacked(extra, range(len(xs)), xs))
+    env.update({name: trajectory.states[:, i] for i, name in enumerate(names)})
+    (values,) = _grid_values([normalize(integral)], env, xs, "first integral")
+    values = np.broadcast_to(values, xs.shape)
+    return float(np.max(np.abs(values[1:] - values[0]), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -190,8 +192,11 @@ class SolutionGrid:
         return bind
 
     def sample_indices(self, count: int) -> list[int]:
-        step = max(1, (len(self.xs) - 1) // count)
-        return list(range(0, len(self.xs), step))
+        """``count + 1`` grid indices splitting the grid into ``count``
+        near-equal parts, both endpoints included (fewer when the grid
+        has fewer points)."""
+        last = len(self.xs) - 1
+        return sorted({i * last // count for i in range(count + 1)})
 
 
 def companion_solution_grid(
@@ -209,32 +214,24 @@ def companion_solution_grid(
     The first solution starts at (1, 0), the second at (0, 1); the
     datum starts at 1, any nonzero scaling being equally valid.
     """
-    bindings = dict(bindings or {})
     n = system.n
-    a_rows = system.a.rows
     if w_rate is not None:
         rate = normalize(w_rate)
         aug = ExprMatrix(
-            [list(row) + [0] for row in a_rows] + [[0] * n + [-rate]]
+            [list(row) + [0] for row in system.a.rows] + [[0] * n + [-rate]]
         )
-        aug_system = LinearSystem(aug, system.table, dict(system.meta))
-    else:
-        aug_system = system
-    trajectories = []
-    for k in range(2):
-        state = [0.0] * aug_system.n
-        state[k] = 1.0
-        if w_rate is not None:
-            state[-1] = 1.0
-        trajectories.append(integrate(aug_system, state, interval, h, bindings))
-    xs = trajectories[0].xs
+        system = LinearSystem(aug, system.table, dict(system.meta))
+    state = np.eye(system.n, 2)
+    if w_rate is not None:
+        state[-1] = 1.0
+    traj = integrate(system, state, interval, h, bindings)
     values: dict[str, np.ndarray] = {}
     for idx, name in enumerate(names):
-        values[name] = trajectories[idx].states[:, 0]
-        values[name + "_p"] = trajectories[idx].states[:, 1]
+        values[name] = traj.states[:, 0, idx]
+        values[name + "_p"] = traj.states[:, 1, idx]
     if w_rate is not None:
-        values[w_name] = trajectories[0].states[:, -1]
-    return SolutionGrid(xs, values)
+        values[w_name] = traj.states[:, -1, 0]
+    return SolutionGrid(traj.xs, values)
 
 
 def convergence_ratio(

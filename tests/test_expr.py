@@ -1,17 +1,29 @@
+import cmath
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+
+try:
+    import sympy
+except ImportError:  # sympy is an optional cross-check
+    sympy = None
 
 from darbouxkit.expr import (
     I,
     X,
+    Add,
+    Apply,
     Const,
     DerivationTable,
     DivisionByZeroExpr,
     EvalSingularity,
+    Div,
     GaussRat,
+    Mul,
     Param,
+    Pow,
     Radical,
     Sym,
     UnboundSymbol,
@@ -28,10 +40,12 @@ from darbouxkit.expr import (
     parse_infix,
     parse_sexpr,
     rat,
+    register_function,
     substitute,
     sym,
     symbol_tower,
     to_sexpr,
+    Var,
 )
 
 
@@ -268,3 +282,120 @@ def test_derivative_matches_finite_difference(e, t0):
     num = (evaluate(e, plus) - evaluate(e, minus)) / (2 * h)
     symval = evaluate(de, bindings)
     assert abs(num - symval) <= 1e-6 * max(1.0, abs(symval))
+
+
+# -- array-bound evaluation ---------------------------------------------------
+
+# A function registered without numpy support: array arguments take the
+# point-by-point fallback.
+register_function("sinh_scalar", cmath.sinh, lambda arg, d: d * Apply("cosh_scalar", arg))
+register_function("cosh_scalar", cmath.cosh, lambda arg, d: d * Apply("sinh_scalar", arg))
+
+_S = Radical("s", X + 2)
+_GRID = np.linspace(0.3, 1.7, 7) + 0.2j
+_ARRAY_ENV = {"x": _GRID, "k": 0.75 - 0.5j, "s": np.sqrt(_GRID + 2)}
+_POINTS = [{n: v[i] if isinstance(v, np.ndarray) else v for n, v in _ARRAY_ENV.items()}
+           for i in range(len(_GRID))]
+
+
+def _numeric_exprs(depth):
+    leaves = st.sampled_from([X, param("k"), _S, const(2), rat(-1, 2), I])
+    if depth == 0:
+        return leaves
+    sub = _numeric_exprs(depth - 1)
+    small = _numeric_exprs(max(depth - 2, 0))  # function arguments: keeps exp finite
+    return st.one_of(
+        leaves,
+        st.tuples(sub, sub).map(lambda p: p[0] + p[1]),
+        st.tuples(sub, sub).map(lambda p: p[0] * p[1]),
+        st.tuples(sub, sub).map(lambda p: p[0] / p[1]),
+        st.tuples(sub, st.integers(-3, 3)).map(lambda p: p[0] ** p[1]),
+        small.map(exp),
+        small.map(lambda e: Apply("sinh_scalar", e)),
+    )
+
+
+def _error_scale(e, env):
+    """Magnitude bounding the rounding error of evaluating ``e`` in units
+    of the working precision, up to a factor of the tree size.  Relative
+    error is measured against it rather than against the value, which
+    may be the small difference of large terms."""
+    value = lambda sub: np.abs(evaluate(sub, env))
+    if isinstance(e, (Const, Var, Param, Radical)):
+        return value(e)
+    if isinstance(e, Add):
+        return sum(_error_scale(t, env) for t in e.terms)
+    if isinstance(e, Mul):
+        out = 1.0
+        for f in e.factors:
+            out = out * _error_scale(f, env)
+        return out
+    if isinstance(e, Pow):
+        n = e.exponent
+        if n >= 0:
+            return max(n, 1) * _error_scale(e.base, env) ** n
+        return -n * value(e.base) ** (n - 1) * _error_scale(e.base, env)
+    if isinstance(e, Div):
+        den = value(e.den)
+        return _error_scale(e.num, env) / den + value(e.num) * _error_scale(e.den, env) / den ** 2
+    derivative = value(e) if e.func == "exp" else value(Apply("cosh_scalar", e.arg))
+    return value(e) + derivative * _error_scale(e.arg, env)
+
+
+def _assert_array_evaluate_matches(e, reference):
+    """Array-bound ``evaluate`` of ``e`` agrees with ``reference(e)`` on
+    the grid to 1e-12 relative to the error scale; a singular array
+    evaluation must be singular at some grid point."""
+    with np.errstate(all="ignore"):
+        try:
+            got = np.broadcast_to(evaluate(e, _ARRAY_ENV), _GRID.shape)
+        except EvalSingularity:
+            with pytest.raises(EvalSingularity):
+                for point in _POINTS:
+                    evaluate(e, point)
+            return
+        except OverflowError:  # from a scalar-only function, as pointwise
+            assume(False)
+        scale = np.broadcast_to(_error_scale(e, _ARRAY_ENV), _GRID.shape)
+        assume(np.all(np.isfinite(got)) and np.all(np.isfinite(scale)))
+        want = np.broadcast_to(reference(e), _GRID.shape)
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_numeric_exprs(3))
+def test_array_evaluate_matches_pointwise(e):
+    _assert_array_evaluate_matches(
+        e, lambda e: np.array([evaluate(e, point) for point in _POINTS])
+    )
+
+
+def _to_sympy(e):
+    if isinstance(e, Const):
+        re, im = e.value.re, e.value.im
+        return sympy.Rational(re.numerator, re.denominator) + sympy.I * sympy.Rational(
+            im.numerator, im.denominator)
+    if isinstance(e, Var):
+        return sympy.Symbol("x")
+    if isinstance(e, (Param, Radical)):
+        return sympy.Symbol(e.name)
+    if isinstance(e, Add):
+        return sympy.Add(*map(_to_sympy, e.terms))
+    if isinstance(e, Mul):
+        return sympy.Mul(*map(_to_sympy, e.factors))
+    if isinstance(e, Pow):
+        return _to_sympy(e.base) ** e.exponent
+    if isinstance(e, Div):
+        return _to_sympy(e.num) / _to_sympy(e.den)
+    return {"exp": sympy.exp, "sinh_scalar": sympy.sinh}[e.func](_to_sympy(e.arg))
+
+
+@pytest.mark.skipif(sympy is None, reason="sympy not installed")
+@settings(max_examples=100, deadline=None)
+@given(_numeric_exprs(3))
+def test_array_evaluate_matches_sympy_lambdify(e):
+    def reference(e):
+        f = sympy.lambdify(("x", "k", "s"), _to_sympy(e), modules="numpy")
+        return f(_ARRAY_ENV["x"], _ARRAY_ENV["k"], _ARRAY_ENV["s"])
+
+    _assert_array_evaluate_matches(e, reference)

@@ -13,6 +13,8 @@ from darbouxkit.expr import (
     ZERO,
     const,
     normalize,
+    param,
+    rat,
     sym,
 )
 from darbouxkit.linsys import ExprMatrix, LinearSystem, companion, residual
@@ -91,8 +93,25 @@ def test_rk4_order_four_convergence():
 def test_integrate_reports_singularities():
     table = DerivationTable()
     sys = LinearSystem(ExprMatrix([[1 / X, ZERO], [ZERO, ZERO]]), table)
-    with pytest.raises(EvalSingularity):
+    with pytest.raises(EvalSingularity, match=r"coefficient singular at x = 0\.0:"):
         integrate(sys, [1.0, 0.0], (0.0, 1.0), 0.5)
+
+
+def test_sweep_and_drift_report_singular_sample():
+    sys = _circle_system()
+    grid = companion_solution_grid(sys, bindings={"m": 0})
+    with pytest.raises(EvalSingularity, match=r"residual singular at x = 0\.4:"):
+        residual_sweep(
+            ExprMatrix([[1 / (X - rat(2, 5)), ZERO], [ZERO, ZERO]]),
+            LinearSystem(sys.a, sys.table),
+            grid.binder(),
+            grid.sample_indices(5),
+            grid.xs,
+            bindings={"m": 0},
+        )
+    traj = integrate(sys, [1.0, 0.0], (0.0, 1.0), 0.25, {"m": 0})
+    with pytest.raises(EvalSingularity, match=r"first integral singular at x = 0\.5:"):
+        drift(1 / (sym("y") - param("c")), traj, ("y", "y_p"), {"c": traj.states[2][0]})
 
 
 def test_residual_sweep_zero_candidate():
@@ -191,3 +210,51 @@ def test_drift_sym2_first_integral():
         bindings={"w": 1.0},
     )
     assert value <= 1e-8
+
+
+def _companion_case():
+    return companion(oscillator_family()), {"m": -2}
+
+
+def _sym2_case():
+    return sym_system(companion(oscillator_family()), 2), {"m": 1}
+
+
+def _so3_case():
+    return so3_system_first(oscillator_family()).system(), {"m": -2}
+
+
+@pytest.mark.parametrize("case", [_companion_case, _sym2_case, _so3_case])
+def test_matrix_state_matches_per_column_integration(case):
+    system, bindings = case()
+    columns = fundamental_trajectories(system, (0.0, 1.0), 1e-3, bindings)
+    for k, column in enumerate(columns):
+        alone = integrate(system, np.eye(system.n)[k], (0.0, 1.0), 1e-3, bindings)
+        assert np.array_equal(column.xs, alone.xs)
+        assert np.max(np.abs(column.states - alone.states)) <= 1e-13
+
+
+def test_companion_grid_matches_per_column_path():
+    system = companion(oscillator_family())
+    rate = normalize(X + 1)
+    grid = companion_solution_grid(system, bindings={"m": 0.5}, w_rate=rate)
+    aug = LinearSystem(
+        ExprMatrix([list(row) + [0] for row in system.a.rows] + [[0, 0, -rate]]),
+        system.table,
+    )
+    for k, name in enumerate(("y1", "y2")):
+        state = [0.0, 0.0, 1.0]
+        state[k] = 1.0
+        alone = integrate(aug, state, bindings={"m": 0.5})
+        assert np.array_equal(grid.xs, alone.xs)
+        assert np.max(np.abs(grid.values[name] - alone.states[:, 0])) <= 1e-13
+        assert np.max(np.abs(grid.values[name + "_p"] - alone.states[:, 1])) <= 1e-13
+        assert np.max(np.abs(grid.values["w"] - alone.states[:, 2])) <= 1e-13
+
+
+def test_sample_indices_include_both_endpoints():
+    for points in (1001, 2001, 1003, 4):
+        grid = SolutionGrid(np.linspace(0.0, 1.0, points), {})
+        indices = grid.sample_indices(5)
+        assert indices[0] == 0 and indices[-1] == points - 1
+        assert len(indices) == min(6, points)
