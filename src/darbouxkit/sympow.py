@@ -140,10 +140,11 @@ def sym2_operator(family: SecondOrderFamily) -> tuple[Expr, Expr, Expr]:
     """Coefficients (a2, a1, a0) of the second symmetric power operator.
 
     The third-order operator ``d3 + a2 d2 + a1 d + a0`` annihilates
-    products of two solutions of ``d2 + p d + q``:
-    ``a2 = 3p``, ``a1 = 4q + p' + 2p^2``, ``a0 = 2(q' + 2 p q)``.
+    products of two solutions of ``d2 + p d + q_eff`` with
+    ``q_eff = q - m r`` (the parameter stays symbolic):
+    ``a2 = 3p``, ``a1 = 4q_eff + p' + 2p^2``, ``a0 = 2(q_eff' + 2 p q_eff)``.
     """
-    p, q = family.p, family.q
+    p, q = family.p, family.q_effective()
     pprime = differentiate(p, family.table)
     qprime = differentiate(q, family.table)
     a2 = normalize(3 * p)

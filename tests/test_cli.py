@@ -3,7 +3,7 @@ import json
 import pytest
 
 from darbouxkit.cli import main
-from darbouxkit.expr import X, equal, parse_sexpr
+from darbouxkit.expr import X, equal, param, parse_sexpr
 from darbouxkit.linsys import family_from_json, family_to_json
 from conftest import oscillator_family
 
@@ -161,8 +161,8 @@ def test_sympow_commands(capsys, oscillator_json):
     code, out, _ = _run(capsys, ["sympow", "operator", "--family", oscillator_json])
     assert code == 0
     doc = json.loads(out)
-    # p = 0: coefficients are (0, 4q, 2q')
-    assert equal(parse_sexpr(doc["coefficients"]["d1"]), 4 * (-(X ** 2) + 1))
+    # p = 0, r = 1: coefficients are (0, 4(q - m), 2q')
+    assert equal(parse_sexpr(doc["coefficients"]["d1"]), 4 * (-(X ** 2) + 1 - param("m")))
     assert equal(parse_sexpr(doc["coefficients"]["d0"]), -4 * X)
     code, out, _ = _run(capsys, ["sympow", "system", "--family", oscillator_json])
     assert code == 0

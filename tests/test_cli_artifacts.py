@@ -28,7 +28,7 @@ ARTIFACTS = {
     ),
     "sympow-operator": (
         ["sympow", "operator", "--family", OSCILLATOR],
-        "64872f3591f07c08b18d15a07ab5b5bff26fd39e27f4568cfac5dc9239bd8695",
+        "4bc8c657b341b7dcbb9d89de72a45de64fdfbc50d5976fbcbb82e51c18194447",
     ),
     "sympow-system": (
         ["sympow", "system", "--family", OSCILLATOR],

@@ -186,13 +186,15 @@ def test_sym2_operator_schrodinger_shape():
     )
     a2, a1, a0 = sym2_operator(fam)
     assert is_zero(a2)
-    assert equal(a1, 4 * sym("q"))
+    assert equal(a1, 4 * (sym("q") - fam.m))
     assert equal(a0, 2 * differentiate(sym("q"), table))
 
 
 def test_sym2_operator_trivial():
     fam = SecondOrderFamily(p=ZERO, q=ZERO, r=ONE, w=ONE, table=DerivationTable())
-    assert all(is_zero(c) for c in sym2_operator(fam))
+    a2, a1, a0 = sym2_operator(fam)
+    assert is_zero(a2) and is_zero(a0)
+    assert equal(a1, -4 * fam.m)
 
 
 def test_sym2_operator_annihilates_solution_products():
@@ -201,11 +203,7 @@ def test_sym2_operator_annihilates_solution_products():
     (pair1, pair2), table = fam.solution_symbols("y1", "y2")
     y1, _ = pair1
     y2, _ = pair2
-    fam0 = SecondOrderFamily(
-        p=fam.p, q=fam.q - fam.m * fam.r, r=fam.r, w=fam.w,
-        table=table, m_name="unused_level",
-    )
-    coeffs = sym2_operator(fam0)
+    coeffs = sym2_operator(fam)
     sys3 = third_order_companion(coeffs, table)
     for u in (y1 * y2, y1 * y1):
         up = differentiate(u, table)
