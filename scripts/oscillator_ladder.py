@@ -11,7 +11,7 @@ from darbouxkit import (
     SecondOrderFamily,
     X,
     auto_level_seed,
-    darboux_potential,
+    darboux_chain,
     hermite,
     normalize,
     oscillator_states,
@@ -26,12 +26,10 @@ def main() -> None:
         p=ZERO, q=normalize(-(X ** 2) + 1), r=ONE, w=ONE, table=DerivationTable()
     )
     print("chain of potentials (q at each step, seed log-derivative -x):")
-    current = family
-    for step in range(5):
-        seed = auto_level_seed(current, -X)
-        print(f"  step {step}: q = {to_pretty(current.q):<12}  level = {to_pretty(seed.level)}")
-        current = darboux_potential(current, seed)
-    print(f"  step 5: q = {to_pretty(current.q)}")
+    steps = darboux_chain(family, lambda fam, _: (fam, auto_level_seed(fam, -X)), 5)
+    for n, step in enumerate(steps[:-1]):
+        print(f"  step {n}: q = {to_pretty(step.family.q):<12}  level = {to_pretty(step.seed.level)}")
+    print(f"  step 5: q = {to_pretty(steps[-1].family.q)}")
 
     print("\nladder states (component 1 = Hermite factor times Gaussian):")
     states, _table = oscillator_states(5)

@@ -84,7 +84,6 @@ from .apps import (
     RigidData,
     application_chain,
     frenet_family,
-    perturbed_system,
     rigid_family,
 )
 from .numverify import (

@@ -3,8 +3,9 @@
 Maps curvature/torsion data (moving frames) and planar angular-velocity
 data (the Poisson kinematic equation) onto the two orthogonal routes,
 producing the second-order family, the parametric orthogonal system,
-and the fundamental matrix for each; builds the perturbed families and
-their transformation chains.
+and the fundamental matrix for each; builds their transformation
+chains.  ``ROUTES`` holds the one choice each route makes between the
+Q- and S-conjugated lifts and transformation matrices.
 
 Both applications restrict to r = 1.  The frame antiderivative datum
 ``exp(i * integral of kappa)`` is a registered symbol with derivative
@@ -28,10 +29,9 @@ from .expr import (
     as_expr,
     is_zero,
     normalize,
-    sym,
 )
 from .linsys import ExprMatrix, SecondOrderFamily
-from .darboux import DarbouxSeed, attach_generic_seed, darboux_potential, make_seed
+from .darboux import DarbouxSeed, attach_generic_seed, darboux_chain, make_seed
 from .tensordt import (
     FundamentalPair,
     OrthogonalSystem,
@@ -47,12 +47,13 @@ class RouteConstraintViolated(KitError):
     """The data does not satisfy the route's defining identity."""
 
 
-class RouteMismatch(KitError):
-    """A perturbation shape was requested on the wrong route."""
-
-
 ROUTE_Q = "Q"
 ROUTE_S = "S"
+# route -> (orthogonal lift of a family, lifted matrix of a transformation step)
+ROUTES = {
+    ROUTE_Q: (so3_system_first, t1_matrix),
+    ROUTE_S: (so3_system_second, t2_matrix),
+}
 FRAME_DATUM = "w_frame"
 
 
@@ -118,13 +119,9 @@ class FrameApplication:
 
 def _application(route: str, family: SecondOrderFamily) -> FrameApplication:
     fset = fundamental_matrices(family)
-    if route == ROUTE_Q:
-        ortho = so3_system_first(family)
-        pair = fset.orthogonal
-    else:
-        ortho = so3_system_second(family)
-        pair = fset.orthogonal2
-    return FrameApplication(route, family, ortho, pair, fset.table)
+    lift, _ = ROUTES[route]
+    pair = fset.orthogonal if route == ROUTE_Q else fset.orthogonal2
+    return FrameApplication(route, family, lift(family), pair, fset.table)
 
 
 def frenet_family(data: FrenetData) -> FrameApplication:
@@ -180,19 +177,6 @@ def _log_derivative(e: Expr, table: DerivationTable) -> Expr:
     return normalize(differentiate(e, table) / e)
 
 
-def perturbed_system(app: FrameApplication, route: str) -> OrthogonalSystem:
-    """The parametric orthogonal family of the application.
-
-    ``route`` must match the application's route: the perturbation
-    shapes differ (``r (0 0 -1; 0 0 i; 1 -i 0)`` on the Q route versus
-    ``w r (0 i 0; -i 0 -1; 0 1 0)`` on the S route) and mixing them
-    silently would corrupt every chain step.
-    """
-    if route != app.route:
-        raise RouteMismatch(f"application uses route {app.route!r}, not {route!r}")
-    return app.orthogonal
-
-
 @dataclass(frozen=True)
 class ChainLink:
     family: SecondOrderFamily
@@ -208,31 +192,32 @@ def application_chain(
 ) -> list[ChainLink]:
     """Iterate the orthogonal transformation ``k`` times along a route.
 
-    ``seeds`` is one log-derivative expression per step (each must
-    solve the current step's scalar equation at parameter value zero),
-    or the string "generic" to adjoin Riccati-certified seed symbols.
-    Each link records the transformation matrix that leaves it; the Q
-    route uses the Q-conjugated lift, the S route the S-conjugated one.
+    The scalar chain is ``darboux_chain``; each of its steps is mapped
+    to a link carrying the route's orthogonal lift of the family and the
+    transformation matrix that leaves it (``ROUTES``).  ``seeds`` is one
+    log-derivative expression per step (each must solve the current
+    step's scalar equation at parameter value zero), or the string
+    "generic" to adjoin a Riccati-certified seed symbol ``theta0_i`` at
+    step i.
     """
-    if k < 0:
-        raise ValueError("chain length must be nonnegative")
     generic = isinstance(seeds, str)
     if generic and seeds != "generic":
         raise ValueError("string seed spec must be 'generic'")
     if not generic and k > len(seeds):
         raise ValueError("not enough seeds for the requested chain length")
-    links: list[ChainLink] = []
-    family = app.family
-    lift = so3_system_first if app.route == ROUTE_Q else so3_system_second
-    transform_of = t1_matrix if app.route == ROUTE_Q else t2_matrix
-    for idx in range(k):
-        if generic:
-            family, seed = attach_generic_seed(family, name=f"theta0_{idx}")
-        else:
-            seed = make_seed(family, seeds[idx])
-        links.append(
-            ChainLink(family, lift(family), seed, transform_of(family, seed))
+    if generic:
+        def seed_rule(family, idx):
+            return attach_generic_seed(family, name=f"theta0_{idx}")
+    else:
+        def seed_rule(family, idx):
+            return family, make_seed(family, seeds[idx])
+    lift, transform = ROUTES[app.route]
+    return [
+        ChainLink(
+            step.family,
+            lift(step.family),
+            step.seed,
+            None if step.seed is None else transform(step.family, step.seed),
         )
-        family = darboux_potential(family, seed)
-    links.append(ChainLink(family, lift(family), None, None))
-    return links
+        for step in darboux_chain(app.family, seed_rule, k)
+    ]

@@ -16,6 +16,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 from typing import Sequence
 
 from .expr import (
@@ -23,7 +24,6 @@ from .expr import (
     Expr,
     I,
     KitError,
-    ONE,
     ZERO,
     free_names,
     normalize,
@@ -51,14 +51,7 @@ from .darboux import (
     darboux_potential,
     make_seed,
 )
-from .tensordt import (
-    OmegaOneZero,
-    so3_system_first,
-    so3_system_second,
-    so3_to_riccati,
-    t1_matrix,
-    t2_matrix,
-)
+from .tensordt import OmegaOneZero, OrthogonalSystem, so3_to_riccati
 from .susyqm import (
     ParametricPotential,
     hermite,
@@ -67,9 +60,9 @@ from .susyqm import (
     partner_potentials,
     shape_invariance,
     spectrum_sum,
-    superpotential,
 )
 from .apps import (
+    ROUTES,
     FrenetData,
     RigidData,
     application_chain,
@@ -87,6 +80,10 @@ class InputError(Exception):
 
 def _matrix_json(mat: ExprMatrix) -> list[list[str]]:
     return [[to_sexpr(normalize(e)) for e in row] for row in mat.rows]
+
+
+def _vector_json(ortho: OrthogonalSystem) -> dict[str, str]:
+    return {"f": to_sexpr(ortho.f), "g": to_sexpr(ortho.g), "h": to_sexpr(ortho.h)}
 
 
 def _expr_flag(text: str, params: Sequence[str] = ("m",)) -> Expr:
@@ -129,20 +126,20 @@ def _emit(document: dict, out: str | None) -> None:
         print(text)
 
 
-def _seed_for(family: SecondOrderFamily, args) -> tuple[SecondOrderFamily, object]:
-    text = args.theta0
-    if text == "generic":
-        return attach_generic_seed(family)
+def _theta0_for(family: SecondOrderFamily, text: str) -> tuple[SecondOrderFamily, Expr]:
+    """Parse a seed flag; its free symbols get towers in the family's table."""
     theta0 = _expr_flag(text, params=(family.m_name,))
-    family2 = SecondOrderFamily(
-        p=family.p, q=family.q, r=family.r, w=family.w,
-        table=_tower_table_for([theta0], base=family.table),
-        m_name=family.m_name, sqrt_r=family.sqrt_r,
-    )
-    if getattr(args, "level", None) in (None, "auto"):
-        return family2, auto_level_seed(family2, theta0)
+    return replace(family, table=_tower_table_for([theta0], base=family.table)), theta0
+
+
+def _seed_for(family: SecondOrderFamily, args) -> tuple[SecondOrderFamily, object]:
+    if args.theta0 == "generic":
+        return attach_generic_seed(family)
+    family, theta0 = _theta0_for(family, args.theta0)
+    if args.level == "auto":
+        return family, auto_level_seed(family, theta0)
     level = _expr_flag(args.level, params=(family.m_name,))
-    return family2, make_seed(family2, theta0, level)
+    return family, make_seed(family, theta0, level)
 
 
 # -- darboux -------------------------------------------------------------------
@@ -174,29 +171,17 @@ def cmd_darboux_apply(args) -> int:
 
 
 def cmd_darboux_chain(args) -> int:
-    if args.k < 0:
-        raise InputError("chain length must be nonnegative")
-    family = _load_family(args.family)
-    theta0 = _expr_flag(args.theta0, params=(family.m_name,))
-    family = SecondOrderFamily(
-        p=family.p, q=family.q, r=family.r, w=family.w,
-        table=_tower_table_for([theta0], base=family.table),
-        m_name=family.m_name, sqrt_r=family.sqrt_r,
+    family, theta0 = _theta0_for(_load_family(args.family), args.theta0)
+    steps = darboux_chain(
+        family, lambda fam, _: (fam, auto_level_seed(fam, theta0)), args.k
     )
-    steps = []
-    current = family
-    for _ in range(args.k):
-        seed = auto_level_seed(current, theta0)
-        steps.append((current, seed))
-        current = darboux_potential(current, seed)
     document = {
         "command": "darboux chain",
         "k": args.k,
         "theta0": to_sexpr(normalize(theta0)),
-        "families": [family_to_json(fam) for fam, _ in steps]
-        + [family_to_json(current)],
-        "levels": [to_sexpr(seed.level) for _, seed in steps],
-        "q_pretty": [to_pretty(fam.q) for fam, _ in steps] + [to_pretty(current.q)],
+        "families": [family_to_json(step.family) for step in steps],
+        "levels": [to_sexpr(step.seed.level) for step in steps[:-1]],
+        "q_pretty": [to_pretty(step.family.q) for step in steps],
     }
     _emit(document, args.out)
     return 0
@@ -240,16 +225,15 @@ def cmd_sympow_system(args) -> int:
 # -- so3 -----------------------------------------------------------------------
 
 
-def _so3_family_from_args(args) -> tuple[SecondOrderFamily, str]:
+def _so3_family_from_args(args) -> SecondOrderFamily:
     if args.family:
-        return _load_family(args.family), args.route
-    app = _application_from_args(args)
-    return app.family, args.route
+        return _load_family(args.family)
+    return _application_from_args(args).family
 
 
 def _application_from_args(args):
     route = args.route
-    if getattr(args, "rigid", False):
+    if args.rigid:
         omega1 = _expr_flag(args.omega1) if args.omega1 else None
         omega2 = _expr_flag(args.omega2) if args.omega2 else None
         if route == "Q":
@@ -265,7 +249,7 @@ def _application_from_args(args):
             omega2 = ZERO if omega2 is None else omega2
         table = _tower_table_for([omega1, omega2])
         return rigid_family(RigidData(omega1, omega2, route, table))
-    if getattr(args, "frenet", False):
+    if args.frenet:
         kappa = _expr_flag(args.kappa) if args.kappa else None
         if kappa is None:
             raise InputError("frenet routes need --kappa")
@@ -280,15 +264,13 @@ def _application_from_args(args):
 
 
 def cmd_so3_lift(args) -> int:
-    family, route = _so3_family_from_args(args)
-    ortho = so3_system_first(family) if route == "Q" else so3_system_second(family)
+    lift, _ = ROUTES[args.route]
+    ortho = lift(_so3_family_from_args(args))
     _emit(
         {
             "command": "so3 lift",
-            "route": route,
-            "f": to_sexpr(ortho.f),
-            "g": to_sexpr(ortho.g),
-            "h": to_sexpr(ortho.h),
+            "route": args.route,
+            **_vector_json(ortho),
             "system": system_to_json(ortho.system()),
         },
         args.out,
@@ -297,16 +279,14 @@ def cmd_so3_lift(args) -> int:
 
 
 def cmd_so3_darboux(args) -> int:
-    family, route = _so3_family_from_args(args)
-    family, seed = _seed_for(family, args)
-    lift = so3_system_first if route == "Q" else so3_system_second
-    transform = t1_matrix if route == "Q" else t2_matrix
+    family, seed = _seed_for(_so3_family_from_args(args), args)
+    lift, transform = ROUTES[args.route]
     t_mat = transform(family, seed)
     new_family = darboux_potential(family, seed)
     _emit(
         {
             "command": "so3 darboux",
-            "route": route,
+            "route": args.route,
             "theta0": to_sexpr(seed.theta0),
             "transform": _matrix_json(t_mat),
             "base_system": system_to_json(lift(family).system()),
@@ -319,14 +299,12 @@ def cmd_so3_darboux(args) -> int:
 
 def cmd_so3_riccati(args) -> int:
     if args.family:
-        family, route = _so3_family_from_args(args)
-        ortho = so3_system_first(family) if route == "Q" else so3_system_second(family)
+        lift, _ = ROUTES[args.route]
+        ortho = lift(_so3_family_from_args(args))
     else:
         f = _expr_flag(args.f) if args.f else ZERO
         g = _expr_flag(args.g) if args.g else ZERO
         h = _expr_flag(args.h) if args.h else ZERO
-        from .tensordt import OrthogonalSystem
-
         ortho = OrthogonalSystem(f, g, h, _tower_table_for([f, g, h]))
     data = so3_to_riccati(ortho)
     document = {
@@ -412,59 +390,38 @@ def cmd_susy_states(args) -> int:
 # -- frenet / rigid --------------------------------------------------------------
 
 
-def _emit_application(app, name: str, out) -> None:
+def cmd_application_build(args) -> int:
+    app = _application_from_args(args)
     _emit(
         {
-            "command": name,
+            "command": f"{args.command} build",
             "route": app.route,
             "family": family_to_json(app.family),
             "orthogonal": {
-                "f": to_sexpr(app.orthogonal.f),
-                "g": to_sexpr(app.orthogonal.g),
-                "h": to_sexpr(app.orthogonal.h),
+                **_vector_json(app.orthogonal),
                 "system": system_to_json(app.orthogonal.system()),
             },
             "fundamental_matrix": _matrix_json(app.fundamental.matrix),
         },
-        out,
+        args.out,
     )
-
-
-def cmd_frenet_build(args) -> int:
-    args.frenet = True
-    args.rigid = False
-    app = _application_from_args(args)
-    _emit_application(app, "frenet build", args.out)
     return 0
 
 
-def cmd_rigid_build(args) -> int:
-    args.rigid = True
-    args.frenet = False
+def cmd_application_chain(args) -> int:
     app = _application_from_args(args)
-    _emit_application(app, "rigid build", args.out)
-    return 0
-
-
-def _emit_chain(app, args, name: str) -> int:
-    if args.k < 0:
-        raise InputError("chain length must be nonnegative")
     seeds = "generic" if args.theta0 == "generic" else [
         _expr_flag(args.theta0) for _ in range(args.k)
     ]
     links = application_chain(app, seeds, args.k)
     document = {
-        "command": name,
+        "command": f"{args.command} chain",
         "route": app.route,
         "k": args.k,
         "steps": [
             {
                 "family": family_to_json(link.family),
-                "orthogonal": {
-                    "f": to_sexpr(link.orthogonal.f),
-                    "g": to_sexpr(link.orthogonal.g),
-                    "h": to_sexpr(link.orthogonal.h),
-                },
+                "orthogonal": _vector_json(link.orthogonal),
                 "transform": _matrix_json(link.transform) if link.transform else None,
             }
             for link in links
@@ -472,20 +429,6 @@ def _emit_chain(app, args, name: str) -> int:
     }
     _emit(document, args.out)
     return 0
-
-
-def cmd_frenet_chain(args) -> int:
-    args.frenet = True
-    args.rigid = False
-    app = _application_from_args(args)
-    return _emit_chain(app, args, "frenet chain")
-
-
-def cmd_rigid_chain(args) -> int:
-    args.rigid = True
-    args.frenet = False
-    app = _application_from_args(args)
-    return _emit_chain(app, args, "rigid chain")
 
 
 # -- verify ----------------------------------------------------------------------
@@ -571,15 +514,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_so3 = sub.add_parser("so3", help="orthogonal systems")
     sub_so3 = p_so3.add_subparsers(dest="subcommand", required=True)
 
+    def add_route_data(p):
+        p.add_argument("--route", choices=("Q", "S"), required=True)
+        for flag in ("--kappa", "--tau", "--omega1", "--omega2"):
+            p.add_argument(flag)
+
     def add_so3_source(p):
         p.add_argument("--family", help="family JSON path")
-        p.add_argument("--route", choices=("Q", "S"), required=True)
         p.add_argument("--rigid", action="store_true")
         p.add_argument("--frenet", action="store_true")
-        p.add_argument("--omega1")
-        p.add_argument("--omega2")
-        p.add_argument("--kappa")
-        p.add_argument("--tau")
+        add_route_data(p)
 
     p_lift = sub_so3.add_parser("lift", help="orthogonal lift of a family")
     add_so3_source(p_lift)
@@ -622,30 +566,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_states.set_defaults(func=cmd_susy_states)
 
     # frenet / rigid
-    for name, build_fn, chain_fn in (
-        ("frenet", cmd_frenet_build, cmd_frenet_chain),
-        ("rigid", cmd_rigid_build, cmd_rigid_chain),
-    ):
+    for name in ("frenet", "rigid"):
         p_app = sub.add_parser(name, help=f"{name} application")
         sub_app = p_app.add_subparsers(dest="subcommand", required=True)
         p_build = sub_app.add_parser("build", help="family + orthogonal system")
-        p_build.add_argument("--route", choices=("Q", "S"), required=True)
-        p_build.add_argument("--kappa")
-        p_build.add_argument("--tau")
-        p_build.add_argument("--omega1")
-        p_build.add_argument("--omega2")
-        add_out(p_build)
-        p_build.set_defaults(func=build_fn)
+        p_build.set_defaults(func=cmd_application_build)
         p_ch = sub_app.add_parser("chain", help="iterated transformations")
-        p_ch.add_argument("--route", choices=("Q", "S"), required=True)
-        p_ch.add_argument("--kappa")
-        p_ch.add_argument("--tau")
-        p_ch.add_argument("--omega1")
-        p_ch.add_argument("--omega2")
         p_ch.add_argument("--k", type=int, default=1)
         p_ch.add_argument("--theta0", default="generic")
-        add_out(p_ch)
-        p_ch.set_defaults(func=chain_fn)
+        p_ch.set_defaults(func=cmd_application_chain)
+        for p in (p_build, p_ch):
+            add_route_data(p)
+            add_out(p)
+            p.set_defaults(frenet=name == "frenet", rigid=name == "rigid")
 
     # verify
     p_verify = sub.add_parser("verify", help="run the shipped verification suite")

@@ -12,8 +12,8 @@ specialization happens only at evaluation time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, replace
+from typing import Callable
 
 from .expr import (
     DerivationTable,
@@ -113,11 +113,7 @@ def attach_generic_seed(
         raise KitError(f"symbol {name!r} already has a table entry")
     q_eff = family.q - as_expr(level) * family.r
     entry = normalize(-q_eff - family.p * theta - theta * theta)
-    table = family.table.extended({name: entry})
-    fam = SecondOrderFamily(
-        p=family.p, q=family.q, r=family.r, w=family.w,
-        table=table, m_name=family.m_name, sqrt_r=family.sqrt_r,
-    )
+    fam = replace(family, table=family.table.extended({name: entry}))
     return fam, make_seed(fam, theta, level)
 
 
@@ -162,7 +158,7 @@ def potential_compact(
 def darboux_potential(family: SecondOrderFamily, seed: DarbouxSeed) -> SecondOrderFamily:
     """Transformed family: same p, r, m-dependence, potential ``q + q0``."""
     q0 = potential_shift(family, seed)
-    return family.with_q(normalize(family.q + q0))
+    return replace(family, q=normalize(family.q + q0))
 
 
 def darboux_solution(
@@ -228,31 +224,27 @@ class ChainStep:
 
 def darboux_chain(
     family: SecondOrderFamily,
-    seeds: Sequence[Expr | tuple[Expr, Expr]],
+    seed_rule: Callable[[SecondOrderFamily, int], tuple[SecondOrderFamily, DarbouxSeed]],
     k: int,
 ) -> list[ChainStep]:
     """Iterate the transformation ``k`` times.
 
-    ``seeds[i]`` certifies step i: either a theta0 expression (level 0)
-    or a ``(theta0, level)`` pair for a seed taken at a nonzero
-    parameter value.  Returns k+1 steps; step 0 is the input family and
-    each step records the seed that leaves it.  Raises SeedNotSolution
-    with the failing index.
+    ``seed_rule(family, i)`` certifies step i from the family it leaves:
+    it returns that family, possibly with an extended derivation table
+    (as ``attach_generic_seed`` does), and the seed, for example
+    ``make_seed`` at a chosen level or ``auto_level_seed``.  Returns k+1
+    steps; step 0 starts from the input family and each step records the
+    seed that leaves it.  A SeedNotSolution names the failing step.
     """
     if k < 0:
         raise ValueError("chain length must be nonnegative")
-    if k > len(seeds):
-        raise ValueError("not enough seeds for the requested chain length")
     steps: list[ChainStep] = []
-    current = family
     for idx in range(k):
-        spec = seeds[idx]
-        theta0, level = spec if isinstance(spec, tuple) else (spec, ZERO)
         try:
-            seed = make_seed(current, theta0, level)
+            family, seed = seed_rule(family, idx)
         except SeedNotSolution as exc:
             raise SeedNotSolution(f"chain step {idx}: {exc}") from exc
-        steps.append(ChainStep(current, seed))
-        current = darboux_potential(current, seed)
-    steps.append(ChainStep(current, None))
+        steps.append(ChainStep(family, seed))
+        family = darboux_potential(family, seed)
+    steps.append(ChainStep(family, None))
     return steps

@@ -36,7 +36,6 @@ from .expr import (
 )
 from .linsys import (
     ExprMatrix,
-    GaugeMatrix,
     LinearSystem,
     SecondOrderFamily,
     companion,
@@ -49,7 +48,6 @@ from .darboux import (
     darboux_gauge,
     darboux_potential,
     darboux_solution,
-    make_seed,
     potential_compact,
     potential_shift,
     transformed_companion,
@@ -81,7 +79,7 @@ from .susyqm import (
     oscillator_states,
     partner_potentials,
 )
-from .apps import FrenetData, RigidData, frenet_family, rigid_family
+from .apps import FrameApplication, FrenetData, RigidData, frenet_family, rigid_family
 from .numverify import (
     companion_solution_grid,
     convergence_ratio,
@@ -153,6 +151,11 @@ def _oscillator() -> SecondOrderFamily:
     )
 
 
+def _unit_family() -> SecondOrderFamily:
+    """``y'' + (1 - m) y = 0``: cos and sin at m = 0."""
+    return SecondOrderFamily(p=ZERO, q=ONE, r=ONE, w=ONE, table=DerivationTable())
+
+
 def _random_matrix(rng: Random, n: int = 2) -> ExprMatrix:
     return ExprMatrix(
         [
@@ -166,7 +169,7 @@ def _random_matrix(rng: Random, n: int = 2) -> ExprMatrix:
 
 
 def check_rk4_closed_form(seed: int, config: VerifyConfig) -> dict:
-    fam = SecondOrderFamily(p=ZERO, q=ONE, r=ONE, w=ONE, table=DerivationTable())
+    fam = _unit_family()
     x0, x1 = config.interval
     traj = integrate(companion(fam), [1.0, 0.0], config.interval, config.step, {"m": 0})
     end = traj.endpoint()
@@ -176,7 +179,7 @@ def check_rk4_closed_form(seed: int, config: VerifyConfig) -> dict:
 
 
 def check_rk4_order(seed: int, config: VerifyConfig) -> dict:
-    fam = SecondOrderFamily(p=ZERO, q=ONE, r=ONE, w=ONE, table=DerivationTable())
+    fam = _unit_family()
     x0, x1 = config.interval
     ratio = convergence_ratio(
         companion(fam), [1.0, 0.0], [math.cos(x1 - x0), -math.sin(x1 - x0)],
@@ -339,43 +342,28 @@ def check_susy_oscillator(seed: int, config: VerifyConfig) -> dict:
     return _exact("susy-oscillator", ok)
 
 
-def _sweep_rigid_q(rng: Random, config: VerifyConfig) -> tuple[float, int]:
-    """Worst residual over five random samples, and the number of grid
-    points each sweep checks."""
-    worst = 0.0
-    for _ in range(5):
-        omega2 = normalize(const(Fraction(rng.randint(1, 4))) +
-                           const(Fraction(rng.randint(-2, 2), 4)) * X)
-        app = rigid_family(
-            RigidData(normalize(-I * (2 - omega2)), omega2, "Q", DerivationTable())
-        )
-        m_value = rng.uniform(-1, 1)
-        grid = companion_solution_grid(
-            companion(app.family), bindings={"m": m_value},
-            interval=config.interval, h=config.step,
-        )
-        indices = grid.sample_indices(5)
-        worst = max(
-            worst,
-            residual_sweep(
-                app.fundamental.matrix,
-                LinearSystem(app.fundamental.system.a, app.table),
-                grid.binder(),
-                indices,
-                grid.xs,
-                bindings={"m": m_value},
-            ),
-        )
-    return worst, len(indices)
+def _random_rigid_q(rng: Random):
+    omega2 = normalize(const(Fraction(rng.randint(1, 4))) +
+                       const(Fraction(rng.randint(-2, 2), 4)) * X)
+    return rigid_family(
+        RigidData(normalize(-I * (2 - omega2)), omega2, "Q", DerivationTable())
+    )
 
 
-def _sweep_frenet_s(rng: Random, config: VerifyConfig) -> tuple[float, int]:
+def _random_frenet_s(rng: Random):
+    kappa = normalize(const(Fraction(rng.randint(2, 4))) +
+                      const(Fraction(rng.randint(-1, 1), 4)) * X)
+    tau = normalize(const(Fraction(rng.randint(-2, 2), 3)) * X)
+    return frenet_family(FrenetData(kappa, tau, "S", DerivationTable()))
+
+
+def _sweep(rng: Random, config: VerifyConfig,
+           make_app: Callable[[Random], FrameApplication]) -> tuple[float, int]:
+    """Worst fundamental-matrix residual over five random applications
+    ``make_app(rng)``, and the number of grid points each sweep checks."""
     worst = 0.0
     for _ in range(5):
-        kappa = normalize(const(Fraction(rng.randint(2, 4))) +
-                          const(Fraction(rng.randint(-1, 1), 4)) * X)
-        tau = normalize(const(Fraction(rng.randint(-2, 2), 3)) * X)
-        app = frenet_family(FrenetData(kappa, tau, "S", DerivationTable()))
+        app = make_app(rng)
         m_value = rng.uniform(-1, 1)
         grid = companion_solution_grid(
             companion(app.family), bindings={"m": m_value},
@@ -414,14 +402,14 @@ def check_applications(seed: int, config: VerifyConfig) -> dict:
     ok = ok and is_zero(rigid_s.family.q - w1 ** 2 / 4)
     if not ok:
         return _exact("applications", False, seed=seed)
-    worst_q, samples = _sweep_rigid_q(rng, config)
-    worst_s, _ = _sweep_frenet_s(rng, config)
+    worst_q, samples = _sweep(rng, config, _random_rigid_q)
+    worst_s, _ = _sweep(rng, config, _random_frenet_s)
     return _report("applications", float(max(worst_q, worst_s)), config.tolerance,
                    seed=seed, samples=samples)
 
 
 def check_orientation_mutation(seed: int, config: VerifyConfig) -> dict:
-    fam = SecondOrderFamily(p=ZERO, q=ONE, r=ONE, w=ONE, table=DerivationTable())
+    fam = _unit_family()
     fset = fundamental_matrices(fam)
     ortho = so3_system_first(fam)
     flipped = LinearSystem(ortho.skew(), fset.table)

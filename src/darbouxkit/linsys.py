@@ -346,17 +346,6 @@ class SecondOrderFamily:
         """The zeroth-order coefficient ``q - m r`` with symbolic m."""
         return normalize(self.q - self.m * self.r)
 
-    def with_q(self, new_q: Expr, table: DerivationTable | None = None) -> "SecondOrderFamily":
-        return SecondOrderFamily(
-            p=self.p,
-            q=normalize(new_q),
-            r=self.r,
-            w=self.w,
-            table=table if table is not None else self.table,
-            m_name=self.m_name,
-            sqrt_r=self.sqrt_r,
-        )
-
     def solution_symbols(self, *names: str) -> tuple[list[tuple[Sym, Sym]], DerivationTable]:
         """Register abstract solutions with the companion rewrite.
 

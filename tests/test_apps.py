@@ -25,10 +25,8 @@ from darbouxkit.apps import (
     FrenetData,
     RigidData,
     RouteConstraintViolated,
-    RouteMismatch,
     application_chain,
     frenet_family,
-    perturbed_system,
     rigid_family,
 )
 from darbouxkit.linsys import ExprMatrix, LinearSystem, companion, residual
@@ -120,19 +118,17 @@ def test_perturbation_shapes():
     rigid = rigid_family(
         RigidData(sym("w1"), normalize(2 - I * sym("w1")), "Q", table)
     )
-    base, pert = perturbed_system(rigid, "Q").m_split("m")
+    base, pert = rigid.orthogonal.m_split("m")
     n3 = ExprMatrix([[ZERO, ZERO, const(-1)], [ZERO, ZERO, I], [ONE, -I, ZERO]])
     assert pert.equals(n3)
     assert base.equals(rigid.orthogonal.system().a.map(lambda e: substitute(e, {"m": ZERO})))
     frenet = frenet_family(FrenetData(sym("kappa"), sym("tau"), "S", table))
-    _, pert_s = perturbed_system(frenet, "S").m_split("m")
+    _, pert_s = frenet.orthogonal.m_split("m")
     w = frenet.family.w
     n3_hat = ExprMatrix(
         [[ZERO, I * w, ZERO], [-I * w, ZERO, -w], [ZERO, w, ZERO]]
     ).normalized()
     assert pert_s.equals(n3_hat)
-    with pytest.raises(RouteMismatch):
-        perturbed_system(rigid, "S")
 
 
 def test_perturbed_base_is_frame_matrix():

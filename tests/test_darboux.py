@@ -197,10 +197,14 @@ def test_shape_preservation_coefficients():
     assert new.r is fam.r
 
 
+def _at_levels(theta0, *levels):
+    """Seed rule certifying ``theta0`` at ``levels[i]`` in step i."""
+    return lambda family, idx: (family, make_seed(family, theta0, levels[idx]))
+
+
 def test_chain_oscillator_sequence():
     fam = oscillator_family()
-    seeds = [(-X, ZERO), (-X, const(-2)), (-X, const(-4))]
-    steps = darboux_chain(fam, seeds, 3)
+    steps = darboux_chain(fam, _at_levels(-X, ZERO, const(-2), const(-4)), 3)
     got = [step.family.q for step in steps]
     expected = [-(X ** 2) + 1, -(X ** 2) - 1, -(X ** 2) - 3, -(X ** 2) - 5]
     assert all(equal(a, b) for a, b in zip(got, expected))
@@ -208,7 +212,7 @@ def test_chain_oscillator_sequence():
 
 def test_chain_zero_steps():
     fam = oscillator_family()
-    steps = darboux_chain(fam, [], 0)
+    steps = darboux_chain(fam, _at_levels(-X), 0)
     assert len(steps) == 1
     assert steps[0].family is fam
     assert steps[0].seed is None
@@ -217,14 +221,13 @@ def test_chain_zero_steps():
 def test_chain_reports_failing_step():
     fam = oscillator_family()
     with pytest.raises(SeedNotSolution) as err:
-        darboux_chain(fam, [(-X, ZERO), (-X, ZERO)], 2)
+        darboux_chain(fam, _at_levels(-X, ZERO, ZERO), 2)
     assert "step 1" in str(err.value)
 
 
 def test_chain_first_order_link_each_step():
     fam = oscillator_family()
-    seeds = [(-X, ZERO), (-X, const(-2))]
-    steps = darboux_chain(fam, seeds, 2)
+    steps = darboux_chain(fam, _at_levels(-X, ZERO, const(-2)), 2)
     for step in steps[:-1]:
         family, seed = step.family, step.seed
         (pair,), table = family.solution_symbols("ym")
