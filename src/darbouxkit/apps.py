@@ -205,12 +205,12 @@ def application_chain(
         raise ValueError("string seed spec must be 'generic'")
     if not generic and k > len(seeds):
         raise ValueError("not enough seeds for the requested chain length")
-    if generic:
-        def seed_rule(family, idx):
+
+    def seed_rule(family, idx):
+        if generic:
             return attach_generic_seed(family, name=f"theta0_{idx}")
-    else:
-        def seed_rule(family, idx):
-            return family, make_seed(family, seeds[idx])
+        return family, make_seed(family, seeds[idx])
+
     lift, transform = ROUTES[app.route]
     return [
         ChainLink(

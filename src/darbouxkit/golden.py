@@ -342,7 +342,7 @@ def check_susy_oscillator(seed: int, config: VerifyConfig) -> dict:
     return _exact("susy-oscillator", ok)
 
 
-def _random_rigid_q(rng: Random):
+def _random_rigid_q(rng: Random) -> FrameApplication:
     omega2 = normalize(const(Fraction(rng.randint(1, 4))) +
                        const(Fraction(rng.randint(-2, 2), 4)) * X)
     return rigid_family(
@@ -350,7 +350,7 @@ def _random_rigid_q(rng: Random):
     )
 
 
-def _random_frenet_s(rng: Random):
+def _random_frenet_s(rng: Random) -> FrameApplication:
     kappa = normalize(const(Fraction(rng.randint(2, 4))) +
                       const(Fraction(rng.randint(-1, 1), 4)) * X)
     tau = normalize(const(Fraction(rng.randint(-2, 2), 3)) * X)
