@@ -31,7 +31,7 @@ from .expr import (
     normalize,
 )
 from .linsys import ExprMatrix, SecondOrderFamily
-from .darboux import DarbouxSeed, attach_generic_seed, darboux_chain, make_seed
+from .darboux import DarbouxSeed, attach_generic_seed, auto_level_seed, darboux_chain
 from .tensordt import (
     FundamentalPair,
     OrthogonalSystem,
@@ -195,10 +195,10 @@ def application_chain(
     The scalar chain is ``darboux_chain``; each of its steps is mapped
     to a link carrying the route's orthogonal lift of the family and the
     transformation matrix that leaves it (``ROUTES``).  ``seeds`` is one
-    log-derivative expression per step (each must solve the current
-    step's scalar equation at parameter value zero), or the string
-    "generic" to adjoin a Riccati-certified seed symbol ``theta0_i`` at
-    step i.
+    log-derivative expression per step, certified by ``auto_level_seed``
+    at whatever parameter value it solves the current step's scalar
+    equation for (levels shift along a chain), or the string "generic"
+    to adjoin a Riccati-certified seed symbol ``theta0_i`` at step i.
     """
     generic = isinstance(seeds, str)
     if generic and seeds != "generic":
@@ -209,7 +209,7 @@ def application_chain(
     def seed_rule(family, idx):
         if generic:
             return attach_generic_seed(family, name=f"theta0_{idx}")
-        return family, make_seed(family, seeds[idx])
+        return family, auto_level_seed(family, seeds[idx])
 
     lift, transform = ROUTES[app.route]
     return [

@@ -410,9 +410,10 @@ def cmd_application_build(args) -> int:
 
 def cmd_application_chain(args) -> int:
     app = _application_from_args(args)
-    seeds = "generic" if args.theta0 == "generic" else [
-        _expr_flag(args.theta0) for _ in range(args.k)
-    ]
+    seeds = "generic"
+    if args.theta0 != "generic":
+        family, theta0 = _theta0_for(app.family, args.theta0)
+        app, seeds = replace(app, family=family), [theta0] * args.k
     links = application_chain(app, seeds, args.k)
     document = {
         "command": f"{args.command} chain",

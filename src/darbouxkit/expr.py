@@ -6,11 +6,13 @@ derivation), named symbols whose derivatives come from a
 :class:`DerivationTable`, registered radicals, and applications of
 registered functions (``exp`` is built in).
 
-Normalization rewrites any expression as a canonical ratio of expanded
+Normalization rewrites any expression as a ratio of expanded
 multivariate polynomials with Gaussian-rational coefficients.  Radical
 symbols carry their defining relation ``s**2 == square`` and the
-relation is applied during normalization, so zero-testing stays exact:
-``a`` equals ``b`` iff ``normalize(a - b)`` is the zero constant.
+relation is applied during normalization.  Zero-testing is sound but
+not complete: if ``normalize(a - b)`` is the zero constant then ``a``
+equals ``b``, but equal expressions can differ in normal form when they
+need ``exp`` identities or a polynomial GCD (see :func:`normalize`).
 
 Fractional powers never appear as free exponents; they enter only
 through radical symbols.
@@ -538,6 +540,10 @@ def _mono_mul(a: Mono, b: Mono) -> Mono:
 
 
 def _poly_mul(a: Poly, b: Poly) -> Poly:
+    if a == _POLY_ONE:
+        return dict(b)
+    if b == _POLY_ONE:
+        return dict(a)
     out: Poly = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
@@ -662,8 +668,8 @@ class _RatFunc:
         self.den = den
 
 
-def _reduce_radicals(a: Poly) -> "_RatFunc":
-    """Rewrite every radical power >= 2 via its defining square."""
+def _reduce_radicals(a: Poly) -> Poly:
+    """Rewrite every radical power >= 2 via its defining square, in place."""
     while True:
         target = None
         for mono, coeff in a.items():
@@ -674,7 +680,7 @@ def _reduce_radicals(a: Poly) -> "_RatFunc":
             if target:
                 break
         if target is None:
-            return _RatFunc(a, dict(_POLY_ONE))
+            return a
         mono, coeff, g, p = target
         rest = tuple((gg, pp) for gg, pp in mono if gg != g)
         if p % 2:
@@ -698,11 +704,8 @@ def _rf(num: Poly, den: Poly) -> _RatFunc:
     """Build a reduced rational function with a canonical monic denominator."""
     if _poly_is_zero(den):
         raise DivisionByZeroExpr("denominator normalized to zero")
-    rnum = _reduce_radicals(dict(num))
-    rden = _reduce_radicals(dict(den))
-    # cross-multiply the auxiliary denominators produced by reduction
-    num_p = _poly_mul(rnum.num, rden.den)
-    den_p = _poly_mul(rden.num, rnum.den)
+    num_p = _reduce_radicals(dict(num))
+    den_p = _reduce_radicals(dict(den))
     # rationalize radicals out of the denominator, one radical at a time
     while True:
         rads = _poly_radical_gens(den_p)
@@ -719,10 +722,8 @@ def _rf(num: Poly, den: Poly) -> _RatFunc:
                 plain[mono] = coeff
         # den = plain + radpart*g ; multiply by the conjugate plain - radpart*g
         conj = _poly_add(plain, _poly_mul(_poly_neg(radpart), _poly_gen(g)))
-        num_r = _reduce_radicals(_poly_mul(num_p, conj))
-        den_r = _reduce_radicals(_poly_mul(den_p, conj))
-        num_p = _poly_mul(num_r.num, den_r.den)
-        den_p = _poly_mul(den_r.num, num_r.den)
+        num_p = _reduce_radicals(_poly_mul(num_p, conj))
+        den_p = _reduce_radicals(_poly_mul(den_p, conj))
         if _poly_is_zero(den_p):
             raise DivisionByZeroExpr("denominator normalized to zero")
     if _poly_is_zero(num_p):
@@ -788,6 +789,9 @@ def _rf_pow(a: _RatFunc, n: int) -> _RatFunc:
 
 
 def _to_ratfunc(e: Expr) -> _RatFunc:
+    cached = _NORMAL_CACHE.get(e)
+    if cached is not None:
+        return cached[1]
     if isinstance(e, Const):
         return _RatFunc(_poly_const(e.value), dict(_POLY_ONE))
     if isinstance(e, Var):
@@ -849,22 +853,27 @@ def _poly_to_expr(p: Poly) -> Expr:
     return terms[0] if len(terms) == 1 else Add(tuple(terms))
 
 
-_NORMAL_CACHE: dict[Expr, Expr] = {}
+# input and normal form -> (normal form, its _RatFunc); the polynomials
+# are shared by every hit and must never be mutated
+_NORMAL_CACHE: dict[Expr, tuple[Expr, _RatFunc]] = {}
 _NORMAL_CACHE_LIMIT = 1 << 16
 
 
 def normalize(e: Expr) -> Expr:
-    """Return the canonical form of ``e``.
+    """Return the normal form of ``e``.
 
     The result is an expanded polynomial, or a Div of two expanded
     polynomials whose denominator is radical-free and monic in the
-    canonical monomial order.  Idempotent, and exact: the result is the
-    zero constant iff ``e`` is identically zero under the radical
-    relations it contains.
+    canonical monomial order.  Idempotent and sound: a zero result
+    proves ``e`` identically zero under the radical relations it
+    contains.  Not complete: ``exp`` generators are not combined (so
+    ``exp(x)*exp(-x) - 1`` stays nonzero), and without a polynomial GCD
+    a fraction may keep a common factor, so equal values can have
+    different nonzero normal forms.
     """
     cached = _NORMAL_CACHE.get(e)
     if cached is not None:
-        return cached
+        return cached[0]
     rf = _to_ratfunc(e)
     if rf.den == _POLY_ONE:
         out = _poly_to_expr(rf.num)
@@ -874,12 +883,13 @@ def normalize(e: Expr) -> Expr:
         out = Div(_poly_to_expr(rf.num), _poly_to_expr(rf.den))
     if len(_NORMAL_CACHE) > _NORMAL_CACHE_LIMIT:
         _NORMAL_CACHE.clear()
-    _NORMAL_CACHE[e] = out
-    _NORMAL_CACHE[out] = out
+        _GEN_KEY_CACHE.clear()
+    _NORMAL_CACHE[e] = _NORMAL_CACHE[out] = (out, rf)
     return out
 
 
 def is_zero(e: Expr) -> bool:
+    """Sound, not complete: True proves ``e`` zero (see :func:`normalize`)."""
     n = normalize(e)
     return isinstance(n, Const) and n.value.is_zero()
 

@@ -17,6 +17,7 @@ from darbouxkit.expr import (
     substitute,
     sym,
     symbol_tower,
+    to_sexpr,
 )
 from darbouxkit.apps import (
     FRAME_DATUM,
@@ -29,7 +30,7 @@ from darbouxkit.apps import (
     frenet_family,
     rigid_family,
 )
-from darbouxkit.linsys import ExprMatrix, LinearSystem, companion, residual
+from darbouxkit.linsys import ExprMatrix, GaugeMatrix, LinearSystem, companion, gauge, residual
 from darbouxkit.numverify import (
     companion_solution_grid,
     drift,
@@ -313,3 +314,12 @@ def test_rigid_s_route_numeric():
     app = rigid_family(RigidData(normalize(2 + X / 2), ZERO, "S", DerivationTable()))
     value = _sweep_application(app, {"m": -0.6})
     assert value <= 1e-8
+
+
+def test_explicit_seed_chain_certifies_each_step_at_its_level():
+    app = rigid_family(RigidData(normalize(-I * X ** 2), normalize(2 - X ** 2), "Q"))
+    links = application_chain(app, [-X, -X], 2)
+    assert [to_sexpr(link.seed.level) for link in links[:-1]] == ["0", "-2"]
+    for link, nxt in zip(links, links[1:]):
+        moved = gauge(link.orthogonal.system(), GaugeMatrix(link.transform).inv())
+        assert moved.a.equals(nxt.orthogonal.system().a)

@@ -221,3 +221,30 @@ def test_malformed_family_exit_code(capsys, tmp_path):
     code, _, err = _run(capsys, ["darboux", "apply", "--family", str(bad), "--theta0", "-x"])
     assert code == 2
     assert "bad-input" in err
+
+
+def test_rigid_chain_explicit_seed_follows_its_level(capsys):
+    # -x certifies level 0 on q = 1 - x^2, then -2 on the next family
+    code, out, err = _run(
+        capsys,
+        ["rigid", "chain", "--route", "Q", "--omega2", "2-x^2", "--theta0", "-x",
+         "--k", "2"],
+    )
+    assert code == 0, err
+    steps = json.loads(out)["steps"]
+    got = [parse_sexpr(step["family"]["q"]) for step in steps]
+    expected = [1 - X ** 2, -(X ** 2) - 1, -(X ** 2) - 3]
+    assert all(equal(a, b) for a, b in zip(got, expected))
+    assert [step["transform"] is None for step in steps] == [False, False, True]
+
+
+def test_rigid_chain_explicit_seed_symbol_gets_a_tower(capsys):
+    code, _, err = _run(
+        capsys,
+        ["rigid", "chain", "--route", "Q", "--omega2", "2-x^2", "--theta0", "c",
+         "--k", "1"],
+    )
+    assert code == 1
+    error = json.loads(err)
+    assert error["error"] == "SeedNotSolution"
+    assert "c_d1" in error["detail"]

@@ -10,6 +10,7 @@ try:
 except ImportError:  # sympy is an optional cross-check
     sympy = None
 
+import darbouxkit.expr as kernel
 from darbouxkit.expr import (
     I,
     X,
@@ -399,3 +400,87 @@ def test_array_evaluate_matches_sympy_lambdify(e):
         return f(_ARRAY_ENV["x"], _ARRAY_ENV["k"], _ARRAY_ENV["s"])
 
     _assert_array_evaluate_matches(e, reference)
+
+
+# -- normal-form cache ----------------------------------------------------------
+
+
+def _clear_caches():
+    kernel._NORMAL_CACHE.clear()
+    kernel._GEN_KEY_CACHE.clear()
+
+
+def _normal_text(e):
+    try:
+        return to_sexpr(normalize(e))
+    except DivisionByZeroExpr:
+        return "DivisionByZeroExpr"
+
+
+def _subtrees(e):
+    """Proper subtrees of ``e``, children before parents."""
+    if isinstance(e, Add):
+        children = e.terms
+    elif isinstance(e, Mul):
+        children = e.factors
+    elif isinstance(e, Pow):
+        children = (e.base,)
+    elif isinstance(e, Div):
+        children = (e.num, e.den)
+    elif isinstance(e, Apply):
+        children = (e.arg,)
+    else:
+        children = ()
+    for child in children:
+        yield from _subtrees(child)
+        yield child
+
+
+@settings(max_examples=150, deadline=None)
+@given(_numeric_exprs(3))
+def test_normal_form_does_not_depend_on_cache_state(e):
+    _clear_caches()
+    cold = _normal_text(e)
+    # warm every subtree first, so normalizing e reuses their cached
+    # forms as inputs and, through the rebuilt tree, as outputs
+    _clear_caches()
+    for sub in _subtrees(e):
+        _normal_text(sub)
+    assert _normal_text(e) == cold
+    if isinstance(e, (Add, Mul)):
+        parts = e.terms if isinstance(e, Add) else e.factors
+        texts = [_normal_text(p) for p in parts]
+        assume("DivisionByZeroExpr" not in texts)
+        rebuilt = type(e)(tuple(normalize(p) for p in parts))
+        assert _normal_text(rebuilt) == cold
+
+
+@settings(max_examples=150, deadline=None)
+@given(_numeric_exprs(2), _numeric_exprs(2))
+def test_cached_ratfunc_is_never_mutated(e, f):
+    try:
+        n = normalize(e)
+    except DivisionByZeroExpr:
+        assume(False)
+    rf = kernel._NORMAL_CACHE[n][1]
+    snapshot = (list(rf.num.items()), list(rf.den.items()))
+    for use in (n + f, f - n, n * f, f * n * n, n / f, f / n, n ** -1, (n + f) ** -2):
+        _normal_text(use)
+    assert (list(rf.num.items()), list(rf.den.items())) == snapshot
+
+
+def test_caches_stay_bounded_and_results_match_cold(monkeypatch):
+    limit = 16
+    monkeypatch.setattr(kernel, "_NORMAL_CACHE_LIMIT", limit)
+    _clear_caches()
+    exprs = [
+        ((param(f"a{i}") + X) ** (i % 3 + 1) + i) / (X ** 2 + i + 1) for i in range(300)
+    ]
+    warm = []
+    for e in exprs:
+        warm.append(normalize(e))
+        assert len(kernel._NORMAL_CACHE) <= limit + 2
+        assert len(kernel._GEN_KEY_CACHE) <= limit + 2
+    for e, result in zip(exprs, warm):
+        _clear_caches()
+        assert normalize(e) == result
