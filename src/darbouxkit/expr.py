@@ -21,6 +21,7 @@ through radical symbols.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Union
 
 import numpy as np
@@ -48,69 +49,109 @@ class DivisionByZeroExpr(KitError):
     """A denominator normalized to the zero expression."""
 
 
-_FRACTION_ZERO = Fraction(0)
-
-
 class GaussRat:
-    """A Gaussian rational ``re + im*i`` with exact Fraction parts."""
+    """A Gaussian rational ``(a + b*i)/d`` stored as reduced integers.
 
-    __slots__ = ("re", "im")
+    ``d > 0`` and ``gcd(a, b, d) == 1``, so each value has exactly one
+    representation and equal values hash equal.  Integer values take the
+    ``d == 1`` paths, which need no ``gcd``.  ``re`` and ``im`` return the
+    parts as Fractions.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: Scalar = 0, im: Scalar = 0):
+        if type(re) is int and type(im) is int:
+            self._a, self._b, self._d = re, im, 1
+            return
         if isinstance(re, GaussRat):
             re, im = re.re, re.im + Fraction(im)
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        re, im = Fraction(re), Fraction(im)
+        # lowest-terms parts over the lcm of their denominators are reduced
+        d = lcm(re.denominator, im.denominator)
+        self._a = re.numerator * (d // re.denominator)
+        self._b = im.numerator * (d // im.denominator)
+        self._d = d
 
     @staticmethod
-    def _make(re: Fraction, im: Fraction) -> "GaussRat":
+    def _make(a: int, b: int, d: int) -> "GaussRat":
+        """``(a + b*i)/d`` for ``d > 0``, reduced by a gcd unless ``d == 1``."""
+        if d != 1:
+            g = gcd(a, b, d)
+            if g != 1:
+                a, b, d = a // g, b // g, d // g
         out = object.__new__(GaussRat)
-        out.re = re
-        out.im = im
+        out._a = a
+        out._b = b
+        out._d = d
         return out
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     def __repr__(self):
         return f"GaussRat({self.re!r}, {self.im!r})"
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GaussRat(other)
-        if not isinstance(other, GaussRat):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if isinstance(other, GaussRat):
+            return self._a == other._a and self._b == other._b and self._d == other._d
+        if isinstance(other, int):
+            return self._b == 0 and self._d == 1 and self._a == other
+        if isinstance(other, Fraction):
+            return (self._b == 0 and self._a == other.numerator
+                    and self._d == other.denominator)
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self._a, self._b, self._d))
 
     def __add__(self, other: "GaussRat") -> "GaussRat":
-        return GaussRat._make(self.re + other.re, self.im + other.im)
+        d, e = self._d, other._d
+        if d == e:
+            return GaussRat._make(self._a + other._a, self._b + other._b, d)
+        return GaussRat._make(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
 
     def __sub__(self, other: "GaussRat") -> "GaussRat":
-        return GaussRat._make(self.re - other.re, self.im - other.im)
+        d, e = self._d, other._d
+        if d == e:
+            return GaussRat._make(self._a - other._a, self._b - other._b, d)
+        return GaussRat._make(self._a * e - other._a * d, self._b * e - other._b * d, d * e)
 
     def __neg__(self) -> "GaussRat":
-        return GaussRat._make(-self.re, -self.im)
+        return GaussRat._make(-self._a, -self._b, self._d)
 
     def __mul__(self, other: "GaussRat") -> "GaussRat":
-        a, b, c, d = self.re, self.im, other.re, other.im
-        if b == 0 and d == 0:
-            return GaussRat._make(a * c, _FRACTION_ZERO)
-        return GaussRat._make(a * c - b * d, a * d + b * c)
+        a, b, c, e = self._a, self._b, other._a, other._b
+        if b == 0 and e == 0:
+            return GaussRat._make(a * c, 0, self._d * other._d)
+        return GaussRat._make(a * c - b * e, a * e + b * c, self._d * other._d)
 
     def __truediv__(self, other: "GaussRat") -> "GaussRat":
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
-            raise DivisionByZeroExpr("division by zero Gaussian rational")
-        return GaussRat._make(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        # (a + b i)/d / ((c + e i)/f) = (a + b i)(c - e i) f / (d (c^2 + e^2))
+        a, b, c, e, f = self._a, self._b, other._a, other._b, other._d
+        if e == 0:
+            if c == 0:
+                raise DivisionByZeroExpr("division by zero Gaussian rational")
+            if c < 0:
+                a, b, c = -a, -b, -c
+            return GaussRat._make(a * f, b * f, self._d * c)
+        n = c * c + e * e
+        return GaussRat._make((a * c + b * e) * f, (b * c - a * e) * f, self._d * n)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return self._a == 0 and self._b == 0
 
     def to_complex(self) -> complex:
-        return complex(self.re, self.im)
+        # int true division rounds once, as Fraction.__float__ does
+        return complex(self._a / self._d, self._b / self._d)
+
+
+_UNIT = GaussRat(1)
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +484,10 @@ def symbol_tower(base: str, depth: int) -> dict[str, Expr]:
 #   ("x",), ("param", name), ("sym", name), ("rad", name, square_expr),
 #   ("app", func, normalized_arg_expr)
 # A monomial is a sorted tuple of (generator, positive power); a
-# polynomial maps monomials to nonzero GaussRat coefficients.
+# polynomial maps monomials to nonzero GaussRat coefficients.  Nearly all
+# coefficients are integers (the d == 1 paths of GaussRat); they are
+# immutable and shared between polynomials, and _UNIT is the coefficient
+# of every generator and of _POLY_ONE.
 
 Gen = tuple
 Mono = tuple
@@ -485,11 +529,11 @@ def _poly_const(c: GaussRat) -> Poly:
     return {} if c.is_zero() else {_EMPTY_MONO: c}
 
 
-_POLY_ONE = {_EMPTY_MONO: GaussRat(1)}
+_POLY_ONE = {_EMPTY_MONO: _UNIT}
 
 
 def _poly_gen(gen: Gen) -> Poly:
-    return {((gen, 1),): GaussRat(1)}
+    return {((gen, 1),): _UNIT}
 
 
 def _poly_add(a: Poly, b: Poly) -> Poly:
@@ -586,7 +630,13 @@ def _mono_div(a: Mono, b: Mono) -> Mono | None:
 
 
 def _poly_exact_div(num: Poly, den: Poly) -> Poly | None:
-    """Quotient num/den when the division is exact, else None."""
+    """Quotient num/den, or None when not exact or not found.
+
+    ``_mono_sort_key`` is not a monomial order (its degree tie-break
+    compares sparse ``(gen, power)`` tuples), so division by the leading
+    term can stall on a remainder whose leading monomial is not
+    divisible even when the division is exact.
+    """
     if not num:
         return {}
     if len(den) == 1:
@@ -600,6 +650,8 @@ def _poly_exact_div(num: Poly, den: Poly) -> Poly | None:
         return out
     quot: Poly = {}
     rem = dict(num)
+    # sort keys of every monomial the remainder has held, each made once
+    keys = {mono: _mono_sort_key(mono) for mono in rem}
     den_lead = max(den, key=_mono_sort_key)
     den_lc = den[den_lead]
     # bounded by the term count of the true quotient; bail out early
@@ -608,7 +660,7 @@ def _poly_exact_div(num: Poly, den: Poly) -> Poly | None:
     while rem:
         if len(quot) > limit:
             return None
-        lead = max(rem, key=_mono_sort_key)
+        lead = max(rem, key=keys.__getitem__)
         qm = _mono_div(lead, den_lead)
         if qm is None:
             return None
@@ -617,7 +669,12 @@ def _poly_exact_div(num: Poly, den: Poly) -> Poly | None:
         for mono, coeff in den.items():
             key = _mono_mul(qm, mono)
             s = rem.get(key)
-            s = (-qc * coeff) if s is None else s - qc * coeff
+            if s is None:
+                s = -qc * coeff
+                if key not in keys:
+                    keys[key] = _mono_sort_key(key)
+            else:
+                s = s - qc * coeff
             if s.is_zero():
                 rem.pop(key, None)
             else:
@@ -735,8 +792,8 @@ def _rf(num: Poly, den: Poly) -> _RatFunc:
             return _RatFunc(quotient, dict(_POLY_ONE))
     lead = max(den_p, key=_mono_sort_key)
     scale = den_p[lead]
-    if not (scale == GaussRat(1)):
-        inv = GaussRat(1) / scale
+    if not (scale == _UNIT):
+        inv = _UNIT / scale
         num_p = _poly_scale(num_p, inv)
         den_p = _poly_scale(den_p, inv)
     return _RatFunc(num_p, den_p)
@@ -844,7 +901,7 @@ def _poly_to_expr(p: Poly) -> Expr:
     for mono in sorted(p, key=_mono_sort_key, reverse=True):
         coeff = p[mono]
         factors: list[Expr] = []
-        if not (coeff == GaussRat(1)) or not mono:
+        if not (coeff == _UNIT) or not mono:
             factors.append(Const(coeff))
         for gen, power in mono:
             base = _gen_to_expr(gen)

@@ -1,4 +1,5 @@
 import cmath
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -50,6 +51,65 @@ from darbouxkit.expr import (
 )
 
 
+# -- GaussRat coefficients ------------------------------------------------------
+
+# ints, and small fractions whose numerator may be zero and whose
+# denominator may be negative (Fraction normalizes the sign)
+_rationals = st.one_of(
+    st.integers(-40, 40),
+    st.builds(Fraction, st.integers(-12, 12), st.integers(-12, 12).filter(bool)),
+)
+
+
+def _assert_canonical(g):
+    assert g._d > 0 and math.gcd(g._a, g._b, g._d) == 1
+
+
+def _assert_value(g, re, im):
+    """``g`` is the canonical coefficient of ``re + im*i``."""
+    _assert_canonical(g)
+    assert (g.re, g.im) == (re, im)
+    assert type(g.re) is Fraction and type(g.im) is Fraction
+    direct = GaussRat(re, im)
+    assert g == direct and hash(g) == hash(direct)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rationals, _rationals, _rationals, _rationals)
+def test_gaussrat_matches_fraction_pair_reference(p, q, r, s):
+    u, v = GaussRat(p, q), GaussRat(r, s)
+    p, q, r, s = map(Fraction, (p, q, r, s))
+    _assert_value(u, p, q)
+    _assert_value(u + v, p + r, q + s)
+    _assert_value(u - v, p - r, q - s)
+    _assert_value(u * v, p * r - q * s, p * s + q * r)
+    _assert_value(-u, -p, -q)
+    n = r * r + s * s
+    if n == 0:
+        with pytest.raises(DivisionByZeroExpr):
+            u / v
+    else:
+        _assert_value(u / v, (p * r + q * s) / n, (q * r - p * s) / n)
+    assert (u == v) == ((p, q) == (r, s))
+    assert u.is_zero() == (p == 0 and q == 0)
+    assert u.to_complex() == complex(p, q)
+    # the same value built by other routes keeps one form and one hash
+    for other in (GaussRat(p) + GaussRat(0, q), GaussRat(GaussRat(p), q),
+                  u * GaussRat(1) + GaussRat(0), (u + v) - v):
+        assert other == u and hash(other) == hash(u)
+        _assert_canonical(other)
+
+
+def test_gaussrat_compares_with_int_and_fraction():
+    assert GaussRat(2) == 2
+    assert GaussRat(Fraction(1, 2)) == Fraction(1, 2)
+    assert GaussRat(Fraction(4, 2)) == 2
+    assert not GaussRat(2, 1) == 2
+    assert not GaussRat(Fraction(1, 2), 1) == Fraction(1, 2)
+    with pytest.raises(DivisionByZeroExpr, match="division by zero Gaussian rational"):
+        GaussRat(1, 1) / GaussRat(0)
+
+
 def test_normalize_perfect_square_cancellation():
     e = (X + 1) ** 2 - X ** 2 - 2 * X - 1
     assert is_zero(e)
@@ -82,6 +142,16 @@ def test_normalize_idempotent():
 def test_normalize_division_by_zero():
     with pytest.raises(DivisionByZeroExpr):
         normalize(X / ((X + 1) - X - 1))
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "_mono_sort_key is not a monomial order (x*y^2 sorts below x^2*y although "
+    "y^2 sorts above x*y), so _poly_exact_div misses this exact division"))
+def test_exact_multivariate_division_cancels():
+    y = param("y")
+    q = X * y + y ** 2 + 1
+    p = X ** 2 + y ** 2 + X
+    assert normalize(p * q / q) == normalize(p)
 
 
 def test_radical_square_rewrites():
