@@ -1004,13 +1004,6 @@ def _diff(e: Expr, table: DerivationTable) -> Expr:
     raise TypeError(f"unknown node {e!r}")
 
 
-def nth_derivative(e: Expr, table: DerivationTable, n: int) -> Expr:
-    out = e
-    for _ in range(n):
-        out = differentiate(out, table)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Evaluation and substitution
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ the system metadata, so no sign ever changes silently.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -252,14 +251,6 @@ class LinearSystem:
         return self.table.extended({name: r for name, r in zip(names, rhs)})
 
 
-def from_flow_matrix(m: ExprMatrix, table: DerivationTable = EMPTY_TABLE,
-                     meta: Mapping | None = None) -> LinearSystem:
-    """Ingest a system written as ``X' = M X`` (no leading minus)."""
-    info = {"converted_from": "Xp=MX"}
-    info.update(meta or {})
-    return LinearSystem(m.scale(const(-1)), table, info)
-
-
 class GaugeMatrix:
     """Invertible change of variables ``X = P Y`` with cached exact inverse."""
 
@@ -406,10 +397,6 @@ def system_from_json(data: Mapping) -> LinearSystem:
     a = ExprMatrix([[parse_sexpr(s) for s in row] for row in data["matrix"]])
     table = DerivationTable({k: parse_sexpr(v) for k, v in data.get("table", {}).items()})
     return LinearSystem(a, table)
-
-
-def system_to_json_text(system: LinearSystem) -> str:
-    return json.dumps(system_to_json(system), indent=2, sort_keys=True)
 
 
 def family_to_json(family: SecondOrderFamily) -> dict:

@@ -19,6 +19,7 @@ from darbouxkit.expr import (
 )
 from darbouxkit.linsys import ExprMatrix, LinearSystem, companion, residual
 from darbouxkit.numverify import (
+    _BLOCK,
     SolutionGrid,
     companion_solution_grid,
     convergence_ratio,
@@ -49,6 +50,64 @@ def test_rk4_against_closed_form_circle():
     end = traj.endpoint()
     assert abs(end[0] - math.cos(1.0)) < 1e-10
     assert abs(end[1] + math.sin(1.0)) < 1e-10
+
+
+def _variable_system():
+    # A(x) with x-dependent, complex and rational entries, and the same
+    # matrix as a plain numpy function for the reference loop
+    a = ExprMatrix(
+        [
+            [X, const(-1), ZERO],
+            [X * X + 1, ZERO, I * X],
+            [ZERO, 1 / (X + 2), -X],
+        ]
+    )
+
+    def a_at(x):
+        return np.array(
+            [[x, -1, 0], [x * x + 1, 0, 1j * x], [0, 1 / (x + 2), -x]],
+            dtype=np.complex128,
+        )
+
+    return LinearSystem(a, DerivationTable()), a_at
+
+
+def _textbook_rk4(a_at, y0, steps):
+    # four-stage RK4 of y' = -A(x) y on [0, 1], one stage at a time
+    h = 1.0 / steps
+    y = np.asarray(y0, dtype=np.complex128)
+    states = [y]
+    for k in range(steps):
+        x = k * h
+        k1 = -a_at(x) @ y
+        k2 = -a_at(x + h / 2) @ (y + (h / 2) * k1)
+        k3 = -a_at(x + h / 2) @ (y + (h / 2) * k2)
+        k4 = -a_at(x + h) @ (y + h * k3)
+        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        states.append(y)
+    return np.array(states)
+
+
+@pytest.mark.parametrize(
+    "y0", [[1.0, 0.5j, -2.0], np.arange(6).reshape(3, 2) + 1j * np.eye(3, 2)]
+)
+def test_integrate_matches_textbook_rk4(y0):
+    steps = 600  # not a multiple of the block size: crosses block boundaries
+    assert steps % _BLOCK != 0 and steps > 2 * _BLOCK
+    system, a_at = _variable_system()
+    traj = integrate(system, y0, (0.0, 1.0), 1.0 / steps)
+    reference = _textbook_rk4(a_at, y0, steps)
+    assert traj.states.shape == reference.shape
+    assert np.max(np.abs(traj.states - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+def test_rk4_rounding_does_not_accumulate():
+    # on y'' = -y the RK4 truncation error at h = 5e-4 is below 1e-15;
+    # stepping with a rounded propagator I + D instead of the increment
+    # D y lifts the endpoint error to about 7e-14
+    traj = integrate(_circle_system(), [1.0, 0.0], (0.0, 1.0), 5e-4, {"m": 0})
+    end = traj.endpoint()
+    assert max(abs(end[0] - math.cos(1.0)), abs(end[1] + math.sin(1.0))) <= 1e-14
 
 
 def test_rk4_oscillator_state_propagation():
