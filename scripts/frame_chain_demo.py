@@ -11,7 +11,6 @@ fundamental matrix plus the drift of the quadratic first integral.
 from darbouxkit import (
     DerivationTable,
     FrenetData,
-    LinearSystem,
     X,
     application_chain,
     companion,
@@ -52,10 +51,9 @@ def main() -> None:
     grid = companion_solution_grid(companion(app.family), bindings={"m": 0.5})
     value = residual_sweep(
         app.fundamental.matrix,
-        LinearSystem(app.fundamental.system.a, app.table),
-        grid.binder(),
+        app.fundamental.system,
+        grid,
         grid.sample_indices(5),
-        grid.xs,
         bindings={"m": 0.5},
     )
     print(f"\nconcrete profile kappa = {to_pretty(kappa)}, tau = {to_pretty(tau)}:")

@@ -42,7 +42,14 @@ from .linsys import (
     system_from_json,
     system_to_json,
 )
-from .sympow import sym2_operator, sym_group, sym_lie, sym_power_vector, sym_system
+from .sympow import (
+    sym2_operator,
+    sym_gauge,
+    sym_group,
+    sym_lie,
+    sym_power_vector,
+    sym_system,
+)
 from .darboux import (
     DarbouxSeed,
     SeedNotSolution,
@@ -57,16 +64,15 @@ from .darboux import (
 from .tensordt import (
     OrthogonalSystem,
     fundamental_matrices,
-    p1_matrix,
-    p2_matrix,
+    lifted_gauge,
+    lifted_matrix,
+    orthogonal_lift,
     riccati_invert,
     riccati_parametrize,
     so3_from_sym2,
     so3_system_first,
     so3_system_second,
     so3_to_riccati,
-    t1_matrix,
-    t2_matrix,
 )
 from .susyqm import (
     ParametricPotential,

@@ -4,8 +4,8 @@ Maps curvature/torsion data (moving frames) and planar angular-velocity
 data (the Poisson kinematic equation) onto the two orthogonal routes,
 producing the second-order family, the parametric orthogonal system,
 and the fundamental matrix for each; builds their transformation
-chains.  ``ROUTES`` holds the one choice each route makes between the
-Q- and S-conjugated lifts and transformation matrices.
+chains.  What a route lifts to is defined in ``tensordt.ROUTES``; this
+module only maps each application's data to a family on its route.
 
 Both applications restrict to r = 1.  The frame antiderivative datum
 ``exp(i * integral of kappa)`` is a registered symbol with derivative
@@ -27,33 +27,19 @@ from .expr import (
     Sym,
     ZERO,
     as_expr,
+    differentiate,
     is_zero,
     normalize,
 )
 from .linsys import ExprMatrix, SecondOrderFamily
 from .darboux import DarbouxSeed, attach_generic_seed, auto_level_seed, darboux_chain
-from .tensordt import (
-    FundamentalPair,
-    OrthogonalSystem,
-    fundamental_matrices,
-    so3_system_first,
-    so3_system_second,
-    t1_matrix,
-    t2_matrix,
-)
+from .tensordt import ROUTES, FundamentalPair, OrthogonalSystem, lifted_matrix, orthogonal_lift
 
 
 class RouteConstraintViolated(KitError):
     """The data does not satisfy the route's defining identity."""
 
 
-ROUTE_Q = "Q"
-ROUTE_S = "S"
-# route -> (orthogonal lift of a family, lifted matrix of a transformation step)
-ROUTES = {
-    ROUTE_Q: (so3_system_first, t1_matrix),
-    ROUTE_S: (so3_system_second, t2_matrix),
-}
 FRAME_DATUM = "w_frame"
 
 
@@ -72,11 +58,11 @@ class FrenetData:
     table: DerivationTable = field(default_factory=DerivationTable)
 
     def __post_init__(self):
-        if self.route not in (ROUTE_Q, ROUTE_S):
+        if self.route not in ROUTES:
             raise ValueError(f"unknown route {self.route!r}")
-        if self.route == ROUTE_Q and not is_zero(self.tau + 2 * I):
+        if self.route == "Q" and not is_zero(self.tau + 2 * I):
             raise RouteConstraintViolated("Q route requires tau == -2i")
-        if self.route == ROUTE_S and is_zero(I * self.kappa - self.tau):
+        if self.route == "S" and is_zero(I * self.kappa - self.tau):
             raise RouteConstraintViolated("S route requires i*kappa - tau != 0")
 
 
@@ -95,11 +81,11 @@ class RigidData:
     table: DerivationTable = field(default_factory=DerivationTable)
 
     def __post_init__(self):
-        if self.route not in (ROUTE_Q, ROUTE_S):
+        if self.route not in ROUTES:
             raise ValueError(f"unknown route {self.route!r}")
-        if self.route == ROUTE_Q and not is_zero(I * self.omega1 + self.omega2 - 2):
+        if self.route == "Q" and not is_zero(I * self.omega1 + self.omega2 - 2):
             raise RouteConstraintViolated("Q route requires i*omega1 + omega2 == 2")
-        if self.route == ROUTE_S:
+        if self.route == "S":
             if not is_zero(self.omega2):
                 raise RouteConstraintViolated("S route requires omega2 == 0")
             if is_zero(self.omega1):
@@ -114,14 +100,6 @@ class FrameApplication:
     family: SecondOrderFamily
     orthogonal: OrthogonalSystem
     fundamental: FundamentalPair
-    table: DerivationTable
-
-
-def _application(route: str, family: SecondOrderFamily) -> FrameApplication:
-    fset = fundamental_matrices(family)
-    lift, _ = ROUTES[route]
-    pair = fset.orthogonal if route == ROUTE_Q else fset.orthogonal2
-    return FrameApplication(route, family, lift(family), pair, fset.table)
 
 
 def frenet_family(data: FrenetData) -> FrameApplication:
@@ -132,7 +110,7 @@ def frenet_family(data: FrenetData) -> FrameApplication:
     with ``eta = i kappa - tau`` and ``w = 2/eta``.  The orthogonal
     system's flow vector reproduces ``(tau, 0, kappa)`` at m = 0.
     """
-    if data.route == ROUTE_Q:
+    if data.route == "Q":
         w = Sym(FRAME_DATUM)
         table = data.table.extended({FRAME_DATUM: I * data.kappa * w})
         family = SecondOrderFamily(
@@ -147,7 +125,7 @@ def frenet_family(data: FrenetData) -> FrameApplication:
             q=normalize((data.kappa ** 2 + data.tau ** 2) / 4),
             r=ONE, w=w, table=data.table,
         )
-    return _application(data.route, family)
+    return FrameApplication(data.route, family, *orthogonal_lift(family, data.route))
 
 
 def rigid_family(data: RigidData) -> FrameApplication:
@@ -158,7 +136,7 @@ def rigid_family(data: RigidData) -> FrameApplication:
     ``w = -2/omega1``.  The orthogonal flow vector reproduces
     ``(omega1, omega2, 0)`` at m = 0.
     """
-    if data.route == ROUTE_Q:
+    if data.route == "Q":
         family = SecondOrderFamily(
             p=ZERO, q=normalize(data.omega2 - 1), r=ONE, w=ONE, table=data.table
         )
@@ -168,12 +146,10 @@ def rigid_family(data: RigidData) -> FrameApplication:
             q=normalize(data.omega1 ** 2 / 4),
             r=ONE, w=normalize(-2 / data.omega1), table=data.table,
         )
-    return _application(data.route, family)
+    return FrameApplication(data.route, family, *orthogonal_lift(family, data.route))
 
 
 def _log_derivative(e: Expr, table: DerivationTable) -> Expr:
-    from .expr import differentiate
-
     return normalize(differentiate(e, table) / e)
 
 
@@ -194,7 +170,7 @@ def application_chain(
 
     The scalar chain is ``darboux_chain``; each of its steps is mapped
     to a link carrying the route's orthogonal lift of the family and the
-    transformation matrix that leaves it (``ROUTES``).  ``seeds`` is one
+    transformation matrix that leaves it (``lifted_matrix``).  ``seeds`` is one
     log-derivative expression per step, certified by ``auto_level_seed``
     at whatever parameter value it solves the current step's scalar
     equation for (levels shift along a chain), or the string "generic"
@@ -211,13 +187,13 @@ def application_chain(
             return attach_generic_seed(family, name=f"theta0_{idx}")
         return family, auto_level_seed(family, seeds[idx])
 
-    lift, transform = ROUTES[app.route]
+    lift = ROUTES[app.route].system
     return [
         ChainLink(
             step.family,
             lift(step.family),
             step.seed,
-            None if step.seed is None else transform(step.family, step.seed),
+            None if step.seed is None else lifted_matrix(step.family, step.seed, app.route),
         )
         for step in darboux_chain(app.family, seed_rule, k)
     ]

@@ -51,7 +51,7 @@ from .darboux import (
     darboux_potential,
     make_seed,
 )
-from .tensordt import OmegaOneZero, OrthogonalSystem, so3_to_riccati
+from .tensordt import ROUTES, OmegaOneZero, OrthogonalSystem, lifted_matrix, so3_to_riccati
 from .susyqm import (
     ParametricPotential,
     hermite,
@@ -62,7 +62,6 @@ from .susyqm import (
     spectrum_sum,
 )
 from .apps import (
-    ROUTES,
     FrenetData,
     RigidData,
     application_chain,
@@ -264,8 +263,7 @@ def _application_from_args(args):
 
 
 def cmd_so3_lift(args) -> int:
-    lift, _ = ROUTES[args.route]
-    ortho = lift(_so3_family_from_args(args))
+    ortho = ROUTES[args.route].system(_so3_family_from_args(args))
     _emit(
         {
             "command": "so3 lift",
@@ -280,8 +278,8 @@ def cmd_so3_lift(args) -> int:
 
 def cmd_so3_darboux(args) -> int:
     family, seed = _seed_for(_so3_family_from_args(args), args)
-    lift, transform = ROUTES[args.route]
-    t_mat = transform(family, seed)
+    lift = ROUTES[args.route].system
+    t_mat = lifted_matrix(family, seed, args.route)
     new_family = darboux_potential(family, seed)
     _emit(
         {
@@ -299,8 +297,7 @@ def cmd_so3_darboux(args) -> int:
 
 def cmd_so3_riccati(args) -> int:
     if args.family:
-        lift, _ = ROUTES[args.route]
-        ortho = lift(_so3_family_from_args(args))
+        ortho = ROUTES[args.route].system(_so3_family_from_args(args))
     else:
         f = _expr_flag(args.f) if args.f else ZERO
         g = _expr_flag(args.g) if args.g else ZERO
@@ -516,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub_so3 = p_so3.add_subparsers(dest="subcommand", required=True)
 
     def add_route_data(p):
-        p.add_argument("--route", choices=("Q", "S"), required=True)
+        p.add_argument("--route", choices=tuple(ROUTES), required=True)
         for flag in ("--kappa", "--tau", "--omega1", "--omega2"):
             p.add_argument(flag)
 

@@ -22,6 +22,7 @@ from .expr import (
     Sym,
     ZERO,
     as_expr,
+    depends_on_x,
     differentiate,
     is_zero,
     normalize,
@@ -87,8 +88,6 @@ def auto_level_seed(family: SecondOrderFamily, theta0: Expr) -> DarbouxSeed:
     the variable; this recovers seeds taken anywhere in the family, not
     just at parameter value zero (spectra shift along chains).
     """
-    from .expr import depends_on_x
-
     theta0 = normalize(theta0)
     defect0 = riccati_defect(family, theta0, ZERO)
     level = normalize(defect0 / family.r)

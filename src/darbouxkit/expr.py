@@ -448,7 +448,8 @@ class DerivationTable:
         """
         loose: set[str] = set()
         for entry in self._entries.values():
-            for name in _sym_names(entry):
+            # Sym names only: those are the table-dependent kind
+            for name in _names(entry, (Sym,)):
                 if name not in self._entries:
                     loose.add(name)
         return loose
@@ -1095,18 +1096,19 @@ def _subst(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
 
 def free_names(e: Expr) -> set[str]:
     """Names of all Sym/Param/Radical leaves occurring in ``e``."""
-    out: set[str] = set()
-    _collect_names(e, out)
-    return out
+    return _names(e, (Sym, Param, Radical))
 
 
-def _sym_names(e: Expr) -> set[str]:
-    """Names of Sym leaves only (the table-dependent kind)."""
+def _names(e: Expr, kinds: tuple[type, ...]) -> set[str]:
+    """Names of the leaves of the given kinds, including those inside a
+    radical's square."""
     out: set[str] = set()
 
     def walk(node: Expr) -> None:
-        if isinstance(node, Sym):
+        if isinstance(node, kinds):
             out.add(node.name)
+        if isinstance(node, Radical):
+            walk(node.square)
         elif isinstance(node, Add):
             for t in node.terms:
                 walk(t)
@@ -1120,31 +1122,9 @@ def _sym_names(e: Expr) -> set[str]:
             walk(node.den)
         elif isinstance(node, Apply):
             walk(node.arg)
-        elif isinstance(node, Radical):
-            walk(node.square)
 
     walk(e)
     return out
-
-
-def _collect_names(e: Expr, out: set[str]) -> None:
-    if isinstance(e, (Sym, Param, Radical)):
-        out.add(e.name)
-        if isinstance(e, Radical):
-            _collect_names(e.square, out)
-    elif isinstance(e, Add):
-        for t in e.terms:
-            _collect_names(t, out)
-    elif isinstance(e, Mul):
-        for f in e.factors:
-            _collect_names(f, out)
-    elif isinstance(e, Pow):
-        _collect_names(e.base, out)
-    elif isinstance(e, Div):
-        _collect_names(e.num, out)
-        _collect_names(e.den, out)
-    elif isinstance(e, Apply):
-        _collect_names(e.arg, out)
 
 
 def depends_on_x(e: Expr) -> bool:

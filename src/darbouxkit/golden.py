@@ -57,21 +57,18 @@ from .tensordt import (
     first_integral_orthogonal,
     first_integral_sym2,
     flow_derivative,
-    fundamental_matrices,
+    lifted_factors,
+    lifted_gauge,
+    lifted_matrix,
+    orthogonal_lift,
     p1_explicit,
-    p1_factors,
-    p1_gauge,
-    p1_matrix,
     p2_explicit,
-    p2_matrix,
     riccati_invert,
     riccati_parametrize,
     so3_system_first,
     so3_to_riccati,
     t1_explicit,
-    t1_matrix,
     t2_explicit,
-    t2_matrix,
 )
 from .susyqm import (
     hermite,
@@ -243,21 +240,21 @@ def check_sym_power(seed: int, config: VerifyConfig) -> dict:
 def check_lifted_transforms(seed: int, config: VerifyConfig) -> dict:
     fam, sd = attach_generic_seed(_generic_family())
     m = fam.m
-    p1 = p1_matrix(fam, sd)
-    left1, right1 = p1_factors(fam, sd)
+    p1 = lifted_matrix(fam, sd, "Q", "sym2")
+    left1, right1 = lifted_factors(fam, sd, "Q", "sym2")
     ok = p1.equals(p1_explicit(fam, sd))
     ok = ok and p1.equals((left1 @ right1).normalized())
     ok = ok and is_zero(p1.det() + m ** 3)
-    p2 = p2_matrix(fam, sd)
+    p2 = lifted_matrix(fam, sd, "S", "sym2")
     ok = ok and p2.equals(p2_explicit(fam, sd))
     ok = ok and is_zero(p2.det() + m ** 3)
     at_w1 = lambda e: substitute(e, {"w": ONE, "p": ZERO})
     ok = ok and p2_explicit(fam, sd).map(at_w1).equals(p1_explicit(fam, sd).map(at_w1))
-    ok = ok and t1_matrix(fam, sd).equals(t1_explicit(fam, sd))
-    ok = ok and t2_matrix(fam, sd).equals(t2_explicit(fam, sd))
+    ok = ok and lifted_matrix(fam, sd, "Q").equals(t1_explicit(fam, sd))
+    ok = ok and lifted_matrix(fam, sd, "S").equals(t2_explicit(fam, sd))
     lifted = sym_system(companion(fam), 2)
     target = sym_system(companion(darboux_potential(fam, sd)), 2)
-    moved = gauge(lifted, p1_gauge(fam, sd).inv())
+    moved = gauge(lifted, lifted_gauge(fam, sd, "Q", "sym2").inv())
     ok = ok and moved.a.equals(target.a)
     return _exact("lifted-transforms", ok)
 
@@ -374,10 +371,9 @@ def _sweep(rng: Random, config: VerifyConfig,
             worst,
             residual_sweep(
                 app.fundamental.matrix,
-                LinearSystem(app.fundamental.system.a, app.table),
-                grid.binder(),
+                app.fundamental.system,
+                grid,
                 indices,
-                grid.xs,
                 bindings={"m": m_value},
             ),
         )
@@ -410,16 +406,14 @@ def check_applications(seed: int, config: VerifyConfig) -> dict:
 
 def check_orientation_mutation(seed: int, config: VerifyConfig) -> dict:
     fam = _unit_family()
-    fset = fundamental_matrices(fam)
-    ortho = so3_system_first(fam)
-    flipped = LinearSystem(ortho.skew(), fset.table)
+    ortho, pair = orthogonal_lift(fam, "Q")
+    flipped = LinearSystem(ortho.skew(), pair.system.table)
     grid = companion_solution_grid(
         companion(fam), bindings={"m": 0}, w_rate=fam.p,
         interval=config.interval, h=config.step,
     )
     value = residual_sweep(
-        fset.orthogonal.matrix, flipped, grid.binder(),
-        grid.sample_indices(5), grid.xs, bindings={"m": 0},
+        pair.matrix, flipped, grid, grid.sample_indices(5), bindings={"m": 0},
     )
     return _report("orientation-mutation", float(value), 1e-2, mode="min")
 

@@ -40,8 +40,10 @@ class SingularGauge(KitError):
 class ExprMatrix:
     """Dense matrix of expressions with exact arithmetic.
 
-    Sizes stay tiny (n <= 3 throughout), so determinants and inverses
-    use cofactor expansion / adjugates rather than elimination.
+    Sizes stay small (the lifts are 3x3; ``sym_system`` at power m
+    builds (m+1)x(m+1)), so determinants and inverses use cofactor
+    expansion / adjugates rather than elimination; their cost grows as
+    n!, which is why lifted gauges carry their inverse instead.
     """
 
     __slots__ = ("rows",)
@@ -157,15 +159,16 @@ class ExprMatrix:
             return a * d - b * c
         acc = ZERO
         for j in range(n):
-            minor = ExprMatrix(
-                [
-                    [self.rows[i][k] for k in range(n) if k != j]
-                    for i in range(1, n)
-                ]
-            )
-            term = self.rows[0][j] * minor._det_raw()
+            term = self.rows[0][j] * self._minor(0, j)._det_raw()
             acc = acc + (term if j % 2 == 0 else -term)
         return acc
+
+    def _minor(self, i: int, j: int) -> "ExprMatrix":
+        """The matrix without row i and column j."""
+        return ExprMatrix(
+            [[e for b, e in enumerate(row) if b != j]
+             for a, row in enumerate(self.rows) if a != i]
+        )
 
     def inverse(self) -> "ExprMatrix":
         """Exact inverse via adjugate over determinant."""
@@ -179,13 +182,7 @@ class ExprMatrix:
         for i in range(n):
             row = []
             for j in range(n):
-                minor = ExprMatrix(
-                    [
-                        [self.rows[a][b] for b in range(n) if b != j]
-                        for a in range(n) if a != i
-                    ]
-                )
-                m = minor._det_raw()
+                m = self._minor(i, j)._det_raw()
                 row.append(m if (i + j) % 2 == 0 else -m)
             cof.append(row)
         adj = ExprMatrix(cof).transpose()

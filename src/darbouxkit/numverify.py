@@ -18,7 +18,7 @@ by special-casing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -69,12 +69,6 @@ def _grid_values(exprs: Sequence[Expr], env: Mapping, xs: np.ndarray, what: str)
             except EvalSingularity as at_x:
                 raise EvalSingularity(f"{what} singular at x = {x}: {at_x}") from exc
         raise
-
-
-def _stacked(binder: Callable, indices: Sequence[int], xs: np.ndarray) -> dict:
-    """Binder values at the given grid indices, one array per name."""
-    points = [binder(int(k), float(xs[k])) for k in indices]
-    return {name: np.array([p[name] for p in points]) for name in points[0]}
 
 
 def integrate(
@@ -141,9 +135,8 @@ def fundamental_trajectories(
 def residual_sweep(
     candidate: ExprMatrix,
     system: LinearSystem,
-    binder: Callable[[int, float], Mapping[str, complex]],
+    grid: SolutionGrid,
     sample_indices: Sequence[int],
-    xs: np.ndarray,
     bindings: Mapping[str, complex] | None = None,
 ) -> float:
     """Max magnitude of ``candidate' + A candidate`` over sample points.
@@ -151,15 +144,16 @@ def residual_sweep(
     Derivatives are taken symbolically (table rewrites applied) but the
     sum against ``A . candidate`` is left unnormalized and evaluated
     numerically, so the sweep cross-checks the symbolic residual rather
-    than re-evaluating its normal form.  ``binder(k, x)`` supplies
-    numeric values of the abstract solution symbols at grid index k,
-    ``bindings`` the constant parameter values.
+    than re-evaluating its normal form.  ``grid`` supplies numeric
+    values of the abstract solution symbols at the grid indices
+    ``sample_indices``, ``bindings`` the constant parameter values.
     """
     raw = candidate.diff(system.table) + (system.a @ candidate)
     indices = np.asarray(sample_indices, dtype=int)
-    env = {**(bindings or {}), **_stacked(binder, indices, xs)}
+    samples = {name: vals[indices] for name, vals in grid.values.items()}
+    env = {**(bindings or {}), **samples}
     entries = [e for row in raw.rows for e in row]
-    values = _grid_values(entries, env, xs[indices], "residual")
+    values = _grid_values(entries, env, grid.xs[indices], "residual")
     return float(max(np.max(np.abs(v)) for v in values))
 
 
@@ -182,20 +176,13 @@ def drift(
 class SolutionGrid:
     """Numeric values of abstract solution symbols along one grid.
 
-    Integrates the system behind ``pairs`` (typically a companion
-    system) from canonical initial states and exposes a binder mapping
-    grid index to symbol values, including derived symbols such as an
-    integrated Wronskian datum.
+    ``values`` maps each symbol name to its values at the grid points
+    ``xs``, including derived symbols such as an integrated Wronskian
+    datum; :func:`companion_solution_grid` builds one.
     """
 
     xs: np.ndarray
     values: dict[str, np.ndarray]
-
-    def binder(self) -> Callable[[int, float], dict[str, complex]]:
-        def bind(k: int, _x: float) -> dict[str, complex]:
-            return {name: vals[k] for name, vals in self.values.items()}
-
-        return bind
 
     def sample_indices(self, count: int) -> list[int]:
         """``count + 1`` grid indices splitting the grid into ``count``

@@ -57,7 +57,6 @@ class SusyPair:
     w: Expr
     v_minus: Expr
     v_plus: Expr
-    lambda0: Expr = ZERO
 
 
 def superpotential(theta0: Expr) -> Expr:

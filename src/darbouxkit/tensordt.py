@@ -9,7 +9,10 @@ system by the constant matrix Q (solutions pick up a factor w, the
 antiderivative datum of p); the second first rebalances the companion
 state by Delta = diag(1, w) into a traceless system and conjugates its
 symmetric square by the constant matrix S.  The routes are not
-equivalent unless w = 1.
+equivalent unless w = 1.  ``ROUTES`` defines each route once; one
+lifting rule builds every lifted matrix, factor pair, gauge and
+orthogonal fundamental pair from it, at the ``sym2`` level (P1, P2)
+or the ``so3`` level (T1, T2).
 
 Every lifted transformation matrix here is *constructed* from the
 functorial definitions (symmetric powers of the 2x2 gauge), and the
@@ -21,8 +24,8 @@ sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, fields
+from typing import Callable, Sequence
 
 from .expr import (
     DerivationTable,
@@ -51,7 +54,7 @@ from .linsys import (
     gauge,
 )
 from .darboux import DarbouxSeed, darboux_gauge
-from .sympow import sym_group, sym_system
+from .sympow import sym_gauge, sym_group, sym_system
 
 
 class NotTraceless(KitError):
@@ -208,7 +211,7 @@ def so3_system_second(family: SecondOrderFamily) -> OrthogonalSystem:
 
 
 # ---------------------------------------------------------------------------
-# Lifted transformation matrices
+# The two routes and the lifting rule
 # ---------------------------------------------------------------------------
 
 
@@ -216,14 +219,105 @@ def delta_gauge(family: SecondOrderFamily) -> ExprMatrix:
     return ExprMatrix.diagonal([ONE, family.w])
 
 
-def p1_matrix(family: SecondOrderFamily, seed: DarbouxSeed) -> ExprMatrix:
-    """First lifted transformation: the symmetric square of the 2x2 gauge."""
-    return sym_group(darboux_gauge(family, seed).p_m, 2)
+LEVELS = ("sym2", "so3")
+_NO_CONJ = (None, None)
 
 
-def p1_factors(family: SecondOrderFamily, seed: DarbouxSeed) -> tuple[ExprMatrix, ExprMatrix]:
+@dataclass(frozen=True)
+class Route:
+    """One orthogonal lift of a second-order family.
+
+    ``conj`` (with its exact inverse) carries symmetric squares to the
+    orthogonal system.  A ``balanced`` route first conjugates all 2x2
+    data by Delta = diag(1, w), making the companion system traceless;
+    the other route scales its solutions by w instead.  ``system`` is
+    the closed-form lift, the reference for what the rule constructs.
+    """
+
+    conj: ExprMatrix
+    conj_inv: ExprMatrix
+    balanced: bool
+    system: Callable[[SecondOrderFamily], OrthogonalSystem]
+
+    def balancer(self, family: SecondOrderFamily) -> tuple:
+        """The 2x2 conjugating pair (Delta, Delta^-1), or no conjugation."""
+        d = delta_gauge(family)
+        return (d, d.inverse()) if self.balanced else _NO_CONJ
+
+    def conjugator(self, level: str) -> tuple:
+        """The 3x3 conjugating pair applied at ``level``."""
+        if level not in LEVELS:
+            raise ValueError(f"unknown lift level {level!r}")
+        return (self.conj, self.conj_inv) if level == "so3" else _NO_CONJ
+
+
+ROUTES = {
+    "Q": Route(Q_GAUGE, Q_GAUGE_INV, False, so3_system_first),
+    "S": Route(S_GAUGE, S_GAUGE_INV, True, so3_system_second),
+}
+
+
+def _conjugate(pair: tuple, mat: ExprMatrix, left: bool = True,
+               right: bool = True) -> ExprMatrix:
+    """``c @ mat @ c_inv`` normalized for ``pair = (c, c_inv)``, on the chosen
+    sides only; ``mat`` itself when there is nothing to apply."""
+    c, c_inv = pair
+    if c is None:
+        return mat
+    if left:
+        mat = c @ mat
+    if right:
+        mat = mat @ c_inv
+    return mat.normalized()
+
+
+def _conjugate_gauge(pair: tuple, g: GaugeMatrix) -> GaugeMatrix:
+    if pair[0] is None:
+        return g
+    return GaugeMatrix(_conjugate(pair, g.p), _conjugate(pair, g.p_inv))
+
+
+def _lift(family: SecondOrderFamily, route: str, level: str, mat: ExprMatrix,
+          left: bool = True, right: bool = True) -> ExprMatrix:
+    """The lifting rule ``M -> C Sym2(D M D^-1) C^-1``.
+
+    D is Delta on a balanced route and C the route's conjugator at the
+    ``so3`` level; either is the identity otherwise.  ``left``/``right``
+    keep only one side, so a factor pair (L, R) lifts to
+    ``(C Sym2(D L), Sym2(R D^-1) C^-1)``.
+    """
+    r = ROUTES[route]
+    lifted = sym_group(_conjugate(r.balancer(family), mat, left, right), 2)
+    return _conjugate(r.conjugator(level), lifted, left, right)
+
+
+def lifted_matrix(family: SecondOrderFamily, seed: DarbouxSeed, route: str,
+                  level: str = "so3") -> ExprMatrix:
+    """Lift of the 2x2 Darboux gauge along ``route``.
+
+    At the ``sym2`` level this is P1 = Sym2(P) (route Q) or
+    P2 = Sym2(Delta P Delta^-1) (route S); at the ``so3`` level the
+    orthogonal transformation T1 = Q P1 Q^-1 or T2 = S P2 S^-1.
+    """
+    return _lift(family, route, level, darboux_gauge(family, seed).p_m)
+
+
+def lifted_factors(family: SecondOrderFamily, seed: DarbouxSeed, route: str,
+                   level: str = "so3") -> tuple[ExprMatrix, ExprMatrix]:
+    """The lift of the factorization ``P = L R``; its product is :func:`lifted_matrix`."""
     g = darboux_gauge(family, seed)
-    return sym_group(g.l_m, 2), sym_group(g.r_factor, 2)
+    return (_lift(family, route, level, g.l_m, right=False),
+            _lift(family, route, level, g.r_factor, left=False))
+
+
+def lifted_gauge(family: SecondOrderFamily, seed: DarbouxSeed, route: str,
+                 level: str = "so3") -> GaugeMatrix:
+    """:func:`lifted_matrix` as a gauge, its inverse lifted alongside by
+    :func:`sym_gauge`, far cheaper than a symbolic 3x3 adjugate."""
+    r = ROUTES[route]
+    p_m = darboux_gauge(family, seed).p_m
+    balanced = _conjugate_gauge(r.balancer(family), GaugeMatrix(p_m, p_m.inverse()))
+    return _conjugate_gauge(r.conjugator(level), sym_gauge(balanced, 2))
 
 
 def p1_explicit(family: SecondOrderFamily, seed: DarbouxSeed) -> ExprMatrix:
@@ -241,21 +335,6 @@ def p1_explicit(family: SecondOrderFamily, seed: DarbouxSeed) -> ExprMatrix:
     return ExprMatrix(rows).scale(1 / r).normalized()
 
 
-def p2_matrix(family: SecondOrderFamily, seed: DarbouxSeed) -> ExprMatrix:
-    """Second lifted transformation: Sym2 of the Delta-conjugated gauge."""
-    d = delta_gauge(family)
-    conj = (d @ darboux_gauge(family, seed).p_m @ d.inverse()).normalized()
-    return sym_group(conj, 2)
-
-
-def p2_factors(family: SecondOrderFamily, seed: DarbouxSeed) -> tuple[ExprMatrix, ExprMatrix]:
-    g = darboux_gauge(family, seed)
-    d = delta_gauge(family)
-    left = sym_group((d @ g.l_m).normalized(), 2)
-    right = sym_group((g.r_factor @ d.inverse()).normalized(), 2)
-    return left, right
-
-
 def p2_explicit(family: SecondOrderFamily, seed: DarbouxSeed) -> ExprMatrix:
     """Closed-form entries of the second lifted transformation.
 
@@ -271,51 +350,6 @@ def p2_explicit(family: SecondOrderFamily, seed: DarbouxSeed) -> ExprMatrix:
     return ExprMatrix(rows).scale(1 / r).normalized()
 
 
-def p1_gauge(family: SecondOrderFamily, seed: DarbouxSeed) -> GaugeMatrix:
-    """P1 as a gauge with its inverse built by functoriality.
-
-    ``Sym2`` turns matrix inversion into inversion of the underlying
-    2x2 gauge, which is far cheaper than a symbolic 3x3 adjugate.
-    """
-    p_m = darboux_gauge(family, seed).p_m
-    return GaugeMatrix(sym_group(p_m, 2), sym_group(p_m.inverse(), 2))
-
-
-def p2_gauge(family: SecondOrderFamily, seed: DarbouxSeed) -> GaugeMatrix:
-    d = delta_gauge(family)
-    d_inv = d.inverse()
-    p_m = darboux_gauge(family, seed).p_m
-    conj = (d @ p_m @ d_inv).normalized()
-    conj_inv = (d @ p_m.inverse() @ d_inv).normalized()
-    return GaugeMatrix(sym_group(conj, 2), sym_group(conj_inv, 2))
-
-
-def t1_gauge(family: SecondOrderFamily, seed: DarbouxSeed) -> GaugeMatrix:
-    p1 = p1_gauge(family, seed)
-    return GaugeMatrix(
-        (Q_GAUGE @ p1.p @ Q_GAUGE_INV).normalized(),
-        (Q_GAUGE @ p1.p_inv @ Q_GAUGE_INV).normalized(),
-    )
-
-
-def t2_gauge(family: SecondOrderFamily, seed: DarbouxSeed) -> GaugeMatrix:
-    p2 = p2_gauge(family, seed)
-    return GaugeMatrix(
-        (S_GAUGE @ p2.p @ S_GAUGE_INV).normalized(),
-        (S_GAUGE @ p2.p_inv @ S_GAUGE_INV).normalized(),
-    )
-
-
-def t1_matrix(family: SecondOrderFamily, seed: DarbouxSeed) -> ExprMatrix:
-    """First orthogonal transformation ``Q P1 Q^{-1}``."""
-    return (Q_GAUGE @ p1_matrix(family, seed) @ Q_GAUGE_INV).normalized()
-
-
-def t1_factors(family: SecondOrderFamily, seed: DarbouxSeed) -> tuple[ExprMatrix, ExprMatrix]:
-    left, right = p1_factors(family, seed)
-    return (Q_GAUGE @ left).normalized(), (right @ Q_GAUGE_INV).normalized()
-
-
 def t1_explicit(family: SecondOrderFamily, seed: DarbouxSeed) -> ExprMatrix:
     th, rho, nu, r = seed.theta0, seed.rho, seed.nu, family.r
     th2, rho2, nu2 = th * th, rho * rho, nu * nu
@@ -325,16 +359,6 @@ def t1_explicit(family: SecondOrderFamily, seed: DarbouxSeed) -> ExprMatrix:
         [2 * (nu * th + rho), -2 * I * (nu * th - rho), 2 * (nu - th * rho)],
     ]
     return ExprMatrix(rows).scale(1 / (2 * r)).normalized()
-
-
-def t2_matrix(family: SecondOrderFamily, seed: DarbouxSeed) -> ExprMatrix:
-    """Second orthogonal transformation ``S P2 S^{-1}``."""
-    return (S_GAUGE @ p2_matrix(family, seed) @ S_GAUGE_INV).normalized()
-
-
-def t2_factors(family: SecondOrderFamily, seed: DarbouxSeed) -> tuple[ExprMatrix, ExprMatrix]:
-    left, right = p2_factors(family, seed)
-    return (S_GAUGE @ left).normalized(), (right @ S_GAUGE_INV).normalized()
 
 
 def t2_explicit(family: SecondOrderFamily, seed: DarbouxSeed) -> ExprMatrix:
@@ -394,52 +418,51 @@ class FundamentalSet:
     orthogonal2: FundamentalPair
 
     def pairs(self) -> dict[str, FundamentalPair]:
-        return {
-            "companion": self.companion,
-            "sym2": self.sym2,
-            "orthogonal": self.orthogonal,
-            "balanced": self.balanced,
-            "balanced_sym2": self.balanced_sym2,
-            "orthogonal2": self.orthogonal2,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "table"}
+
+
+def _solution_matrix(family: SecondOrderFamily,
+                     names: Sequence[str]) -> tuple[ExprMatrix, DerivationTable]:
+    """Companion fundamental matrix over abstract solution symbols, with
+    the table that registers their companion rewrite."""
+    (pair1, pair2), table = family.solution_symbols(*names)
+    return ExprMatrix([[pair1[0], pair2[0]], [pair1[1], pair2[1]]]), table
+
+
+def orthogonal_lift(family: SecondOrderFamily, route: str,
+                    names: Sequence[str] = ("y1", "y2"),
+                    ) -> tuple[OrthogonalSystem, FundamentalPair]:
+    """The route's orthogonal system with a fundamental matrix of it.
+
+    The matrix is ``C Sym2(D X)`` for X the companion fundamental matrix
+    (the left side of the lifting rule), times w on the unbalanced route;
+    it satisfies ``matrix' + A matrix == 0`` exactly.
+    """
+    r = ROUTES[route]
+    x_mat, table = _solution_matrix(family, names)
+    z_mat = r.conj @ sym_group(_conjugate(r.balancer(family), x_mat, right=False), 2)
+    if not r.balanced:
+        z_mat = z_mat.scale(family.w)
+    ortho = r.system(family)
+    system = LinearSystem(ortho.system().a, table, {"route": ortho.meta["route"]})
+    return ortho, FundamentalPair(z_mat.normalized(), system)
 
 
 def fundamental_matrices(family: SecondOrderFamily,
                          names: Sequence[str] = ("y1", "y2")) -> FundamentalSet:
-    (pair1, pair2), table = family.solution_symbols(*names)
-    y1, y1p = pair1
-    y2, y2p = pair2
-    w = family.w
-
-    x_mat = ExprMatrix([[y1, y2], [y1p, y2p]])
+    x_mat, table = _solution_matrix(family, names)
     x_sys = LinearSystem(companion(family).a, table)
-
-    y_mat = sym_group(x_mat, 2)
-    y_sys = sym_system(x_sys, 2)
-
-    z_mat = (Q_GAUGE @ y_mat).scale(w).normalized()
-    z_sys = LinearSystem(so3_system_first(family).system().a, table,
-                         {"route": "first"})
-
     d = delta_gauge(family)
     x1_mat = (d @ x_mat).normalized()
     x1_sys = gauge(x_sys, GaugeMatrix(d.inverse(), d))
-
-    y1_mat = sym_group(x1_mat, 2)
-    y1_sys = sym_system(x1_sys, 2)
-
-    z1_mat = (S_GAUGE @ y1_mat).normalized()
-    z1_sys = LinearSystem(so3_system_second(family).system().a, table,
-                          {"route": "second"})
-
     return FundamentalSet(
         table=table,
         companion=FundamentalPair(x_mat, x_sys),
-        sym2=FundamentalPair(y_mat, y_sys),
-        orthogonal=FundamentalPair(z_mat, z_sys),
+        sym2=FundamentalPair(sym_group(x_mat, 2), sym_system(x_sys, 2)),
+        orthogonal=orthogonal_lift(family, "Q", names)[1],
         balanced=FundamentalPair(x1_mat, x1_sys),
-        balanced_sym2=FundamentalPair(y1_mat, y1_sys),
-        orthogonal2=FundamentalPair(z1_mat, z1_sys),
+        balanced_sym2=FundamentalPair(sym_group(x1_mat, 2), sym_system(x1_sys, 2)),
+        orthogonal2=orthogonal_lift(family, "S", names)[1],
     )
 
 

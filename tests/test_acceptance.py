@@ -53,24 +53,17 @@ from darbouxkit.tensordt import (
     first_integral_sym2,
     flow_derivative,
     fundamental_matrices,
+    lifted_factors,
+    lifted_gauge,
+    lifted_matrix,
     p1_explicit,
-    p1_factors,
-    p1_gauge,
-    p1_matrix,
     p2_explicit,
-    p2_factors,
-    p2_gauge,
-    p2_matrix,
     riccati_invert,
     riccati_parametrize,
     so3_system_first,
     so3_to_riccati,
     t1_explicit,
-    t1_factors,
-    t1_matrix,
     t2_explicit,
-    t2_factors,
-    t2_matrix,
 )
 from darbouxkit.susyqm import (
     hermite,
@@ -201,14 +194,14 @@ def test_criterion_3_symmetric_power_coherence():
 def test_criterion_4_lifted_transformations():
     fam, seed = _seeded()
     m = fam.m
-    p1 = p1_matrix(fam, seed)
-    p2 = p2_matrix(fam, seed)
-    t1 = t1_matrix(fam, seed)
-    t2 = t2_matrix(fam, seed)
-    left1, right1 = p1_factors(fam, seed)
-    left2, right2 = p2_factors(fam, seed)
-    tl1, tr1 = t1_factors(fam, seed)
-    tl2, tr2 = t2_factors(fam, seed)
+    p1 = lifted_matrix(fam, seed, "Q", "sym2")
+    p2 = lifted_matrix(fam, seed, "S", "sym2")
+    t1 = lifted_matrix(fam, seed, "Q")
+    t2 = lifted_matrix(fam, seed, "S")
+    left1, right1 = lifted_factors(fam, seed, "Q", "sym2")
+    left2, right2 = lifted_factors(fam, seed, "S", "sym2")
+    tl1, tr1 = lifted_factors(fam, seed, "Q")
+    tl2, tr2 = lifted_factors(fam, seed, "S")
     at_w1 = lambda e: substitute(e, {"w": ONE, "p": ZERO})
     lifted = sym_system(companion(fam), 2)
     lifted_target = sym_system(companion(darboux_potential(fam, seed)), 2)
@@ -233,11 +226,11 @@ def test_criterion_4_lifted_transformations():
         "p2-reduces-to-p1-at-w1": p2_explicit(fam, seed)
         .map(at_w1)
         .equals(p1_explicit(fam, seed).map(at_w1)),
-        "diagram-sym2-route": gauge(lifted, p1_gauge(fam, seed).inv()).a.equals(
-            lifted_target.a
-        ),
+        "diagram-sym2-route": gauge(
+            lifted, lifted_gauge(fam, seed, "Q", "sym2").inv()
+        ).a.equals(lifted_target.a),
         "diagram-balanced-route": gauge(
-            sym_system(balanced, 2), p2_gauge(fam, seed).inv()
+            sym_system(balanced, 2), lifted_gauge(fam, seed, "S", "sym2").inv()
         ).a.equals(sym_system(balanced_target, 2).a),
     }
     _criterion(4, "lifted transformation matrices and diagrams", results)
@@ -376,10 +369,9 @@ def _sweep(app, bindings, w_symbol=None, interval=(0.0, 1.0)):
     )
     return residual_sweep(
         app.fundamental.matrix,
-        LinearSystem(app.fundamental.system.a, app.table),
-        grid.binder(),
+        app.fundamental.system,
+        grid,
         grid.sample_indices(5),
-        grid.xs,
         bindings=bindings,
     )
 
@@ -473,9 +465,8 @@ def test_criterion_9_oracle_health():
     mutated = residual_sweep(
         fset.orthogonal.matrix,
         flipped,
-        grid.binder(),
+        grid,
         grid.sample_indices(5),
-        grid.xs,
         bindings={"m": 0},
     )
     results["orientation-mutation-detected"] = mutated >= 1e-2

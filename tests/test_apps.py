@@ -30,7 +30,7 @@ from darbouxkit.apps import (
     frenet_family,
     rigid_family,
 )
-from darbouxkit.linsys import ExprMatrix, GaugeMatrix, LinearSystem, companion, gauge, residual
+from darbouxkit.linsys import ExprMatrix, GaugeMatrix, companion, gauge, residual
 from darbouxkit.numverify import (
     companion_solution_grid,
     drift,
@@ -39,8 +39,8 @@ from darbouxkit.numverify import (
 )
 from darbouxkit.tensordt import (
     first_integral_orthogonal,
+    lifted_factors,
     skew_matrix,
-    t1_factors,
 )
 
 
@@ -172,7 +172,7 @@ def test_rigid_chain_step_one_factorization():
     )
     links = application_chain(app, "generic", 1)
     fam, seed = links[0].family, links[0].seed
-    left, right = t1_factors(fam, seed)
+    left, right = lifted_factors(fam, seed, "Q")
     th = Sym("theta0_0")
     m = fam.m
     expected_left = ExprMatrix(
@@ -264,13 +264,11 @@ def _sweep_application(app: FrameApplication, bindings, w_symbol=None):
         w_rate=app.family.p if w_symbol else None,
         w_name=w_symbol or "w",
     )
-    sys = LinearSystem(app.fundamental.system.a, app.table)
     return residual_sweep(
         app.fundamental.matrix,
-        sys,
-        grid.binder(),
+        app.fundamental.system,
+        grid,
         grid.sample_indices(5),
-        grid.xs,
         bindings=bindings,
     )
 

@@ -31,10 +31,12 @@ from darbouxkit.expr import (
     UnboundSymbol,
     UnknownSymbol,
     const,
+    depends_on_x,
     differentiate,
     equal,
     evaluate,
     exp,
+    free_names,
     is_zero,
     normalize,
     param,
@@ -276,6 +278,24 @@ def test_table_closure_defect_reports_loose_ends():
     assert table.closure_defect() == {"q_d3"}
     closed = DerivationTable({"u": sym("v"), "v": sym("u")})
     assert closed.closure_defect() == set()
+
+
+def test_name_walkers_see_symbols_inside_radicals():
+    # the radical's square holds the loose symbol a; only Sym names are
+    # table-dependent, so closure_defect skips the radical and the parameter
+    s = Radical("s", sym("a") + X)
+    e = s * sym("b") + param("m") * exp(sym("c"))
+    assert free_names(e) == {"s", "a", "b", "c", "m"}
+    assert free_names(normalize(e)) == {"s", "a", "b", "c", "m"}
+    assert DerivationTable({"b": s}).closure_defect() == {"a"}
+    table = DerivationTable({"b": s * sym("c") + param("m"), "a": Const(1)})
+    assert table.closure_defect() == {"c"}
+    # a radical counts as x-dependent until its square rewrites it away
+    r = Radical("r", param("m") + 1)
+    assert depends_on_x(r)
+    assert not depends_on_x(r * r)
+    assert depends_on_x(s * s)
+    assert not depends_on_x(param("m") * 2)
 
 
 def test_symbol_tower_depth():

@@ -25,6 +25,7 @@ from darbouxkit.linsys import (
     system_from_json,
     system_to_json,
 )
+from darbouxkit.sympow import sym_group
 from conftest import (
     generic_family,
     generic_table,
@@ -37,6 +38,13 @@ def test_matrix_inverse_roundtrip(rng):
     for _ in range(10):
         m = random_rational_matrix(rng, 3, invertible=True)
         assert (m @ m.inverse()).normalized().equals(ExprMatrix.identity(3))
+
+
+def test_matrix_inverse_roundtrip_four_by_four(rng):
+    # Sym^3 of a 2x2 matrix is 4x4, the size `sympow system --power 3` builds
+    for _ in range(3):
+        m = sym_group(random_rational_matrix(rng, 2, invertible=True), 3)
+        assert (m @ m.inverse()).normalized().equals(ExprMatrix.identity(4))
 
 
 def test_companion_oscillator():

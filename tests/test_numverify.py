@@ -163,9 +163,8 @@ def test_sweep_and_drift_report_singular_sample():
         residual_sweep(
             ExprMatrix([[1 / (X - rat(2, 5)), ZERO], [ZERO, ZERO]]),
             LinearSystem(sys.a, sys.table),
-            grid.binder(),
+            grid,
             grid.sample_indices(5),
-            grid.xs,
             bindings={"m": 0},
         )
     traj = integrate(sys, [1.0, 0.0], (0.0, 1.0), 0.25, {"m": 0})
@@ -179,9 +178,8 @@ def test_residual_sweep_zero_candidate():
     value = residual_sweep(
         ExprMatrix.zeros(2),
         LinearSystem(sys.a, sys.table),
-        grid.binder(),
+        grid,
         grid.sample_indices(5),
-        grid.xs,
         bindings={"m": 0},
     )
     assert value == 0.0
@@ -198,9 +196,8 @@ def test_residual_sweep_orthogonal_fundamental():
     value = residual_sweep(
         pair.matrix,
         LinearSystem(pair.system.a, fset.table),
-        grid.binder(),
+        grid,
         grid.sample_indices(5),
-        grid.xs,
         bindings={"m": 0},
     )
     assert value <= 1e-8
@@ -218,9 +215,8 @@ def test_residual_sweep_detects_wrong_flow_orientation():
     value = residual_sweep(
         fset.orthogonal.matrix,
         flipped,
-        grid.binder(),
+        grid,
         grid.sample_indices(5),
-        grid.xs,
         bindings={"m": 0},
     )
     assert value >= 1e-2
@@ -235,9 +231,8 @@ def test_lifted_fundamental_tracks_lifted_flow_numerically():
     value = residual_sweep(
         fset.sym2.matrix,
         LinearSystem(fset.sym2.system.a, fset.table),
-        grid.binder(),
+        grid,
         grid.sample_indices(5),
-        grid.xs,
         bindings={"m": -2},
     )
     assert value <= 1e-8

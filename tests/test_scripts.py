@@ -32,3 +32,10 @@ def test_oscillator_ladder_levels():
 def test_frame_chain_demo_runs():
     proc = _run_script("frame_chain_demo.py")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_run_verification_passes_every_check():
+    proc = _run_script("run_verification.py")
+    assert proc.returncode == 0, proc.stderr
+    passed = [line for line in proc.stdout.splitlines() if line.startswith("[PASS]")]
+    assert len(passed) == 11, proc.stdout

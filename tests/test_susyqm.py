@@ -35,7 +35,7 @@ from darbouxkit.susyqm import (
     spectrum_sum,
     superpotential,
 )
-from darbouxkit.tensordt import p1_explicit, p1_factors, p1_matrix
+from darbouxkit.tensordt import lifted_factors, lifted_matrix, p1_explicit
 from conftest import schrodinger_family
 
 
@@ -231,7 +231,7 @@ def test_susy_p1_specializes_to_three_by_three_closed_form():
     seed = make_seed(fam, -w)
     lam = Sym("lam")
     to_lambda = lambda e: substitute(e, {"m": -lam})
-    got = p1_matrix(fam, seed).map(to_lambda)
+    got = lifted_matrix(fam, seed, "Q", "sym2").map(to_lambda)
     expected = ExprMatrix(
         [
             [w ** 2, w, ONE],
@@ -240,7 +240,7 @@ def test_susy_p1_specializes_to_three_by_three_closed_form():
         ]
     )
     assert got.equals(expected)
-    left, right = (mat.map(to_lambda) for mat in p1_factors(fam, seed))
+    left, right = (mat.map(to_lambda) for mat in lifted_factors(fam, seed, "Q", "sym2"))
     expected_left = ExprMatrix(
         [
             [ZERO, ZERO, ONE],

@@ -28,6 +28,7 @@ from darbouxkit.sympow import (
     monomial_basis,
     multinomial_diagonal,
     sym2_operator,
+    sym_gauge,
     sym_group,
     sym_lie,
     sym_power_vector,
@@ -118,6 +119,14 @@ def test_sym_group_inverse_compatibility(rng):
         lhs = sym_group(m.inverse(), 2)
         rhs = sym_group(m, 2).inverse()
         assert lhs.equals(rhs)
+
+
+def test_sym_gauge_lifts_the_inverse_alongside(rng):
+    for m in (2, 3):
+        g = GaugeMatrix(random_rational_matrix(rng, 2, invertible=True))
+        lifted = sym_gauge(g, m)
+        assert lifted.p.equals(sym_group(g.p, m))
+        assert lifted.p_inv.equals(sym_group(g.p, m).inverse())
 
 
 def test_sym_group_det_cube(rng):

@@ -34,6 +34,7 @@ from darbouxkit.tensordt import (
     OrthogonalSystem,
     Q_GAUGE,
     Q_GAUGE_INV,
+    ROUTES,
     S_GAUGE,
     S_GAUGE_INV,
     delta_gauge,
@@ -41,14 +42,12 @@ from darbouxkit.tensordt import (
     first_integral_sym2,
     flow_derivative,
     fundamental_matrices,
+    lifted_factors,
+    lifted_gauge,
+    lifted_matrix,
+    orthogonal_lift,
     p1_explicit,
-    p1_factors,
-    p1_gauge,
-    p1_matrix,
     p2_explicit,
-    p2_factors,
-    p2_gauge,
-    p2_matrix,
     riccati_invert,
     riccati_parametrize,
     skew_matrix,
@@ -59,13 +58,7 @@ from darbouxkit.tensordt import (
     so3_vector_from_operator,
     sym2_from_so3,
     t1_explicit,
-    t1_factors,
-    t1_gauge,
-    t1_matrix,
     t2_explicit,
-    t2_factors,
-    t2_gauge,
-    t2_matrix,
 )
 from conftest import generic_family, oscillator_family, schrodinger_family
 
@@ -127,18 +120,30 @@ def test_operator_vector_satisfies_conjugation_identity():
 # -- lifted transformation matrices -----------------------------------------
 
 
-def test_p1_three_presentations_agree():
+# the independent closed forms of each route's lift, per level
+EXPLICIT = {
+    ("Q", "sym2"): p1_explicit,
+    ("S", "sym2"): p2_explicit,
+    ("Q", "so3"): t1_explicit,
+    ("S", "so3"): t2_explicit,
+}
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("level", ("sym2", "so3"))
+def test_lift_presentations_agree(route, level):
+    # built, factored and closed-form presentations: P1/P2 at sym2, T1/T2 at so3
     fam, seed = _generic_seeded()
-    built = p1_matrix(fam, seed)
-    left, right = p1_factors(fam, seed)
-    assert built.equals(p1_explicit(fam, seed))
+    built = lifted_matrix(fam, seed, route, level)
+    left, right = lifted_factors(fam, seed, route, level)
+    assert built.equals(EXPLICIT[route, level](fam, seed))
     assert built.equals((left @ right).normalized())
 
 
 def test_p1_determinant_is_minus_m_cubed():
     fam, seed = _generic_seeded()
     m = fam.m
-    assert equal(p1_matrix(fam, seed).det(), -(m ** 3))
+    assert equal(lifted_matrix(fam, seed, "Q", "sym2").det(), -(m ** 3))
 
 
 def test_p1_susy_specialization():
@@ -152,7 +157,7 @@ def test_p1_susy_specialization():
     )
     seed = make_seed(fam, -w_)
     lam = Sym("lam")
-    got = p1_matrix(fam, seed).map(lambda e: substitute(e, {"m": -lam}))
+    got = lifted_matrix(fam, seed, "Q", "sym2").map(lambda e: substitute(e, {"m": -lam}))
     expected = ExprMatrix(
         [
             [w_ ** 2, w_, ONE],
@@ -161,14 +166,6 @@ def test_p1_susy_specialization():
         ]
     )
     assert got.equals(expected)
-
-
-def test_p2_three_presentations_agree():
-    fam, seed = _generic_seeded()
-    built = p2_matrix(fam, seed)
-    left, right = p2_factors(fam, seed)
-    assert built.equals(p2_explicit(fam, seed))
-    assert built.equals((left @ right).normalized())
 
 
 def test_p2_reduces_to_p1_at_w_equal_one():
@@ -185,23 +182,7 @@ def test_p2_reduces_to_p1_at_w_equal_one():
 def test_p2_determinant_is_minus_m_cubed():
     fam, seed = _generic_seeded()
     m = fam.m
-    assert equal(p2_matrix(fam, seed).det(), -(m ** 3))
-
-
-def test_t1_presentations_agree():
-    fam, seed = _generic_seeded()
-    built = t1_matrix(fam, seed)
-    left, right = t1_factors(fam, seed)
-    assert built.equals(t1_explicit(fam, seed))
-    assert built.equals((left @ right).normalized())
-
-
-def test_t2_presentations_agree():
-    fam, seed = _generic_seeded()
-    built = t2_matrix(fam, seed)
-    left, right = t2_factors(fam, seed)
-    assert built.equals(t2_explicit(fam, seed))
-    assert built.equals((left @ right).normalized())
+    assert equal(lifted_matrix(fam, seed, "S", "sym2").det(), -(m ** 3))
 
 
 def test_t2_at_w_one_matches_s_conjugated_p1():
@@ -213,43 +194,44 @@ def test_t2_at_w_one_matches_s_conjugated_p1():
     assert lhs.equals(rhs)
 
 
+def test_unknown_route_or_level_is_rejected():
+    fam, seed = _generic_seeded()
+    with pytest.raises(KeyError):
+        lifted_matrix(fam, seed, "T")
+    with pytest.raises(ValueError, match="unknown lift level"):
+        lifted_matrix(fam, seed, "Q", "sym3")
+
+
 # -- diagrams ----------------------------------------------------------------
 
 
-def test_diagram_first_route_commutes():
+def _route_companion(fam, route):
+    # the 2x2 system a route squares: the companion system, Delta-balanced
+    # on a balanced route
+    if not ROUTES[route].balanced:
+        return companion(fam)
+    d = delta_gauge(fam)
+    return gauge(companion(fam), GaugeMatrix(d.inverse(), d))
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_diagram_commutes(route):
     # lifting then transforming equals transforming then lifting
     fam, seed = _generic_seeded()
-    lifted = sym_system(companion(fam), 2)
-    transformed_then_lifted = sym_system(companion(darboux_potential(fam, seed)), 2)
-    lifted_then_transformed = gauge(lifted, p1_gauge(fam, seed).inv())
-    assert lifted_then_transformed.a.equals(transformed_then_lifted.a)
-
-
-def test_diagram_second_route_commutes():
-    fam, seed = _generic_seeded()
-    d = delta_gauge(fam)
-    balanced = gauge(companion(fam), GaugeMatrix(d.inverse(), d))
-    lifted = sym_system(balanced, 2)
+    lifted = sym_system(_route_companion(fam, route), 2)
     new_fam = darboux_potential(fam, seed)
-    balanced_new = gauge(companion(new_fam), GaugeMatrix(d.inverse(), d))
-    transformed_then_lifted = sym_system(balanced_new, 2)
-    lifted_then_transformed = gauge(lifted, p2_gauge(fam, seed).inv())
+    transformed_then_lifted = sym_system(_route_companion(new_fam, route), 2)
+    lifted_then_transformed = gauge(lifted, lifted_gauge(fam, seed, route, "sym2").inv())
     assert lifted_then_transformed.a.equals(transformed_then_lifted.a)
 
 
-def test_t1_transforms_first_orthogonal_route():
+@pytest.mark.parametrize("route", ROUTES)
+def test_t_transforms_its_route_lift(route):
     fam, seed = _generic_seeded()
-    base = so3_system_first(fam).system()
-    target = so3_system_first(darboux_potential(fam, seed)).system()
-    moved = gauge(base, t1_gauge(fam, seed).inv())
-    assert moved.a.equals(target.a)
-
-
-def test_t2_transforms_second_orthogonal_route():
-    fam, seed = _generic_seeded()
-    base = so3_system_second(fam).system()
-    target = so3_system_second(darboux_potential(fam, seed)).system()
-    moved = gauge(base, t2_gauge(fam, seed).inv())
+    lift = ROUTES[route].system
+    base = lift(fam).system()
+    target = lift(darboux_potential(fam, seed)).system()
+    moved = gauge(base, lifted_gauge(fam, seed, route).inv())
     assert moved.a.equals(target.a)
 
 
@@ -281,6 +263,18 @@ def test_fundamental_matrices_all_residuals_vanish():
     for name, pair in fset.pairs().items():
         sys = LinearSystem(pair.system.a, fset.table, pair.system.meta)
         assert residual(sys, pair.matrix).is_zero_matrix(), name
+
+
+@pytest.mark.parametrize("route, entry", [("Q", "orthogonal"), ("S", "orthogonal2")])
+def test_orthogonal_lift_is_the_fundamental_set_entry(route, entry):
+    fam = generic_family()
+    ortho, pair = orthogonal_lift(fam, route)
+    expected = fundamental_matrices(fam).pairs()[entry]
+    assert pair.matrix.equals(expected.matrix)
+    assert pair.system.a.equals(expected.system.a)
+    assert pair.system.a.equals(ROUTES[route].system(fam).system().a)
+    assert ortho.system().a.equals(pair.system.a)
+    assert residual(pair.system, pair.matrix).is_zero_matrix()
 
 
 def test_fundamental_orthogonal_structure():
