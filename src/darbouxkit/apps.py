@@ -5,7 +5,8 @@ data (the Poisson kinematic equation) onto the two orthogonal routes,
 producing the second-order family, the parametric orthogonal system,
 and the fundamental matrix for each; builds their transformation
 chains.  What a route lifts to is defined in ``tensordt.ROUTES``; this
-module only maps each application's data to a family on its route.
+module only maps each application's data to a family on its route
+(``FrenetData.family``/``RigidData.family``, which build nothing else).
 
 Both applications restrict to r = 1.  The frame antiderivative datum
 ``exp(i * integral of kappa)`` is a registered symbol with derivative
@@ -65,6 +66,29 @@ class FrenetData:
         if self.route == "S" and is_zero(I * self.kappa - self.tau):
             raise RouteConstraintViolated("S route requires i*kappa - tau != 0")
 
+    def family(self) -> SecondOrderFamily:
+        """Second-order family behind the frame equations, on either route.
+
+        Q route: ``y'' + i kappa y' - y = 0`` with the registered frame
+        datum; S route: ``y'' - (eta'/eta) y' + (kappa^2 + tau^2)/4 y = 0``
+        with ``eta = i kappa - tau`` and ``w = 2/eta``.  The orthogonal
+        system's flow vector reproduces ``(tau, 0, kappa)`` at m = 0.
+        """
+        if self.route == "Q":
+            w = Sym(FRAME_DATUM)
+            table = self.table.extended({FRAME_DATUM: I * self.kappa * w})
+            return SecondOrderFamily(
+                p=normalize(I * self.kappa), q=normalize(as_expr(-1)), r=ONE,
+                w=w, table=table,
+            )
+        eta = normalize(I * self.kappa - self.tau)
+        w = normalize(2 / eta)
+        return SecondOrderFamily(
+            p=normalize(-_log_derivative(eta, self.table)),
+            q=normalize((self.kappa ** 2 + self.tau ** 2) / 4),
+            r=ONE, w=w, table=self.table,
+        )
+
 
 @dataclass(frozen=True)
 class RigidData:
@@ -91,6 +115,24 @@ class RigidData:
             if is_zero(self.omega1):
                 raise RouteConstraintViolated("S route requires omega1 != 0")
 
+    def family(self) -> SecondOrderFamily:
+        """Second-order family behind the Poisson kinematic equation.
+
+        Q route: ``y'' + (omega2 - 1) y = 0`` with w = 1; S route:
+        ``y'' - (omega1'/omega1) y' + omega1^2/4 y = 0`` with
+        ``w = -2/omega1``.  The orthogonal flow vector reproduces
+        ``(omega1, omega2, 0)`` at m = 0.
+        """
+        if self.route == "Q":
+            return SecondOrderFamily(
+                p=ZERO, q=normalize(self.omega2 - 1), r=ONE, w=ONE, table=self.table
+            )
+        return SecondOrderFamily(
+            p=normalize(-_log_derivative(self.omega1, self.table)),
+            q=normalize(self.omega1 ** 2 / 4),
+            r=ONE, w=normalize(-2 / self.omega1), table=self.table,
+        )
+
 
 @dataclass(frozen=True)
 class FrameApplication:
@@ -103,49 +145,14 @@ class FrameApplication:
 
 
 def frenet_family(data: FrenetData) -> FrameApplication:
-    """Second-order family behind the frame equations, on either route.
-
-    Q route: ``y'' + i kappa y' - y = 0`` with the registered frame
-    datum; S route: ``y'' - (eta'/eta) y' + (kappa^2 + tau^2)/4 y = 0``
-    with ``eta = i kappa - tau`` and ``w = 2/eta``.  The orthogonal
-    system's flow vector reproduces ``(tau, 0, kappa)`` at m = 0.
-    """
-    if data.route == "Q":
-        w = Sym(FRAME_DATUM)
-        table = data.table.extended({FRAME_DATUM: I * data.kappa * w})
-        family = SecondOrderFamily(
-            p=normalize(I * data.kappa), q=normalize(as_expr(-1)), r=ONE,
-            w=w, table=table,
-        )
-    else:
-        eta = normalize(I * data.kappa - data.tau)
-        w = normalize(2 / eta)
-        family = SecondOrderFamily(
-            p=normalize(-_log_derivative(eta, data.table)),
-            q=normalize((data.kappa ** 2 + data.tau ** 2) / 4),
-            r=ONE, w=w, table=data.table,
-        )
+    """``data.family()`` with its route's orthogonal system and fundamental pair."""
+    family = data.family()
     return FrameApplication(data.route, family, *orthogonal_lift(family, data.route))
 
 
 def rigid_family(data: RigidData) -> FrameApplication:
-    """Second-order family behind the Poisson kinematic equation.
-
-    Q route: ``y'' + (omega2 - 1) y = 0`` with w = 1; S route:
-    ``y'' - (omega1'/omega1) y' + omega1^2/4 y = 0`` with
-    ``w = -2/omega1``.  The orthogonal flow vector reproduces
-    ``(omega1, omega2, 0)`` at m = 0.
-    """
-    if data.route == "Q":
-        family = SecondOrderFamily(
-            p=ZERO, q=normalize(data.omega2 - 1), r=ONE, w=ONE, table=data.table
-        )
-    else:
-        family = SecondOrderFamily(
-            p=normalize(-_log_derivative(data.omega1, data.table)),
-            q=normalize(data.omega1 ** 2 / 4),
-            r=ONE, w=normalize(-2 / data.omega1), table=data.table,
-        )
+    """``data.family()`` with its route's orthogonal system and fundamental pair."""
+    family = data.family()
     return FrameApplication(data.route, family, *orthogonal_lift(family, data.route))
 
 

@@ -227,10 +227,15 @@ def cmd_sympow_system(args) -> int:
 def _so3_family_from_args(args) -> SecondOrderFamily:
     if args.family:
         return _load_family(args.family)
-    return _application_from_args(args).family
+    return _application_data_from_args(args).family()
 
 
 def _application_from_args(args):
+    data = _application_data_from_args(args)
+    return (rigid_family if isinstance(data, RigidData) else frenet_family)(data)
+
+
+def _application_data_from_args(args):
     route = args.route
     if args.rigid:
         omega1 = _expr_flag(args.omega1) if args.omega1 else None
@@ -247,7 +252,7 @@ def _application_from_args(args):
                 raise InputError("rigid S route needs --omega1")
             omega2 = ZERO if omega2 is None else omega2
         table = _tower_table_for([omega1, omega2])
-        return rigid_family(RigidData(omega1, omega2, route, table))
+        return RigidData(omega1, omega2, route, table)
     if args.frenet:
         kappa = _expr_flag(args.kappa) if args.kappa else None
         if kappa is None:
@@ -258,7 +263,7 @@ def _application_from_args(args):
         if tau is None:
             raise InputError("frenet S route needs --tau")
         table = _tower_table_for([kappa, tau])
-        return frenet_family(FrenetData(kappa, tau, route, table))
+        return FrenetData(kappa, tau, route, table)
     raise InputError("need --family, --rigid, or --frenet")
 
 
