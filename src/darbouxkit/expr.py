@@ -484,11 +484,18 @@ def symbol_tower(base: str, depth: int) -> dict[str, Expr]:
 # A generator is a hashable key describing one multiplicand kind:
 #   ("x",), ("param", name), ("sym", name), ("rad", name, square_expr),
 #   ("app", func, normalized_arg_expr)
-# A monomial is a sorted tuple of (generator, positive power); a
-# polynomial maps monomials to nonzero GaussRat coefficients.  Nearly all
-# coefficients are integers (the d == 1 paths of GaussRat); they are
-# immutable and shared between polynomials, and _UNIT is the coefficient
-# of every generator and of _POLY_ONE.
+# A monomial is a tuple of (generator, positive power) sorted by
+# _gen_sort_key; a polynomial maps monomials to nonzero GaussRat
+# coefficients.  Nearly all coefficients are integers (the d == 1 paths
+# of GaussRat); they are immutable and shared between polynomials, and
+# _UNIT is the coefficient of every generator and of _POLY_ONE.
+#
+# Monomials are ordered by _mono_sort_key: graded lexicographic order on
+# dense exponent vectors, with the generator of highest _gen_sort_key
+# most significant.  It is a monomial order (total, the empty monomial
+# least, preserved by multiplication), so the leading term of a product
+# is the product of the leading terms and division by leading terms
+# finds every exact quotient.
 
 Gen = tuple
 Mono = tuple
@@ -517,10 +524,27 @@ def _gen_sort_key(gen: Gen):
     return key
 
 
+# monomial -> its _mono_sort_key, made once; cleared with _NORMAL_CACHE
+_MONO_KEY_CACHE: dict[Mono, tuple] = {}
+
+
 def _mono_sort_key(mono: Mono):
-    degree = sum(p for _, p in mono)
-    parts = tuple((_gen_sort_key(g), p) for g, p in mono)
-    return (degree, parts)
+    """Graded lexicographic key: total degree, then the dense exponents
+    from the highest-ranked generator down (ranked by ``_gen_sort_key``).
+
+    Monomials list their generators in ascending rank, so the reversed
+    ``(gen key, power)`` pairs compare as the dense exponent vector does.
+    """
+    key = _MONO_KEY_CACHE.get(mono)
+    if key is None:
+        if len(_MONO_KEY_CACHE) > _NORMAL_CACHE_LIMIT:
+            _MONO_KEY_CACHE.clear()
+        key = (
+            sum(p for _, p in mono),
+            tuple((_gen_sort_key(g), p) for g, p in reversed(mono)),
+        )
+        _MONO_KEY_CACHE[mono] = key
+    return key
 
 
 _EMPTY_MONO: Mono = ()
@@ -631,12 +655,12 @@ def _mono_div(a: Mono, b: Mono) -> Mono | None:
 
 
 def _poly_exact_div(num: Poly, den: Poly) -> Poly | None:
-    """Quotient num/den, or None when not exact or not found.
+    """Quotient num/den, or None when the division is not exact or its
+    quotient would pass the term bound below.
 
-    ``_mono_sort_key`` is not a monomial order (its degree tie-break
-    compares sparse ``(gen, power)`` tuples), so division by the leading
-    term can stall on a remainder whose leading monomial is not
-    divisible even when the division is exact.
+    Division by the leading term in a monomial order leaves a remainder
+    whose leading monomial the divisor's does not divide exactly when
+    ``den`` does not divide ``num``.
     """
     if not num:
         return {}
@@ -651,8 +675,6 @@ def _poly_exact_div(num: Poly, den: Poly) -> Poly | None:
         return out
     quot: Poly = {}
     rem = dict(num)
-    # sort keys of every monomial the remainder has held, each made once
-    keys = {mono: _mono_sort_key(mono) for mono in rem}
     den_lead = max(den, key=_mono_sort_key)
     den_lc = den[den_lead]
     # bounded by the term count of the true quotient; bail out early
@@ -661,7 +683,7 @@ def _poly_exact_div(num: Poly, den: Poly) -> Poly | None:
     while rem:
         if len(quot) > limit:
             return None
-        lead = max(rem, key=keys.__getitem__)
+        lead = max(rem, key=_mono_sort_key)
         qm = _mono_div(lead, den_lead)
         if qm is None:
             return None
@@ -672,8 +694,6 @@ def _poly_exact_div(num: Poly, den: Poly) -> Poly | None:
             s = rem.get(key)
             if s is None:
                 s = -qc * coeff
-                if key not in keys:
-                    keys[key] = _mono_sort_key(key)
             else:
                 s = s - qc * coeff
             if s.is_zero():
@@ -921,13 +941,15 @@ def normalize(e: Expr) -> Expr:
     """Return the normal form of ``e``.
 
     The result is an expanded polynomial, or a Div of two expanded
-    polynomials whose denominator is radical-free and monic in the
-    canonical monomial order.  Idempotent and sound: a zero result
-    proves ``e`` identically zero under the radical relations it
-    contains.  Not complete: ``exp`` generators are not combined (so
-    ``exp(x)*exp(-x) - 1`` stays nonzero), and without a polynomial GCD
-    a fraction may keep a common factor, so equal values can have
-    different nonzero normal forms.
+    polynomials.  The denominator is radical-free and monic in the graded
+    lexicographic monomial order of ``_mono_sort_key``; the two share no
+    monomial factor, and the denominator does not divide the numerator
+    (unless the quotient passes ``_poly_exact_div``'s term bound).
+    Idempotent and sound: a zero result proves ``e`` identically zero
+    under the radical relations it contains.  Not complete: ``exp``
+    generators are not combined (so ``exp(x)*exp(-x) - 1`` stays
+    nonzero), and without a polynomial GCD a fraction may keep a common
+    factor, so equal values can have different nonzero normal forms.
     """
     cached = _NORMAL_CACHE.get(e)
     if cached is not None:
@@ -942,6 +964,7 @@ def normalize(e: Expr) -> Expr:
     if len(_NORMAL_CACHE) > _NORMAL_CACHE_LIMIT:
         _NORMAL_CACHE.clear()
         _GEN_KEY_CACHE.clear()
+        _MONO_KEY_CACHE.clear()
     _NORMAL_CACHE[e] = _NORMAL_CACHE[out] = (out, rf)
     return out
 

@@ -40,7 +40,7 @@ ARTIFACTS = {
     ),
     "so3-lift-s-frenet": (
         ["so3", "lift", "--route", "S", "--frenet", "--kappa", "kappa", "--tau", "tau"],
-        "0b45ff7091c86b1d3ce124888fca2d5b32c647cd949bbd8c2df2b60a5f8529c0",
+        "58b101c39fb608195a52e7639b3bfaf68ab8f047be1401e0d1add912536f4ecc",
     ),
     "so3-darboux-q-rigid": (
         ["so3", "darboux", "--route", "Q", "--rigid", "--omega2", "2-i*w1"],
@@ -48,7 +48,7 @@ ARTIFACTS = {
     ),
     "so3-darboux-s-rigid": (
         ["so3", "darboux", "--route", "S", "--rigid", "--omega1", "w1"],
-        "70ad43338087823cb1544d741d46f4e57e729b9329cd398c989fc3ce7b03f2a0",
+        "14a7f661f951c19a0bc3c31c2b0f54237ed2758c868cce8c4767f9575ccb30e6",
     ),
     "so3-riccati": (
         ["so3", "riccati", "--route", "Q", "--f", "f", "--g", "g", "--h", "h"],
@@ -68,20 +68,20 @@ ARTIFACTS = {
     ),
     "frenet-build": (
         ["frenet", "build", "--route", "S", "--kappa", "kappa", "--tau", "tau"],
-        "b6e5eed7c153eeac50d54e213f369e6f86ad43780e6f4da9bf2d218a4dbb6191",
+        "c02995a8502c500bf71c96ecc28513915e4c1ab89a76dd2e37777de62abbf6ca",
     ),
     "frenet-chain": (
         ["frenet", "chain", "--route", "S", "--kappa", "kappa", "--tau", "tau",
          "--k", "2"],
-        "ab66c3b5e5a61c7d1e5ef4c32bd2bdd3637f7742e31df2b0470f20023d36c38e",
+        "99e18fa8a9e646be44b1847374d862f8a6435ab76df6aeb89ddebdabb036dcdf",
     ),
     "rigid-build": (
         ["rigid", "build", "--route", "Q", "--omega2", "2-i*w1"],
-        "f208f3f94f0125696f175fc3968fd43c86d30dc8e5d2c9cec5dfb016bf178da5",
+        "bc045bc89d8fe9146f3de5db10667e34a438dad2abb4a6ce8769d8242a5d805f",
     ),
     "rigid-chain-s": (
         ["rigid", "chain", "--route", "S", "--omega1", "w1", "--k", "2"],
-        "d7b4b736d8469922a9ee94c0fe5c079f5b14b6c0774d44d5dfc20c22b0b718a5",
+        "29cc5d94c4c9348119d47ac3849d326c5c7630f9092a6c46e44ff9735f4c99dd",
     ),
     "rigid-chain-q": (
         ["rigid", "chain", "--route", "Q", "--omega2", "2-i*w1", "--k", "1"],

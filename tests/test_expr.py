@@ -146,14 +146,67 @@ def test_normalize_division_by_zero():
         normalize(X / ((X + 1) - X - 1))
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "_mono_sort_key is not a monomial order (x*y^2 sorts below x^2*y although "
-    "y^2 sorts above x*y), so _poly_exact_div misses this exact division"))
 def test_exact_multivariate_division_cancels():
     y = param("y")
     q = X * y + y ** 2 + 1
     p = X ** 2 + y ** 2 + X
     assert normalize(p * q / q) == normalize(p)
+
+
+# -- the monomial order -----------------------------------------------------------
+
+# one generator of every kind, two of most, in no particular rank order
+_GENS = (
+    ("x",),
+    ("param", "a"),
+    ("param", "b"),
+    ("sym", "u"),
+    ("sym", "v"),
+    ("rad", "r", Sym("u") + 1),
+    ("rad", "s", Sym("v")),
+    ("app", "exp", normalize(X)),
+    ("app", "exp", normalize(-X)),
+)
+
+
+def _mono_from(powers):
+    mono = ()
+    for index, power in powers.items():
+        mono = kernel._mono_mul(mono, ((_GENS[index], power),))
+    return mono
+
+
+_monos = st.dictionaries(
+    st.integers(0, len(_GENS) - 1), st.integers(1, 4), max_size=4
+).map(_mono_from)
+_polys = st.dictionaries(
+    _monos,
+    st.builds(GaussRat, st.integers(-5, 5), st.integers(-5, 5)).filter(
+        lambda c: not c.is_zero()
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+@given(_monos, _monos)
+def test_mono_order_is_total_with_the_empty_monomial_least(m1, m2):
+    key = kernel._mono_sort_key
+    assert (key(m1) == key(m2)) == (m1 == m2)
+    assert key(()) < key(m1) or m1 == ()
+
+
+@given(_monos, _monos, _monos)
+def test_mono_order_is_multiplicative(m1, m2, m3):
+    key = kernel._mono_sort_key
+    assume(key(m1) < key(m2))
+    assert key(kernel._mono_mul(m1, m3)) < key(kernel._mono_mul(m2, m3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polys, _polys)
+def test_exact_division_recovers_the_cofactor(a, b):
+    assert kernel._poly_exact_div(kernel._poly_mul(a, b), b) == a
 
 
 def test_radical_square_rewrites():
@@ -498,6 +551,7 @@ def test_array_evaluate_matches_sympy_lambdify(e):
 def _clear_caches():
     kernel._NORMAL_CACHE.clear()
     kernel._GEN_KEY_CACHE.clear()
+    kernel._MONO_KEY_CACHE.clear()
 
 
 def _normal_text(e):
@@ -571,6 +625,7 @@ def test_caches_stay_bounded_and_results_match_cold(monkeypatch):
         warm.append(normalize(e))
         assert len(kernel._NORMAL_CACHE) <= limit + 2
         assert len(kernel._GEN_KEY_CACHE) <= limit + 2
+        assert len(kernel._MONO_KEY_CACHE) <= limit + 2
     for e, result in zip(exprs, warm):
         _clear_caches()
         assert normalize(e) == result
