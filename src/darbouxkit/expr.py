@@ -658,9 +658,10 @@ def _poly_exact_div(num: Poly, den: Poly) -> Poly | None:
     """Quotient num/den, or None when the division is not exact or its
     quotient would pass the term bound below.
 
-    Division by the leading term in a monomial order leaves a remainder
-    whose leading monomial the divisor's does not divide exactly when
-    ``den`` does not divide ``num``.
+    In a monomial order the leading monomial of every multiple of
+    ``den`` is divisible by that of ``den``, so division by leading terms
+    meets an indivisible remainder only when ``den`` does not divide
+    ``num``.
     """
     if not num:
         return {}
