@@ -481,73 +481,61 @@ def symbol_tower(base: str, depth: int) -> dict[str, Expr]:
 # Normal form: rational functions over expanded polynomials
 # ---------------------------------------------------------------------------
 #
-# A generator is a hashable key describing one multiplicand kind:
-#   ("x",), ("param", name), ("sym", name), ("rad", name, square_expr),
-#   ("app", func, normalized_arg_expr)
-# A monomial is a tuple of (generator, positive power) sorted by
-# _gen_sort_key; a polynomial maps monomials to nonzero GaussRat
-# coefficients.  Nearly all coefficients are integers (the d == 1 paths
-# of GaussRat); they are immutable and shared between polynomials, and
-# _UNIT is the coefficient of every generator and of _POLY_ONE.
+# A generator is its own rank key, ``(rank, name, text)``:
+#   (0, "x", "") for x, (1, name, "") for a parameter, (2, name, "") for
+#   a symbol, and, carrying the leaf node itself as a fourth entry,
+#   (3, name, to_sexpr(square), node) for a radical and
+#   (4, func, to_sexpr(normalized arg), node) for an application.
+# Plain tuple order is therefore the rank order, and _gen is the only
+# code that knows the rank table.  Equal first three entries mean equal
+# leaves, so the node never decides a comparison.
 #
-# Monomials are ordered by _mono_sort_key: graded lexicographic order on
-# dense exponent vectors, with the generator of highest _gen_sort_key
-# most significant.  It is a monomial order (total, the empty monomial
-# least, preserved by multiplication), so the leading term of a product
-# is the product of the leading terms and division by leading terms
-# finds every exact quotient.
+# A monomial is its own graded lexicographic key, ``(degree, factors)``,
+# with the (generator, positive power) factors in descending generator
+# order: tuples compare by total degree, then as the dense exponent
+# vectors do from the highest-ranked generator down.  That is a monomial
+# order (total, the empty monomial least, preserved by multiplication),
+# so the leading term of a product is the product of the leading terms
+# and division by leading terms finds every exact quotient.
+#
+# A polynomial maps monomials to nonzero GaussRat coefficients.  Nearly
+# all coefficients are integers (the d == 1 paths of GaussRat); they are
+# immutable and shared between polynomials, and _UNIT is the coefficient
+# of every generator and of _POLY_ONE.
+#
+# Generators are not interned to small ints: the order would then follow
+# the order in which they were first seen, and normal forms would depend
+# on cache state.
 
 Gen = tuple
 Mono = tuple
 Poly = dict
 
 
-_GEN_KEY_CACHE: dict[Gen, tuple] = {}
+# radical and application leaf -> its generator; cleared with _NORMAL_CACHE
+_GEN_KEY_CACHE: dict[Expr, Gen] = {}
 
 
-def _gen_sort_key(gen: Gen):
-    key = _GEN_KEY_CACHE.get(gen)
-    if key is not None:
-        return key
-    kind = gen[0]
-    if kind == "x":
-        key = (0, "x", "")
-    elif kind == "param":
-        key = (1, gen[1], "")
-    elif kind == "sym":
-        key = (2, gen[1], "")
-    elif kind == "rad":
-        key = (3, gen[1], to_sexpr(gen[2]))
-    else:
-        key = (4, gen[1], to_sexpr(gen[2]))
-    _GEN_KEY_CACHE[gen] = key
-    return key
+def _gen(leaf: Expr) -> Gen:
+    """The generator of a leaf node (x, parameter, symbol, radical, or an
+    application whose argument is in normal form)."""
+    if isinstance(leaf, Var):
+        return (0, "x", "")
+    if isinstance(leaf, Param):
+        return (1, leaf.name, "")
+    if isinstance(leaf, Sym):
+        return (2, leaf.name, "")
+    gen = _GEN_KEY_CACHE.get(leaf)
+    if gen is None:
+        if isinstance(leaf, Radical):
+            gen = (3, leaf.name, to_sexpr(leaf.square), leaf)
+        else:
+            gen = (4, leaf.func, to_sexpr(leaf.arg), leaf)
+        _GEN_KEY_CACHE[leaf] = gen
+    return gen
 
 
-# monomial -> its _mono_sort_key, made once; cleared with _NORMAL_CACHE
-_MONO_KEY_CACHE: dict[Mono, tuple] = {}
-
-
-def _mono_sort_key(mono: Mono):
-    """Graded lexicographic key: total degree, then the dense exponents
-    from the highest-ranked generator down (ranked by ``_gen_sort_key``).
-
-    Monomials list their generators in ascending rank, so the reversed
-    ``(gen key, power)`` pairs compare as the dense exponent vector does.
-    """
-    key = _MONO_KEY_CACHE.get(mono)
-    if key is None:
-        if len(_MONO_KEY_CACHE) > _NORMAL_CACHE_LIMIT:
-            _MONO_KEY_CACHE.clear()
-        key = (
-            sum(p for _, p in mono),
-            tuple((_gen_sort_key(g), p) for g, p in reversed(mono)),
-        )
-        _MONO_KEY_CACHE[mono] = key
-    return key
-
-
-_EMPTY_MONO: Mono = ()
+_EMPTY_MONO: Mono = (0, ())
 
 
 def _poly_const(c: GaussRat) -> Poly:
@@ -558,7 +546,7 @@ _POLY_ONE = {_EMPTY_MONO: _UNIT}
 
 
 def _poly_gen(gen: Gen) -> Poly:
-    return {((gen, 1),): _UNIT}
+    return {(1, ((gen, 1),)): _UNIT}
 
 
 def _poly_add(a: Poly, b: Poly) -> Poly:
@@ -581,31 +569,31 @@ def _poly_neg(a: Poly) -> Poly:
 
 
 def _mono_mul(a: Mono, b: Mono) -> Mono:
-    # monomials keep their factors sorted by generator key, so products
-    # are sorted merges
-    if not a:
+    # factors are in descending generator order, so products are merges
+    if not a[0]:
         return b
-    if not b:
+    if not b[0]:
         return a
+    fa, fb = a[1], b[1]
     out = []
     i = j = 0
-    la, lb = len(a), len(b)
+    la, lb = len(fa), len(fb)
     while i < la and j < lb:
-        ga, pa = a[i]
-        gb, pb = b[j]
+        ga, pa = fa[i]
+        gb, pb = fb[j]
         if ga == gb:
             out.append((ga, pa + pb))
             i += 1
             j += 1
-        elif _gen_sort_key(ga) < _gen_sort_key(gb):
-            out.append(a[i])
+        elif ga > gb:
+            out.append(fa[i])
             i += 1
         else:
-            out.append(b[j])
+            out.append(fb[j])
             j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
+    out.extend(fa[i:])
+    out.extend(fb[j:])
+    return (a[0] + b[0], tuple(out))
 
 
 def _poly_mul(a: Poly, b: Poly) -> Poly:
@@ -642,26 +630,31 @@ def _poly_is_zero(a: Poly) -> bool:
 
 def _mono_div(a: Mono, b: Mono) -> Mono | None:
     """Exponentwise a / b, or None when not divisible."""
-    powers = dict(a)
-    for g, p in b:
-        have = powers.get(g, 0) - p
+    if not b[0]:
+        return a
+    powers = dict(b[1])
+    out = []
+    for g, p in a[1]:
+        have = p - powers.pop(g, 0)
         if have < 0:
             return None
-        if have == 0:
-            del powers[g]
-        else:
-            powers[g] = have
-    return tuple(sorted(powers.items(), key=lambda item: _gen_sort_key(item[0])))
+        if have:
+            out.append((g, have))
+    if powers:
+        return None
+    return (a[0] - b[0], tuple(out))
 
 
 def _poly_exact_div(num: Poly, den: Poly) -> Poly | None:
-    """Quotient num/den, or None when the division is not exact or its
-    quotient would pass the term bound below.
+    """Quotient num/den, or None when the division is not exact.
 
     In a monomial order the leading monomial of every multiple of
     ``den`` is divisible by that of ``den``, so division by leading terms
     meets an indivisible remainder only when ``den`` does not divide
-    ``num``.
+    ``num``.  The least monomial of an exact quotient is
+    ``min(num) / min(den)``, and quotient monomials come out in
+    descending order, so one below that floor proves the division
+    inexact.
     """
     if not num:
         return {}
@@ -674,19 +667,17 @@ def _poly_exact_div(num: Poly, den: Poly) -> Poly | None:
                 return None
             out[qm] = coeff / dc
         return out
+    floor = _mono_div(min(num), min(den))
+    if floor is None:
+        return None
     quot: Poly = {}
     rem = dict(num)
-    den_lead = max(den, key=_mono_sort_key)
+    den_lead = max(den)
     den_lc = den[den_lead]
-    # bounded by the term count of the true quotient; bail out early
-    # when the remainder grows past any exact-division bound
-    limit = 4 * (len(num) + len(den)) + 16
     while rem:
-        if len(quot) > limit:
-            return None
-        lead = max(rem, key=_mono_sort_key)
+        lead = max(rem)
         qm = _mono_div(lead, den_lead)
-        if qm is None:
+        if qm is None or qm < floor:
             return None
         qc = rem[lead] / den_lc
         quot[qm] = qc
@@ -709,7 +700,7 @@ def _poly_cancel_content(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     common: dict | None = None
     for poly in (num, den):
         for mono in poly:
-            powers = dict(mono)
+            powers = dict(mono[1])
             if common is None:
                 common = powers
             else:
@@ -720,7 +711,7 @@ def _poly_cancel_content(num: Poly, den: Poly) -> tuple[Poly, Poly]:
                 return num, den
     if not common:
         return num, den
-    factor = tuple(sorted(common.items(), key=lambda item: _gen_sort_key(item[0])))
+    factor = (sum(common.values()), tuple(sorted(common.items(), reverse=True)))
 
     def strip(poly: Poly) -> Poly:
         return {_mono_div(mono, factor): coeff for mono, coeff in poly.items()}
@@ -731,8 +722,8 @@ def _poly_cancel_content(num: Poly, den: Poly) -> tuple[Poly, Poly]:
 def _poly_radical_gens(a: Poly) -> set[Gen]:
     gens = set()
     for mono in a:
-        for g, _ in mono:
-            if g[0] == "rad":
+        for g, _ in mono[1]:
+            if g[0] == 3:
                 gens.add(g)
     return gens
 
@@ -752,8 +743,8 @@ def _reduce_radicals(a: Poly) -> Poly:
     while True:
         target = None
         for mono, coeff in a.items():
-            for g, p in mono:
-                if g[0] == "rad" and p >= 2:
+            for g, p in mono[1]:
+                if g[0] == 3 and p >= 2:
                     target = (mono, coeff, g, p)
                     break
             if target:
@@ -761,17 +752,15 @@ def _reduce_radicals(a: Poly) -> Poly:
         if target is None:
             return a
         mono, coeff, g, p = target
-        rest = tuple((gg, pp) for gg, pp in mono if gg != g)
-        if p % 2:
-            rest = _mono_mul(rest, ((g, 1),))
-        square_rf = _to_ratfunc(g[2])
+        power = p // 2
+        rest = _mono_div(mono, (2 * power, ((g, 2 * power),)))
+        square_rf = _to_ratfunc(g[3].square)
         if not _poly_is_zero(square_rf.den) and square_rf.den != _POLY_ONE:
             raise KitError(
                 f"radical {g[1]!r} has a non-polynomial square; normalize it first"
             )
         if _poly_radical_gens(square_rf.num) & {g}:
             raise KitError(f"radical {g[1]!r} appears in its own defining square")
-        power = p // 2
         repl: Poly = dict(_POLY_ONE)
         for _ in range(power):
             repl = _poly_mul(repl, square_rf.num)
@@ -790,17 +779,19 @@ def _rf(num: Poly, den: Poly) -> _RatFunc:
         rads = _poly_radical_gens(den_p)
         if not rads:
             break
-        g = sorted(rads, key=_gen_sort_key)[0]
+        g = min(rads)
+        g_mono = (1, ((g, 1),))
         plain: Poly = {}
         radpart: Poly = {}
+        # radical powers are at most one here
         for mono, coeff in den_p.items():
-            if any(gg == g for gg, _ in mono):
-                stripped = tuple((gg, pp) for gg, pp in mono if gg != g)
-                radpart[stripped] = coeff
-            else:
+            stripped = _mono_div(mono, g_mono)
+            if stripped is None:
                 plain[mono] = coeff
+            else:
+                radpart[stripped] = coeff
         # den = plain + radpart*g ; multiply by the conjugate plain - radpart*g
-        conj = _poly_add(plain, _poly_mul(_poly_neg(radpart), _poly_gen(g)))
+        conj = _poly_add(plain, _poly_mul(_poly_neg(radpart), {g_mono: _UNIT}))
         num_p = _reduce_radicals(_poly_mul(num_p, conj))
         den_p = _reduce_radicals(_poly_mul(den_p, conj))
         if _poly_is_zero(den_p):
@@ -812,8 +803,7 @@ def _rf(num: Poly, den: Poly) -> _RatFunc:
         quotient = _poly_exact_div(num_p, den_p)
         if quotient is not None:
             return _RatFunc(quotient, dict(_POLY_ONE))
-    lead = max(den_p, key=_mono_sort_key)
-    scale = den_p[lead]
+    scale = den_p[max(den_p)]
     if not (scale == _UNIT):
         inv = _UNIT / scale
         num_p = _poly_scale(num_p, inv)
@@ -873,14 +863,10 @@ def _to_ratfunc(e: Expr) -> _RatFunc:
         return cached[1]
     if isinstance(e, Const):
         return _RatFunc(_poly_const(e.value), dict(_POLY_ONE))
-    if isinstance(e, Var):
-        return _RatFunc(_poly_gen(("x",)), dict(_POLY_ONE))
-    if isinstance(e, Param):
-        return _RatFunc(_poly_gen(("param", e.name)), dict(_POLY_ONE))
-    if isinstance(e, Sym):
-        return _RatFunc(_poly_gen(("sym", e.name)), dict(_POLY_ONE))
+    if isinstance(e, (Var, Param, Sym)):
+        return _RatFunc(_poly_gen(_gen(e)), dict(_POLY_ONE))
     if isinstance(e, Radical):
-        return _rf(_poly_gen(("rad", e.name, e.square)), dict(_POLY_ONE))
+        return _rf(_poly_gen(_gen(e)), dict(_POLY_ONE))
     if isinstance(e, Add):
         out = _RatFunc({}, dict(_POLY_ONE))
         for t in e.terms:
@@ -899,33 +885,32 @@ def _to_ratfunc(e: Expr) -> _RatFunc:
         arg = normalize(e.arg)
         if isinstance(arg, Const) and arg.value.is_zero() and e.func == "exp":
             return _RatFunc(dict(_POLY_ONE), dict(_POLY_ONE))
-        return _RatFunc(_poly_gen(("app", e.func, arg)), dict(_POLY_ONE))
+        return _RatFunc(_poly_gen(_gen(Apply(e.func, arg))), dict(_POLY_ONE))
     raise TypeError(f"unknown node {e!r}")
 
 
 def _gen_to_expr(gen: Gen) -> Expr:
-    kind = gen[0]
-    if kind == "x":
+    rank = gen[0]
+    if rank == 0:
         return X
-    if kind == "param":
+    if rank == 1:
         return Param(gen[1])
-    if kind == "sym":
+    if rank == 2:
         return Sym(gen[1])
-    if kind == "rad":
-        return Radical(gen[1], gen[2])
-    return Apply(gen[1], gen[2])
+    return gen[3]
 
 
 def _poly_to_expr(p: Poly) -> Expr:
     if not p:
         return ZERO
     terms = []
-    for mono in sorted(p, key=_mono_sort_key, reverse=True):
+    for mono in sorted(p, reverse=True):
         coeff = p[mono]
         factors: list[Expr] = []
-        if not (coeff == _UNIT) or not mono:
+        if not (coeff == _UNIT) or not mono[0]:
             factors.append(Const(coeff))
-        for gen, power in mono:
+        # factors in ascending generator order
+        for gen, power in reversed(mono[1]):
             base = _gen_to_expr(gen)
             factors.append(base if power == 1 else Pow(base, power))
         terms.append(factors[0] if len(factors) == 1 else Mul(tuple(factors)))
@@ -943,9 +928,9 @@ def normalize(e: Expr) -> Expr:
 
     The result is an expanded polynomial, or a Div of two expanded
     polynomials.  The denominator is radical-free and monic in the graded
-    lexicographic monomial order of ``_mono_sort_key``; the two share no
-    monomial factor, and the denominator does not divide the numerator
-    (unless the quotient passes ``_poly_exact_div``'s term bound).
+    lexicographic monomial order of the normal-form section; the two
+    share no monomial factor, and the denominator does not divide the
+    numerator.
     Idempotent and sound: a zero result proves ``e`` identically zero
     under the radical relations it contains.  Not complete: ``exp``
     generators are not combined (so ``exp(x)*exp(-x) - 1`` stays
@@ -965,7 +950,6 @@ def normalize(e: Expr) -> Expr:
     if len(_NORMAL_CACHE) > _NORMAL_CACHE_LIMIT:
         _NORMAL_CACHE.clear()
         _GEN_KEY_CACHE.clear()
-        _MONO_KEY_CACHE.clear()
     _NORMAL_CACHE[e] = _NORMAL_CACHE[out] = (out, rf)
     return out
 
@@ -1185,20 +1169,15 @@ def param_coefficients(e: Expr, name: str) -> dict[int, Expr]:
     Returns a map power -> coefficient expression (normalized).
     """
     rf = _to_ratfunc(e)
-    gen = ("param", name)
+    gen = _gen(Param(name))
     for mono in rf.den:
-        if any(g == gen for g, _ in mono):
+        if any(g == gen for g, _ in mono[1]):
             raise KitError(f"denominator depends on parameter {name!r}")
     by_power: dict[int, Poly] = {}
     for mono, coeff in rf.num.items():
-        power = 0
-        rest = []
-        for g, p in mono:
-            if g == gen:
-                power = p
-            else:
-                rest.append((g, p))
-        by_power.setdefault(power, {})[tuple(rest)] = coeff
+        power = dict(mono[1]).get(gen, 0)
+        rest = _mono_div(mono, (power, ((gen, power),))) if power else mono
+        by_power.setdefault(power, {})[rest] = coeff
     den_expr = _poly_to_expr(rf.den)
     out: dict[int, Expr] = {}
     for power, poly in by_power.items():

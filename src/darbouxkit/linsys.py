@@ -2,13 +2,13 @@
 
 Every system is stored under the single sign convention ``X' = -A X``.
 Constructors that ingest other presentations (flow forms ``Z' = M Z``,
-cross-product forms) convert explicitly and record the conversion in
-the system metadata, so no sign ever changes silently.
+cross-product forms) convert explicitly, negating the flow matrix, so
+no sign ever changes silently.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .expr import (
@@ -216,7 +216,6 @@ class LinearSystem:
 
     a: ExprMatrix
     table: DerivationTable = EMPTY_TABLE
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.a.nrows != self.a.ncols:
@@ -226,10 +225,6 @@ class LinearSystem:
     @property
     def n(self) -> int:
         return self.a.nrows
-
-    @property
-    def convention(self) -> str:
-        return CONVENTION
 
     def rhs_matrix(self) -> ExprMatrix:
         """Matrix M of the flow form X' = M X (that is, -A)."""
@@ -277,9 +272,7 @@ def gauge(system: LinearSystem, p: GaugeMatrix) -> LinearSystem:
         raise ValueError("gauge size mismatch")
     a = system.a
     new_a = (p.p_inv @ a @ p.p) + (p.p_inv @ p.p.diff(system.table))
-    meta = dict(system.meta)
-    meta["gauged"] = True
-    return LinearSystem(new_a.normalized(), system.table, meta)
+    return LinearSystem(new_a.normalized(), system.table)
 
 
 def residual(system: LinearSystem, candidate: ExprMatrix) -> ExprMatrix:
@@ -364,7 +357,7 @@ def companion(family: SecondOrderFamily) -> LinearSystem:
             [family.q - m * family.r, family.p],
         ]
     )
-    return LinearSystem(a, family.table, {"form": "companion", "m": family.m_name})
+    return LinearSystem(a, family.table)
 
 
 def companion_matrices(family: SecondOrderFamily) -> tuple[ExprMatrix, ExprMatrix]:

@@ -17,7 +17,7 @@ by special-casing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -37,7 +37,6 @@ class Trajectory:
 
     xs: np.ndarray
     states: np.ndarray  # shape (len(xs), n) or (len(xs), n, m), complex128
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if len(self.xs) != len(self.states):
@@ -118,7 +117,7 @@ def integrate(
         for k, dk in enumerate(d, start=first):
             y = y + dk @ y
             states[k + 1] = y
-    return Trajectory(xs, states, {"h": h, "interval": interval})
+    return Trajectory(xs, states)
 
 
 def fundamental_trajectories(
@@ -129,7 +128,7 @@ def fundamental_trajectories(
 ) -> list[Trajectory]:
     """One trajectory per canonical basis initial state."""
     whole = integrate(system, np.eye(system.n), interval, h, bindings)
-    return [Trajectory(whole.xs, whole.states[:, :, k], whole.meta) for k in range(system.n)]
+    return [Trajectory(whole.xs, whole.states[:, :, k]) for k in range(system.n)]
 
 
 def residual_sweep(
@@ -213,7 +212,7 @@ def companion_solution_grid(
         aug = ExprMatrix(
             [list(row) + [0] for row in system.a.rows] + [[0] * n + [-rate]]
         )
-        system = LinearSystem(aug, system.table, dict(system.meta))
+        system = LinearSystem(aug, system.table)
     state = np.eye(system.n, 2)
     if w_rate is not None:
         state[-1] = 1.0

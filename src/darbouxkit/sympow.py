@@ -140,9 +140,7 @@ def sym_lie(mat: ExprMatrix, m: int) -> ExprMatrix:
 
 def sym_system(system: LinearSystem, m: int) -> LinearSystem:
     """Lifted system: if X solves [A], ``sym_group(X, m)`` solves the result."""
-    meta = dict(system.meta)
-    meta["sym_power"] = m
-    return LinearSystem(sym_lie(system.a, m), system.table, meta)
+    return LinearSystem(sym_lie(system.a, m), system.table)
 
 
 def sym2_operator(family: SecondOrderFamily) -> tuple[Expr, Expr, Expr]:
@@ -177,4 +175,4 @@ def third_order_companion(coeffs: tuple[Expr, Expr, Expr],
             [a0, a1, a2],
         ]
     )
-    return LinearSystem(a, system_table, {"form": "companion3"})
+    return LinearSystem(a, system_table)

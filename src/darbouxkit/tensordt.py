@@ -91,7 +91,7 @@ class OrthogonalSystem:
 
     ``omega = (f, g, h)`` is the vector of the flow form
     ``Z' = skew(f, g, h) Z``; :meth:`system` converts to the internal
-    ``X' = -A X`` convention with the conversion recorded in metadata.
+    ``X' = -A X`` convention by negating the flow matrix.
     The quadratic form alpha^2 + beta^2 + gamma^2 is a first integral
     of any such flow (checked symbolically at construction).
     """
@@ -100,7 +100,6 @@ class OrthogonalSystem:
     g: Expr
     h: Expr
     table: DerivationTable = field(default_factory=DerivationTable)
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "f", normalize(self.f))
@@ -120,8 +119,7 @@ class OrthogonalSystem:
         return skew_matrix(self.f, self.g, self.h)
 
     def system(self) -> LinearSystem:
-        meta = {"converted_from": "Zp=ZxOmega", **self.meta}
-        return LinearSystem(self.skew().scale(const(-1)), self.table, meta)
+        return LinearSystem(self.skew().scale(const(-1)), self.table)
 
     def m_split(self, m_name: str) -> tuple[ExprMatrix, ExprMatrix]:
         """Split the internal coefficient matrix as base + m * perturbation."""
@@ -144,8 +142,7 @@ class OrthogonalSystem:
 # ---------------------------------------------------------------------------
 
 
-def so3_from_sym2(c: ExprMatrix, table: DerivationTable | None = None,
-                  meta: dict | None = None) -> OrthogonalSystem:
+def so3_from_sym2(c: ExprMatrix, table: DerivationTable | None = None) -> OrthogonalSystem:
     """Orthogonal system matching a traceless 2x2 flow ``U' = C U``.
 
     ``C = (1/2) [[i h, g + i f], [-(g - i f), -i h]]``; conjugating the
@@ -157,7 +154,7 @@ def so3_from_sym2(c: ExprMatrix, table: DerivationTable | None = None,
     f = normalize(-I * (c[0, 1] + c[1, 0]))
     g = normalize(c[0, 1] - c[1, 0])
     h = normalize(-2 * I * c[0, 0])
-    return OrthogonalSystem(f, g, h, table or DerivationTable(), meta or {})
+    return OrthogonalSystem(f, g, h, table or DerivationTable())
 
 
 def sym2_from_so3(system: OrthogonalSystem) -> ExprMatrix:
@@ -190,8 +187,7 @@ def so3_system_first(family: SecondOrderFamily) -> OrthogonalSystem:
     convention.
     """
     f, g, h = so3_vector_from_operator(family.p, family.q_effective())
-    meta = {"route": "first", "solution_scale": "w", "m": family.m_name}
-    return OrthogonalSystem(f, g, h, family.table, meta)
+    return OrthogonalSystem(f, g, h, family.table)
 
 
 def so3_system_second(family: SecondOrderFamily) -> OrthogonalSystem:
@@ -206,8 +202,7 @@ def so3_system_second(family: SecondOrderFamily) -> OrthogonalSystem:
     f = normalize(-(1 / w + w * q_eff))
     g = ZERO
     h = normalize(-I * (1 / w - w * q_eff))
-    meta = {"route": "second", "solution_scale": "1", "m": family.m_name}
-    return OrthogonalSystem(f, g, h, family.table, meta)
+    return OrthogonalSystem(f, g, h, family.table)
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +439,7 @@ def orthogonal_lift(family: SecondOrderFamily, route: str,
     if not r.balanced:
         z_mat = z_mat.scale(family.w)
     ortho = r.system(family)
-    system = LinearSystem(ortho.system().a, table, {"route": ortho.meta["route"]})
+    system = LinearSystem(ortho.system().a, table)
     return ortho, FundamentalPair(z_mat.normalized(), system)
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import settings
 
 from darbouxkit.expr import (
     Const,
@@ -20,6 +21,9 @@ from darbouxkit.expr import (
     symbol_tower,
 )
 from darbouxkit.linsys import ExprMatrix, SecondOrderFamily
+
+# a longer property run: pytest --hypothesis-profile=ci
+settings.register_profile("ci", max_examples=1000, deadline=None)
 
 
 def generic_table(depth: int = 6) -> DerivationTable:

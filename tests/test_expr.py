@@ -153,60 +153,82 @@ def test_exact_multivariate_division_cancels():
     assert normalize(p * q / q) == normalize(p)
 
 
+def test_exact_division_with_a_long_quotient():
+    # the quotient has 40 terms, ten times the dividend's two
+    quotient = normalize((X ** 40 - 1) / (X - 1))
+    assert not isinstance(quotient, Div)
+    assert quotient == normalize(Add(tuple(X ** k for k in range(40))))
+
+
 # -- the monomial order -----------------------------------------------------------
 
 # one generator of every kind, two of most, in no particular rank order
-_GENS = (
-    ("x",),
-    ("param", "a"),
-    ("param", "b"),
-    ("sym", "u"),
-    ("sym", "v"),
-    ("rad", "r", Sym("u") + 1),
-    ("rad", "s", Sym("v")),
-    ("app", "exp", normalize(X)),
-    ("app", "exp", normalize(-X)),
+_GENS = tuple(
+    kernel._gen(leaf)
+    for leaf in (
+        X,
+        param("a"),
+        param("b"),
+        Sym("u"),
+        Sym("v"),
+        Radical("r", Sym("u") + 1),
+        Radical("s", Sym("v")),
+        Apply("exp", normalize(X)),
+        Apply("exp", normalize(-X)),
+    )
 )
 
 
 def _mono_from(powers):
-    mono = ()
+    mono = kernel._EMPTY_MONO
     for index, power in powers.items():
-        mono = kernel._mono_mul(mono, ((_GENS[index], power),))
+        mono = kernel._mono_mul(mono, (power, ((_GENS[index], power),)))
     return mono
 
 
-_monos = st.dictionaries(
-    st.integers(0, len(_GENS) - 1), st.integers(1, 4), max_size=4
-).map(_mono_from)
-_polys = st.dictionaries(
-    _monos,
-    st.builds(GaussRat, st.integers(-5, 5), st.integers(-5, 5)).filter(
-        lambda c: not c.is_zero()
+_powers = st.dictionaries(st.integers(0, len(_GENS) - 1), st.integers(1, 4), max_size=4)
+_monos = _powers.map(_mono_from)
+_coeffs = st.builds(GaussRat, st.integers(-5, 5), st.integers(-5, 5)).filter(
+    lambda c: not c.is_zero()
+)
+_polys = st.dictionaries(_monos, _coeffs, min_size=1, max_size=5)
+# radicals to the first power only, as in every normal form
+_reduced_polys = st.dictionaries(
+    _powers.map(
+        lambda powers: _mono_from(
+            {i: 1 if _GENS[i][0] == 3 else p for i, p in powers.items()}
+        )
     ),
+    _coeffs,
     min_size=1,
     max_size=5,
 )
+# at least the default example count; more under a larger profile
+_EXACT_DIVISION_EXAMPLES = max(150, settings.default.max_examples)
 
 
 @given(_monos, _monos)
 def test_mono_order_is_total_with_the_empty_monomial_least(m1, m2):
-    key = kernel._mono_sort_key
-    assert (key(m1) == key(m2)) == (m1 == m2)
-    assert key(()) < key(m1) or m1 == ()
+    assert (m1 < m2) + (m1 == m2) + (m1 > m2) == 1
+    assert kernel._EMPTY_MONO < m1 or m1 == kernel._EMPTY_MONO
 
 
 @given(_monos, _monos, _monos)
 def test_mono_order_is_multiplicative(m1, m2, m3):
-    key = kernel._mono_sort_key
-    assume(key(m1) < key(m2))
-    assert key(kernel._mono_mul(m1, m3)) < key(kernel._mono_mul(m2, m3))
+    assume(m1 < m2)
+    assert kernel._mono_mul(m1, m3) < kernel._mono_mul(m2, m3)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=_EXACT_DIVISION_EXAMPLES, deadline=None)
 @given(_polys, _polys)
 def test_exact_division_recovers_the_cofactor(a, b):
     assert kernel._poly_exact_div(kernel._poly_mul(a, b), b) == a
+
+
+@settings(deadline=None)
+@given(_reduced_polys)
+def test_generators_recover_their_leaves(p):
+    assert kernel._to_ratfunc(kernel._poly_to_expr(p)).num == p
 
 
 def test_radical_square_rewrites():
@@ -551,7 +573,6 @@ def test_array_evaluate_matches_sympy_lambdify(e):
 def _clear_caches():
     kernel._NORMAL_CACHE.clear()
     kernel._GEN_KEY_CACHE.clear()
-    kernel._MONO_KEY_CACHE.clear()
 
 
 def _normal_text(e):
@@ -617,15 +638,16 @@ def test_caches_stay_bounded_and_results_match_cold(monkeypatch):
     limit = 16
     monkeypatch.setattr(kernel, "_NORMAL_CACHE_LIMIT", limit)
     _clear_caches()
+    # each exp(a_i) is a new application generator
     exprs = [
-        ((param(f"a{i}") + X) ** (i % 3 + 1) + i) / (X ** 2 + i + 1) for i in range(300)
+        ((param(f"a{i}") + X) ** (i % 3 + 1) + i + exp(param(f"a{i}"))) / (X ** 2 + i + 1)
+        for i in range(300)
     ]
     warm = []
     for e in exprs:
         warm.append(normalize(e))
         assert len(kernel._NORMAL_CACHE) <= limit + 2
         assert len(kernel._GEN_KEY_CACHE) <= limit + 2
-        assert len(kernel._MONO_KEY_CACHE) <= limit + 2
     for e, result in zip(exprs, warm):
         _clear_caches()
         assert normalize(e) == result

@@ -261,7 +261,7 @@ def test_fundamental_matrices_all_residuals_vanish():
     fam = generic_family()
     fset = fundamental_matrices(fam)
     for name, pair in fset.pairs().items():
-        sys = LinearSystem(pair.system.a, fset.table, pair.system.meta)
+        sys = LinearSystem(pair.system.a, fset.table)
         assert residual(sys, pair.matrix).is_zero_matrix(), name
 
 
