@@ -154,7 +154,7 @@ def test_exact_multivariate_division_cancels():
 
 
 def test_exact_division_with_a_long_quotient():
-    # the quotient has 40 terms, ten times the dividend's two
+    # 40 quotient terms from a two-term dividend and a two-term divisor
     quotient = normalize((X ** 40 - 1) / (X - 1))
     assert not isinstance(quotient, Div)
     assert quotient == normalize(Add(tuple(X ** k for k in range(40))))
@@ -203,7 +203,7 @@ _reduced_polys = st.dictionaries(
     min_size=1,
     max_size=5,
 )
-# at least the default example count; more under a larger profile
+# 150 examples, or more under a profile that asks for more
 _EXACT_DIVISION_EXAMPLES = max(150, settings.default.max_examples)
 
 
