@@ -95,9 +95,11 @@ from .apps import (
 from .numverify import (
     Trajectory,
     companion_solution_grid,
+    companion_solution_grids,
     convergence_ratio,
     drift,
     integrate,
+    integrate_many,
     residual_sweep,
 )
 from .golden import run_checks

@@ -12,6 +12,7 @@ verification, 1 when a requested verification or construction fails,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -628,11 +629,19 @@ def _join_expression_flags(argv: list[str]) -> list[str]:
     return out
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser of every :func:`main` call in this process (parsing does
+    not change it), built on the first call, so that a process that only
+    imports the package holds none."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     level = os.environ.get("DARBOUXKIT_LOG", "warning").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         stream=sys.stderr, format="%(name)s: %(message)s")
-    parser = build_parser()
+    parser = _shared_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     args = parser.parse_args(_join_expression_flags(argv))
     try:

@@ -79,9 +79,11 @@ from .susyqm import (
 from .apps import FrameApplication, FrenetData, RigidData, frenet_family, rigid_family
 from .numverify import (
     companion_solution_grid,
+    companion_solution_grids,
     convergence_ratio,
     drift,
     integrate,
+    integrate_many,
     residual_sweep,
 )
 
@@ -103,8 +105,8 @@ class VerifyConfig:
                  tolerance: float = 1e-8):
         if tolerance <= 0:
             raise ValueError("tolerance must be positive")
-        if step <= 0:
-            raise ValueError("step must be positive")
+        if not 0 < step < math.inf:
+            raise ValueError(f"step must be finite and positive, got {step}")
         self.step = step
         self.interval = interval
         self.tolerance = tolerance
@@ -276,13 +278,13 @@ def check_first_integrals(seed: int, config: VerifyConfig) -> dict:
     if not sym_ok:
         return _exact("first-integrals", False)
     osc = _oscillator()
-    traj = integrate(sym_system(companion(osc), 2), [1.0, 0.25, 2.0],
-                     config.interval, config.step, {"m": 1})
-    worst = drift(first_integral_sym2(osc.w), traj, ("z1", "z2", "z3"), {"w": 1.0})
-    ortho_sys = so3_system_first(osc).system()
-    traj2 = integrate(ortho_sys, [1.0, 0.5j, -0.25], config.interval, config.step, {"m": -2})
+    traj, traj2 = integrate_many(
+        [(sym_system(companion(osc), 2), [1.0, 0.25, 2.0], {"m": 1}),
+         (so3_system_first(osc).system(), [1.0, 0.5j, -0.25], {"m": -2})],
+        config.interval, config.step,
+    )
     worst = max(
-        worst,
+        drift(first_integral_sym2(osc.w), traj, ("z1", "z2", "z3"), {"w": 1.0}),
         drift(first_integral_orthogonal(), traj2, ("alpha", "beta", "gamma")),
     )
     return _report("first-integrals", float(worst), config.tolerance)
@@ -354,32 +356,6 @@ def _random_frenet_s(rng: Random) -> FrameApplication:
     return frenet_family(FrenetData(kappa, tau, "S", DerivationTable()))
 
 
-def _sweep(rng: Random, config: VerifyConfig,
-           make_app: Callable[[Random], FrameApplication]) -> tuple[float, int]:
-    """Worst fundamental-matrix residual over five random applications
-    ``make_app(rng)``, and the number of grid points each sweep checks."""
-    worst = 0.0
-    for _ in range(5):
-        app = make_app(rng)
-        m_value = rng.uniform(-1, 1)
-        grid = companion_solution_grid(
-            companion(app.family), bindings={"m": m_value},
-            interval=config.interval, h=config.step,
-        )
-        indices = grid.sample_indices(5)
-        worst = max(
-            worst,
-            residual_sweep(
-                app.fundamental.matrix,
-                app.fundamental.system,
-                grid,
-                indices,
-                bindings={"m": m_value},
-            ),
-        )
-    return worst, len(indices)
-
-
 def check_applications(seed: int, config: VerifyConfig) -> dict:
     rng = Random(seed)
     table = DerivationTable(
@@ -398,10 +374,21 @@ def check_applications(seed: int, config: VerifyConfig) -> dict:
     ok = ok and is_zero(rigid_s.family.q - w1 ** 2 / 4)
     if not ok:
         return _exact("applications", False, seed=seed)
-    worst_q, samples = _sweep(rng, config, _random_rigid_q)
-    worst_s, _ = _sweep(rng, config, _random_frenet_s)
-    return _report("applications", float(max(worst_q, worst_s)), config.tolerance,
-                   seed=seed, samples=samples)
+    # five rigid Q then five Frenet S instances, each drawn with its m
+    cases = [(make_app(rng), rng.uniform(-1, 1))
+             for make_app in [_random_rigid_q] * 5 + [_random_frenet_s] * 5]
+    grids = companion_solution_grids(
+        [(companion(app.family), {"m": m}) for app, m in cases],
+        interval=config.interval, h=config.step,
+    )
+    indices = grids[0].sample_indices(5)
+    worst = max(
+        residual_sweep(app.fundamental.matrix, app.fundamental.system, grid, indices,
+                       bindings={"m": m})
+        for (app, m), grid in zip(cases, grids)
+    )
+    return _report("applications", float(worst), config.tolerance,
+                   seed=seed, samples=len(indices))
 
 
 def check_orientation_mutation(seed: int, config: VerifyConfig) -> dict:

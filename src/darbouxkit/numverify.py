@@ -8,7 +8,10 @@ at once with array bindings: the coefficient matrix per block of steps
 at the block's grid nodes and midpoints, a residual at all its sample
 points, a first integral along the whole trajectory.  From a block's
 coefficient values every step's RK4 increment matrix is built in batch,
-so the stepping loop does one matrix product per step.  Defaults: step
+so the stepping loop does one matrix product per step.  Independent
+problems of one size are stacked and share that loop
+(:func:`integrate_many`): each step is then one stacked product for all
+of them, and :func:`integrate` is the one-problem case.  Defaults: step
 1e-3 on [0, 1], pass tolerance 1e-8 (global RK4 error ~ h^4 leaves
 three orders of margin for roundoff).  No adaptivity and no stiffness
 handling; coefficient poles are avoided by shifting the interval, never
@@ -17,6 +20,7 @@ by special-casing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -70,6 +74,94 @@ def _grid_values(exprs: Sequence[Expr], env: Mapping, xs: np.ndarray, what: str)
         raise
 
 
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Stacked products of small square matrices as an explicit sum over
+    the inner index: ``np.matmul`` would make one BLAS call per matrix."""
+    out = a[..., :, :1] * b[..., :1, :]
+    for j in range(1, a.shape[-1]):
+        out += a[..., :, j:j + 1] * b[..., j:j + 1, :]
+    return out
+
+
+def _increments(f0: np.ndarray, fm: np.ndarray, f1: np.ndarray, h: float) -> np.ndarray:
+    """RK4 increments ``d`` of ``y' = f y`` over steps of length ``h``, from
+    ``f`` at each step's start ``f0``, midpoint ``fm`` and end ``f1``."""
+    # RK4 is y + d y with d = h/6 (k1 + 2 k2 + 2 k3 + k4) and k1 = f0,
+    # k2 = fm (I + h/2 k1), k3 = fm (I + h/2 k2), k4 = f1 (I + h k3);
+    # stepping by y + d y rather than (I + d) y keeps the rounding of
+    # I + d from accumulating over the steps
+    k2 = fm + (h / 2) * _matmul(fm, f0)
+    k3 = fm + (h / 2) * _matmul(fm, k2)
+    k4 = f1 + h * _matmul(f1, k3)
+    return (h / 6) * (f0 + 2 * k2 + 2 * k3 + k4)
+
+
+def _rk4(problems, interval: tuple[float, float], h: float) -> list[Trajectory]:
+    """The one stepping loop, behind :func:`integrate_many` and
+    :func:`integrate`.  Both call it directly, so that a traced
+    :func:`integrate` call is one span that holds its own stepping."""
+    if not 0 < h < math.inf:
+        raise ValueError(f"step must be finite and positive, got {h}")
+    x_start, x_end = interval
+    if x_end <= x_start:
+        raise ValueError("empty integration interval")
+    n = problems[0][0].n
+    starts = [np.asarray(state, dtype=np.complex128) for _, state, _ in problems]
+    shape = starts[0].shape
+    if (any(system.n != n for system, _, _ in problems)
+            or any(start.shape != shape for start in starts)
+            or len(shape) not in (1, 2) or shape[0] != n):
+        raise ValueError("problems must share n and a state of shape (n,) or (n, m)")
+    entries = [[normalize(e) for row in system.a.rows for e in row]
+               for system, _, _ in problems]
+    steps = max(1, round((x_end - x_start) / h))
+    h = (x_end - x_start) / steps
+    xs = x_start + np.arange(steps + 1) * h
+    y = np.stack(starts).reshape(len(problems), n, -1)  # a vector state is one column
+    states = np.empty((len(problems), steps + 1) + y.shape[1:], dtype=np.complex128)
+    states[:, 0] = y
+    for first in range(0, steps, _BLOCK):
+        last = min(first + _BLOCK, steps)
+        nodes = np.empty(2 * (last - first) + 1)
+        nodes[0::2] = xs[first:last + 1]
+        nodes[1::2] = xs[first:last] + h / 2
+        # increments of the block's steps, axes (step, problem, row, column)
+        d = np.empty((last - first, len(problems), n, n), dtype=np.complex128)
+        for p, (exprs, (_, _, bindings)) in enumerate(zip(entries, problems)):
+            values = _grid_values(exprs, bindings or {}, nodes, "coefficient")
+            # -A at the nodes; step k uses f[2j], f[2j + 1], f[2j + 2]
+            # with j = k - first
+            f = -np.stack([np.broadcast_to(v, nodes.shape) for v in values], axis=-1)
+            f = f.reshape(-1, n, n)
+            d[:, p] = _increments(f[0:-1:2], f[1::2], f[2::2], h)
+        for k, dk in enumerate(d, start=first):
+            y = y + dk @ y
+            states[:, k + 1] = y
+    return [Trajectory(xs, s.reshape((steps + 1,) + shape)) for s in states]
+
+
+def integrate_many(
+    problems: Sequence[tuple[LinearSystem, Sequence[complex], Mapping[str, complex] | None]],
+    interval: tuple[float, float] = DEFAULT_INTERVAL,
+    h: float = DEFAULT_STEP,
+) -> list[Trajectory]:
+    """RK4 integration of independent problems ``X' = -A(x) X`` in one
+    stepping loop.
+
+    Each of one or more problems is a ``(system, x0_state, bindings)``
+    triple as taken by :func:`integrate`; all share ``n`` and the state
+    shape (a vector of length n or an n x m matrix).  The states are stacked and stepped
+    together: per block of steps every problem's coefficient matrix is
+    evaluated at the block's grid nodes and midpoints and its RK4
+    increments ``D_k`` are built in batch (with ``X_{k+1} = X_k + D_k
+    X_k``, the exact RK4 map of a linear system) into one array for the
+    stack; the loop then does one stacked matrix product per step.
+    Returns one trajectory per problem, in order; each problem gets the
+    arithmetic that :func:`integrate` does for it alone.
+    """
+    return _rk4(problems, interval, h)
+
+
 def integrate(
     system: LinearSystem,
     x0_state: Sequence[complex],
@@ -81,43 +173,14 @@ def integrate(
 
     The state is a vector of length n or an n x m matrix whose columns
     are integrated together.  ``bindings`` fixes numeric values for every
-    parameter and symbol appearing in the coefficient matrix.  For each
-    block of steps the RK4 increments ``D_k`` (with ``X_{k+1} = X_k +
-    D_k X_k``, the exact RK4 map of a linear system) are built with
-    batched matrix products; the loop then does one product per step.
+    parameter and symbol appearing in the coefficient matrix.  This is
+    the one-problem call of :func:`integrate_many`, which has the only
+    stepping loop: per block of steps the RK4 increments ``D_k`` (with
+    ``X_{k+1} = X_k + D_k X_k``) are built in batch, and the loop does
+    one matrix product per step.
     """
-    entries = [normalize(e) for row in system.a.rows for e in row]
-    x_start, x_end = interval
-    if x_end <= x_start:
-        raise ValueError("empty integration interval")
-    steps = max(1, round((x_end - x_start) / h))
-    h = (x_end - x_start) / steps
-    xs = x_start + np.arange(steps + 1) * h
-    y = np.asarray(x0_state, dtype=np.complex128)
-    states = np.empty((steps + 1,) + y.shape, dtype=np.complex128)
-    states[0] = y
-    for first in range(0, steps, _BLOCK):
-        last = min(first + _BLOCK, steps)
-        nodes = np.empty(2 * (last - first) + 1)
-        nodes[0::2] = xs[first:last + 1]
-        nodes[1::2] = xs[first:last] + h / 2
-        values = _grid_values(entries, bindings or {}, nodes, "coefficient")
-        # -A at the nodes; step k uses f0[j], fm[j], f1[j] with j = k - first
-        f = -np.stack([np.broadcast_to(v, nodes.shape) for v in values], axis=-1)
-        f = f.reshape(-1, system.n, system.n)
-        f0, fm, f1 = f[0:-1:2], f[1::2], f[2::2]
-        # RK4 of y' = f y is y + d y with d = h/6 (k1 + 2 k2 + 2 k3 + k4)
-        # and k1 = f0, k2 = fm (I + h/2 k1), k3 = fm (I + h/2 k2),
-        # k4 = f1 (I + h k3); stepping by y + d y rather than (I + d) y
-        # keeps the rounding of I + d from accumulating over the steps
-        k2 = fm + (h / 2) * (fm @ f0)
-        k3 = fm + (h / 2) * (fm @ k2)
-        k4 = f1 + h * (f1 @ k3)
-        d = (h / 6) * (f0 + 2 * k2 + 2 * k3 + k4)
-        for k, dk in enumerate(d, start=first):
-            y = y + dk @ y
-            states[k + 1] = y
-    return Trajectory(xs, states)
+    (trajectory,) = _rk4([(system, x0_state, bindings)], interval, h)
+    return trajectory
 
 
 def fundamental_trajectories(
@@ -191,6 +254,46 @@ class SolutionGrid:
         return sorted({i * last // count for i in range(count + 1)})
 
 
+def companion_solution_grids(
+    problems: Sequence[tuple[LinearSystem, Mapping[str, complex] | None]],
+    names: tuple[str, str] = ("y1", "y2"),
+    interval: tuple[float, float] = DEFAULT_INTERVAL,
+    h: float = DEFAULT_STEP,
+    w_rate: Expr | None = None,
+    w_name: str = "w",
+) -> list[SolutionGrid]:
+    """Integrate two companion solutions (and optionally the Wronskian
+    datum ``w' = rate * w`` alongside) to back abstract symbols, for
+    each ``(system, bindings)`` pair; the pairs share one stepping loop
+    (:func:`integrate_many`).
+
+    The first solution starts at (1, 0), the second at (0, 1); the
+    datum starts at 1, any nonzero scaling being equally valid.
+    """
+    if w_rate is not None:
+        rate = normalize(w_rate)
+        problems = [
+            (LinearSystem(ExprMatrix([list(row) + [0] for row in system.a.rows]
+                                     + [[0] * system.n + [-rate]]), system.table),
+             bindings)
+            for system, bindings in problems
+        ]
+    start = np.eye(problems[0][0].n, 2)
+    if w_rate is not None:
+        start[-1] = 1.0
+    grids = []
+    for traj in integrate_many([(system, start, bindings) for system, bindings in problems],
+                               interval, h):
+        values: dict[str, np.ndarray] = {}
+        for idx, name in enumerate(names):
+            values[name] = traj.states[:, 0, idx]
+            values[name + "_p"] = traj.states[:, 1, idx]
+        if w_rate is not None:
+            values[w_name] = traj.states[:, -1, 0]
+        grids.append(SolutionGrid(traj.xs, values))
+    return grids
+
+
 def companion_solution_grid(
     system: LinearSystem,
     names: tuple[str, str] = ("y1", "y2"),
@@ -200,30 +303,10 @@ def companion_solution_grid(
     w_rate: Expr | None = None,
     w_name: str = "w",
 ) -> SolutionGrid:
-    """Integrate two companion solutions (and optionally the Wronskian
-    datum ``w' = rate * w`` alongside) to back abstract symbols.
-
-    The first solution starts at (1, 0), the second at (0, 1); the
-    datum starts at 1, any nonzero scaling being equally valid.
-    """
-    n = system.n
-    if w_rate is not None:
-        rate = normalize(w_rate)
-        aug = ExprMatrix(
-            [list(row) + [0] for row in system.a.rows] + [[0] * n + [-rate]]
-        )
-        system = LinearSystem(aug, system.table)
-    state = np.eye(system.n, 2)
-    if w_rate is not None:
-        state[-1] = 1.0
-    traj = integrate(system, state, interval, h, bindings)
-    values: dict[str, np.ndarray] = {}
-    for idx, name in enumerate(names):
-        values[name] = traj.states[:, 0, idx]
-        values[name + "_p"] = traj.states[:, 1, idx]
-    if w_rate is not None:
-        values[w_name] = traj.states[:, -1, 0]
-    return SolutionGrid(traj.xs, values)
+    """The one-problem call of :func:`companion_solution_grids`."""
+    (grid,) = companion_solution_grids([(system, bindings)], names, interval, h,
+                                       w_rate, w_name)
+    return grid
 
 
 def convergence_ratio(

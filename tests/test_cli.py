@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from darbouxkit import cli
 from darbouxkit.cli import main
 from darbouxkit.expr import X, equal, param, parse_sexpr
 from darbouxkit.linsys import family_from_json, family_to_json
@@ -157,6 +158,27 @@ def test_verify_subset_and_determinism(capsys):
     assert doc["seed"] == json.loads(out2)["seed"]
 
 
+def test_cached_parser_keeps_calls_independent(capsys, oscillator_json, monkeypatch):
+    # main builds its parser once per process and reuses it; no call may
+    # see the flags of the call before it
+    real, built = cli.build_parser, []
+
+    def counted():
+        built.append(real())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._shared_parser.cache_clear()
+    chain = ["darboux", "chain", "--family", oscillator_json, "--theta0", "-x", "--k", "2"]
+    check = ["verify", "--check", "rk4-order"]
+    first = [_run(capsys, chain), _run(capsys, check)]
+    second = [_run(capsys, chain), _run(capsys, check)]
+    assert len(built) == 1
+    assert first == second
+    assert first[0][0] == first[1][0] == 0
+    assert [r["check"] for r in json.loads(second[1][1])["checks"]] == ["rk4-order"]
+
+
 def test_sympow_commands(capsys, oscillator_json):
     code, out, _ = _run(capsys, ["sympow", "operator", "--family", oscillator_json])
     assert code == 0
@@ -204,6 +226,14 @@ def test_verify_rejects_bad_tolerance(capsys):
     code, _, err = _run(capsys, ["verify", "--all", "--tol", "-1"])
     assert code == 2
     assert "bad-input" in err
+
+
+@pytest.mark.parametrize("step", ["inf", "nan", "0", "-1e-3"])
+def test_verify_rejects_bad_step(capsys, step):
+    code, out, err = _run(capsys, ["verify", "--check", "rk4-closed-form", f"--step={step}"])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["detail"].startswith("step must be finite and positive")
 
 
 def test_seed_failure_exit_code(capsys, oscillator_json):

@@ -22,10 +22,12 @@ from darbouxkit.numverify import (
     _BLOCK,
     SolutionGrid,
     companion_solution_grid,
+    companion_solution_grids,
     convergence_ratio,
     drift,
     fundamental_trajectories,
     integrate,
+    integrate_many,
     residual_sweep,
 )
 from darbouxkit.susyqm import hermite
@@ -154,6 +156,58 @@ def test_integrate_reports_singularities():
     sys = LinearSystem(ExprMatrix([[1 / X, ZERO], [ZERO, ZERO]]), table)
     with pytest.raises(EvalSingularity, match=r"coefficient singular at x = 0\.0:"):
         integrate(sys, [1.0, 0.0], (0.0, 1.0), 0.5)
+
+
+@pytest.mark.parametrize("h", [-1e-3, 0.0, math.inf, math.nan])
+def test_integrate_rejects_bad_steps(h):
+    with pytest.raises(ValueError, match="step must be finite and positive"):
+        integrate(_circle_system(), [1.0, 0.0], (0.0, 1.0), h, {"m": 0})
+
+
+def _matrix_problems():
+    # 2 x 2 fundamental matrices of companion systems, as in the
+    # applications sweeps
+    osc = companion(oscillator_family())
+    return [(osc, np.eye(2), {"m": 0.25}), (_circle_system(), np.eye(2), {"m": 0}),
+            (osc, np.eye(2), {"m": -0.75})]
+
+
+def _vector_problems():
+    # 3-vectors of 3 x 3 systems, as in the first-integrals check
+    return [
+        (sym_system(companion(oscillator_family()), 2), [1.0, 0.25, 2.0], {"m": 1}),
+        (so3_system_first(oscillator_family()).system(), [1.0, 0.5j, -0.25], {"m": -2}),
+        (_variable_system()[0], [1.0, 0.5j, -2.0], None),
+    ]
+
+
+@pytest.mark.parametrize("problems", [_matrix_problems, _vector_problems])
+def test_integrate_many_matches_one_problem_at_a_time(problems):
+    steps = 600  # crosses block boundaries
+    together = integrate_many(problems(), (0.0, 1.0), 1.0 / steps)
+    for (system, state, bindings), traj in zip(problems(), together, strict=True):
+        alone = integrate(system, state, (0.0, 1.0), 1.0 / steps, bindings)
+        assert np.array_equal(traj.xs, alone.xs)
+        assert traj.states.shape == alone.states.shape
+        assert np.array_equal(traj.states, alone.states)
+
+
+def test_integrate_many_reports_singularity_in_a_later_problem():
+    singular = LinearSystem(ExprMatrix([[1 / (X - rat(1, 2)), ZERO], [ZERO, ZERO]]),
+                            DerivationTable())
+    with pytest.raises(EvalSingularity, match=r"coefficient singular at x = 0\.5:"):
+        integrate_many([(_circle_system(), [1.0, 0.0], {"m": 0}),
+                        (singular, [1.0, 0.0], None)], (0.0, 1.0), 0.25)
+
+
+@pytest.mark.parametrize("second", [
+    (_variable_system()[0], [1.0, 0.0, 0.0], None),  # n = 3 against n = 2
+    (_circle_system(), np.eye(2), {"m": 0}),  # a matrix against a vector state
+    (_circle_system(), [1.0, 0.0, 0.0], {"m": 0}),  # a state of the wrong length
+])
+def test_integrate_many_rejects_mismatched_problems(second):
+    with pytest.raises(ValueError, match="problems must share n"):
+        integrate_many([(_circle_system(), [1.0, 0.0], {"m": 0}), second])
 
 
 def test_sweep_and_drift_report_singular_sample():
@@ -304,6 +358,19 @@ def test_companion_grid_matches_per_column_path():
         assert np.max(np.abs(grid.values[name] - alone.states[:, 0])) <= 1e-13
         assert np.max(np.abs(grid.values[name + "_p"] - alone.states[:, 1])) <= 1e-13
         assert np.max(np.abs(grid.values["w"] - alone.states[:, 2])) <= 1e-13
+
+
+def test_companion_grids_match_one_system_at_a_time():
+    system = companion(oscillator_family())
+    rate = normalize(X + 1)
+    pairs = [(system, {"m": 0.5}), (_circle_system(), {"m": 0})]
+    grids = companion_solution_grids(pairs, w_rate=rate)
+    for (one, bindings), grid in zip(pairs, grids, strict=True):
+        alone = companion_solution_grid(one, bindings=bindings, w_rate=rate)
+        assert np.array_equal(grid.xs, alone.xs)
+        assert grid.values.keys() == alone.values.keys() == {"y1", "y1_p", "y2", "y2_p", "w"}
+        for name, values in alone.values.items():
+            assert np.array_equal(grid.values[name], values)
 
 
 def test_sample_indices_include_both_endpoints():
