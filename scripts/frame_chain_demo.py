@@ -13,7 +13,6 @@ from darbouxkit import (
     FrenetData,
     X,
     application_chain,
-    companion,
     companion_solution_grid,
     drift,
     frenet_family,
@@ -48,7 +47,7 @@ def main() -> None:
     kappa = normalize(2 + X / 2)
     tau = normalize(X / 3)
     app = frenet_family(FrenetData(kappa, tau, "S", DerivationTable()))
-    grid = companion_solution_grid(companion(app.family), bindings={"m": 0.5})
+    grid = companion_solution_grid(app.family, bindings={"m": 0.5})
     value = residual_sweep(
         app.fundamental.matrix,
         app.fundamental.system,

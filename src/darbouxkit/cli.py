@@ -26,10 +26,10 @@ from .expr import (
     I,
     KitError,
     ZERO,
-    free_names,
     normalize,
     parse_infix,
     parse_sexpr,
+    symbol_names,
     symbol_tower,
     to_pretty,
     to_sexpr,
@@ -69,7 +69,7 @@ from .apps import (
     frenet_family,
     rigid_family,
 )
-from .golden import CHECKS, DEFAULT_SEED, VerifyConfig, run_checks
+from .golden import CHECKS, DEFAULT_CONFIG, DEFAULT_SEED, VerifyConfig, run_checks
 
 log = logging.getLogger("darbouxkit")
 
@@ -95,15 +95,17 @@ def _expr_flag(text: str, params: Sequence[str] = ("m",)) -> Expr:
         raise InputError(f"cannot parse expression {text!r}: {exc}") from exc
 
 
-def _tower_table_for(exprs: Sequence[Expr], depth: int = 4,
+def _tower_table_for(exprs: Sequence[Expr],
                      base: DerivationTable | None = None) -> DerivationTable:
-    """Free symbols appearing in CLI expressions get derivative towers."""
+    """Symbols appearing in CLI expressions get derivative towers of depth
+    4; parameters are constant and radicals differentiate through their
+    squares, so neither gets one."""
     table = base or DerivationTable()
     entries = {}
     for e in exprs:
-        for name in sorted(free_names(normalize(e))):
+        for name in sorted(symbol_names(normalize(e))):
             if name not in table and name not in entries:
-                entries.update(symbol_tower(name, depth))
+                entries.update(symbol_tower(name, 4))
     return table.extended(entries)
 
 
@@ -145,37 +147,33 @@ def _seed_for(family: SecondOrderFamily, args) -> tuple[SecondOrderFamily, objec
 # -- darboux -------------------------------------------------------------------
 
 
-def cmd_darboux_apply(args) -> int:
+def cmd_darboux_apply(args) -> dict:
     family = _load_family(args.family)
     family, seed = _seed_for(family, args)
     new_family = darboux_potential(family, seed)
     g = darboux_gauge(family, seed)
-    _emit(
-        {
-            "command": "darboux apply",
-            "input_family": family_to_json(family),
-            "theta0": to_sexpr(seed.theta0),
-            "level": to_sexpr(seed.level),
-            "transformed_family": family_to_json(new_family),
-            "transformed_q_pretty": to_pretty(new_family.q),
-            "gauge": {
-                "p_m": _matrix_json(g.p_m),
-                "l_m": _matrix_json(g.l_m),
-                "r_factor": _matrix_json(g.r_factor),
-                "det": to_sexpr(g.p_m.det()),
-            },
+    return {
+        "command": "darboux apply",
+        "input_family": family_to_json(family),
+        "theta0": to_sexpr(seed.theta0),
+        "level": to_sexpr(seed.level),
+        "transformed_family": family_to_json(new_family),
+        "transformed_q_pretty": to_pretty(new_family.q),
+        "gauge": {
+            "p_m": _matrix_json(g.p_m),
+            "l_m": _matrix_json(g.l_m),
+            "r_factor": _matrix_json(g.r_factor),
+            "det": to_sexpr(g.p_m.det()),
         },
-        args.out,
-    )
-    return 0
+    }
 
 
-def cmd_darboux_chain(args) -> int:
+def cmd_darboux_chain(args) -> dict:
     family, theta0 = _theta0_for(_load_family(args.family), args.theta0)
     steps = darboux_chain(
         family, lambda fam, _: (fam, auto_level_seed(fam, theta0)), args.k
     )
-    document = {
+    return {
         "command": "darboux chain",
         "k": args.k,
         "theta0": to_sexpr(normalize(theta0)),
@@ -183,43 +181,33 @@ def cmd_darboux_chain(args) -> int:
         "levels": [to_sexpr(step.seed.level) for step in steps[:-1]],
         "q_pretty": [to_pretty(step.family.q) for step in steps],
     }
-    _emit(document, args.out)
-    return 0
 
 
 # -- sympow --------------------------------------------------------------------
 
 
-def cmd_sympow_operator(args) -> int:
+def cmd_sympow_operator(args) -> dict:
     family = _load_family(args.family)
     a2, a1, a0 = sym2_operator(family)
-    _emit(
-        {
-            "command": "sympow operator",
-            "coefficients": {
-                "d2": to_sexpr(a2),
-                "d1": to_sexpr(a1),
-                "d0": to_sexpr(a0),
-            },
-            "pretty": f"d3 + ({to_pretty(a2)}) d2 + ({to_pretty(a1)}) d + ({to_pretty(a0)})",
+    return {
+        "command": "sympow operator",
+        "coefficients": {
+            "d2": to_sexpr(a2),
+            "d1": to_sexpr(a1),
+            "d0": to_sexpr(a0),
         },
-        args.out,
-    )
-    return 0
+        "pretty": f"d3 + ({to_pretty(a2)}) d2 + ({to_pretty(a1)}) d + ({to_pretty(a0)})",
+    }
 
 
-def cmd_sympow_system(args) -> int:
+def cmd_sympow_system(args) -> dict:
     family = _load_family(args.family)
     lifted = sym_system(companion(family), args.power)
-    _emit(
-        {
-            "command": "sympow system",
-            "power": args.power,
-            "system": system_to_json(lifted),
-        },
-        args.out,
-    )
-    return 0
+    return {
+        "command": "sympow system",
+        "power": args.power,
+        "system": system_to_json(lifted),
+    }
 
 
 # -- so3 -----------------------------------------------------------------------
@@ -268,40 +256,32 @@ def _application_data_from_args(args):
     raise InputError("need --family, --rigid, or --frenet")
 
 
-def cmd_so3_lift(args) -> int:
+def cmd_so3_lift(args) -> dict:
     ortho = ROUTES[args.route].system(_so3_family_from_args(args))
-    _emit(
-        {
-            "command": "so3 lift",
-            "route": args.route,
-            **_vector_json(ortho),
-            "system": system_to_json(ortho.system()),
-        },
-        args.out,
-    )
-    return 0
+    return {
+        "command": "so3 lift",
+        "route": args.route,
+        **_vector_json(ortho),
+        "system": system_to_json(ortho.system()),
+    }
 
 
-def cmd_so3_darboux(args) -> int:
+def cmd_so3_darboux(args) -> dict:
     family, seed = _seed_for(_so3_family_from_args(args), args)
     lift = ROUTES[args.route].system
     t_mat = lifted_matrix(family, seed, args.route)
     new_family = darboux_potential(family, seed)
-    _emit(
-        {
-            "command": "so3 darboux",
-            "route": args.route,
-            "theta0": to_sexpr(seed.theta0),
-            "transform": _matrix_json(t_mat),
-            "base_system": system_to_json(lift(family).system()),
-            "transformed_system": system_to_json(lift(new_family).system()),
-        },
-        args.out,
-    )
-    return 0
+    return {
+        "command": "so3 darboux",
+        "route": args.route,
+        "theta0": to_sexpr(seed.theta0),
+        "transform": _matrix_json(t_mat),
+        "base_system": system_to_json(lift(family).system()),
+        "transformed_system": system_to_json(lift(new_family).system()),
+    }
 
 
-def cmd_so3_riccati(args) -> int:
+def cmd_so3_riccati(args) -> dict:
     if args.family:
         ortho = ROUTES[args.route].system(_so3_family_from_args(args))
     else:
@@ -322,37 +302,32 @@ def cmd_so3_riccati(args) -> int:
     except OmegaOneZero as exc:
         document["linear_form"] = None
         document["note"] = str(exc)
-    _emit(document, args.out)
-    return 0
+    return document
 
 
 # -- susy ----------------------------------------------------------------------
 
 
-def cmd_susy_partners(args) -> int:
+def cmd_susy_partners(args) -> dict:
     w = _expr_flag(args.w)
     table = _tower_table_for([w])
     pair = partner_potentials(w, table)
     mf = matrix_formalism(pair, args.order, table)
-    _emit(
-        {
-            "command": "susy partners",
-            "w": to_sexpr(pair.w),
-            "v_minus": to_sexpr(pair.v_minus),
-            "v_plus": to_sexpr(pair.v_plus),
-            "v_minus_matrix": _matrix_json(mf.v_minus),
-            "v_plus_matrix": _matrix_json(mf.v_plus),
-            "pretty": {
-                "v_minus": to_pretty(pair.v_minus),
-                "v_plus": to_pretty(pair.v_plus),
-            },
+    return {
+        "command": "susy partners",
+        "w": to_sexpr(pair.w),
+        "v_minus": to_sexpr(pair.v_minus),
+        "v_plus": to_sexpr(pair.v_plus),
+        "v_minus_matrix": _matrix_json(mf.v_minus),
+        "v_plus_matrix": _matrix_json(mf.v_plus),
+        "pretty": {
+            "v_minus": to_pretty(pair.v_minus),
+            "v_plus": to_pretty(pair.v_plus),
         },
-        args.out,
-    )
-    return 0
+    }
 
 
-def cmd_susy_spectrum(args) -> int:
+def cmd_susy_spectrum(args) -> dict:
     w = _expr_flag(args.w, params=(args.a,))
     f = _expr_flag(args.f, params=(args.a,))
     remainder = _expr_flag(args.remainder, params=(args.a,)) if args.remainder else None
@@ -362,63 +337,51 @@ def cmd_susy_spectrum(args) -> int:
     )
     shift = shape_invariance(pot)
     energies = [spectrum_sum(pot, n) for n in range(args.n + 1)]
-    _emit(
-        {
-            "command": "susy spectrum",
-            "a": args.a,
-            "shift": to_sexpr(shift),
-            "energies": [to_sexpr(e) for e in energies],
-            "energies_pretty": [to_pretty(e) for e in energies],
-        },
-        args.out,
-    )
-    return 0
+    return {
+        "command": "susy spectrum",
+        "a": args.a,
+        "shift": to_sexpr(shift),
+        "energies": [to_sexpr(e) for e in energies],
+        "energies_pretty": [to_pretty(e) for e in energies],
+    }
 
 
-def cmd_susy_states(args) -> int:
+def cmd_susy_states(args) -> dict:
     states, _table = oscillator_states(args.n, order=args.order)
-    _emit(
-        {
-            "command": "susy states",
-            "order": args.order,
-            "ground_state_symbol": "psi0",
-            "states": [[to_sexpr(c) for c in state] for state in states],
-            "hermite_factors": [to_sexpr(hermite(n)) for n in range(args.n + 1)],
-        },
-        args.out,
-    )
-    return 0
+    return {
+        "command": "susy states",
+        "order": args.order,
+        "ground_state_symbol": "psi0",
+        "states": [[to_sexpr(c) for c in state] for state in states],
+        "hermite_factors": [to_sexpr(hermite(n)) for n in range(args.n + 1)],
+    }
 
 
 # -- frenet / rigid --------------------------------------------------------------
 
 
-def cmd_application_build(args) -> int:
+def cmd_application_build(args) -> dict:
     app = _application_from_args(args)
-    _emit(
-        {
-            "command": f"{args.command} build",
-            "route": app.route,
-            "family": family_to_json(app.family),
-            "orthogonal": {
-                **_vector_json(app.orthogonal),
-                "system": system_to_json(app.orthogonal.system()),
-            },
-            "fundamental_matrix": _matrix_json(app.fundamental.matrix),
+    return {
+        "command": f"{args.command} build",
+        "route": app.route,
+        "family": family_to_json(app.family),
+        "orthogonal": {
+            **_vector_json(app.orthogonal),
+            "system": system_to_json(app.orthogonal.system()),
         },
-        args.out,
-    )
-    return 0
+        "fundamental_matrix": _matrix_json(app.fundamental.matrix),
+    }
 
 
-def cmd_application_chain(args) -> int:
+def cmd_application_chain(args) -> dict:
     app = _application_from_args(args)
     seeds = "generic"
     if args.theta0 != "generic":
         family, theta0 = _theta0_for(app.family, args.theta0)
         app, seeds = replace(app, family=family), [theta0] * args.k
     links = application_chain(app, seeds, args.k)
-    document = {
+    return {
         "command": f"{args.command} chain",
         "route": app.route,
         "k": args.k,
@@ -431,14 +394,12 @@ def cmd_application_chain(args) -> int:
             for link in links
         ],
     }
-    _emit(document, args.out)
-    return 0
 
 
 # -- verify ----------------------------------------------------------------------
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> dict:
     names = args.check if args.check else None
     if args.all:
         names = None
@@ -455,8 +416,7 @@ def cmd_verify(args) -> int:
     except KeyError as exc:
         raise InputError(str(exc)) from exc
     result["command"] = "verify"
-    _emit(result, args.out)
-    return 0 if result["pass"] else 1
+    return result
 
 
 # -- parser -----------------------------------------------------------------------
@@ -590,9 +550,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--check", action="append", choices=sorted(CHECKS),
                           help="run one named check (repeatable)")
     p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_verify.add_argument("--tol", type=float, default=1e-8)
-    p_verify.add_argument("--step", type=float, default=1e-3)
-    p_verify.add_argument("--interval", type=_interval, default=[0.0, 1.0])
+    p_verify.add_argument("--tol", type=float, default=DEFAULT_CONFIG.tolerance)
+    p_verify.add_argument("--step", type=float, default=DEFAULT_CONFIG.step)
+    p_verify.add_argument("--interval", type=_interval, default=DEFAULT_CONFIG.interval)
     add_out(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
@@ -645,7 +605,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = parser.parse_args(_join_expression_flags(argv))
     try:
-        return args.func(args)
+        document = args.func(args)
     except (InputError, ValueError) as exc:
         print(json.dumps({"error": "bad-input", "detail": str(exc)}), file=sys.stderr)
         return 2
@@ -655,6 +615,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 1
+    _emit(document, args.out)
+    return 1 if document.get("pass") is False else 0
 
 
 if __name__ == "__main__":

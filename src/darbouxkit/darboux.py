@@ -100,9 +100,9 @@ def auto_level_seed(family: SecondOrderFamily, theta0: Expr) -> DarbouxSeed:
 
 
 def attach_generic_seed(
-    family: SecondOrderFamily, name: str = "theta0", level: Expr = ZERO
+    family: SecondOrderFamily, name: str = "theta0"
 ) -> tuple[SecondOrderFamily, DarbouxSeed]:
-    """Adjoin a fresh symbol certified by the Riccati rewrite.
+    """Adjoin a fresh symbol certified by the Riccati rewrite at level 0.
 
     The returned family carries the extended derivation table, so the
     transformed potential remains differentiable.
@@ -110,10 +110,9 @@ def attach_generic_seed(
     theta = Sym(name)
     if name in family.table:
         raise KitError(f"symbol {name!r} already has a table entry")
-    q_eff = family.q - as_expr(level) * family.r
-    entry = normalize(-q_eff - family.p * theta - theta * theta)
+    entry = normalize(-family.q - family.p * theta - theta * theta)
     fam = replace(family, table=family.table.extended({name: entry}))
-    return fam, make_seed(fam, theta, level)
+    return fam, make_seed(fam, theta)
 
 
 def potential_shift(family: SecondOrderFamily, seed: DarbouxSeed) -> Expr:
@@ -139,16 +138,14 @@ def potential_shift(family: SecondOrderFamily, seed: DarbouxSeed) -> Expr:
     return normalize(q0)
 
 
-def potential_compact(
-    family: SecondOrderFamily, seed: DarbouxSeed, y0_name: str = "_y0_compact"
-) -> Expr:
+def potential_compact(family: SecondOrderFamily, seed: DarbouxSeed) -> Expr:
     """The transformed potential via ``u*(p/u - (1/u)')'`` with ``u = y0*sqrt(r)``.
 
     A scratch symbol realizes y0 through ``y0' = theta0*y0``; the result
     is independent of it.  Useful as a cross-check of potential_shift.
     """
-    y0 = Sym(y0_name)
-    table = family.table.extended({y0_name: seed.theta0 * y0})
+    y0 = Sym("_y0_compact")
+    table = family.table.extended({y0.name: seed.theta0 * y0})
     u = y0 * family.sqrt_r
     inner = normalize(family.p / u - differentiate(normalize(1 / u), table))
     return normalize(u * differentiate(inner, table))

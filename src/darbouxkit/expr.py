@@ -448,8 +448,7 @@ class DerivationTable:
         """
         loose: set[str] = set()
         for entry in self._entries.values():
-            # Sym names only: those are the table-dependent kind
-            for name in _names(entry, (Sym,)):
+            for name in symbol_names(entry):
                 if name not in self._entries:
                     loose.add(name)
         return loose
@@ -1107,6 +1106,12 @@ def free_names(e: Expr) -> set[str]:
     return _names(e, (Sym, Param, Radical))
 
 
+def symbol_names(e: Expr) -> set[str]:
+    """Names of the Sym leaves occurring in ``e``: the only leaves whose
+    derivatives come from a derivation table."""
+    return _names(e, (Sym,))
+
+
 def _names(e: Expr, kinds: tuple[type, ...]) -> set[str]:
     """Names of the leaves of the given kinds, including those inside a
     radical's square."""
@@ -1301,7 +1306,7 @@ def _parse_tokens(tokens: list[str]) -> tuple[Expr, list[str]]:
 # ---------------------------------------------------------------------------
 
 
-def parse_infix(text: str, params: Iterable[str] = (), symbols: Iterable[str] = ()) -> Expr:
+def parse_infix(text: str, params: Iterable[str] = ()) -> Expr:
     """Parse ``"2 - i*w1"`` style input.
 
     Operators + - * / ^ with usual precedence, parentheses, integer and
@@ -1309,10 +1314,7 @@ def parse_infix(text: str, params: Iterable[str] = (), symbols: Iterable[str] = 
     variable.  Other names become Param if listed in ``params``, else
     Sym.  ``exp(...)`` and other registered functions are recognized.
     """
-    params = set(params)
-    symbols = set(symbols)
-    tokens = _tokenize_infix(text)
-    parser = _InfixParser(tokens, params, symbols)
+    parser = _InfixParser(_tokenize_infix(text), set(params))
     expr = parser.parse_expression()
     if parser.peek() is not None:
         raise KitError(f"unexpected token {parser.peek()!r} in {text!r}")
@@ -1347,11 +1349,10 @@ def _tokenize_infix(text: str) -> list[str]:
 
 
 class _InfixParser:
-    def __init__(self, tokens: list[str], params: set[str], symbols: set[str]):
+    def __init__(self, tokens: list[str], params: set[str]):
         self.tokens = tokens
         self.pos = 0
         self.params = params
-        self.symbols = symbols
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None

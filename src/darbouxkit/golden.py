@@ -378,8 +378,7 @@ def check_applications(seed: int, config: VerifyConfig) -> dict:
     cases = [(make_app(rng), rng.uniform(-1, 1))
              for make_app in [_random_rigid_q] * 5 + [_random_frenet_s] * 5]
     grids = companion_solution_grids(
-        [(companion(app.family), {"m": m}) for app, m in cases],
-        interval=config.interval, h=config.step,
+        [(app.family, {"m": m}) for app, m in cases], config.interval, config.step,
     )
     indices = grids[0].sample_indices(5)
     worst = max(
@@ -395,10 +394,7 @@ def check_orientation_mutation(seed: int, config: VerifyConfig) -> dict:
     fam = _unit_family()
     ortho, pair = orthogonal_lift(fam, "Q")
     flipped = LinearSystem(ortho.skew(), pair.system.table)
-    grid = companion_solution_grid(
-        companion(fam), bindings={"m": 0}, w_rate=fam.p,
-        interval=config.interval, h=config.step,
-    )
+    grid = companion_solution_grid(fam, config.interval, config.step, {"m": 0})
     value = residual_sweep(
         pair.matrix, flipped, grid, grid.sample_indices(5), bindings={"m": 0},
     )

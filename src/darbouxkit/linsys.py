@@ -61,9 +61,8 @@ class ExprMatrix:
         )
 
     @staticmethod
-    def zeros(n: int, m: int | None = None) -> "ExprMatrix":
-        m = n if m is None else m
-        return ExprMatrix([[ZERO] * m for _ in range(n)])
+    def zeros(n: int) -> "ExprMatrix":
+        return ExprMatrix([[ZERO] * n for _ in range(n)])
 
     @staticmethod
     def diagonal(entries: Sequence) -> "ExprMatrix":

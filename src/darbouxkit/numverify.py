@@ -11,11 +11,14 @@ coefficient values every step's RK4 increment matrix is built in batch,
 so the stepping loop does one matrix product per step.  Independent
 problems of one size are stacked and share that loop
 (:func:`integrate_many`): each step is then one stacked product for all
-of them, and :func:`integrate` is the one-problem case.  Defaults: step
-1e-3 on [0, 1], pass tolerance 1e-8 (global RK4 error ~ h^4 leaves
-three orders of margin for roundoff).  No adaptivity and no stiffness
-handling; coefficient poles are avoided by shifting the interval, never
-by special-casing.
+of them, and :func:`integrate` is the one-problem case.  Solution grids
+are built from second-order families: two companion solutions back the
+abstract symbols ``y1``, ``y2``, and a symbolic Wronskian datum ``w`` is
+integrated alongside from ``w' = p w``.  Defaults: step 1e-3 on [0, 1]
+(global RK4 error ~ h^4 leaves three orders of margin for roundoff
+under the 1e-8 pass tolerance of the verify checks).  No adaptivity and
+no stiffness handling; coefficient poles are avoided by shifting the
+interval, never by special-casing.
 """
 
 from __future__ import annotations
@@ -26,12 +29,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .expr import EvalSingularity, Expr, evaluate, normalize
-from .linsys import ExprMatrix, LinearSystem
+from .expr import EvalSingularity, Expr, Sym, evaluate, normalize
+from .linsys import ExprMatrix, LinearSystem, SecondOrderFamily, companion
 
 DEFAULT_STEP = 1e-3
 DEFAULT_INTERVAL = (0.0, 1.0)
-DEFAULT_TOLERANCE = 1e-8
 _BLOCK = 256  # RK4 steps per coefficient evaluation; bounds the arrays of one block
 
 
@@ -255,57 +257,53 @@ class SolutionGrid:
 
 
 def companion_solution_grids(
-    problems: Sequence[tuple[LinearSystem, Mapping[str, complex] | None]],
-    names: tuple[str, str] = ("y1", "y2"),
+    problems: Sequence[tuple[SecondOrderFamily, Mapping[str, complex] | None]],
     interval: tuple[float, float] = DEFAULT_INTERVAL,
     h: float = DEFAULT_STEP,
-    w_rate: Expr | None = None,
-    w_name: str = "w",
 ) -> list[SolutionGrid]:
-    """Integrate two companion solutions (and optionally the Wronskian
-    datum ``w' = rate * w`` alongside) to back abstract symbols, for
-    each ``(system, bindings)`` pair; the pairs share one stepping loop
-    (:func:`integrate_many`).
+    """Back the abstract symbols of each ``(family, bindings)`` pair with
+    two integrated solutions of its companion system; the pairs share one
+    stepping loop (:func:`integrate_many`).
 
-    The first solution starts at (1, 0), the second at (0, 1); the
-    datum starts at 1, any nonzero scaling being equally valid.
+    The solutions ``y1``, ``y2`` (with ``y1_p``, ``y2_p``) start at
+    (1, 0) and (0, 1).  A family whose Wronskian datum ``w`` is a symbol
+    also gets ``w' = p w`` integrated alongside from 1 (any nonzero
+    scaling is equally valid) and stored under the symbol's name; any
+    other ``w`` evaluates directly.
     """
-    if w_rate is not None:
-        rate = normalize(w_rate)
-        problems = [
-            (LinearSystem(ExprMatrix([list(row) + [0] for row in system.a.rows]
-                                     + [[0] * system.n + [-rate]]), system.table),
-             bindings)
-            for system, bindings in problems
-        ]
-    start = np.eye(problems[0][0].n, 2)
-    if w_rate is not None:
-        start[-1] = 1.0
+    systems = []
+    for family, bindings in problems:
+        system = companion(family)
+        if isinstance(family.w, Sym):
+            system = LinearSystem(
+                ExprMatrix([list(row) + [0] for row in system.a.rows] + [[0, 0, -family.p]]),
+                system.table,
+            )
+        systems.append((system, bindings))
+    start = np.eye(systems[0][0].n, 2)
+    start[2:] = 1.0
+    trajectories = integrate_many(
+        [(system, start, bindings) for system, bindings in systems], interval, h)
     grids = []
-    for traj in integrate_many([(system, start, bindings) for system, bindings in problems],
-                               interval, h):
+    for (family, _), traj in zip(problems, trajectories):
         values: dict[str, np.ndarray] = {}
-        for idx, name in enumerate(names):
+        for idx, name in enumerate(("y1", "y2")):
             values[name] = traj.states[:, 0, idx]
             values[name + "_p"] = traj.states[:, 1, idx]
-        if w_rate is not None:
-            values[w_name] = traj.states[:, -1, 0]
+        if isinstance(family.w, Sym):
+            values[family.w.name] = traj.states[:, 2, 0]
         grids.append(SolutionGrid(traj.xs, values))
     return grids
 
 
 def companion_solution_grid(
-    system: LinearSystem,
-    names: tuple[str, str] = ("y1", "y2"),
+    family: SecondOrderFamily,
     interval: tuple[float, float] = DEFAULT_INTERVAL,
     h: float = DEFAULT_STEP,
     bindings: Mapping[str, complex] | None = None,
-    w_rate: Expr | None = None,
-    w_name: str = "w",
 ) -> SolutionGrid:
     """The one-problem call of :func:`companion_solution_grids`."""
-    (grid,) = companion_solution_grids([(system, bindings)], names, interval, h,
-                                       w_rate, w_name)
+    (grid,) = companion_solution_grids([(family, bindings)], interval, h)
     return grid
 
 

@@ -303,9 +303,9 @@ def hermite(n: int) -> Expr:
 GROUND_STATE = "psi0"
 
 
-def oscillator_table(table: DerivationTable = DerivationTable()) -> DerivationTable:
+def oscillator_table() -> DerivationTable:
     """Register the Gaussian ground-state symbol: psi0' = -x psi0."""
-    return table.extended({GROUND_STATE: -X * Sym(GROUND_STATE)})
+    return DerivationTable({GROUND_STATE: -X * Sym(GROUND_STATE)})
 
 
 def oscillator_states(n: int, order: int = 2) -> tuple[list[list[Expr]], DerivationTable]:

@@ -43,7 +43,6 @@ from .expr import (
     normalize,
     param_coefficients,
     rat,
-    sym,
 )
 from .linsys import (
     ExprMatrix,
@@ -416,17 +415,15 @@ class FundamentalSet:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "table"}
 
 
-def _solution_matrix(family: SecondOrderFamily,
-                     names: Sequence[str]) -> tuple[ExprMatrix, DerivationTable]:
-    """Companion fundamental matrix over abstract solution symbols, with
-    the table that registers their companion rewrite."""
-    (pair1, pair2), table = family.solution_symbols(*names)
+def _solution_matrix(family: SecondOrderFamily) -> tuple[ExprMatrix, DerivationTable]:
+    """Companion fundamental matrix over the abstract solution symbols
+    ``y1``, ``y2``, with the table that registers their companion rewrite."""
+    (pair1, pair2), table = family.solution_symbols("y1", "y2")
     return ExprMatrix([[pair1[0], pair2[0]], [pair1[1], pair2[1]]]), table
 
 
-def orthogonal_lift(family: SecondOrderFamily, route: str,
-                    names: Sequence[str] = ("y1", "y2"),
-                    ) -> tuple[OrthogonalSystem, FundamentalPair]:
+def orthogonal_lift(family: SecondOrderFamily,
+                    route: str) -> tuple[OrthogonalSystem, FundamentalPair]:
     """The route's orthogonal system with a fundamental matrix of it.
 
     The matrix is ``C Sym2(D X)`` for X the companion fundamental matrix
@@ -434,7 +431,7 @@ def orthogonal_lift(family: SecondOrderFamily, route: str,
     it satisfies ``matrix' + A matrix == 0`` exactly.
     """
     r = ROUTES[route]
-    x_mat, table = _solution_matrix(family, names)
+    x_mat, table = _solution_matrix(family)
     z_mat = r.conj @ sym_group(_conjugate(r.balancer(family), x_mat, right=False), 2)
     if not r.balanced:
         z_mat = z_mat.scale(family.w)
@@ -443,9 +440,8 @@ def orthogonal_lift(family: SecondOrderFamily, route: str,
     return ortho, FundamentalPair(z_mat.normalized(), system)
 
 
-def fundamental_matrices(family: SecondOrderFamily,
-                         names: Sequence[str] = ("y1", "y2")) -> FundamentalSet:
-    x_mat, table = _solution_matrix(family, names)
+def fundamental_matrices(family: SecondOrderFamily) -> FundamentalSet:
+    x_mat, table = _solution_matrix(family)
     x_sys = LinearSystem(companion(family).a, table)
     d = delta_gauge(family)
     x1_mat = (d @ x_mat).normalized()
@@ -454,10 +450,10 @@ def fundamental_matrices(family: SecondOrderFamily,
         table=table,
         companion=FundamentalPair(x_mat, x_sys),
         sym2=FundamentalPair(sym_group(x_mat, 2), sym_system(x_sys, 2)),
-        orthogonal=orthogonal_lift(family, "Q", names)[1],
+        orthogonal=orthogonal_lift(family, "Q")[1],
         balanced=FundamentalPair(x1_mat, x1_sys),
         balanced_sym2=FundamentalPair(sym_group(x1_mat, 2), sym_system(x1_sys, 2)),
-        orthogonal2=orthogonal_lift(family, "S", names)[1],
+        orthogonal2=orthogonal_lift(family, "S")[1],
     )
 
 
@@ -466,16 +462,15 @@ def fundamental_matrices(family: SecondOrderFamily,
 # ---------------------------------------------------------------------------
 
 
-def first_integral_orthogonal(names: Sequence[str] = ("alpha", "beta", "gamma")) -> Expr:
-    a, b, c = (Sym(n) for n in names)
+def first_integral_orthogonal() -> Expr:
+    """``alpha^2 + beta^2 + gamma^2``, conserved along any orthogonal flow."""
+    a, b, c = Sym("alpha"), Sym("beta"), Sym("gamma")
     return a * a + b * b + c * c
 
 
-def first_integral_sym2(w: Expr | None = None,
-                        names: Sequence[str] = ("z1", "z2", "z3")) -> Expr:
+def first_integral_sym2(w: Expr) -> Expr:
     """``w^2 (4 z1 z3 - z2^2)``, conserved along any lifted sym2 flow."""
-    z1, z2, z3 = (Sym(n) for n in names)
-    w = w if w is not None else sym("w")
+    z1, z2, z3 = Sym("z1"), Sym("z2"), Sym("z3")
     return w * w * (4 * z1 * z3 - z2 * z2)
 
 

@@ -72,7 +72,6 @@ from darbouxkit.susyqm import (
     partner_potentials,
 )
 from darbouxkit.apps import (
-    FRAME_DATUM,
     FrenetData,
     RigidData,
     application_chain,
@@ -359,14 +358,8 @@ def _random_linear(rng: Random, lo: int, hi: int, slope_den: int = 4):
     return normalize(c0 + c1 * X)
 
 
-def _sweep(app, bindings, w_symbol=None, interval=(0.0, 1.0)):
-    grid = companion_solution_grid(
-        companion(app.family),
-        interval=interval,
-        bindings=bindings,
-        w_rate=app.family.p if w_symbol else None,
-        w_name=w_symbol or "w",
-    )
+def _sweep(app, bindings):
+    grid = companion_solution_grid(app.family, bindings=bindings)
     return residual_sweep(
         app.fundamental.matrix,
         app.fundamental.system,
@@ -422,9 +415,7 @@ def test_criterion_8_applications():
         app = frenet_family(
             FrenetData(_random_linear(rng, 1, 3), -2 * I, "Q", DerivationTable())
         )
-        worst["frenet-q"] = max(
-            worst["frenet-q"], _sweep(app, {"m": m_val}, w_symbol=FRAME_DATUM)
-        )
+        worst["frenet-q"] = max(worst["frenet-q"], _sweep(app, {"m": m_val}))
         app = frenet_family(
             FrenetData(
                 _random_linear(rng, 2, 4),
@@ -461,7 +452,7 @@ def test_criterion_9_oracle_health():
     results = {"rk4-order-ratio-in-12-20": 12.0 <= ratio <= 20.0}
     fset = fundamental_matrices(fam)
     flipped = LinearSystem(so3_system_first(fam).skew(), fset.table)
-    grid = companion_solution_grid(companion(fam), bindings={"m": 0}, w_rate=fam.p)
+    grid = companion_solution_grid(fam, bindings={"m": 0})
     mutated = residual_sweep(
         fset.orthogonal.matrix,
         flipped,

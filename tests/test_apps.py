@@ -20,7 +20,6 @@ from darbouxkit.expr import (
     to_sexpr,
 )
 from darbouxkit.apps import (
-    FRAME_DATUM,
     ChainLink,
     FrameApplication,
     FrenetData,
@@ -30,7 +29,7 @@ from darbouxkit.apps import (
     frenet_family,
     rigid_family,
 )
-from darbouxkit.linsys import ExprMatrix, GaugeMatrix, companion, gauge, residual
+from darbouxkit.linsys import ExprMatrix, GaugeMatrix, gauge, residual
 from darbouxkit.numverify import (
     companion_solution_grid,
     drift,
@@ -257,13 +256,8 @@ def test_chain_steps_stay_skew_with_fixed_perturbation():
 # -- numeric checks ------------------------------------------------------------
 
 
-def _sweep_application(app: FrameApplication, bindings, w_symbol=None):
-    grid = companion_solution_grid(
-        companion(app.family),
-        bindings=bindings,
-        w_rate=app.family.p if w_symbol else None,
-        w_name=w_symbol or "w",
-    )
+def _sweep_application(app: FrameApplication, bindings):
+    grid = companion_solution_grid(app.family, bindings=bindings)
     return residual_sweep(
         app.fundamental.matrix,
         app.fundamental.system,
@@ -278,7 +272,7 @@ def test_frenet_q_route_numeric_sweep():
     table = DerivationTable()
     kappa = normalize(2 + X / 2)
     app = frenet_family(FrenetData(kappa, -2 * I, "Q", table))
-    value = _sweep_application(app, {"m": 0.7}, w_symbol=FRAME_DATUM)
+    value = _sweep_application(app, {"m": 0.7})
     assert value <= 1e-8
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from darbouxkit import cli
 from darbouxkit.cli import main
-from darbouxkit.expr import X, equal, param, parse_sexpr
+from darbouxkit.expr import Radical, X, equal, param, parse_sexpr
 from darbouxkit.linsys import family_from_json, family_to_json
 from conftest import oscillator_family
 
@@ -114,6 +114,15 @@ def test_susy_partners_and_states(capsys):
     assert doc["energies_pretty"][-1] == "6*a"
 
 
+def test_susy_partners_radical_superpotential(capsys):
+    # a radical differentiates through its square, s' = s/(2x), and gets
+    # no derivative tower of its own
+    code, out, _ = _run(capsys, ["susy", "partners", "--w", "(rad s x)"])
+    assert code == 0
+    s = Radical("s", X)
+    assert equal(parse_sexpr(json.loads(out)["v_minus"]), X - s / (2 * X))
+
+
 def test_frenet_build_and_chain(capsys):
     code, out, _ = _run(
         capsys, ["frenet", "build", "--route", "S", "--kappa", "kappa", "--tau", "tau"]
@@ -145,6 +154,21 @@ def test_rigid_build_derives_partner_component(capsys):
 
     fam = family_from_json(doc["family"])
     assert equal(fam.q, 1 - I * sym("w1"))
+
+
+def test_rigid_build_parameter_gets_no_tower(capsys):
+    code, out, _ = _run(capsys, ["rigid", "build", "--route", "S", "--omega1", "m+x"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["family"]["table"] == {}
+    fam = family_from_json(doc["family"])
+    assert equal(fam.q, (param("m") + X) ** 2 / 4)
+
+
+def test_verify_exits_one_on_a_failing_check(capsys):
+    code, out, _ = _run(capsys, ["verify", "--check", "first-integrals", "--tol", "1e-300"])
+    assert code == 1
+    assert json.loads(out)["pass"] is False
 
 
 def test_verify_subset_and_determinism(capsys):

@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import numpy as np
@@ -17,7 +16,8 @@ from darbouxkit.expr import (
     rat,
     sym,
 )
-from darbouxkit.linsys import ExprMatrix, LinearSystem, companion, residual
+from darbouxkit.apps import FRAME_DATUM, FrenetData
+from darbouxkit.linsys import ExprMatrix, LinearSystem, SecondOrderFamily, companion
 from darbouxkit.numverify import (
     _BLOCK,
     SolutionGrid,
@@ -30,21 +30,23 @@ from darbouxkit.numverify import (
     integrate_many,
     residual_sweep,
 )
-from darbouxkit.susyqm import hermite
 from darbouxkit.tensordt import (
     first_integral_orthogonal,
     first_integral_sym2,
     fundamental_matrices,
     so3_system_first,
 )
-from darbouxkit.sympow import sym_group, sym_lie, sym_system
+from darbouxkit.sympow import sym_system
 from conftest import oscillator_family, schrodinger_family
 
 
+def _circle_family():
+    # y'' = -y at m = 0
+    return schrodinger_family(ONE)
+
+
 def _circle_system():
-    # y'' = -y as a companion system
-    fam = schrodinger_family(ONE)
-    return companion(fam)
+    return companion(_circle_family())
 
 
 def test_rk4_against_closed_form_circle():
@@ -212,7 +214,7 @@ def test_integrate_many_rejects_mismatched_problems(second):
 
 def test_sweep_and_drift_report_singular_sample():
     sys = _circle_system()
-    grid = companion_solution_grid(sys, bindings={"m": 0})
+    grid = companion_solution_grid(_circle_family(), bindings={"m": 0})
     with pytest.raises(EvalSingularity, match=r"residual singular at x = 0\.4:"):
         residual_sweep(
             ExprMatrix([[1 / (X - rat(2, 5)), ZERO], [ZERO, ZERO]]),
@@ -228,7 +230,7 @@ def test_sweep_and_drift_report_singular_sample():
 
 def test_residual_sweep_zero_candidate():
     sys = _circle_system()
-    grid = companion_solution_grid(sys, bindings={"m": 0})
+    grid = companion_solution_grid(_circle_family(), bindings={"m": 0})
     value = residual_sweep(
         ExprMatrix.zeros(2),
         LinearSystem(sys.a, sys.table),
@@ -244,8 +246,7 @@ def test_residual_sweep_orthogonal_fundamental():
     # numerically integrated trajectories
     fam = schrodinger_family(ONE)
     fset = fundamental_matrices(fam)
-    sys = companion(fam)
-    grid = companion_solution_grid(sys, bindings={"m": 0}, w_rate=fam.p)
+    grid = companion_solution_grid(fam, bindings={"m": 0})
     pair = fset.orthogonal
     value = residual_sweep(
         pair.matrix,
@@ -265,7 +266,7 @@ def test_residual_sweep_detects_wrong_flow_orientation():
     fset = fundamental_matrices(fam)
     orthosys = so3_system_first(fam)
     flipped = LinearSystem(orthosys.skew(), fset.table)  # A = +skew, not -skew
-    grid = companion_solution_grid(companion(fam), bindings={"m": 0}, w_rate=fam.p)
+    grid = companion_solution_grid(fam, bindings={"m": 0})
     value = residual_sweep(
         fset.orthogonal.matrix,
         flipped,
@@ -281,7 +282,7 @@ def test_lifted_fundamental_tracks_lifted_flow_numerically():
     # the lifted system: d/dx Sym2(Phi) = sym_lie(Phi' Phi^{-1}) Sym2(Phi)
     fam = oscillator_family()
     fset = fundamental_matrices(fam)
-    grid = companion_solution_grid(companion(fam), bindings={"m": -2})
+    grid = companion_solution_grid(fam, bindings={"m": -2})
     value = residual_sweep(
         fset.sym2.matrix,
         LinearSystem(fset.sym2.system.a, fset.table),
@@ -342,12 +343,19 @@ def test_matrix_state_matches_per_column_integration(case):
         assert np.max(np.abs(column.states - alone.states)) <= 1e-13
 
 
+def _growing_datum_family(q):
+    # p = x + 1 with the symbolic Wronskian datum w' = (x + 1) w
+    w = sym("w")
+    return SecondOrderFamily(p=normalize(X + 1), q=normalize(q), r=ONE, w=w,
+                             table=DerivationTable({"w": (X + 1) * w}))
+
+
 def test_companion_grid_matches_per_column_path():
-    system = companion(oscillator_family())
-    rate = normalize(X + 1)
-    grid = companion_solution_grid(system, bindings={"m": 0.5}, w_rate=rate)
+    family = _growing_datum_family(-(X ** 2) + 1)
+    grid = companion_solution_grid(family, bindings={"m": 0.5})
+    system = companion(family)
     aug = LinearSystem(
-        ExprMatrix([list(row) + [0] for row in system.a.rows] + [[0, 0, -rate]]),
+        ExprMatrix([list(row) + [0] for row in system.a.rows] + [[0, 0, -(X + 1)]]),
         system.table,
     )
     for k, name in enumerate(("y1", "y2")):
@@ -361,16 +369,40 @@ def test_companion_grid_matches_per_column_path():
 
 
 def test_companion_grids_match_one_system_at_a_time():
-    system = companion(oscillator_family())
-    rate = normalize(X + 1)
-    pairs = [(system, {"m": 0.5}), (_circle_system(), {"m": 0})]
-    grids = companion_solution_grids(pairs, w_rate=rate)
-    for (one, bindings), grid in zip(pairs, grids, strict=True):
-        alone = companion_solution_grid(one, bindings=bindings, w_rate=rate)
+    pairs = [(_growing_datum_family(-(X ** 2) + 1), {"m": 0.5}),
+             (_growing_datum_family(ONE), {"m": 0})]
+    grids = companion_solution_grids(pairs)
+    for (family, bindings), grid in zip(pairs, grids, strict=True):
+        alone = companion_solution_grid(family, bindings=bindings)
         assert np.array_equal(grid.xs, alone.xs)
         assert grid.values.keys() == alone.values.keys() == {"y1", "y1_p", "y2", "y2_p", "w"}
         for name, values in alone.values.items():
             assert np.array_equal(grid.values[name], values)
+
+
+def test_companion_grid_backs_the_frame_datum():
+    # the Frenet Q family's datum w_frame' = i kappa w_frame is integrated
+    # under its own name; kappa = 2 + x/2 gives exp(i (2x + x^2/4))
+    family = FrenetData(normalize(2 + X / 2), -2 * I, "Q").family()
+    grid = companion_solution_grid(family, bindings={"m": 0.7})
+    assert grid.values.keys() == {"y1", "y1_p", "y2", "y2_p", FRAME_DATUM}
+    exact = np.exp(1j * (2 * grid.xs + grid.xs ** 2 / 4))
+    assert np.max(np.abs(grid.values[FRAME_DATUM] - exact)) <= 1e-10
+
+
+@pytest.mark.parametrize("family", [
+    schrodinger_family(ONE),  # w = 1
+    SecondOrderFamily(p=1 / (X + 1), q=ONE, r=ONE, w=X + 1, table=DerivationTable()),
+])
+def test_companion_grid_without_a_datum_symbol(family):
+    grid = companion_solution_grid(family, bindings={"m": 0})
+    assert grid.values.keys() == {"y1", "y1_p", "y2", "y2_p"}
+
+
+def test_companion_grids_reject_mixed_datum_kinds():
+    with pytest.raises(ValueError, match="problems must share n"):
+        companion_solution_grids([(_circle_family(), {"m": 0}),
+                                  (_growing_datum_family(ONE), {"m": 0})])
 
 
 def test_sample_indices_include_both_endpoints():
