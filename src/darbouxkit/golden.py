@@ -3,7 +3,7 @@
 Named checks re-derive the package's core identities (symbolically
 where exact, numerically through the RK4 oracle elsewhere) and report
 machine-readable results.  Sampled checks draw from a seeded generator
-so runs are reproducible; the seed is recorded in every report.
+so runs are reproducible; each records its seed in its report.
 
 Report schema: {"check", "max_residual", "tolerance", "pass"} plus
 informational extras ("mode" is "max" when the measurement must stay
@@ -13,14 +13,11 @@ below tolerance, "min" when it must exceed it, as in mutation checks).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from random import Random
 from typing import Callable, Iterable
 
 from .expr import (
-    Const,
     DerivationTable,
-    GaussRat,
     I,
     ONE,
     Sym,
@@ -30,6 +27,7 @@ from .expr import (
     differentiate,
     is_zero,
     normalize,
+    param,
     substitute,
     sym,
     symbol_tower,
@@ -76,7 +74,7 @@ from .susyqm import (
     oscillator_states,
     partner_potentials,
 )
-from .apps import FrameApplication, FrenetData, RigidData, frenet_family, rigid_family
+from .apps import FrenetData, RigidData, frenet_family, rigid_family
 from .numverify import (
     companion_solution_grid,
     companion_solution_grids,
@@ -155,15 +153,6 @@ def _unit_family() -> SecondOrderFamily:
     return SecondOrderFamily(p=ZERO, q=ONE, r=ONE, w=ONE, table=DerivationTable())
 
 
-def _random_matrix(rng: Random, n: int = 2) -> ExprMatrix:
-    return ExprMatrix(
-        [
-            [Const(GaussRat(Fraction(rng.randint(-3, 3), rng.choice((1, 2))))) for _ in range(n)]
-            for _ in range(n)
-        ]
-    )
-
-
 # -- individual checks --------------------------------------------------------
 
 
@@ -214,7 +203,6 @@ def check_darboux_gauge(seed: int, config: VerifyConfig) -> dict:
 
 
 def check_sym_power(seed: int, config: VerifyConfig) -> dict:
-    rng = Random(seed)
     p, q, r, w = sym("p"), sym("q"), sym("r"), sym("w")
     s2 = ExprMatrix([[ZERO, const(-1), ZERO], [2 * q, p, const(-2)], [ZERO, q, 2 * p]])
     ok = sym_lie(ExprMatrix([[ZERO, const(-1)], [q, p]]), 2).equals(s2)
@@ -226,17 +214,17 @@ def check_sym_power(seed: int, config: VerifyConfig) -> dict:
     ok = ok and sym_lie(ExprMatrix([[ZERO, ZERO], [-r, ZERO]]), 2).equals(n2)
     n2_hat = ExprMatrix([[ZERO, ZERO, ZERO], [-2 * w * r, ZERO, ZERO], [ZERO, -w * r, ZERO]])
     ok = ok and sym_lie(ExprMatrix([[ZERO, ZERO], [-w * r, ZERO]]), 2).equals(n2_hat)
-    for _ in range(10):
-        m1, m2 = _random_matrix(rng), _random_matrix(rng)
-        ok = ok and sym_group(m1 @ m2, 2).equals(
-            (sym_group(m1, 2) @ sym_group(m2, 2)).normalized()
-        )
+    m1 = ExprMatrix([[param("a"), param("b")], [param("c"), param("d")]])
+    m2 = ExprMatrix([[param("e"), param("f")], [param("g"), param("h")]])
+    ok = ok and sym_group(m1 @ m2, 2).equals(
+        (sym_group(m1, 2) @ sym_group(m2, 2)).normalized()
+    )
     fam = _generic_family()
     (pair1, pair2), table = fam.solution_symbols("y1", "y2")
     fund = ExprMatrix([[pair1[0], pair2[0]], [pair1[1], pair2[1]]])
     base = LinearSystem(companion(fam).a, table)
     ok = ok and residual(sym_system(base, 2), sym_group(fund, 2)).is_zero_matrix()
-    return _exact("sym-power", ok, samples=10, seed=seed)
+    return _exact("sym-power", ok)
 
 
 def check_lifted_transforms(seed: int, config: VerifyConfig) -> dict:
@@ -341,21 +329,6 @@ def check_susy_oscillator(seed: int, config: VerifyConfig) -> dict:
     return _exact("susy-oscillator", ok)
 
 
-def _random_rigid_q(rng: Random) -> FrameApplication:
-    omega2 = normalize(const(Fraction(rng.randint(1, 4))) +
-                       const(Fraction(rng.randint(-2, 2), 4)) * X)
-    return rigid_family(
-        RigidData(normalize(-I * (2 - omega2)), omega2, "Q", DerivationTable())
-    )
-
-
-def _random_frenet_s(rng: Random) -> FrameApplication:
-    kappa = normalize(const(Fraction(rng.randint(2, 4))) +
-                      const(Fraction(rng.randint(-1, 1), 4)) * X)
-    tau = normalize(const(Fraction(rng.randint(-2, 2), 3)) * X)
-    return frenet_family(FrenetData(kappa, tau, "S", DerivationTable()))
-
-
 def check_applications(seed: int, config: VerifyConfig) -> dict:
     rng = Random(seed)
     table = DerivationTable(
@@ -372,19 +345,30 @@ def check_applications(seed: int, config: VerifyConfig) -> dict:
     rigid_s = rigid_family(RigidData(w1, ZERO, "S", table))
     ok = ok and is_zero(rigid_s.family.w + 2 / w1)
     ok = ok and is_zero(rigid_s.family.q - w1 ** 2 / 4)
+    # one application per sampled route, over the sample's parameters:
+    # the route constraint and the lift then hold for every binding
+    a, b, c, d, e = (param(name) for name in "abcde")
+    omega2 = a + b * X
+    rigid = rigid_family(RigidData(normalize(-I * (2 - omega2)), normalize(omega2), "Q"))
+    frenet = frenet_family(FrenetData(normalize(c + d * X), normalize(e * X), "S"))
+    for app in (rigid, frenet):
+        ok = ok and residual(app.fundamental.system, app.fundamental.matrix).is_zero_matrix()
     if not ok:
         return _exact("applications", False, seed=seed)
-    # five rigid Q then five Frenet S instances, each drawn with its m
-    cases = [(make_app(rng), rng.uniform(-1, 1))
-             for make_app in [_random_rigid_q] * 5 + [_random_frenet_s] * 5]
+    # five rigid Q then five Frenet S bindings, each drawn with its m
+    cases = [(rigid, {"a": rng.randint(1, 4), "b": rng.randint(-2, 2) / 4,
+                      "m": rng.uniform(-1, 1)}) for _ in range(5)]
+    cases += [(frenet, {"c": rng.randint(2, 4), "d": rng.randint(-1, 1) / 4,
+                        "e": rng.randint(-2, 2) / 3, "m": rng.uniform(-1, 1)})
+              for _ in range(5)]
     grids = companion_solution_grids(
-        [(app.family, {"m": m}) for app, m in cases], config.interval, config.step,
+        [(app.family, bindings) for app, bindings in cases], config.interval, config.step,
     )
     indices = grids[0].sample_indices(5)
     worst = max(
         residual_sweep(app.fundamental.matrix, app.fundamental.system, grid, indices,
-                       bindings={"m": m})
-        for (app, m), grid in zip(cases, grids)
+                       bindings)
+        for (app, bindings), grid in zip(cases, grids)
     )
     return _report("applications", float(worst), config.tolerance,
                    seed=seed, samples=len(indices))

@@ -15,7 +15,6 @@ from darbouxkit.expr import (
     ONE,
     Sym,
     X,
-    const,
     normalize,
     sym,
     symbol_tower,

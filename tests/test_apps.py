@@ -1,5 +1,3 @@
-import math
-
 import pytest
 
 from darbouxkit.expr import (
@@ -13,6 +11,7 @@ from darbouxkit.expr import (
     equal,
     is_zero,
     normalize,
+    param,
     rat,
     substitute,
     sym,
@@ -20,7 +19,6 @@ from darbouxkit.expr import (
     to_sexpr,
 )
 from darbouxkit.apps import (
-    ChainLink,
     FrameApplication,
     FrenetData,
     RigidData,
@@ -29,7 +27,7 @@ from darbouxkit.apps import (
     frenet_family,
     rigid_family,
 )
-from darbouxkit.linsys import ExprMatrix, GaugeMatrix, gauge, residual
+from darbouxkit.linsys import ExprMatrix, GaugeMatrix, gauge
 from darbouxkit.numverify import (
     companion_solution_grid,
     drift,
@@ -306,6 +304,23 @@ def test_rigid_s_route_numeric():
     app = rigid_family(RigidData(normalize(2 + X / 2), ZERO, "S", DerivationTable()))
     value = _sweep_application(app, {"m": -0.6})
     assert value <= 1e-8
+
+
+def test_parametric_rigid_q_sweep_fails_on_one_wrong_binding():
+    # one application over params a, b; its grid is integrated at one
+    # binding, and changing a, b or m alone must fail the sweep
+    omega2 = param("a") + param("b") * X
+    app = rigid_family(RigidData(normalize(-I * (2 - omega2)), normalize(omega2), "Q"))
+    bindings = {"a": 2, "b": 0.25, "m": 0.4}
+    grid = companion_solution_grid(app.family, bindings=bindings)
+
+    def sweep(**changed):
+        return residual_sweep(app.fundamental.matrix, app.fundamental.system, grid,
+                              grid.sample_indices(5), {**bindings, **changed})
+
+    assert sweep() <= 1e-8
+    for changed in ({"a": 3}, {"b": -0.25}, {"m": -0.4}):
+        assert sweep(**changed) > 1e-2, changed
 
 
 def test_explicit_seed_chain_certifies_each_step_at_its_level():

@@ -3,7 +3,6 @@ import pytest
 from darbouxkit.expr import (
     DerivationTable,
     ONE,
-    Param,
     Sym,
     X,
     ZERO,
@@ -19,8 +18,6 @@ from darbouxkit.expr import (
     symbol_tower,
 )
 from darbouxkit.darboux import (
-    ChainStep,
-    DarbouxSeed,
     SeedNotSolution,
     attach_generic_seed,
     darboux_chain,
@@ -30,14 +27,12 @@ from darbouxkit.darboux import (
     make_seed,
     potential_compact,
     potential_shift,
-    riccati_defect,
     transformed_companion,
 )
 from darbouxkit.linsys import (
     ExprMatrix,
     SecondOrderFamily,
     companion,
-    residual,
 )
 from conftest import generic_family, oscillator_family, schrodinger_family
 

@@ -2,7 +2,6 @@ import pytest
 
 from darbouxkit.expr import (
     DerivationTable,
-    I,
     ONE,
     X,
     ZERO,
@@ -28,7 +27,6 @@ from darbouxkit.linsys import (
 from darbouxkit.sympow import sym_group
 from conftest import (
     generic_family,
-    generic_table,
     oscillator_family,
     random_rational_matrix,
 )

@@ -277,6 +277,41 @@ def test_residual_sweep_detects_wrong_flow_orientation():
     assert value >= 1e-2
 
 
+def _sweep_orthogonal_fundamental(grid, m):
+    pair = fundamental_matrices(schrodinger_family(ONE)).orthogonal
+    return residual_sweep(pair.matrix, pair.system, grid, grid.sample_indices(5), {"m": m})
+
+
+def test_residual_sweep_fails_on_a_grid_integrated_at_another_m():
+    grid = companion_solution_grid(schrodinger_family(ONE), bindings={"m": 0.3})
+    assert _sweep_orthogonal_fundamental(grid, 0.3) <= 1e-8
+    assert _sweep_orthogonal_fundamental(grid, -0.7) > 1e-2
+
+
+def test_residual_sweep_fails_on_a_grid_of_noise():
+    # the sweep reads the candidate's derivative off the grid, so values
+    # that solve nothing cannot pass it
+    grid = companion_solution_grid(schrodinger_family(ONE), bindings={"m": 0.3})
+    rng = np.random.default_rng(7)
+    shape = grid.xs.shape
+    noise = SolutionGrid(grid.xs, {
+        name: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for name in grid.values
+    })
+    assert _sweep_orthogonal_fundamental(noise, 0.3) > 1e-2
+
+
+def test_residual_sweep_needs_seven_grid_points():
+    family = schrodinger_family(ONE)
+    six = companion_solution_grid(family, (0.0, 1.0), 0.2, {"m": 0})
+    assert len(six.xs) == 6
+    with pytest.raises(ValueError, match="at least 7 grid points"):
+        _sweep_orthogonal_fundamental(six, 0)
+    seven = companion_solution_grid(family, (0.0, 1.0), 1 / 6, {"m": 0})
+    assert len(seven.xs) == 7
+    assert np.isfinite(_sweep_orthogonal_fundamental(seven, 0))
+
+
 def test_lifted_fundamental_tracks_lifted_flow_numerically():
     # the symmetric square of an integrated fundamental matrix solves
     # the lifted system: d/dx Sym2(Phi) = sym_lie(Phi' Phi^{-1}) Sym2(Phi)

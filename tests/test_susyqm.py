@@ -3,7 +3,6 @@ import pytest
 from darbouxkit.expr import (
     DerivationTable,
     ONE,
-    Param,
     Sym,
     X,
     ZERO,
@@ -20,7 +19,6 @@ from darbouxkit.expr import (
 from darbouxkit.darboux import darboux_potential, make_seed
 from darbouxkit.linsys import ExprMatrix, SecondOrderFamily
 from darbouxkit.susyqm import (
-    FirstOrderOp,
     NotShapeInvariant,
     ParametricPotential,
     UnsupportedOrder,
@@ -28,15 +26,13 @@ from darbouxkit.susyqm import (
     lowering_op,
     matrix_formalism,
     oscillator_states,
-    oscillator_table,
     partner_potentials,
     raising_op,
     shape_invariance,
     spectrum_sum,
     superpotential,
 )
-from darbouxkit.tensordt import lifted_factors, lifted_matrix, p1_explicit
-from conftest import schrodinger_family
+from darbouxkit.tensordt import lifted_factors, lifted_matrix
 
 
 def test_superpotential_examples():

@@ -3,14 +3,12 @@ from fractions import Fraction
 from darbouxkit.expr import (
     Const,
     DerivationTable,
-    GaussRat,
     ONE,
     X,
     ZERO,
     const,
     differentiate,
     equal,
-    evaluate,
     is_zero,
     sym,
     symbol_tower,
@@ -187,8 +185,6 @@ def test_sym_power_vector_weights():
 
 
 def test_sym2_operator_schrodinger_shape():
-    from conftest import schrodinger_family
-
     table = DerivationTable(symbol_tower("q", 2))
     fam = SecondOrderFamily(
         p=ZERO, q=sym("q"), r=ONE, w=ONE, table=table

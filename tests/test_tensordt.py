@@ -5,9 +5,7 @@ from darbouxkit.expr import (
     I,
     ONE,
     Sym,
-    X,
     ZERO,
-    const,
     differentiate,
     equal,
     is_zero,
@@ -25,7 +23,7 @@ from darbouxkit.linsys import (
     gauge,
     residual,
 )
-from darbouxkit.sympow import sym_group, sym_lie, sym_system
+from darbouxkit.sympow import sym_lie, sym_system
 from darbouxkit.darboux import attach_generic_seed, darboux_potential, make_seed
 from darbouxkit.tensordt import (
     NotTraceless,
@@ -60,7 +58,7 @@ from darbouxkit.tensordt import (
     t1_explicit,
     t2_explicit,
 )
-from conftest import generic_family, oscillator_family, schrodinger_family
+from conftest import generic_family
 
 
 import functools
