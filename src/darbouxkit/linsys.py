@@ -8,6 +8,7 @@ no sign ever changes silently.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -86,21 +87,16 @@ class ExprMatrix:
     def __iter__(self):
         return iter(self.rows)
 
+    def _entrywise(self, other: "ExprMatrix", op) -> "ExprMatrix":
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("matrix size mismatch")
+        return ExprMatrix([map(op, ra, rb) for ra, rb in zip(self.rows, other.rows)])
+
     def __add__(self, other: "ExprMatrix") -> "ExprMatrix":
-        return ExprMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        )
+        return self._entrywise(other, operator.add)
 
     def __sub__(self, other: "ExprMatrix") -> "ExprMatrix":
-        return ExprMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        )
+        return self._entrywise(other, operator.sub)
 
     def __matmul__(self, other: "ExprMatrix") -> "ExprMatrix":
         if self.ncols != other.nrows:

@@ -256,11 +256,21 @@ class SolutionGrid:
 
     ``values`` maps each symbol name to its values at the grid points
     ``xs``, including derived symbols such as an integrated Wronskian
-    datum; :func:`companion_solution_grid` builds one.
+    datum; :func:`companion_solution_grid` builds one.  The points must
+    be strictly increasing and evenly spaced (to within a millionth of
+    the step), as :func:`residual_sweep`'s difference stencil assumes.
     """
 
     xs: np.ndarray
     values: dict[str, np.ndarray]
+
+    def __post_init__(self):
+        count = len(self.xs)
+        if count > 1:
+            step = (self.xs[-1] - self.xs[0]) / (count - 1)
+            even = np.linspace(self.xs[0], self.xs[-1], count)
+            if not (step > 0 and np.all(np.abs(self.xs - even) <= 1e-6 * step)):
+                raise ValueError("grid points must be strictly increasing and evenly spaced")
 
     def sample_indices(self, count: int) -> list[int]:
         """``count + 1`` grid indices splitting the grid into ``count``

@@ -25,6 +25,7 @@ from darbouxkit.expr import (
     equal,
     is_zero,
     normalize,
+    param,
     substitute,
     sym,
     symbol_tower,
@@ -80,6 +81,7 @@ from darbouxkit.apps import (
 )
 from darbouxkit.numverify import (
     companion_solution_grid,
+    companion_solution_grids,
     convergence_ratio,
     drift,
     integrate,
@@ -339,7 +341,6 @@ def test_criterion_7_susy_oscillator():
             is_zero(a - b) for a, b in zip(h_state, e_state)
         )
     results["ladder-eigenstates-n-le-5"] = ladder_ok
-    from darbouxkit.expr import param
     from darbouxkit.susyqm import ParametricPotential, spectrum_sum
 
     a = param("a")
@@ -352,20 +353,13 @@ def test_criterion_7_susy_oscillator():
     _criterion(7, "supersymmetric oscillator formalism", results)
 
 
-def _random_linear(rng: Random, lo: int, hi: int, slope_den: int = 4):
-    c0 = Const(Fraction(rng.randint(lo, hi)))
-    c1 = Const(Fraction(rng.randint(-1, 1), slope_den))
-    return normalize(c0 + c1 * X)
-
-
-def _sweep(app, bindings):
-    grid = companion_solution_grid(app.family, bindings=bindings)
-    return residual_sweep(
-        app.fundamental.matrix,
-        app.fundamental.system,
-        grid,
-        grid.sample_indices(5),
-        bindings=bindings,
+def _worst_sweep(app, samples):
+    # the samples share one family, so they share one stepping loop
+    grids = companion_solution_grids([(app.family, bindings) for bindings in samples])
+    return max(
+        residual_sweep(app.fundamental.matrix, app.fundamental.system, grid,
+                       grid.sample_indices(5), bindings=bindings)
+        for bindings, grid in zip(samples, grids)
     )
 
 
@@ -407,35 +401,32 @@ def test_criterion_8_applications():
     results["frenet-step1-transform"] = frenet_links[0].transform.equals(
         t2_explicit(f_fam, f_seed)
     )
-    # numeric sweeps: five random parameter samples on each route
+    # each route built once over parameters, so its lift is proved exact
+    # for every binding; then swept at five random bindings per route
+    a, b, c = param("a"), param("b"), param("c")
+    linear = normalize(a + b * X)
+    routes = {
+        "frenet-q": frenet_family(FrenetData(linear, -2 * I, "Q")),
+        "frenet-s": frenet_family(FrenetData(linear, normalize(c * X), "S")),
+        "rigid-q": rigid_family(RigidData(normalize(-I * (2 - linear)), linear, "Q")),
+        "rigid-s": rigid_family(RigidData(linear, ZERO, "S")),
+    }
+    # five rounds, each drawing one m and then one binding per route
     rng = Random(SEED)
-    worst = {"frenet-q": 0.0, "frenet-s": 0.0, "rigid-q": 0.0, "rigid-s": 0.0}
+    samples = {route: [] for route in routes}
     for _ in range(5):
         m_val = rng.uniform(-1, 1)
-        app = frenet_family(
-            FrenetData(_random_linear(rng, 1, 3), -2 * I, "Q", DerivationTable())
-        )
-        worst["frenet-q"] = max(worst["frenet-q"], _sweep(app, {"m": m_val}))
-        app = frenet_family(
-            FrenetData(
-                _random_linear(rng, 2, 4),
-                normalize(Const(Fraction(rng.randint(-2, 2), 3)) * X),
-                "S",
-                DerivationTable(),
-            )
-        )
-        worst["frenet-s"] = max(worst["frenet-s"], _sweep(app, {"m": m_val}))
-        omega2 = _random_linear(rng, 1, 4)
-        app = rigid_family(
-            RigidData(normalize(-I * (2 - omega2)), omega2, "Q", DerivationTable())
-        )
-        worst["rigid-q"] = max(worst["rigid-q"], _sweep(app, {"m": m_val}))
-        app = rigid_family(
-            RigidData(_random_linear(rng, 2, 4), ZERO, "S", DerivationTable())
-        )
-        worst["rigid-s"] = max(worst["rigid-s"], _sweep(app, {"m": m_val}))
-    for route, value in worst.items():
-        results[f"sweep-{route}-below-1e-8"] = value <= 1e-8
+        for route, (lo, hi) in (("frenet-q", (1, 3)), ("frenet-s", (2, 4)),
+                                ("rigid-q", (1, 4)), ("rigid-s", (2, 4))):
+            bindings = {"m": m_val, "a": rng.randint(lo, hi), "b": rng.randint(-1, 1) / 4}
+            if route == "frenet-s":
+                bindings["c"] = rng.randint(-2, 2) / 3
+            samples[route].append(bindings)
+    for route, app in routes.items():
+        results[f"{route}-lift-exact"] = residual(
+            app.fundamental.system, app.fundamental.matrix
+        ).is_zero_matrix()
+        results[f"sweep-{route}-below-1e-8"] = _worst_sweep(app, samples[route]) <= 1e-8
     _criterion(8, "frame and rigid-solid applications", results)
 
 

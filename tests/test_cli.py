@@ -2,10 +2,10 @@ import json
 
 import pytest
 
-from darbouxkit import cli
+from darbouxkit import cli, golden
 from darbouxkit.cli import main
 from darbouxkit.expr import Radical, X, equal, param, parse_sexpr
-from darbouxkit.linsys import family_from_json, family_to_json
+from darbouxkit.linsys import ExprMatrix, family_from_json, family_to_json
 from conftest import oscillator_family
 
 
@@ -230,6 +230,7 @@ def test_verify_all_passes(capsys, tmp_path):
     assert {"darboux-covariance", "lifted-transforms", "applications"} <= names
     for report in doc["checks"]:
         assert set(report) >= {"check", "max_residual", "tolerance", "pass"}
+        assert not {"identity", "residual"} & set(report)
 
 
 def test_console_script_entry_point(tmp_path):
@@ -258,6 +259,33 @@ def test_verify_rejects_bad_step(capsys, step):
     assert code == 2
     assert out == ""
     assert json.loads(err)["detail"].startswith("step must be finite and positive")
+
+
+@pytest.mark.parametrize("flag", ["--interval=0,inf", "--interval=-inf,0", "--interval=nan,1",
+                                  "--interval=1,0", "--tol=nan"])
+def test_verify_rejects_bad_interval_and_tolerance(capsys, flag):
+    code, out, err = _run(capsys, ["verify", "--check", "rk4-closed-form", flag])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "bad-input"
+
+
+def test_verify_names_the_failing_identity(capsys, monkeypatch):
+    real = golden.p1_explicit
+
+    def shifted(family, seed):
+        rows = [list(row) for row in real(family, seed).rows]
+        rows[0][0] = rows[0][0] + 1
+        return ExprMatrix(rows)
+
+    monkeypatch.setattr(golden, "p1_explicit", shifted)
+    code, out, _ = _run(capsys, ["verify", "--check", "lifted-transforms"])
+    assert code == 1
+    (report,) = json.loads(out)["checks"]
+    assert report == {
+        "check": "lifted-transforms", "max_residual": 1.0, "tolerance": 0.0,
+        "pass": False, "mode": "max", "identity": "P1 closed form", "residual": "-1",
+    }
 
 
 def test_seed_failure_exit_code(capsys, oscillator_json):

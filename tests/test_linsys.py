@@ -99,6 +99,17 @@ def test_gauge_diagonal_w_gives_traceless_form():
     assert is_zero(gauged.a.trace())
 
 
+def test_entrywise_arithmetic_rejects_mismatched_shapes():
+    square = ExprMatrix([[1, 2], [3, 4]])
+    for other in (ExprMatrix([[1]]), ExprMatrix([[1, 2]]), ExprMatrix([[1], [2]])):
+        with pytest.raises(ValueError, match="size mismatch"):
+            square - other
+        with pytest.raises(ValueError, match="size mismatch"):
+            square + other
+    assert (square - square).is_zero_matrix()
+    assert (square + square).equals(square.scale(2))
+
+
 def test_gauge_singular_rejected():
     with pytest.raises(SingularGauge):
         GaugeMatrix(ExprMatrix([[ONE, ONE], [ONE, ONE]]))

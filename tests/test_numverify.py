@@ -312,6 +312,28 @@ def test_residual_sweep_needs_seven_grid_points():
     assert np.isfinite(_sweep_orthogonal_fundamental(seven, 0))
 
 
+def _exact_circle_grid(xs):
+    # cos x and sin x solve y'' = -y exactly
+    return SolutionGrid(xs, {"y1": np.cos(xs), "y1_p": -np.sin(xs),
+                             "y2": np.sin(xs), "y2_p": np.cos(xs)})
+
+
+def test_solution_grid_rejects_uneven_points():
+    # the sweep's difference stencil assumes an even grid: on the squared
+    # points below, the exact solutions would sweep at about 156
+    family = _circle_family()
+    (y1, y2), _ = family.solution_symbols("y1", "y2")
+    fundamental = ExprMatrix([[y1[0], y2[0]], [y1[1], y2[1]]])
+    even = np.linspace(0.0, 1.0, 101)
+    grid = _exact_circle_grid(even)
+    value = residual_sweep(fundamental, companion(family), grid, grid.sample_indices(5),
+                           {"m": 0})
+    assert value <= 1e-10
+    for xs in (even ** 2, even[::-1], np.r_[0.0, 0.0, 1.0]):
+        with pytest.raises(ValueError, match="evenly spaced"):
+            _exact_circle_grid(xs)
+
+
 def test_lifted_fundamental_tracks_lifted_flow_numerically():
     # the symmetric square of an integrated fundamental matrix solves
     # the lifted system: d/dx Sym2(Phi) = sym_lie(Phi' Phi^{-1}) Sym2(Phi)
