@@ -15,7 +15,7 @@ from darbouxkit import (
     application_chain,
     companion_solution_grid,
     drift,
-    frenet_family,
+    generic_seed,
     integrate,
     normalize,
     residual_sweep,
@@ -23,20 +23,18 @@ from darbouxkit import (
     symbol_tower,
     to_pretty,
 )
-from darbouxkit.tensordt import first_integral_orthogonal
+from darbouxkit.tensordt import first_integral_orthogonal, orthogonal_lift
 
 
 def main() -> None:
     table = DerivationTable({**symbol_tower("kappa", 4), **symbol_tower("tau", 4)})
-    symbolic = frenet_family(
-        FrenetData(sym("kappa"), sym("tau"), "S", table)
-    )
+    symbolic = FrenetData(sym("kappa"), sym("tau"), "S", table).family()
     print("frame family (symbolic curvature and torsion):")
-    print("  p =", to_pretty(symbolic.family.p))
-    print("  q =", to_pretty(symbolic.family.q))
-    print("  w =", to_pretty(symbolic.family.w))
+    print("  p =", to_pretty(symbolic.p))
+    print("  q =", to_pretty(symbolic.q))
+    print("  w =", to_pretty(symbolic.w))
 
-    links = application_chain(symbolic, "generic", 1)
+    links = application_chain(symbolic, "S", generic_seed, 1)
     t = links[0].transform
     seed = links[0].seed
     print("\nstep-1 transformation (compact views):")
@@ -46,11 +44,12 @@ def main() -> None:
 
     kappa = normalize(2 + X / 2)
     tau = normalize(X / 3)
-    app = frenet_family(FrenetData(kappa, tau, "S", DerivationTable()))
-    grid = companion_solution_grid(app.family, bindings={"m": 0.5})
+    family = FrenetData(kappa, tau, "S", DerivationTable()).family()
+    ortho, pair = orthogonal_lift(family, "S")
+    grid = companion_solution_grid(family, bindings={"m": 0.5})
     value = residual_sweep(
-        app.fundamental.matrix,
-        app.fundamental.system,
+        pair.matrix,
+        pair.system,
         grid,
         grid.sample_indices(5),
         bindings={"m": 0.5},
@@ -58,7 +57,7 @@ def main() -> None:
     print(f"\nconcrete profile kappa = {to_pretty(kappa)}, tau = {to_pretty(tau)}:")
     print(f"  fundamental-matrix residual along integrated solutions: {value:.3e}")
 
-    traj = integrate(app.orthogonal.system(), [1.0, 0.5j, -0.25], (0.0, 1.0), 1e-3,
+    traj = integrate(ortho.system(), [1.0, 0.5j, -0.25], (0.0, 1.0), 1e-3,
                      {"m": 0.5})
     value = drift(first_integral_orthogonal(), traj, ("alpha", "beta", "gamma"))
     print(f"  quadratic-invariant drift along the flow:               {value:.3e}")

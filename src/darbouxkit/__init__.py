@@ -59,6 +59,7 @@ from .darboux import (
     darboux_gauge,
     darboux_potential,
     darboux_solution,
+    generic_seed,
     make_seed,
 )
 from .tensordt import (
@@ -89,8 +90,6 @@ from .apps import (
     FrenetData,
     RigidData,
     application_chain,
-    frenet_family,
-    rigid_family,
 )
 from .numverify import (
     Trajectory,

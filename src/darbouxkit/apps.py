@@ -1,12 +1,12 @@
 """Frame and rigid-solid applications of the orthogonal lifts.
 
-Maps curvature/torsion data (moving frames) and planar angular-velocity
-data (the Poisson kinematic equation) onto the two orthogonal routes,
-producing the second-order family, the parametric orthogonal system,
-and the fundamental matrix for each; builds their transformation
-chains.  What a route lifts to is defined in ``tensordt.ROUTES``; this
-module only maps each application's data to a family on its route
-(``FrenetData.family``/``RigidData.family``, which build nothing else).
+An application is a second-order family on an orthogonal route.
+``FrenetData.family`` maps curvature/torsion data (moving frames) and
+``RigidData.family`` maps planar angular-velocity data (the Poisson
+kinematic equation) to that family; neither builds anything else.  What
+a route lifts to is defined in ``tensordt.ROUTES``; a caller that reads
+the lift builds it with ``tensordt.orthogonal_lift(family, route)``.
+``application_chain`` lifts ``darboux_chain`` along a route.
 
 Both applications restrict to r = 1.  The frame antiderivative datum
 ``exp(i * integral of kappa)`` is a registered symbol with derivative
@@ -17,7 +17,7 @@ logarithmic derivative ever enters a formula.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable
 
 from .expr import (
     DerivationTable,
@@ -33,8 +33,8 @@ from .expr import (
     normalize,
 )
 from .linsys import ExprMatrix, SecondOrderFamily
-from .darboux import DarbouxSeed, attach_generic_seed, auto_level_seed, darboux_chain
-from .tensordt import ROUTES, FundamentalPair, OrthogonalSystem, lifted_matrix, orthogonal_lift
+from .darboux import DarbouxSeed, darboux_chain
+from .tensordt import ROUTES, OrthogonalSystem, lifted_matrix
 
 
 class RouteConstraintViolated(KitError):
@@ -134,28 +134,6 @@ class RigidData:
         )
 
 
-@dataclass(frozen=True)
-class FrameApplication:
-    """One application instance: family, orthogonal system, fundamental pair."""
-
-    route: str
-    family: SecondOrderFamily
-    orthogonal: OrthogonalSystem
-    fundamental: FundamentalPair
-
-
-def frenet_family(data: FrenetData) -> FrameApplication:
-    """``data.family()`` with its route's orthogonal system and fundamental pair."""
-    family = data.family()
-    return FrameApplication(data.route, family, *orthogonal_lift(family, data.route))
-
-
-def rigid_family(data: RigidData) -> FrameApplication:
-    """``data.family()`` with its route's orthogonal system and fundamental pair."""
-    family = data.family()
-    return FrameApplication(data.route, family, *orthogonal_lift(family, data.route))
-
-
 def _log_derivative(e: Expr, table: DerivationTable) -> Expr:
     return normalize(differentiate(e, table) / e)
 
@@ -169,38 +147,26 @@ class ChainLink:
 
 
 def application_chain(
-    app: FrameApplication,
-    seeds: Sequence[Expr] | str,
+    family: SecondOrderFamily,
+    route: str,
+    seed_rule: Callable[[SecondOrderFamily, int], tuple[SecondOrderFamily, DarbouxSeed]],
     k: int,
 ) -> list[ChainLink]:
     """Iterate the orthogonal transformation ``k`` times along a route.
 
-    The scalar chain is ``darboux_chain``; each of its steps is mapped
-    to a link carrying the route's orthogonal lift of the family and the
-    transformation matrix that leaves it (``lifted_matrix``).  ``seeds`` is one
-    log-derivative expression per step, certified by ``auto_level_seed``
-    at whatever parameter value it solves the current step's scalar
-    equation for (levels shift along a chain), or the string "generic"
-    to adjoin a Riccati-certified seed symbol ``theta0_i`` at step i.
+    The scalar chain is ``darboux_chain(family, seed_rule, k)``, with its
+    seed-rule contract (``darboux.generic_seed`` adjoins ``theta0_i`` at
+    step i).  Each of its steps is mapped to a link carrying the route's
+    orthogonal system of the family and the transformation matrix that
+    leaves it (``lifted_matrix``).  No fundamental matrix is built.
     """
-    generic = isinstance(seeds, str)
-    if generic and seeds != "generic":
-        raise ValueError("string seed spec must be 'generic'")
-    if not generic and k > len(seeds):
-        raise ValueError("not enough seeds for the requested chain length")
-
-    def seed_rule(family, idx):
-        if generic:
-            return attach_generic_seed(family, name=f"theta0_{idx}")
-        return family, auto_level_seed(family, seeds[idx])
-
-    lift = ROUTES[app.route].system
+    lift = ROUTES[route].system
     return [
         ChainLink(
             step.family,
             lift(step.family),
             step.seed,
-            None if step.seed is None else lifted_matrix(step.family, step.seed, app.route),
+            None if step.seed is None else lifted_matrix(step.family, step.seed, route),
         )
-        for step in darboux_chain(app.family, seed_rule, k)
+        for step in darboux_chain(family, seed_rule, k)
     ]

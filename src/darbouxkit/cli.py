@@ -50,9 +50,10 @@ from .darboux import (
     darboux_chain,
     darboux_gauge,
     darboux_potential,
+    generic_seed,
     make_seed,
 )
-from .tensordt import ROUTES, OmegaOneZero, OrthogonalSystem, lifted_matrix, so3_to_riccati
+from .tensordt import ROUTES, OmegaOneZero, OrthogonalSystem, orthogonal_lift, so3_to_riccati
 from .susyqm import (
     ParametricPotential,
     hermite,
@@ -62,13 +63,7 @@ from .susyqm import (
     shape_invariance,
     spectrum_sum,
 )
-from .apps import (
-    FrenetData,
-    RigidData,
-    application_chain,
-    frenet_family,
-    rigid_family,
-)
+from .apps import FrenetData, RigidData, application_chain
 from .golden import CHECKS, DEFAULT_CONFIG, DEFAULT_SEED, VerifyConfig, run_checks
 
 log = logging.getLogger("darbouxkit")
@@ -134,6 +129,12 @@ def _theta0_for(family: SecondOrderFamily, text: str) -> tuple[SecondOrderFamily
     return replace(family, table=_tower_table_for([theta0], base=family.table)), theta0
 
 
+def _fixed_seed(theta0: Expr):
+    """Chain seed rule: certify ``theta0`` at every step, at whatever
+    parameter value it solves there (``auto_level_seed``)."""
+    return lambda family, _: (family, auto_level_seed(family, theta0))
+
+
 def _seed_for(family: SecondOrderFamily, args) -> tuple[SecondOrderFamily, object]:
     if args.theta0 == "generic":
         return attach_generic_seed(family)
@@ -170,9 +171,7 @@ def cmd_darboux_apply(args) -> dict:
 
 def cmd_darboux_chain(args) -> dict:
     family, theta0 = _theta0_for(_load_family(args.family), args.theta0)
-    steps = darboux_chain(
-        family, lambda fam, _: (fam, auto_level_seed(fam, theta0)), args.k
-    )
+    steps = darboux_chain(family, _fixed_seed(theta0), args.k)
     return {
         "command": "darboux chain",
         "k": args.k,
@@ -219,11 +218,6 @@ def _so3_family_from_args(args) -> SecondOrderFamily:
     return _application_data_from_args(args).family()
 
 
-def _application_from_args(args):
-    data = _application_data_from_args(args)
-    return (rigid_family if isinstance(data, RigidData) else frenet_family)(data)
-
-
 def _application_data_from_args(args):
     route = args.route
     if args.rigid:
@@ -267,17 +261,16 @@ def cmd_so3_lift(args) -> dict:
 
 
 def cmd_so3_darboux(args) -> dict:
-    family, seed = _seed_for(_so3_family_from_args(args), args)
-    lift = ROUTES[args.route].system
-    t_mat = lifted_matrix(family, seed, args.route)
-    new_family = darboux_potential(family, seed)
+    base, moved = application_chain(
+        _so3_family_from_args(args), args.route, lambda fam, _: _seed_for(fam, args), 1
+    )
     return {
         "command": "so3 darboux",
         "route": args.route,
-        "theta0": to_sexpr(seed.theta0),
-        "transform": _matrix_json(t_mat),
-        "base_system": system_to_json(lift(family).system()),
-        "transformed_system": system_to_json(lift(new_family).system()),
+        "theta0": to_sexpr(base.seed.theta0),
+        "transform": _matrix_json(base.transform),
+        "base_system": system_to_json(base.orthogonal.system()),
+        "transformed_system": system_to_json(moved.orthogonal.system()),
     }
 
 
@@ -326,6 +319,8 @@ def cmd_susy_partners(args) -> dict:
 
 
 def cmd_susy_spectrum(args) -> dict:
+    if args.n < 0:
+        raise InputError(f"number of ladder steps must be nonnegative, got {args.n}")
     w = _expr_flag(args.w, params=(args.a,))
     f = _expr_flag(args.f, params=(args.a,))
     remainder = _expr_flag(args.remainder, params=(args.a,)) if args.remainder else None
@@ -359,29 +354,27 @@ def cmd_susy_states(args) -> dict:
 
 
 def cmd_application_build(args) -> dict:
-    app = _application_from_args(args)
+    family = _application_data_from_args(args).family()
+    ortho, fundamental = orthogonal_lift(family, args.route)
     return {
         "command": f"{args.command} build",
-        "route": app.route,
-        "family": family_to_json(app.family),
-        "orthogonal": {
-            **_vector_json(app.orthogonal),
-            "system": system_to_json(app.orthogonal.system()),
-        },
-        "fundamental_matrix": _matrix_json(app.fundamental.matrix),
+        "route": args.route,
+        "family": family_to_json(family),
+        "orthogonal": {**_vector_json(ortho), "system": system_to_json(ortho.system())},
+        "fundamental_matrix": _matrix_json(fundamental.matrix),
     }
 
 
 def cmd_application_chain(args) -> dict:
-    app = _application_from_args(args)
-    seeds = "generic"
+    family = _application_data_from_args(args).family()
+    rule = generic_seed
     if args.theta0 != "generic":
-        family, theta0 = _theta0_for(app.family, args.theta0)
-        app, seeds = replace(app, family=family), [theta0] * args.k
-    links = application_chain(app, seeds, args.k)
+        family, theta0 = _theta0_for(family, args.theta0)
+        rule = _fixed_seed(theta0)
+    links = application_chain(family, args.route, rule, args.k)
     return {
         "command": f"{args.command} chain",
-        "route": app.route,
+        "route": args.route,
         "k": args.k,
         "steps": [
             {

@@ -115,6 +115,12 @@ def attach_generic_seed(
     return fam, make_seed(fam, theta)
 
 
+def generic_seed(family: SecondOrderFamily, idx: int) -> tuple[SecondOrderFamily, DarbouxSeed]:
+    """Seed rule for ``darboux_chain``: adjoin the symbol ``theta0_<idx>``
+    at step idx (``attach_generic_seed``)."""
+    return attach_generic_seed(family, name=f"theta0_{idx}")
+
+
 def potential_shift(family: SecondOrderFamily, seed: DarbouxSeed) -> Expr:
     """The additive change ``q0`` of the potential.
 
@@ -228,7 +234,8 @@ def darboux_chain(
     ``seed_rule(family, i)`` certifies step i from the family it leaves:
     it returns that family, possibly with an extended derivation table
     (as ``attach_generic_seed`` does), and the seed, for example
-    ``make_seed`` at a chosen level or ``auto_level_seed``.  Returns k+1
+    ``make_seed`` at a chosen level or ``auto_level_seed``;
+    ``generic_seed`` is such a rule.  Returns k+1
     steps; step 0 starts from the input family and each step records the
     seed that leaves it.  A SeedNotSolution names the failing step.
     """

@@ -85,7 +85,7 @@ from .susyqm import (
     oscillator_states,
     partner_potentials,
 )
-from .apps import FrenetData, RigidData, frenet_family, rigid_family
+from .apps import FrenetData, RigidData
 from .numverify import (
     companion_solution_grid,
     companion_solution_grids,
@@ -353,25 +353,31 @@ def check_applications(seed: int, config: VerifyConfig) -> dict:
         {**symbol_tower("kappa", 4), **symbol_tower("tau", 4), **symbol_tower("w1", 4)}
     )
     kappa, tau, w1 = sym("kappa"), sym("tau"), sym("w1")
-    frenet_q = frenet_family(FrenetData(kappa, -2 * I, "Q", table))
-    _holds("Frenet Q q = -1", frenet_q.family.q + 1)
-    frenet_s = frenet_family(FrenetData(kappa, tau, "S", table))
-    _holds("Frenet S w = 2/(i kappa - tau)", frenet_s.family.w - 2 / (I * kappa - tau))
-    _holds("Frenet S q = (kappa^2 + tau^2)/4", frenet_s.family.q - (kappa ** 2 + tau ** 2) / 4)
-    rigid_q = rigid_family(RigidData(w1, normalize(2 - I * w1), "Q", table))
-    _holds("rigid Q q = omega2 - 1", rigid_q.family.q - (2 - I * w1 - 1))
-    rigid_s = rigid_family(RigidData(w1, ZERO, "S", table))
-    _holds("rigid S w = -2/omega1", rigid_s.family.w + 2 / w1)
-    _holds("rigid S q = omega1^2/4", rigid_s.family.q - w1 ** 2 / 4)
-    # one application per sampled route, over the sample's parameters:
-    # the route constraint and the lift then hold for every binding
+    frenet_q = FrenetData(kappa, -2 * I, "Q", table).family()
+    _holds("Frenet Q q = -1", frenet_q.q + 1)
+    frenet_s = FrenetData(kappa, tau, "S", table).family()
+    _holds("Frenet S w = 2/(i kappa - tau)", frenet_s.w - 2 / (I * kappa - tau))
+    _holds("Frenet S q = (kappa^2 + tau^2)/4", frenet_s.q - (kappa ** 2 + tau ** 2) / 4)
+    rigid_q = RigidData(w1, normalize(2 - I * w1), "Q", table).family()
+    _holds("rigid Q q = omega2 - 1", rigid_q.q - (2 - I * w1 - 1))
+    rigid_s = RigidData(w1, ZERO, "S", table).family()
+    _holds("rigid S w = -2/omega1", rigid_s.w + 2 / w1)
+    _holds("rigid S q = omega1^2/4", rigid_s.q - w1 ** 2 / 4)
+    # one family per sampled route, over the sample's parameters, lifted
+    # once: the route constraint and the lift then hold for every binding
     a, b, c, d, e = (param(name) for name in "abcde")
     omega2 = a + b * X
-    rigid = rigid_family(RigidData(normalize(-I * (2 - omega2)), normalize(omega2), "Q"))
-    frenet = frenet_family(FrenetData(normalize(c + d * X), normalize(e * X), "S"))
-    for route, app in (("rigid Q", rigid), ("Frenet S", frenet)):
-        _holds(f"{route} lift over parameters solves its system",
-               residual(app.fundamental.system, app.fundamental.matrix))
+    lifted = []
+    for name, data in (
+        ("rigid Q", RigidData(normalize(-I * (2 - omega2)), normalize(omega2), "Q")),
+        ("Frenet S", FrenetData(normalize(c + d * X), normalize(e * X), "S")),
+    ):
+        family = data.family()
+        pair = orthogonal_lift(family, data.route)[1]
+        _holds(f"{name} lift over parameters solves its system",
+               residual(pair.system, pair.matrix))
+        lifted.append((family, pair))
+    rigid, frenet = lifted
     # five rigid Q then five Frenet S bindings, each drawn with its m
     cases = [(rigid, {"a": rng.randint(1, 4), "b": rng.randint(-2, 2) / 4,
                       "m": rng.uniform(-1, 1)}) for _ in range(5)]
@@ -379,13 +385,12 @@ def check_applications(seed: int, config: VerifyConfig) -> dict:
                         "e": rng.randint(-2, 2) / 3, "m": rng.uniform(-1, 1)})
               for _ in range(5)]
     grids = companion_solution_grids(
-        [(app.family, bindings) for app, bindings in cases], config.interval, config.step,
+        [(family, bindings) for (family, _), bindings in cases], config.interval, config.step,
     )
     indices = grids[0].sample_indices(5)
     worst = max(
-        residual_sweep(app.fundamental.matrix, app.fundamental.system, grid, indices,
-                       bindings)
-        for (app, bindings), grid in zip(cases, grids)
+        residual_sweep(pair.matrix, pair.system, grid, indices, bindings)
+        for ((_, pair), bindings), grid in zip(cases, grids)
     )
     return _report("applications", float(worst), config.tolerance,
                    seed=seed, samples=len(indices))

@@ -109,8 +109,8 @@ def _rk4(problems, interval: tuple[float, float], h: float) -> list[Trajectory]:
     if not 0 < h < math.inf:
         raise ValueError(f"step must be finite and positive, got {h}")
     x_start, x_end = interval
-    if x_end <= x_start:
-        raise ValueError("empty integration interval")
+    if not -math.inf < x_start < x_end < math.inf:
+        raise ValueError(f"interval must be finite and increasing, got {x_start},{x_end}")
     n = problems[0][0].n
     starts = [np.asarray(state, dtype=np.complex128) for _, state, _ in problems]
     shape = starts[0].shape

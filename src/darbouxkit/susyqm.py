@@ -317,6 +317,8 @@ def oscillator_states(n: int, order: int = 2) -> tuple[list[list[Expr]], Derivat
     ``(psi, psi')``; order 3 packs ``(psi^2, 2 psi psi', psi'^2)``.
     Each state satisfies ``(-d/dx + V-) state = 2k * minus_n state``.
     """
+    if n < 0:
+        raise ValueError(f"number of ladder steps must be nonnegative, got {n}")
     if order not in (2, 3):
         raise UnsupportedOrder(f"order {order} not supported")
     table = oscillator_table()

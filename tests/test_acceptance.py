@@ -44,6 +44,7 @@ from darbouxkit.darboux import (
     darboux_gauge,
     darboux_potential,
     darboux_solution,
+    generic_seed,
     potential_compact,
     potential_shift,
     transformed_companion,
@@ -57,6 +58,7 @@ from darbouxkit.tensordt import (
     lifted_factors,
     lifted_gauge,
     lifted_matrix,
+    orthogonal_lift,
     p1_explicit,
     p2_explicit,
     riccati_invert,
@@ -72,13 +74,7 @@ from darbouxkit.susyqm import (
     oscillator_states,
     partner_potentials,
 )
-from darbouxkit.apps import (
-    FrenetData,
-    RigidData,
-    application_chain,
-    frenet_family,
-    rigid_family,
-)
+from darbouxkit.apps import FrenetData, RigidData, application_chain
 from darbouxkit.numverify import (
     companion_solution_grid,
     companion_solution_grids,
@@ -353,11 +349,11 @@ def test_criterion_7_susy_oscillator():
     _criterion(7, "supersymmetric oscillator formalism", results)
 
 
-def _worst_sweep(app, samples):
+def _worst_sweep(family, pair, samples):
     # the samples share one family, so they share one stepping loop
-    grids = companion_solution_grids([(app.family, bindings) for bindings in samples])
+    grids = companion_solution_grids([(family, bindings) for bindings in samples])
     return max(
-        residual_sweep(app.fundamental.matrix, app.fundamental.system, grid,
+        residual_sweep(pair.matrix, pair.system, grid,
                        grid.sample_indices(5), bindings=bindings)
         for bindings, grid in zip(samples, grids)
     )
@@ -368,23 +364,23 @@ def test_criterion_8_applications():
         {**symbol_tower("kappa", 4), **symbol_tower("tau", 4), **symbol_tower("w1", 4)}
     )
     kappa, tau, w1 = sym("kappa"), sym("tau"), sym("w1")
-    frenet_q = frenet_family(FrenetData(kappa, -2 * I, "Q", table))
-    frenet_s = frenet_family(FrenetData(kappa, tau, "S", table))
-    rigid_q = rigid_family(RigidData(w1, normalize(2 - I * w1), "Q", table))
-    rigid_s = rigid_family(RigidData(w1, ZERO, "S", table))
+    frenet_q = FrenetData(kappa, -2 * I, "Q", table).family()
+    frenet_s = FrenetData(kappa, tau, "S", table).family()
+    rigid_q = RigidData(w1, normalize(2 - I * w1), "Q", table).family()
+    rigid_s = RigidData(w1, ZERO, "S", table).family()
     results = {
-        "frenet-q-identification": equal(frenet_q.family.q, const(-1))
-        and equal(frenet_q.family.p, I * kappa),
-        "frenet-s-identification": equal(frenet_s.family.w, 2 / (I * kappa - tau))
-        and equal(frenet_s.family.q, (kappa ** 2 + tau ** 2) / 4),
-        "rigid-q-identification": equal(rigid_q.family.q, 2 - I * w1 - 1),
-        "rigid-s-identification": equal(rigid_s.family.w, -2 / w1)
-        and equal(rigid_s.family.q, w1 ** 2 / 4),
+        "frenet-q-identification": equal(frenet_q.q, const(-1))
+        and equal(frenet_q.p, I * kappa),
+        "frenet-s-identification": equal(frenet_s.w, 2 / (I * kappa - tau))
+        and equal(frenet_s.q, (kappa ** 2 + tau ** 2) / 4),
+        "rigid-q-identification": equal(rigid_q.q, 2 - I * w1 - 1),
+        "rigid-s-identification": equal(rigid_s.w, -2 / w1)
+        and equal(rigid_s.q, w1 ** 2 / 4),
     }
     # step-1 chain transformations against their closed forms
-    rigid_links = application_chain(rigid_q, "generic", 1)
+    rigid_links = application_chain(rigid_q, "Q", generic_seed, 1)
     th = Sym("theta0_0")
-    m = rigid_q.family.m
+    m = rigid_q.m
     nu = normalize(m + th * th)
     rigid_expected = ExprMatrix(
         [
@@ -396,7 +392,7 @@ def test_criterion_8_applications():
     results["rigid-step1-transform"] = rigid_links[0].transform.equals(
         rigid_expected.normalized()
     )
-    frenet_links = application_chain(frenet_s, "generic", 1)
+    frenet_links = application_chain(frenet_s, "S", generic_seed, 1)
     f_fam, f_seed = frenet_links[0].family, frenet_links[0].seed
     results["frenet-step1-transform"] = frenet_links[0].transform.equals(
         t2_explicit(f_fam, f_seed)
@@ -406,10 +402,10 @@ def test_criterion_8_applications():
     a, b, c = param("a"), param("b"), param("c")
     linear = normalize(a + b * X)
     routes = {
-        "frenet-q": frenet_family(FrenetData(linear, -2 * I, "Q")),
-        "frenet-s": frenet_family(FrenetData(linear, normalize(c * X), "S")),
-        "rigid-q": rigid_family(RigidData(normalize(-I * (2 - linear)), linear, "Q")),
-        "rigid-s": rigid_family(RigidData(linear, ZERO, "S")),
+        "frenet-q": FrenetData(linear, -2 * I, "Q"),
+        "frenet-s": FrenetData(linear, normalize(c * X), "S"),
+        "rigid-q": RigidData(normalize(-I * (2 - linear)), linear, "Q"),
+        "rigid-s": RigidData(linear, ZERO, "S"),
     }
     # five rounds, each drawing one m and then one binding per route
     rng = Random(SEED)
@@ -422,11 +418,11 @@ def test_criterion_8_applications():
             if route == "frenet-s":
                 bindings["c"] = rng.randint(-2, 2) / 3
             samples[route].append(bindings)
-    for route, app in routes.items():
-        results[f"{route}-lift-exact"] = residual(
-            app.fundamental.system, app.fundamental.matrix
-        ).is_zero_matrix()
-        results[f"sweep-{route}-below-1e-8"] = _worst_sweep(app, samples[route]) <= 1e-8
+    for route, data in routes.items():
+        family = data.family()
+        _, pair = orthogonal_lift(family, data.route)
+        results[f"{route}-lift-exact"] = residual(pair.system, pair.matrix).is_zero_matrix()
+        results[f"sweep-{route}-below-1e-8"] = _worst_sweep(family, pair, samples[route]) <= 1e-8
     _criterion(8, "frame and rigid-solid applications", results)
 
 

@@ -19,14 +19,12 @@ from darbouxkit.expr import (
     to_sexpr,
 )
 from darbouxkit.apps import (
-    FrameApplication,
     FrenetData,
     RigidData,
     RouteConstraintViolated,
     application_chain,
-    frenet_family,
-    rigid_family,
 )
+from darbouxkit.darboux import auto_level_seed, generic_seed
 from darbouxkit.linsys import ExprMatrix, GaugeMatrix, gauge
 from darbouxkit.numverify import (
     companion_solution_grid,
@@ -37,6 +35,7 @@ from darbouxkit.numverify import (
 from darbouxkit.tensordt import (
     first_integral_orthogonal,
     lifted_factors,
+    orthogonal_lift,
     skew_matrix,
 )
 
@@ -56,11 +55,12 @@ def test_frenet_q_route_requires_fixed_torsion():
     with pytest.raises(RouteConstraintViolated):
         FrenetData(kappa=sym("kappa"), tau=ZERO, route="Q", table=table)
     data = FrenetData(kappa=sym("kappa"), tau=-2 * I, route="Q", table=table)
-    app = frenet_family(data)
-    assert equal(app.family.q, const(-1))
-    assert equal(app.family.p, I * sym("kappa"))
+    family = data.family()
+    assert equal(family.q, const(-1))
+    assert equal(family.p, I * sym("kappa"))
     # flow vector reproduces (tau, 0, kappa) at m = 0
-    f, g, h = (substitute(e, {"m": ZERO}) for e in app.orthogonal.omega)
+    ortho, _ = orthogonal_lift(family, "Q")
+    f, g, h = (substitute(e, {"m": ZERO}) for e in ortho.omega)
     assert equal(f, -2 * I) and is_zero(g) and equal(h, sym("kappa"))
 
 
@@ -68,11 +68,12 @@ def test_frenet_s_route_identification():
     table = _sym_tables("kappa", "tau")
     kappa, tau = sym("kappa"), sym("tau")
     data = FrenetData(kappa=kappa, tau=tau, route="S", table=table)
-    app = frenet_family(data)
+    family = data.family()
     eta = I * kappa - tau
-    assert equal(app.family.w, 2 / eta)
-    assert equal(app.family.q, (kappa ** 2 + tau ** 2) / 4)
-    f, g, h = (substitute(e, {"m": ZERO}) for e in app.orthogonal.omega)
+    assert equal(family.w, 2 / eta)
+    assert equal(family.q, (kappa ** 2 + tau ** 2) / 4)
+    ortho, _ = orthogonal_lift(family, "S")
+    f, g, h = (substitute(e, {"m": ZERO}) for e in ortho.omega)
     assert equal(f, tau) and is_zero(g) and equal(h, kappa)
 
 
@@ -85,9 +86,10 @@ def test_rigid_q_route_identification():
     table = _sym_tables("w1")
     w1 = sym("w1")
     data = RigidData(omega1=w1, omega2=normalize(2 - I * w1), route="Q", table=table)
-    app = rigid_family(data)
-    assert equal(app.family.q, 1 - I * w1)
-    f, g, h = (substitute(e, {"m": ZERO}) for e in app.orthogonal.omega)
+    family = data.family()
+    assert equal(family.q, 1 - I * w1)
+    ortho, _ = orthogonal_lift(family, "Q")
+    f, g, h = (substitute(e, {"m": ZERO}) for e in ortho.omega)
     assert equal(f, w1) and equal(g, 2 - I * w1) and is_zero(h)
     with pytest.raises(RouteConstraintViolated):
         RigidData(omega1=w1, omega2=ZERO, route="Q", table=table)
@@ -97,10 +99,11 @@ def test_rigid_s_route_identification():
     table = _sym_tables("w1")
     w1 = sym("w1")
     data = RigidData(omega1=w1, omega2=ZERO, route="S", table=table)
-    app = rigid_family(data)
-    assert equal(app.family.w, -2 / w1)
-    assert equal(app.family.q, w1 ** 2 / 4)
-    f, g, h = (substitute(e, {"m": ZERO}) for e in app.orthogonal.omega)
+    family = data.family()
+    assert equal(family.w, -2 / w1)
+    assert equal(family.q, w1 ** 2 / 4)
+    ortho, _ = orthogonal_lift(family, "S")
+    f, g, h = (substitute(e, {"m": ZERO}) for e in ortho.omega)
     assert equal(f, w1) and is_zero(g) and is_zero(h)
     with pytest.raises(RouteConstraintViolated):
         RigidData(omega1=w1, omega2=ONE, route="S", table=table)
@@ -113,16 +116,17 @@ def test_rigid_s_route_identification():
 
 def test_perturbation_shapes():
     table = _sym_tables("kappa", "tau", "w1")
-    rigid = rigid_family(
-        RigidData(sym("w1"), normalize(2 - I * sym("w1")), "Q", table)
+    rigid, _ = orthogonal_lift(
+        RigidData(sym("w1"), normalize(2 - I * sym("w1")), "Q", table).family(), "Q"
     )
-    base, pert = rigid.orthogonal.m_split("m")
+    base, pert = rigid.m_split("m")
     n3 = ExprMatrix([[ZERO, ZERO, const(-1)], [ZERO, ZERO, I], [ONE, -I, ZERO]])
     assert pert.equals(n3)
-    assert base.equals(rigid.orthogonal.system().a.map(lambda e: substitute(e, {"m": ZERO})))
-    frenet = frenet_family(FrenetData(sym("kappa"), sym("tau"), "S", table))
-    _, pert_s = frenet.orthogonal.m_split("m")
-    w = frenet.family.w
+    assert base.equals(rigid.system().a.map(lambda e: substitute(e, {"m": ZERO})))
+    frame = FrenetData(sym("kappa"), sym("tau"), "S", table).family()
+    frenet, _ = orthogonal_lift(frame, "S")
+    _, pert_s = frenet.m_split("m")
+    w = frame.w
     n3_hat = ExprMatrix(
         [[ZERO, I * w, ZERO], [-I * w, ZERO, -w], [ZERO, w, ZERO]]
     ).normalized()
@@ -133,8 +137,8 @@ def test_perturbed_base_is_frame_matrix():
     # at m = 0 the lifted system is exactly the frame system Z' = Z x Omega
     table = _sym_tables("kappa", "tau")
     kappa, tau = sym("kappa"), sym("tau")
-    app = frenet_family(FrenetData(kappa, tau, "S", table))
-    base, _ = app.orthogonal.m_split("m")
+    ortho, _ = orthogonal_lift(FrenetData(kappa, tau, "S", table).family(), "S")
+    base, _ = ortho.m_split("m")
     frame_flow = skew_matrix(tau, ZERO, kappa)
     assert base.equals(frame_flow.scale(const(-1)).normalized())
 
@@ -144,13 +148,11 @@ def test_perturbed_base_is_frame_matrix():
 
 def test_rigid_chain_step_one_matches_closed_form():
     table = _sym_tables("w1")
-    app = rigid_family(
-        RigidData(sym("w1"), normalize(2 - I * sym("w1")), "Q", table)
-    )
-    links = application_chain(app, "generic", 1)
+    family = RigidData(sym("w1"), normalize(2 - I * sym("w1")), "Q", table).family()
+    links = application_chain(family, "Q", generic_seed, 1)
     assert len(links) == 2
     th = Sym("theta0_0")
-    m = app.family.m
+    m = family.m
     nu = normalize(m + th * th)
     expected = ExprMatrix(
         [
@@ -164,10 +166,8 @@ def test_rigid_chain_step_one_matches_closed_form():
 
 def test_rigid_chain_step_one_factorization():
     table = _sym_tables("w1")
-    app = rigid_family(
-        RigidData(sym("w1"), normalize(2 - I * sym("w1")), "Q", table)
-    )
-    links = application_chain(app, "generic", 1)
+    family = RigidData(sym("w1"), normalize(2 - I * sym("w1")), "Q", table).family()
+    links = application_chain(family, "Q", generic_seed, 1)
     fam, seed = links[0].family, links[0].seed
     left, right = lifted_factors(fam, seed, "Q")
     th = Sym("theta0_0")
@@ -194,8 +194,8 @@ def test_rigid_chain_step_one_factorization():
 def test_frenet_chain_step_one_matches_closed_form():
     table = _sym_tables("kappa", "tau")
     kappa, tau = sym("kappa"), sym("tau")
-    app = frenet_family(FrenetData(kappa, tau, "S", table))
-    links = application_chain(app, "generic", 1)
+    family = FrenetData(kappa, tau, "S", table).family()
+    links = application_chain(family, "S", generic_seed, 1)
     fam, seed = links[0].family, links[0].seed
     th = Sym("theta0_0")
     eta = normalize(I * kappa - tau)
@@ -229,21 +229,17 @@ def test_frenet_chain_step_one_matches_closed_form():
 
 def test_chain_length_zero_returns_base():
     table = _sym_tables("w1")
-    app = rigid_family(
-        RigidData(sym("w1"), normalize(2 - I * sym("w1")), "Q", table)
-    )
-    links = application_chain(app, "generic", 0)
+    family = RigidData(sym("w1"), normalize(2 - I * sym("w1")), "Q", table).family()
+    links = application_chain(family, "Q", generic_seed, 0)
     assert len(links) == 1
-    assert links[0].family is app.family
+    assert links[0].family is family
     assert links[0].transform is None
 
 
 def test_chain_steps_stay_skew_with_fixed_perturbation():
     table = _sym_tables("w1")
-    app = rigid_family(
-        RigidData(sym("w1"), normalize(2 - I * sym("w1")), "Q", table)
-    )
-    links = application_chain(app, "generic", 2)
+    family = RigidData(sym("w1"), normalize(2 - I * sym("w1")), "Q", table).family()
+    links = application_chain(family, "Q", generic_seed, 2)
     n3 = ExprMatrix([[ZERO, ZERO, const(-1)], [ZERO, ZERO, I], [ONE, -I, ZERO]])
     for link in links:
         base, pert = link.orthogonal.m_split("m")
@@ -254,11 +250,13 @@ def test_chain_steps_stay_skew_with_fixed_perturbation():
 # -- numeric checks ------------------------------------------------------------
 
 
-def _sweep_application(app: FrameApplication, bindings):
-    grid = companion_solution_grid(app.family, bindings=bindings)
+def _sweep_application(data, bindings):
+    family = data.family()
+    _, pair = orthogonal_lift(family, data.route)
+    grid = companion_solution_grid(family, bindings=bindings)
     return residual_sweep(
-        app.fundamental.matrix,
-        app.fundamental.system,
+        pair.matrix,
+        pair.system,
         grid,
         grid.sample_indices(5),
         bindings=bindings,
@@ -269,21 +267,21 @@ def test_frenet_q_route_numeric_sweep():
     # kappa = 2 + x/2 with the registered frame datum integrated alongside
     table = DerivationTable()
     kappa = normalize(2 + X / 2)
-    app = frenet_family(FrenetData(kappa, -2 * I, "Q", table))
-    value = _sweep_application(app, {"m": 0.7})
+    value = _sweep_application(FrenetData(kappa, -2 * I, "Q", table), {"m": 0.7})
     assert value <= 1e-8
 
 
 def test_frenet_s_route_circle_numeric():
     # unit circle kappa = 1, tau = 0: the equation is y'' + y/4 = 0
-    app = frenet_family(FrenetData(ONE, ZERO, "S", DerivationTable()))
-    assert equal(app.family.q, rat(1, 4))
-    assert is_zero(app.family.p)
-    value = _sweep_application(app, {"m": -0.3})
+    data = FrenetData(ONE, ZERO, "S", DerivationTable())
+    family = data.family()
+    assert equal(family.q, rat(1, 4))
+    assert is_zero(family.p)
+    value = _sweep_application(data, {"m": -0.3})
     assert value <= 1e-8
     # first integral stays put along the integrated orthogonal flow
     traj = integrate(
-        app.orthogonal.system(), [1.0, 0.5j, -0.25], (0.0, 1.0), 1e-3, {"m": 0.4}
+        orthogonal_lift(family, "S")[0].system(), [1.0, 0.5j, -0.25], (0.0, 1.0), 1e-3, {"m": 0.4}
     )
     value = drift(first_integral_orthogonal(), traj, ("alpha", "beta", "gamma"))
     assert value <= 1e-8
@@ -291,18 +289,19 @@ def test_frenet_s_route_circle_numeric():
 
 def test_rigid_q_route_numeric():
     # omega2 = 2, omega1 = 0: q = 1, solutions are trigonometric
-    app = rigid_family(RigidData(ZERO, const(2), "Q", DerivationTable()))
-    assert equal(app.family.q, ONE)
-    value = _sweep_application(app, {"m": 0.2})
+    data = RigidData(ZERO, const(2), "Q", DerivationTable())
+    family = data.family()
+    assert equal(family.q, ONE)
+    value = _sweep_application(data, {"m": 0.2})
     assert value <= 1e-8
-    traj = integrate(app.orthogonal.system(), [1.0, 0, 0], (0.0, 1.0), 1e-3, {"m": 0})
+    traj = integrate(orthogonal_lift(family, "Q")[0].system(), [1.0, 0, 0], (0.0, 1.0), 1e-3, {"m": 0})
     assert drift(first_integral_orthogonal(), traj, ("alpha", "beta", "gamma")) <= 1e-9
 
 
 def test_rigid_s_route_numeric():
     # omega1 = 2 + x/2 stays away from zero on [0, 1]
-    app = rigid_family(RigidData(normalize(2 + X / 2), ZERO, "S", DerivationTable()))
-    value = _sweep_application(app, {"m": -0.6})
+    data = RigidData(normalize(2 + X / 2), ZERO, "S", DerivationTable())
+    value = _sweep_application(data, {"m": -0.6})
     assert value <= 1e-8
 
 
@@ -310,12 +309,13 @@ def test_parametric_rigid_q_sweep_fails_on_one_wrong_binding():
     # one application over params a, b; its grid is integrated at one
     # binding, and changing a, b or m alone must fail the sweep
     omega2 = param("a") + param("b") * X
-    app = rigid_family(RigidData(normalize(-I * (2 - omega2)), normalize(omega2), "Q"))
+    family = RigidData(normalize(-I * (2 - omega2)), normalize(omega2), "Q").family()
+    _, pair = orthogonal_lift(family, "Q")
     bindings = {"a": 2, "b": 0.25, "m": 0.4}
-    grid = companion_solution_grid(app.family, bindings=bindings)
+    grid = companion_solution_grid(family, bindings=bindings)
 
     def sweep(**changed):
-        return residual_sweep(app.fundamental.matrix, app.fundamental.system, grid,
+        return residual_sweep(pair.matrix, pair.system, grid,
                               grid.sample_indices(5), {**bindings, **changed})
 
     assert sweep() <= 1e-8
@@ -324,8 +324,8 @@ def test_parametric_rigid_q_sweep_fails_on_one_wrong_binding():
 
 
 def test_explicit_seed_chain_certifies_each_step_at_its_level():
-    app = rigid_family(RigidData(normalize(-I * X ** 2), normalize(2 - X ** 2), "Q"))
-    links = application_chain(app, [-X, -X], 2)
+    family = RigidData(normalize(-I * X ** 2), normalize(2 - X ** 2), "Q").family()
+    links = application_chain(family, "Q", lambda fam, _: (fam, auto_level_seed(fam, -X)), 2)
     assert [to_sexpr(link.seed.level) for link in links[:-1]] == ["0", "-2"]
     for link, nxt in zip(links, links[1:]):
         moved = gauge(link.orthogonal.system(), GaugeMatrix(link.transform).inv())

@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from darbouxkit import cli, golden
+from darbouxkit import cli, golden, tensordt
 from darbouxkit.cli import main
-from darbouxkit.expr import Radical, X, equal, param, parse_sexpr
+from darbouxkit.expr import KitError, Radical, X, equal, param, parse_sexpr
 from darbouxkit.linsys import ExprMatrix, family_from_json, family_to_json
 from conftest import oscillator_family
 
@@ -268,6 +268,43 @@ def test_verify_rejects_bad_interval_and_tolerance(capsys, flag):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "bad-input"
+
+
+@pytest.mark.parametrize("argv", [["susy", "states", "--n", "-1"],
+                                  ["susy", "spectrum", "--n", "-2"]])
+def test_negative_counts_are_bad_input(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["detail"] == "number of ladder steps must be nonnegative, got " + argv[-1]
+
+
+def test_chains_never_build_a_lift(capsys, monkeypatch):
+    def no_fundamental_matrix(family):
+        raise KitError("a fundamental matrix was built")
+
+    monkeypatch.setattr(tensordt, "_solution_matrix", no_fundamental_matrix)
+    frenet = ["--route", "S", "--kappa", "kappa", "--tau", "tau"]
+    for argv in (["frenet", "chain", *frenet, "--k", "1"],
+                 ["rigid", "chain", "--route", "S", "--omega1", "w1", "--k", "1"],
+                 ["so3", "darboux", "--route", "Q", "--rigid", "--omega2", "2-i*w1"]):
+        code, _, err = _run(capsys, argv)
+        assert code == 0, (argv, err)
+    # the patch bites where the lift is read
+    code, _, err = _run(capsys, ["frenet", "build", *frenet])
+    assert code == 1
+    assert json.loads(err)["detail"] == "a fundamental matrix was built"
+
+
+def test_so3_darboux_names_the_failing_chain_step(capsys):
+    code, _, err = _run(capsys, ["so3", "darboux", "--route", "Q", "--rigid", "--omega2",
+                                 "2-x^2", "--theta0", "-x", "--level", "1"])
+    assert code == 1
+    assert json.loads(err) == {
+        "error": "SeedNotSolution",
+        "detail": "chain step 0: seed fails the Riccati certificate; defect normalizes to "
+                  "<Expr -1>",
+    }
 
 
 def test_verify_names_the_failing_identity(capsys, monkeypatch):

@@ -166,6 +166,19 @@ def test_integrate_rejects_bad_steps(h):
         integrate(_circle_system(), [1.0, 0.0], (0.0, 1.0), h, {"m": 0})
 
 
+@pytest.mark.parametrize("run", [
+    lambda interval: integrate(_circle_system(), [1.0, 0.0], interval, 1e-3, {"m": 0}),
+    lambda interval: integrate_many([(_circle_system(), [1.0, 0.0], {"m": 0})], interval),
+    lambda interval: companion_solution_grid(_circle_family(), interval, bindings={"m": 0}),
+], ids=["integrate", "integrate_many", "companion_solution_grid"])
+@pytest.mark.parametrize("interval", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0),
+                                      (0.0, math.nan), (1.0, 0.0), (0.5, 0.5)])
+def test_integration_rejects_bad_intervals(run, interval):
+    lo, hi = interval
+    with pytest.raises(ValueError, match=f"interval must be finite and increasing, got {lo},{hi}"):
+        run(interval)
+
+
 def _matrix_problems():
     # 2 x 2 fundamental matrices of companion systems, as in the
     # applications sweeps
