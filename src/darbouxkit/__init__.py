@@ -64,7 +64,6 @@ from .darboux import (
 )
 from .tensordt import (
     OrthogonalSystem,
-    fundamental_matrices,
     lifted_gauge,
     lifted_matrix,
     orthogonal_lift,

@@ -87,6 +87,8 @@ from .susyqm import (
 )
 from .apps import FrenetData, RigidData
 from .numverify import (
+    DEFAULT_INTERVAL,
+    DEFAULT_STEP,
     companion_solution_grid,
     companion_solution_grids,
     convergence_ratio,
@@ -111,8 +113,8 @@ class VerifyConfig:
     the first two positive and the interval increasing.
     """
 
-    step: float = 1e-3
-    interval: tuple[float, float] = (0.0, 1.0)
+    step: float = DEFAULT_STEP
+    interval: tuple[float, float] = DEFAULT_INTERVAL
     tolerance: float = 1e-8
 
     def __post_init__(self):
@@ -243,8 +245,7 @@ def check_sym_power(seed: int, config: VerifyConfig) -> dict:
     product = (sym_group(m1, 2) @ sym_group(m2, 2)).normalized()
     _holds("Sym2(M1 M2) = Sym2(M1) Sym2(M2)", sym_group(m1 @ m2, 2) - product)
     fam = _generic_family()
-    (pair1, pair2), table = fam.solution_symbols("y1", "y2")
-    fund = ExprMatrix([[pair1[0], pair2[0]], [pair1[1], pair2[1]]])
+    fund, table = fam.fundamental_matrix()
     base = LinearSystem(companion(fam).a, table)
     _holds("Sym2 Y solves Sym2 A", residual(sym_system(base, 2), sym_group(fund, 2)))
     return _report("sym-power", 0.0, 0.0)

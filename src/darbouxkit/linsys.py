@@ -26,6 +26,7 @@ from .expr import (
     const,
     differentiate,
     equal,
+    free_names,
     is_zero,
     normalize,
     parse_sexpr,
@@ -327,16 +328,29 @@ class SecondOrderFamily:
 
         For each name ``y`` adds ``y' = y_p`` and
         ``y_p' = -p y_p - (q - m r) y``; returns the (y, y') node pairs
-        and the extended table.
+        and the extended table.  A name that the table already holds or
+        that occurs in p, q, r or w is rejected: replacing its entry would
+        change the family.
         """
+        taken = set().union(*(free_names(e) for e in (self.p, self.q, self.r, self.w)))
         entries = {}
         pairs = []
         for name in names:
             y, yp = Sym(name), Sym(name + "_p")
+            for added in (name, name + "_p"):
+                if added in self.table or added in taken:
+                    raise ValueError(f"solution symbol {added!r} is already a symbol of the family")
             entries[name] = yp
             entries[name + "_p"] = -self.p * yp - self.q_effective() * y
             pairs.append((y, yp))
         return pairs, self.table.extended(entries)
+
+    def fundamental_matrix(self) -> tuple[ExprMatrix, DerivationTable]:
+        """The companion fundamental matrix ``[[y1, y2], [y1_p, y2_p]]`` over
+        abstract solution symbols, with the table that registers their
+        companion rewrite."""
+        pairs, table = self.solution_symbols("y1", "y2")
+        return ExprMatrix(zip(*pairs)), table
 
 
 def companion(family: SecondOrderFamily) -> LinearSystem:

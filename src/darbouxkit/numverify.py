@@ -14,12 +14,12 @@ problems of one size are stacked and share that loop
 (:func:`integrate_many`): each step is then one stacked product for all
 of them, and :func:`integrate` is the one-problem case.  Solution grids
 are built from second-order families: two companion solutions back the
-abstract symbols ``y1``, ``y2``, and a symbolic Wronskian datum ``w`` is
-integrated alongside from ``w' = p w``.  Defaults: step 1e-3 on [0, 1]
-(global RK4 error ~ h^4 leaves three orders of margin for roundoff
-under the 1e-8 pass tolerance of the verify checks).  No adaptivity and
-no stiffness handling; coefficient poles are avoided by shifting the
-interval, never by special-casing.
+entries of the family's abstract fundamental matrix, and a symbolic
+Wronskian datum ``w`` is integrated alongside from ``w' = p w``.
+Defaults: step 1e-3 on [0, 1] (global RK4 error ~ h^4 leaves three
+orders of margin for roundoff under the 1e-8 pass tolerance of the
+verify checks).  No adaptivity and no stiffness handling; coefficient
+poles are avoided by shifting the interval, never by special-casing.
 """
 
 from __future__ import annotations
@@ -289,8 +289,9 @@ def companion_solution_grids(
     two integrated solutions of its companion system; the pairs share one
     stepping loop (:func:`integrate_many`).
 
-    The solutions ``y1``, ``y2`` (with ``y1_p``, ``y2_p``) start at
-    (1, 0) and (0, 1).  A family whose Wronskian datum ``w`` is a symbol
+    The columns of the family's abstract fundamental matrix
+    (:meth:`SecondOrderFamily.fundamental_matrix`) start at (1, 0) and
+    (0, 1).  A family whose Wronskian datum ``w`` is a symbol
     also gets ``w' = p w`` integrated alongside from 1 (any nonzero
     scaling is equally valid) and stored under the symbol's name; any
     other ``w`` evaluates directly.
@@ -310,10 +311,9 @@ def companion_solution_grids(
         [(system, start, bindings) for system, bindings in systems], interval, h)
     grids = []
     for (family, _), traj in zip(problems, trajectories):
-        values: dict[str, np.ndarray] = {}
-        for idx, name in enumerate(("y1", "y2")):
-            values[name] = traj.states[:, 0, idx]
-            values[name + "_p"] = traj.states[:, 1, idx]
+        fundamental, _ = family.fundamental_matrix()
+        values = {fundamental[i, j].name: traj.states[:, i, j]
+                  for j in range(2) for i in range(2)}
         if isinstance(family.w, Sym):
             values[family.w.name] = traj.states[:, 2, 0]
         grids.append(SolutionGrid(traj.xs, values))

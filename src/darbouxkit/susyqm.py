@@ -273,6 +273,8 @@ def shape_invariance(pot: ParametricPotential) -> Expr:
 def spectrum_sum(pot: ParametricPotential, n: int) -> Expr:
     """Accumulated energy after n ladder steps: sum of remainders along
     the orbit ``a, f(a), f(f(a)), ...``."""
+    if n < 0:
+        raise ValueError(f"number of ladder steps must be nonnegative, got {n}")
     shift = shape_invariance(pot)
     a = Param(pot.a_name)
     total: Expr = ZERO

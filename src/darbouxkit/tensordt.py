@@ -1,7 +1,7 @@
 """Lifted Darboux transformations for second-symmetric-power and
 orthogonal (so(3)) systems: the constant Q/S gauges, the diagonal
-Delta-gauge, fundamental matrices, first integrals, and the Riccati
-parametrization of orthogonal flows.
+Delta-gauge, the orthogonal lift with its fundamental matrix, first
+integrals, and the Riccati parametrization of orthogonal flows.
 
 Two independent routes lift a second-order family to a 3x3 orthogonal
 system.  The first conjugates the symmetric square of the companion
@@ -9,10 +9,10 @@ system by the constant matrix Q (solutions pick up a factor w, the
 antiderivative datum of p); the second first rebalances the companion
 state by Delta = diag(1, w) into a traceless system and conjugates its
 symmetric square by the constant matrix S.  The routes are not
-equivalent unless w = 1.  ``ROUTES`` defines each route once; one
-lifting rule builds every lifted matrix, factor pair, gauge and
-orthogonal fundamental pair from it, at the ``sym2`` level (P1, P2)
-or the ``so3`` level (T1, T2).
+equivalent unless w = 1.  ``ROUTES`` defines each route once, and its
+one lifting rule, :meth:`Route.lift`, builds every lifted matrix, factor
+pair, gauge and orthogonal fundamental matrix, at the ``sym2`` level
+(P1, P2) or the ``so3`` level (T1, T2).
 
 Every lifted transformation matrix here is *constructed* from the
 functorial definitions (symmetric powers of the 2x2 gauge), and the
@@ -24,7 +24,7 @@ sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .expr import (
@@ -49,11 +49,9 @@ from .linsys import (
     GaugeMatrix,
     LinearSystem,
     SecondOrderFamily,
-    companion,
-    gauge,
 )
 from .darboux import DarbouxSeed, darboux_gauge
-from .sympow import sym_gauge, sym_group, sym_system
+from .sympow import sym_group
 
 
 class NotTraceless(KitError):
@@ -214,7 +212,6 @@ def delta_gauge(family: SecondOrderFamily) -> ExprMatrix:
 
 
 LEVELS = ("sym2", "so3")
-_NO_CONJ = (None, None)
 
 
 @dataclass(frozen=True)
@@ -225,7 +222,7 @@ class Route:
     orthogonal system.  A ``balanced`` route first conjugates all 2x2
     data by Delta = diag(1, w), making the companion system traceless;
     the other route scales its solutions by w instead.  ``system`` is
-    the closed-form lift, the reference for what the rule constructs.
+    the closed-form lift, the reference for what :meth:`lift` constructs.
     """
 
     conj: ExprMatrix
@@ -233,56 +230,39 @@ class Route:
     balanced: bool
     system: Callable[[SecondOrderFamily], OrthogonalSystem]
 
-    def balancer(self, family: SecondOrderFamily) -> tuple:
-        """The 2x2 conjugating pair (Delta, Delta^-1), or no conjugation."""
-        d = delta_gauge(family)
-        return (d, d.inverse()) if self.balanced else _NO_CONJ
+    def lift(self, family: SecondOrderFamily, mat: ExprMatrix, level: str = "so3",
+             left: bool = True, right: bool = True) -> ExprMatrix:
+        """The lifting rule ``M -> C Sym2(D M D^-1) C^-1``.
 
-    def conjugator(self, level: str) -> tuple:
-        """The 3x3 conjugating pair applied at ``level``."""
+        D is Delta on a balanced route and C the route's conjugator at the
+        ``so3`` level; either is the identity otherwise.  ``left``/``right``
+        keep only one side, so a factor pair (L, R) lifts to
+        ``(C Sym2(D L), Sym2(R D^-1) C^-1)``.  Each stage is normalized
+        before the next.
+        """
         if level not in LEVELS:
             raise ValueError(f"unknown lift level {level!r}")
-        return (self.conj, self.conj_inv) if level == "so3" else _NO_CONJ
+
+        def conjugate(m: ExprMatrix, c: ExprMatrix, c_inv: ExprMatrix) -> ExprMatrix:
+            if left:
+                m = c @ m
+            if right:
+                m = m @ c_inv
+            return m.normalized()
+
+        if self.balanced:
+            d = delta_gauge(family)
+            mat = conjugate(mat, d, d.inverse())
+        mat = sym_group(mat, 2)
+        if level == "so3":
+            mat = conjugate(mat, self.conj, self.conj_inv)
+        return mat
 
 
 ROUTES = {
     "Q": Route(Q_GAUGE, Q_GAUGE_INV, False, so3_system_first),
     "S": Route(S_GAUGE, S_GAUGE_INV, True, so3_system_second),
 }
-
-
-def _conjugate(pair: tuple, mat: ExprMatrix, left: bool = True,
-               right: bool = True) -> ExprMatrix:
-    """``c @ mat @ c_inv`` normalized for ``pair = (c, c_inv)``, on the chosen
-    sides only; ``mat`` itself when there is nothing to apply."""
-    c, c_inv = pair
-    if c is None:
-        return mat
-    if left:
-        mat = c @ mat
-    if right:
-        mat = mat @ c_inv
-    return mat.normalized()
-
-
-def _conjugate_gauge(pair: tuple, g: GaugeMatrix) -> GaugeMatrix:
-    if pair[0] is None:
-        return g
-    return GaugeMatrix(_conjugate(pair, g.p), _conjugate(pair, g.p_inv))
-
-
-def _lift(family: SecondOrderFamily, route: str, level: str, mat: ExprMatrix,
-          left: bool = True, right: bool = True) -> ExprMatrix:
-    """The lifting rule ``M -> C Sym2(D M D^-1) C^-1``.
-
-    D is Delta on a balanced route and C the route's conjugator at the
-    ``so3`` level; either is the identity otherwise.  ``left``/``right``
-    keep only one side, so a factor pair (L, R) lifts to
-    ``(C Sym2(D L), Sym2(R D^-1) C^-1)``.
-    """
-    r = ROUTES[route]
-    lifted = sym_group(_conjugate(r.balancer(family), mat, left, right), 2)
-    return _conjugate(r.conjugator(level), lifted, left, right)
 
 
 def lifted_matrix(family: SecondOrderFamily, seed: DarbouxSeed, route: str,
@@ -293,25 +273,24 @@ def lifted_matrix(family: SecondOrderFamily, seed: DarbouxSeed, route: str,
     P2 = Sym2(Delta P Delta^-1) (route S); at the ``so3`` level the
     orthogonal transformation T1 = Q P1 Q^-1 or T2 = S P2 S^-1.
     """
-    return _lift(family, route, level, darboux_gauge(family, seed).p_m)
+    return ROUTES[route].lift(family, darboux_gauge(family, seed).p_m, level)
 
 
 def lifted_factors(family: SecondOrderFamily, seed: DarbouxSeed, route: str,
                    level: str = "so3") -> tuple[ExprMatrix, ExprMatrix]:
     """The lift of the factorization ``P = L R``; its product is :func:`lifted_matrix`."""
-    g = darboux_gauge(family, seed)
-    return (_lift(family, route, level, g.l_m, right=False),
-            _lift(family, route, level, g.r_factor, left=False))
+    r, g = ROUTES[route], darboux_gauge(family, seed)
+    return (r.lift(family, g.l_m, level, right=False),
+            r.lift(family, g.r_factor, level, left=False))
 
 
 def lifted_gauge(family: SecondOrderFamily, seed: DarbouxSeed, route: str,
                  level: str = "so3") -> GaugeMatrix:
-    """:func:`lifted_matrix` as a gauge, its inverse lifted alongside by
-    :func:`sym_gauge`, far cheaper than a symbolic 3x3 adjugate."""
-    r = ROUTES[route]
-    p_m = darboux_gauge(family, seed).p_m
-    balanced = _conjugate_gauge(r.balancer(family), GaugeMatrix(p_m, p_m.inverse()))
-    return _conjugate_gauge(r.conjugator(level), sym_gauge(balanced, 2))
+    """:func:`lifted_matrix` as a gauge.  The inverse is the lift of
+    ``P^-1`` (the rule is a group morphism), far cheaper than a symbolic
+    3x3 adjugate; the gauge certifies the pair once."""
+    r, p_m = ROUTES[route], darboux_gauge(family, seed).p_m
+    return GaugeMatrix(r.lift(family, p_m, level), r.lift(family, p_m.inverse(), level))
 
 
 def p1_explicit(family: SecondOrderFamily, seed: DarbouxSeed) -> ExprMatrix:
@@ -385,7 +364,7 @@ def t2_explicit(family: SecondOrderFamily, seed: DarbouxSeed) -> ExprMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Fundamental matrices
+# The orthogonal lift with a fundamental matrix
 # ---------------------------------------------------------------------------
 
 
@@ -395,66 +374,21 @@ class FundamentalPair:
     system: LinearSystem
 
 
-@dataclass(frozen=True)
-class FundamentalSet:
-    """Six fundamental matrices with the systems they solve.
-
-    Built over abstract solution symbols with the companion rewrite;
-    each pair satisfies ``matrix' + A matrix == 0`` exactly.
-    """
-
-    table: DerivationTable
-    companion: FundamentalPair
-    sym2: FundamentalPair
-    orthogonal: FundamentalPair
-    balanced: FundamentalPair
-    balanced_sym2: FundamentalPair
-    orthogonal2: FundamentalPair
-
-    def pairs(self) -> dict[str, FundamentalPair]:
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "table"}
-
-
-def _solution_matrix(family: SecondOrderFamily) -> tuple[ExprMatrix, DerivationTable]:
-    """Companion fundamental matrix over the abstract solution symbols
-    ``y1``, ``y2``, with the table that registers their companion rewrite."""
-    (pair1, pair2), table = family.solution_symbols("y1", "y2")
-    return ExprMatrix([[pair1[0], pair2[0]], [pair1[1], pair2[1]]]), table
-
-
 def orthogonal_lift(family: SecondOrderFamily,
                     route: str) -> tuple[OrthogonalSystem, FundamentalPair]:
     """The route's orthogonal system with a fundamental matrix of it.
 
-    The matrix is ``C Sym2(D X)`` for X the companion fundamental matrix
-    (the left side of the lifting rule), times w on the unbalanced route;
+    The matrix is the left side of the lifting rule, ``C Sym2(D X)`` for
+    X the companion fundamental matrix, times w on the unbalanced route;
     it satisfies ``matrix' + A matrix == 0`` exactly.
     """
     r = ROUTES[route]
-    x_mat, table = _solution_matrix(family)
-    z_mat = r.conj @ sym_group(_conjugate(r.balancer(family), x_mat, right=False), 2)
+    x_mat, table = family.fundamental_matrix()
+    z_mat = r.lift(family, x_mat, right=False)
     if not r.balanced:
-        z_mat = z_mat.scale(family.w)
+        z_mat = z_mat.scale(family.w).normalized()
     ortho = r.system(family)
-    system = LinearSystem(ortho.system().a, table)
-    return ortho, FundamentalPair(z_mat.normalized(), system)
-
-
-def fundamental_matrices(family: SecondOrderFamily) -> FundamentalSet:
-    x_mat, table = _solution_matrix(family)
-    x_sys = LinearSystem(companion(family).a, table)
-    d = delta_gauge(family)
-    x1_mat = (d @ x_mat).normalized()
-    x1_sys = gauge(x_sys, GaugeMatrix(d.inverse(), d))
-    return FundamentalSet(
-        table=table,
-        companion=FundamentalPair(x_mat, x_sys),
-        sym2=FundamentalPair(sym_group(x_mat, 2), sym_system(x_sys, 2)),
-        orthogonal=orthogonal_lift(family, "Q")[1],
-        balanced=FundamentalPair(x1_mat, x1_sys),
-        balanced_sym2=FundamentalPair(sym_group(x1_mat, 2), sym_system(x1_sys, 2)),
-        orthogonal2=orthogonal_lift(family, "S")[1],
-    )
+    return ortho, FundamentalPair(z_mat, LinearSystem(ortho.system().a, table))
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,6 @@ from darbouxkit.tensordt import (
     first_integral_orthogonal,
     first_integral_sym2,
     flow_derivative,
-    fundamental_matrices,
     lifted_factors,
     lifted_gauge,
     lifted_matrix,
@@ -437,11 +436,11 @@ def test_criterion_9_oracle_health():
         {"m": 0},
     )
     results = {"rk4-order-ratio-in-12-20": 12.0 <= ratio <= 20.0}
-    fset = fundamental_matrices(fam)
-    flipped = LinearSystem(so3_system_first(fam).skew(), fset.table)
+    _, pair = orthogonal_lift(fam, "Q")
+    flipped = LinearSystem(so3_system_first(fam).skew(), pair.system.table)
     grid = companion_solution_grid(fam, bindings={"m": 0})
     mutated = residual_sweep(
-        fset.orthogonal.matrix,
+        pair.matrix,
         flipped,
         grid,
         grid.sample_indices(5),

@@ -2,10 +2,10 @@ import json
 
 import pytest
 
-from darbouxkit import cli, golden, tensordt
+from darbouxkit import cli, golden
 from darbouxkit.cli import main
 from darbouxkit.expr import KitError, Radical, X, equal, param, parse_sexpr
-from darbouxkit.linsys import ExprMatrix, family_from_json, family_to_json
+from darbouxkit.linsys import ExprMatrix, SecondOrderFamily, family_from_json, family_to_json
 from conftest import oscillator_family
 
 
@@ -283,7 +283,7 @@ def test_chains_never_build_a_lift(capsys, monkeypatch):
     def no_fundamental_matrix(family):
         raise KitError("a fundamental matrix was built")
 
-    monkeypatch.setattr(tensordt, "_solution_matrix", no_fundamental_matrix)
+    monkeypatch.setattr(SecondOrderFamily, "fundamental_matrix", no_fundamental_matrix)
     frenet = ["--route", "S", "--kappa", "kappa", "--tau", "tau"]
     for argv in (["frenet", "chain", *frenet, "--k", "1"],
                  ["rigid", "chain", "--route", "S", "--omega1", "w1", "--k", "1"],
@@ -294,6 +294,19 @@ def test_chains_never_build_a_lift(capsys, monkeypatch):
     code, _, err = _run(capsys, ["frenet", "build", *frenet])
     assert code == 1
     assert json.loads(err)["detail"] == "a fundamental matrix was built"
+
+
+def test_a_data_symbol_named_like_a_solution_is_bad_input(capsys):
+    # the curvature tower registers y1' = y1_d1; the solution symbols
+    # must not replace that entry with the companion rewrite
+    frenet = ["--route", "S", "--kappa", "y1", "--tau", "tau"]
+    code, out, err = _run(capsys, ["frenet", "build", *frenet])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"error": "bad-input",
+                               "detail": "solution symbol 'y1' is already a symbol of the family"}
+    code, _, err = _run(capsys, ["frenet", "chain", *frenet, "--k", "1"])
+    assert code == 0, err
 
 
 def test_so3_darboux_names_the_failing_chain_step(capsys):

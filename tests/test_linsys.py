@@ -117,12 +117,23 @@ def test_gauge_singular_rejected():
 
 def test_residual_fundamental_matrix_zero():
     fam = generic_family()
-    (y1_pair, y2_pair), table = fam.solution_symbols("y1", "y2")
-    y1, y1p = y1_pair
-    y2, y2p = y2_pair
+    fundamental, table = fam.fundamental_matrix()
+    assert fundamental.equals(ExprMatrix([[sym("y1"), sym("y2")], [sym("y1_p"), sym("y2_p")]]))
     sys = LinearSystem(companion(fam).a, table)
-    fundamental = ExprMatrix([[y1, y2], [y1p, y2p]])
     assert residual(sys, fundamental).is_zero_matrix()
+
+
+@pytest.mark.parametrize("clash", ["y1", "y1_p", "y2_p"])
+def test_solution_symbols_never_replace_a_family_symbol(clash):
+    # a table entry would be overwritten; a symbol of p, q, r or w would
+    # silently become a solution
+    table = DerivationTable(symbol_tower(clash, 2))
+    for fam in (
+        SecondOrderFamily(p=ZERO, q=ONE, r=ONE, w=ONE, table=table),
+        SecondOrderFamily(p=ZERO, q=sym(clash), r=ONE, w=ONE, table=DerivationTable()),
+    ):
+        with pytest.raises(ValueError, match=f"solution symbol '{clash}' is already"):
+            fam.fundamental_matrix()
 
 
 def test_residual_identity_on_zero_system():

@@ -33,10 +33,10 @@ from darbouxkit.numverify import (
 from darbouxkit.tensordt import (
     first_integral_orthogonal,
     first_integral_sym2,
-    fundamental_matrices,
+    orthogonal_lift,
     so3_system_first,
 )
-from darbouxkit.sympow import sym_system
+from darbouxkit.sympow import sym_group, sym_system
 from conftest import oscillator_family, schrodinger_family
 
 
@@ -258,12 +258,11 @@ def test_residual_sweep_orthogonal_fundamental():
     # the lifted fundamental matrix solves the orthogonal system along
     # numerically integrated trajectories
     fam = schrodinger_family(ONE)
-    fset = fundamental_matrices(fam)
     grid = companion_solution_grid(fam, bindings={"m": 0})
-    pair = fset.orthogonal
+    _, pair = orthogonal_lift(fam, "Q")
     value = residual_sweep(
         pair.matrix,
-        LinearSystem(pair.system.a, fset.table),
+        pair.system,
         grid,
         grid.sample_indices(5),
         bindings={"m": 0},
@@ -276,12 +275,12 @@ def test_residual_sweep_detects_wrong_flow_orientation():
     # correctly built fundamental matrix has a large residual against
     # the sign-mutated system
     fam = schrodinger_family(ONE)
-    fset = fundamental_matrices(fam)
+    _, pair = orthogonal_lift(fam, "Q")
     orthosys = so3_system_first(fam)
-    flipped = LinearSystem(orthosys.skew(), fset.table)  # A = +skew, not -skew
+    flipped = LinearSystem(orthosys.skew(), pair.system.table)  # A = +skew, not -skew
     grid = companion_solution_grid(fam, bindings={"m": 0})
     value = residual_sweep(
-        fset.orthogonal.matrix,
+        pair.matrix,
         flipped,
         grid,
         grid.sample_indices(5),
@@ -291,7 +290,7 @@ def test_residual_sweep_detects_wrong_flow_orientation():
 
 
 def _sweep_orthogonal_fundamental(grid, m):
-    pair = fundamental_matrices(schrodinger_family(ONE)).orthogonal
+    _, pair = orthogonal_lift(schrodinger_family(ONE), "Q")
     return residual_sweep(pair.matrix, pair.system, grid, grid.sample_indices(5), {"m": m})
 
 
@@ -351,11 +350,11 @@ def test_lifted_fundamental_tracks_lifted_flow_numerically():
     # the symmetric square of an integrated fundamental matrix solves
     # the lifted system: d/dx Sym2(Phi) = sym_lie(Phi' Phi^{-1}) Sym2(Phi)
     fam = oscillator_family()
-    fset = fundamental_matrices(fam)
+    fundamental, table = fam.fundamental_matrix()
     grid = companion_solution_grid(fam, bindings={"m": -2})
     value = residual_sweep(
-        fset.sym2.matrix,
-        LinearSystem(fset.sym2.system.a, fset.table),
+        sym_group(fundamental, 2),
+        sym_system(LinearSystem(companion(fam).a, table), 2),
         grid,
         grid.sample_indices(5),
         bindings={"m": -2},

@@ -172,6 +172,13 @@ def test_spectrum_accumulation():
         assert equal(substitute(total, {"a": ONE}), const(2 * n))
 
 
+def test_spectrum_sum_rejects_negative_steps():
+    a = param("a")
+    pot = ParametricPotential(w=a * X, a_name="a", f=a, remainder=2 * a)
+    with pytest.raises(ValueError, match="number of ladder steps must be nonnegative, got -3"):
+        spectrum_sum(pot, -3)
+
+
 def test_hermite_recurrence_and_derivative():
     assert equal(hermite(0), ONE)
     assert equal(hermite(1), 2 * X)

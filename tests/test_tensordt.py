@@ -23,7 +23,7 @@ from darbouxkit.linsys import (
     gauge,
     residual,
 )
-from darbouxkit.sympow import sym_lie, sym_system
+from darbouxkit.sympow import sym_group, sym_lie, sym_system
 from darbouxkit.darboux import attach_generic_seed, darboux_potential, make_seed
 from darbouxkit.tensordt import (
     NotTraceless,
@@ -39,7 +39,6 @@ from darbouxkit.tensordt import (
     first_integral_orthogonal,
     first_integral_sym2,
     flow_derivative,
-    fundamental_matrices,
     lifted_factors,
     lifted_gauge,
     lifted_matrix,
@@ -255,21 +254,49 @@ def test_shape_preservation_of_perturbations():
 # -- fundamental matrices -----------------------------------------------------
 
 
-def test_fundamental_matrices_all_residuals_vanish():
-    fam = generic_family()
-    fset = fundamental_matrices(fam)
-    for name, pair in fset.pairs().items():
-        sys = LinearSystem(pair.system.a, fset.table)
-        assert residual(sys, pair.matrix).is_zero_matrix(), name
+def _companion_pair(fam):
+    x_mat, table = fam.fundamental_matrix()
+    return x_mat, LinearSystem(companion(fam).a, table)
 
 
-@pytest.mark.parametrize("route, entry", [("Q", "orthogonal"), ("S", "orthogonal2")])
-def test_orthogonal_lift_is_the_fundamental_set_entry(route, entry):
+def _balanced_pair(fam):
+    # X1 = Delta X solves the companion system gauged by Delta
+    x_mat, x_sys = _companion_pair(fam)
+    d = delta_gauge(fam)
+    return (d @ x_mat).normalized(), gauge(x_sys, GaugeMatrix(d.inverse(), d))
+
+
+def _sym2_pair(pair):
+    mat, system = pair
+    return sym_group(mat, 2), sym_system(system, 2)
+
+
+def _orthogonal_pair(fam, route):
+    pair = orthogonal_lift(fam, route)[1]
+    return pair.matrix, pair.system
+
+
+# each builder returns (fundamental matrix, the system it solves)
+FUNDAMENTAL_PAIRS = {
+    "companion": _companion_pair,
+    "sym2": lambda fam: _sym2_pair(_companion_pair(fam)),
+    "orthogonal": lambda fam: _orthogonal_pair(fam, "Q"),
+    "balanced": _balanced_pair,
+    "balanced_sym2": lambda fam: _sym2_pair(_balanced_pair(fam)),
+    "orthogonal2": lambda fam: _orthogonal_pair(fam, "S"),
+}
+
+
+@pytest.mark.parametrize("name", FUNDAMENTAL_PAIRS)
+def test_fundamental_pair_solves_its_system(name):
+    matrix, system = FUNDAMENTAL_PAIRS[name](generic_family())
+    assert residual(system, matrix).is_zero_matrix()
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_orthogonal_lift_solves_the_route_closed_form(route):
     fam = generic_family()
     ortho, pair = orthogonal_lift(fam, route)
-    expected = fundamental_matrices(fam).pairs()[entry]
-    assert pair.matrix.equals(expected.matrix)
-    assert pair.system.a.equals(expected.system.a)
     assert pair.system.a.equals(ROUTES[route].system(fam).system().a)
     assert ortho.system().a.equals(pair.system.a)
     assert residual(pair.system, pair.matrix).is_zero_matrix()
@@ -277,14 +304,13 @@ def test_orthogonal_lift_is_the_fundamental_set_entry(route, entry):
 
 def test_fundamental_orthogonal_structure():
     fam = generic_family()
-    fset = fundamental_matrices(fam)
     y1, y1p = Sym("y1"), Sym("y1_p")
     w = sym("w")
-    z = fset.orthogonal.matrix
+    z = orthogonal_lift(fam, "Q")[1].matrix
     assert equal(z[0, 0], w * (y1 ** 2 - y1p ** 2))
     assert equal(z[1, 0], I * w * (y1 ** 2 + y1p ** 2))
     assert equal(z[2, 0], -2 * w * y1 * y1p)
-    z1 = fset.orthogonal2.matrix
+    z1 = orthogonal_lift(fam, "S")[1].matrix
     assert equal(z1[0, 0], y1 ** 2 + w ** 2 * y1p ** 2)
     assert equal(z1[1, 0], 2 * I * w * y1 * y1p)
     assert equal(z1[2, 0], I * (y1 ** 2 - w ** 2 * y1p ** 2))
@@ -292,12 +318,12 @@ def test_fundamental_orthogonal_structure():
 
 def test_fundamental_conversions():
     fam = generic_family()
-    fset = fundamental_matrices(fam)
     w = sym("w")
-    lhs = fset.orthogonal.matrix
-    rhs = (Q_GAUGE @ fset.sym2.matrix).scale(w).normalized()
+    lhs = orthogonal_lift(fam, "Q")[1].matrix
+    rhs = (Q_GAUGE @ FUNDAMENTAL_PAIRS["sym2"](fam)[0]).scale(w).normalized()
     assert lhs.equals(rhs)
-    assert fset.orthogonal2.matrix.equals((S_GAUGE @ fset.balanced_sym2.matrix).normalized())
+    balanced_sym2 = FUNDAMENTAL_PAIRS["balanced_sym2"](fam)[0]
+    assert orthogonal_lift(fam, "S")[1].matrix.equals((S_GAUGE @ balanced_sym2).normalized())
 
 
 # -- first integrals ----------------------------------------------------------
@@ -322,8 +348,8 @@ def test_sym2_first_integral_symbolic():
 
 def test_sym2_first_integral_vanishes_on_rank_one_column():
     fam = generic_family()
-    fset = fundamental_matrices(fam)
-    col = [fset.sym2.matrix[i, 0] for i in range(3)]
+    sym2 = FUNDAMENTAL_PAIRS["sym2"](fam)[0]
+    col = [sym2[i, 0] for i in range(3)]
     value = substitute(
         first_integral_sym2(fam.w),
         {"z1": col[0], "z2": col[1], "z3": col[2]},
