@@ -31,20 +31,18 @@ from .expr import (
 )
 from .linsys import (
     ExprMatrix,
-    GaugeMatrix,
     LinearSystem,
     SecondOrderFamily,
     companion,
     family_from_json,
     family_to_json,
-    gauge,
+    gauge_residual,
     residual,
     system_from_json,
     system_to_json,
 )
 from .sympow import (
     sym2_operator,
-    sym_gauge,
     sym_group,
     sym_lie,
     sym_power_vector,
@@ -64,7 +62,6 @@ from .darboux import (
 )
 from .tensordt import (
     OrthogonalSystem,
-    lifted_gauge,
     lifted_matrix,
     orthogonal_lift,
     riccati_invert,

@@ -27,14 +27,7 @@ from .expr import (
     is_zero,
     normalize,
 )
-from .linsys import (
-    ExprMatrix,
-    GaugeMatrix,
-    LinearSystem,
-    SecondOrderFamily,
-    companion,
-    gauge,
-)
+from .linsys import ExprMatrix, SecondOrderFamily
 
 
 class SeedNotSolution(KitError):
@@ -187,9 +180,10 @@ class DarbouxGauge:
 
     ``p_m = l_m @ r_factor`` exactly;
     ``p_m = (1/sqrt(r)) [[-theta0, 1], [nu, rho]]`` has determinant
-    ``-(m - level)``.  New solutions arise as ``X~ = p_m X``; in the
-    ``X = P Y`` gauge convention the companion system of the transformed
-    family is ``gauge(companion(family), inverse of p_m)``.
+    ``-(m - level)``.  New solutions arise as ``X~ = p_m X``: with A
+    the companion matrix of the family and A~ that of the transformed
+    family, ``A~ p_m - p_m A + p_m' = 0`` (see
+    :func:`~darbouxkit.linsys.gauge_residual`).
     """
 
     p_m: ExprMatrix
@@ -206,16 +200,6 @@ def darboux_gauge(family: SecondOrderFamily, seed: DarbouxSeed) -> DarbouxGauge:
     return DarbouxGauge(
         p_m=p_m.normalized(), l_m=l_m.normalized(), r_factor=r_factor.normalized()
     )
-
-
-def transformed_companion(family: SecondOrderFamily, seed: DarbouxSeed) -> LinearSystem:
-    """Companion system of the transformed family obtained by gauging.
-
-    Must coincide exactly with ``companion(darboux_potential(...))``;
-    the pair is the double-entry check on the whole construction.
-    """
-    g = darboux_gauge(family, seed)
-    return gauge(companion(family), GaugeMatrix(g.p_m).inv())
 
 
 @dataclass(frozen=True)

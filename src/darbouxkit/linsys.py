@@ -1,4 +1,4 @@
-"""Linear differential systems, companion forms, and gauge calculus.
+"""Linear differential systems, companion forms, and gauge certificates.
 
 Every system is stored under the single sign convention ``X' = -A X``.
 Constructors that ingest other presentations (flow forms ``Z' = M Z``,
@@ -45,7 +45,8 @@ class ExprMatrix:
     Sizes stay small (the lifts are 3x3; ``sym_system`` at power m
     builds (m+1)x(m+1)), so determinants and inverses use cofactor
     expansion / adjugates rather than elimination; their cost grows as
-    n!, which is why lifted gauges carry their inverse instead.
+    n!, which is why certificates use :func:`gauge_residual`, which
+    needs no inverse.
     """
 
     __slots__ = ("rows",)
@@ -239,36 +240,16 @@ class LinearSystem:
         return self.table.extended({name: r for name, r in zip(names, rhs)})
 
 
-class GaugeMatrix:
-    """Invertible change of variables ``X = P Y`` with cached exact inverse."""
+def gauge_residual(source: LinearSystem, g: ExprMatrix, target: LinearSystem) -> ExprMatrix:
+    """Normalized ``B G - G A + G'`` for ``source`` A and ``target`` B.
 
-    __slots__ = ("p", "p_inv")
-
-    def __init__(self, p: ExprMatrix, p_inv: ExprMatrix | None = None):
-        self.p = p.normalized()
-        self.p_inv = p_inv.normalized() if p_inv is not None else self.p.inverse()
-        if not (self.p @ self.p_inv).normalized().equals(ExprMatrix.identity(p.nrows)):
-            raise SingularGauge("supplied inverse does not invert the gauge matrix")
-
-    @property
-    def n(self) -> int:
-        return self.p.nrows
-
-    def inv(self) -> "GaugeMatrix":
-        return GaugeMatrix(self.p_inv, self.p)
-
-
-def gauge(system: LinearSystem, p: GaugeMatrix) -> LinearSystem:
-    """Transform ``X' = -A X`` under ``X = P Y`` into ``Y' = -P[A] Y``.
-
-    ``P[A] = P^{ -1} A P + P^{-1} P'``.  If X solves the input system,
-    ``Y = P^{-1} X`` solves the result.
+    All zeros certifies that ``X -> G X`` carries solutions of ``source``
+    to solutions of ``target``: ``(G X)' = (G' - G A) X = -B G X``.
+    ``G`` is assumed invertible (callers prove it by a closed-form
+    determinant); then the identity says ``B = G A G^-1 - G' G^-1``
+    without forming ``G^-1``.
     """
-    if p.n != system.n:
-        raise ValueError("gauge size mismatch")
-    a = system.a
-    new_a = (p.p_inv @ a @ p.p) + (p.p_inv @ p.p.diff(system.table))
-    return LinearSystem(new_a.normalized(), system.table)
+    return (target.a @ g - g @ source.a + g.diff(source.table)).normalized()
 
 
 def residual(system: LinearSystem, candidate: ExprMatrix) -> ExprMatrix:
@@ -328,9 +309,10 @@ class SecondOrderFamily:
 
         For each name ``y`` adds ``y' = y_p`` and
         ``y_p' = -p y_p - (q - m r) y``; returns the (y, y') node pairs
-        and the extended table.  A name that the table already holds or
-        that occurs in p, q, r or w is rejected: replacing its entry would
-        change the family.
+        and the extended table.  A name that the table already holds, that
+        occurs in p, q, r or w, or that this call has already added (as in
+        ``("u", "u_p")`` or ``("u", "u")``) is rejected: replacing its
+        entry would change the family or the other solution.
         """
         taken = set().union(*(free_names(e) for e in (self.p, self.q, self.r, self.w)))
         entries = {}
@@ -340,6 +322,8 @@ class SecondOrderFamily:
             for added in (name, name + "_p"):
                 if added in self.table or added in taken:
                     raise ValueError(f"solution symbol {added!r} is already a symbol of the family")
+                if added in entries:
+                    raise ValueError(f"solution symbol {added!r} is added twice")
             entries[name] = yp
             entries[name + "_p"] = -self.p * yp - self.q_effective() * y
             pairs.append((y, yp))

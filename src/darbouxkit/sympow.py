@@ -22,7 +22,7 @@ from itertools import combinations_with_replacement
 from math import factorial
 
 from .expr import Expr, ZERO, ONE, const, differentiate, normalize
-from .linsys import ExprMatrix, GaugeMatrix, LinearSystem, SecondOrderFamily
+from .linsys import ExprMatrix, LinearSystem, SecondOrderFamily
 
 
 def monomial_basis(n: int, m: int) -> list[tuple[int, ...]]:
@@ -104,15 +104,6 @@ def sym_group(mat: ExprMatrix, m: int) -> ExprMatrix:
             col[index[mono]] = coeff
         cols.append(col)
     return ExprMatrix(list(zip(*cols))).normalized()
-
-
-def sym_gauge(g: GaugeMatrix, m: int) -> GaugeMatrix:
-    """Group-sense power of a gauge, its inverse lifted alongside.
-
-    ``Sym^m(P)^{-1} = Sym^m(P^{-1})`` by functoriality, so the larger
-    matrix is never inverted by an adjugate.
-    """
-    return GaugeMatrix(sym_group(g.p, m), sym_group(g.p_inv, m))
 
 
 def sym_lie(mat: ExprMatrix, m: int) -> ExprMatrix:

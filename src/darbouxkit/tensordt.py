@@ -11,8 +11,10 @@ state by Delta = diag(1, w) into a traceless system and conjugates its
 symmetric square by the constant matrix S.  The routes are not
 equivalent unless w = 1.  ``ROUTES`` defines each route once, and its
 one lifting rule, :meth:`Route.lift`, builds every lifted matrix, factor
-pair, gauge and orthogonal fundamental matrix, at the ``sym2`` level
-(P1, P2) or the ``so3`` level (T1, T2).
+pair and orthogonal fundamental matrix, at the ``sym2`` level (P1, P2)
+or the ``so3`` level (T1, T2).  A lifted matrix G is certified as a
+transformation by :func:`~darbouxkit.linsys.gauge_residual`, with no
+lift of its inverse.
 
 Every lifted transformation matrix here is *constructed* from the
 functorial definitions (symmetric powers of the 2x2 gauge), and the
@@ -44,12 +46,7 @@ from .expr import (
     param_coefficients,
     rat,
 )
-from .linsys import (
-    ExprMatrix,
-    GaugeMatrix,
-    LinearSystem,
-    SecondOrderFamily,
-)
+from .linsys import ExprMatrix, LinearSystem, SecondOrderFamily
 from .darboux import DarbouxSeed, darboux_gauge
 from .sympow import sym_group
 
@@ -282,15 +279,6 @@ def lifted_factors(family: SecondOrderFamily, seed: DarbouxSeed, route: str,
     r, g = ROUTES[route], darboux_gauge(family, seed)
     return (r.lift(family, g.l_m, level, right=False),
             r.lift(family, g.r_factor, level, left=False))
-
-
-def lifted_gauge(family: SecondOrderFamily, seed: DarbouxSeed, route: str,
-                 level: str = "so3") -> GaugeMatrix:
-    """:func:`lifted_matrix` as a gauge.  The inverse is the lift of
-    ``P^-1`` (the rule is a group morphism), far cheaper than a symbolic
-    3x3 adjugate; the gauge certifies the pair once."""
-    r, p_m = ROUTES[route], darboux_gauge(family, seed).p_m
-    return GaugeMatrix(r.lift(family, p_m, level), r.lift(family, p_m.inverse(), level))
 
 
 def p1_explicit(family: SecondOrderFamily, seed: DarbouxSeed) -> ExprMatrix:

@@ -19,7 +19,13 @@ from darbouxkit.expr import (
     sym,
     symbol_tower,
 )
-from darbouxkit.linsys import ExprMatrix, SecondOrderFamily
+from darbouxkit.linsys import (
+    ExprMatrix,
+    LinearSystem,
+    SecondOrderFamily,
+    companion,
+    gauge_residual,
+)
 
 # a longer property run: pytest --hypothesis-profile=ci
 settings.register_profile("ci", max_examples=1000, deadline=None)
@@ -63,6 +69,27 @@ def schrodinger_family(q, table: DerivationTable | None = None,
 def oscillator_family() -> SecondOrderFamily:
     """q = -x^2 + 1, the harmonic-oscillator family."""
     return schrodinger_family(-(X ** 2) + 1)
+
+
+def balanced_companion(family: SecondOrderFamily) -> LinearSystem:
+    """The Delta-balanced companion system in closed form,
+    ``[[0, -1/w], [w (q - m r), 0]]``, certified as the image of the
+    companion system under ``X -> diag(1, w) X``."""
+    w = family.w
+    system = LinearSystem(
+        ExprMatrix([[0, -1 / w], [w * family.q_effective(), 0]]), family.table
+    )
+    delta = ExprMatrix.diagonal([ONE, w])
+    assert gauge_residual(companion(family), delta, system).is_zero_matrix()
+    return system
+
+
+def transported(system: LinearSystem, g: ExprMatrix) -> LinearSystem:
+    """The system ``G A G^-1 - G' G^-1`` to which ``X -> G X`` carries
+    ``system``, formed with the inverse of ``G``."""
+    g_inv = g.inverse()
+    a = g @ system.a @ g_inv - g.diff(system.table) @ g_inv
+    return LinearSystem(a.normalized(), system.table)
 
 
 def riccati_table(table: DerivationTable, theta_name: str, p, q) -> DerivationTable:

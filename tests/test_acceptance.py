@@ -35,7 +35,7 @@ from darbouxkit.linsys import (
     LinearSystem,
     SecondOrderFamily,
     companion,
-    gauge,
+    gauge_residual,
     residual,
 )
 from darbouxkit.sympow import sym_group, sym_lie, sym_system
@@ -47,7 +47,6 @@ from darbouxkit.darboux import (
     generic_seed,
     potential_compact,
     potential_shift,
-    transformed_companion,
 )
 from darbouxkit.tensordt import (
     OrthogonalSystem,
@@ -55,7 +54,6 @@ from darbouxkit.tensordt import (
     first_integral_sym2,
     flow_derivative,
     lifted_factors,
-    lifted_gauge,
     lifted_matrix,
     orthogonal_lift,
     p1_explicit,
@@ -82,7 +80,7 @@ from darbouxkit.numverify import (
     integrate,
     residual_sweep,
 )
-from conftest import generic_family, oscillator_family
+from conftest import balanced_companion, generic_family, oscillator_family
 
 SEED = 20260810
 
@@ -125,9 +123,9 @@ def test_criterion_2_gauge_equivalence():
     results = {
         "factorization": g.p_m.equals((g.l_m @ g.r_factor).normalized()),
         "determinant-minus-m": equal(g.p_m.det(), -fam.m),
-        "gauged-companion-matches": transformed_companion(fam, seed).a.equals(
-            companion(darboux_potential(fam, seed)).a
-        ),
+        "gauged-companion-matches": gauge_residual(
+            companion(fam), g.p_m, companion(darboux_potential(fam, seed))
+        ).is_zero_matrix(),
     }
     _criterion(2, "the transformation is the expected gauge", results)
 
@@ -201,13 +199,8 @@ def test_criterion_4_lifted_transformations():
     at_w1 = lambda e: substitute(e, {"w": ONE, "p": ZERO})
     lifted = sym_system(companion(fam), 2)
     lifted_target = sym_system(companion(darboux_potential(fam, seed)), 2)
-    delta = ExprMatrix.diagonal([ONE, sym("w")])
-    from darbouxkit.linsys import GaugeMatrix
-
-    balanced = gauge(companion(fam), GaugeMatrix(delta.inverse(), delta))
-    balanced_target = gauge(
-        companion(darboux_potential(fam, seed)), GaugeMatrix(delta.inverse(), delta)
-    )
+    balanced = balanced_companion(fam)
+    balanced_target = balanced_companion(darboux_potential(fam, seed))
     results = {
         "p1-entrywise": p1.equals(p1_explicit(fam, seed)),
         "p1-factorization": p1.equals((left1 @ right1).normalized()),
@@ -222,12 +215,10 @@ def test_criterion_4_lifted_transformations():
         "p2-reduces-to-p1-at-w1": p2_explicit(fam, seed)
         .map(at_w1)
         .equals(p1_explicit(fam, seed).map(at_w1)),
-        "diagram-sym2-route": gauge(
-            lifted, lifted_gauge(fam, seed, "Q", "sym2").inv()
-        ).a.equals(lifted_target.a),
-        "diagram-balanced-route": gauge(
-            sym_system(balanced, 2), lifted_gauge(fam, seed, "S", "sym2").inv()
-        ).a.equals(sym_system(balanced_target, 2).a),
+        "diagram-sym2-route": gauge_residual(lifted, p1, lifted_target).is_zero_matrix(),
+        "diagram-balanced-route": gauge_residual(
+            sym_system(balanced, 2), p2, sym_system(balanced_target, 2)
+        ).is_zero_matrix(),
     }
     _criterion(4, "lifted transformation matrices and diagrams", results)
 

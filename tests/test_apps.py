@@ -25,7 +25,7 @@ from darbouxkit.apps import (
     application_chain,
 )
 from darbouxkit.darboux import auto_level_seed, generic_seed
-from darbouxkit.linsys import ExprMatrix, GaugeMatrix, gauge
+from darbouxkit.linsys import ExprMatrix, gauge_residual
 from darbouxkit.numverify import (
     companion_solution_grid,
     drift,
@@ -328,5 +328,16 @@ def test_explicit_seed_chain_certifies_each_step_at_its_level():
     links = application_chain(family, "Q", lambda fam, _: (fam, auto_level_seed(fam, -X)), 2)
     assert [to_sexpr(link.seed.level) for link in links[:-1]] == ["0", "-2"]
     for link, nxt in zip(links, links[1:]):
-        moved = gauge(link.orthogonal.system(), GaugeMatrix(link.transform).inv())
-        assert moved.a.equals(nxt.orthogonal.system().a)
+        certificate = gauge_residual(link.orthogonal.system(), link.transform,
+                                     nxt.orthogonal.system())
+        assert certificate.is_zero_matrix()
+
+
+def test_chain_transforms_compose():
+    # T1 T0 carries link 0's orthogonal system to link 2's; T0 alone does not
+    family = RigidData(normalize(-I * X ** 2), normalize(2 - X ** 2), "Q").family()
+    links = application_chain(family, "Q", lambda fam, _: (fam, auto_level_seed(fam, -X)), 2)
+    first, last = links[0].orthogonal.system(), links[2].orthogonal.system()
+    product = links[1].transform @ links[0].transform
+    assert gauge_residual(first, product, last).is_zero_matrix()
+    assert not gauge_residual(first, links[0].transform, last).is_zero_matrix()

@@ -6,6 +6,7 @@ from darbouxkit.expr import (
     X,
     ZERO,
     const,
+    differentiate,
     equal,
     is_zero,
     sym,
@@ -13,22 +14,23 @@ from darbouxkit.expr import (
 )
 from darbouxkit.linsys import (
     ExprMatrix,
-    GaugeMatrix,
     LinearSystem,
     SecondOrderFamily,
     SingularGauge,
     companion,
     companion_matrices,
-    gauge,
+    gauge_residual,
     residual,
     system_from_json,
     system_to_json,
 )
 from darbouxkit.sympow import sym_group
 from conftest import (
+    balanced_companion,
     generic_family,
     oscillator_family,
     random_rational_matrix,
+    transported,
 )
 
 
@@ -76,27 +78,31 @@ def test_companion_nilpotent_part():
 def test_gauge_identity():
     fam = oscillator_family()
     sys = companion(fam)
-    gauged = gauge(sys, GaugeMatrix(ExprMatrix.identity(2)))
-    assert gauged.a.equals(sys.a)
+    assert gauge_residual(sys, ExprMatrix.identity(2), sys).is_zero_matrix()
 
 
 def test_gauge_diagonal_w_gives_traceless_form():
-    # X = Delta^{-1} X1 with Delta = diag(1, w) sends the companion
-    # matrix to B0 + m N1 = [[0, -1/w], [w(q - m r), 0]], which is traceless.
+    # X1 = Delta X with Delta = diag(1, w) sends the companion matrix to
+    # B0 + m N1 = [[0, -1/w], [w(q - m r), 0]], which is traceless.
     fam = generic_family()
     sys = companion(fam)
     w = sym("w")
     delta = ExprMatrix.diagonal([ONE, w])
-    gauged = gauge(sys, GaugeMatrix(delta.inverse(), delta))
     m = fam.m
-    expected = ExprMatrix(
-        [
-            [ZERO, -1 / w],
-            [w * (sym("q") - m * sym("r")), ZERO],
-        ]
+    expected = LinearSystem(
+        ExprMatrix([[ZERO, -1 / w], [w * (sym("q") - m * sym("r")), ZERO]]), fam.table
     )
-    assert gauged.a.equals(expected)
-    assert is_zero(gauged.a.trace())
+    assert gauge_residual(sys, delta, expected).is_zero_matrix()
+    assert balanced_companion(fam).a.equals(expected.a)
+    assert is_zero(expected.a.trace())
+    # the untransformed companion is not the target
+    assert not gauge_residual(sys, delta, sys).is_zero_matrix()
+
+
+def test_gauge_residual_rejects_mismatched_shapes():
+    sys = companion(generic_family())
+    with pytest.raises(ValueError, match="size mismatch"):
+        gauge_residual(sys, ExprMatrix.identity(3), sys)
 
 
 def test_entrywise_arithmetic_rejects_mismatched_shapes():
@@ -112,7 +118,7 @@ def test_entrywise_arithmetic_rejects_mismatched_shapes():
 
 def test_gauge_singular_rejected():
     with pytest.raises(SingularGauge):
-        GaugeMatrix(ExprMatrix([[ONE, ONE], [ONE, ONE]]))
+        ExprMatrix([[ONE, ONE], [ONE, ONE]]).inverse()
 
 
 def test_residual_fundamental_matrix_zero():
@@ -134,6 +140,11 @@ def test_solution_symbols_never_replace_a_family_symbol(clash):
     ):
         with pytest.raises(ValueError, match=f"solution symbol '{clash}' is already"):
             fam.fundamental_matrix()
+    # nor one added earlier in the same call: ("y1", "y1") would give a
+    # singular fundamental matrix, ("y1", "y1_p") would replace y1_p' by y1_p_p
+    first = clash.removesuffix("_p")
+    with pytest.raises(ValueError, match=f"solution symbol '{clash}' is added twice"):
+        generic_family().solution_symbols(first, clash)
 
 
 def test_residual_identity_on_zero_system():
@@ -153,38 +164,30 @@ def test_residual_detects_perturbation():
     assert not res.is_zero_matrix()
 
 
-def test_gauge_composition(rng):
-    table = DerivationTable(symbol_tower("q", 2))
-    sys = LinearSystem(
-        ExprMatrix([[sym("q"), ONE], [ZERO, const(2)]]), table
-    )
-    for _ in range(5):
-        p = GaugeMatrix(random_rational_matrix(rng, 2, invertible=True))
-        r = GaugeMatrix(random_rational_matrix(rng, 2, invertible=True))
-        pr = GaugeMatrix(p.p @ r.p)
-        lhs = gauge(sys, pr)
-        rhs = gauge(gauge(sys, p), r)
-        assert lhs.a.equals(rhs.a)
-
-
-def test_gauge_then_inverse(rng):
+def test_gauge_then_inverse():
     table = DerivationTable(symbol_tower("q", 2))
     sys = LinearSystem(ExprMatrix([[sym("q"), X], [ONE, ZERO]]), table)
-    # a non-constant gauge exercises the P^{-1} P' term
-    p = GaugeMatrix(ExprMatrix([[ONE, X], [ZERO, ONE]]))
-    back = gauge(gauge(sys, p), p.inv())
-    assert back.a.equals(sys.a)
+    # a non-constant G exercises the G' term
+    g = ExprMatrix([[ONE, X], [ZERO, ONE]])
+    g_inv = ExprMatrix([[ONE, -X], [ZERO, ONE]])
+    target = transported(sys, g)
+    assert gauge_residual(sys, g, target).is_zero_matrix()
+    assert gauge_residual(target, g_inv, sys).is_zero_matrix()
+    # the G' term counts: with its sign flipped the identity fails
+    flipped = target.a @ g - g @ sys.a - g.diff(table)
+    assert not flipped.normalized().is_zero_matrix()
+    assert not gauge_residual(sys, g, sys).is_zero_matrix()
 
 
-def test_gauge_trace_identity(rng):
+def test_gauge_trace_identity():
+    # tr B - tr A = -(det G)'/det G
     table = DerivationTable(symbol_tower("q", 2))
     sys = LinearSystem(ExprMatrix([[sym("q"), X], [ONE, ZERO]]), table)
-    p_mat = ExprMatrix([[ONE, X ** 2], [ZERO, const(3)]])
-    p = GaugeMatrix(p_mat)
-    gauged = gauge(sys, p)
-    lhs = gauged.a.trace() - sys.a.trace()
-    rhs = (p.p_inv @ p.p.diff(table)).trace()
-    assert equal(lhs, rhs)
+    g = ExprMatrix([[ONE, X ** 2], [ZERO, X + 3]])
+    target = transported(sys, g)
+    assert gauge_residual(sys, g, target).is_zero_matrix()
+    det = g.det()
+    assert equal(target.a.trace() - sys.a.trace(), -differentiate(det, table) / det)
 
 
 def test_json_round_trip():

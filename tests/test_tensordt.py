@@ -16,11 +16,10 @@ from darbouxkit.expr import (
 )
 from darbouxkit.linsys import (
     ExprMatrix,
-    GaugeMatrix,
     LinearSystem,
     SecondOrderFamily,
     companion,
-    gauge,
+    gauge_residual,
     residual,
 )
 from darbouxkit.sympow import sym_group, sym_lie, sym_system
@@ -40,7 +39,6 @@ from darbouxkit.tensordt import (
     first_integral_sym2,
     flow_derivative,
     lifted_factors,
-    lifted_gauge,
     lifted_matrix,
     orthogonal_lift,
     p1_explicit,
@@ -57,7 +55,7 @@ from darbouxkit.tensordt import (
     t1_explicit,
     t2_explicit,
 )
-from conftest import generic_family
+from conftest import balanced_companion, generic_family
 
 
 import functools
@@ -205,21 +203,19 @@ def test_unknown_route_or_level_is_rejected():
 def _route_companion(fam, route):
     # the 2x2 system a route squares: the companion system, Delta-balanced
     # on a balanced route
-    if not ROUTES[route].balanced:
-        return companion(fam)
-    d = delta_gauge(fam)
-    return gauge(companion(fam), GaugeMatrix(d.inverse(), d))
+    return balanced_companion(fam) if ROUTES[route].balanced else companion(fam)
 
 
 @pytest.mark.parametrize("route", ROUTES)
 def test_diagram_commutes(route):
-    # lifting then transforming equals transforming then lifting
+    # the lifted transformation carries the lifted system to the lift of
+    # the transformed system
     fam, seed = _generic_seeded()
     lifted = sym_system(_route_companion(fam, route), 2)
     new_fam = darboux_potential(fam, seed)
     transformed_then_lifted = sym_system(_route_companion(new_fam, route), 2)
-    lifted_then_transformed = gauge(lifted, lifted_gauge(fam, seed, route, "sym2").inv())
-    assert lifted_then_transformed.a.equals(transformed_then_lifted.a)
+    p = lifted_matrix(fam, seed, route, "sym2")
+    assert gauge_residual(lifted, p, transformed_then_lifted).is_zero_matrix()
 
 
 @pytest.mark.parametrize("route", ROUTES)
@@ -228,8 +224,20 @@ def test_t_transforms_its_route_lift(route):
     lift = ROUTES[route].system
     base = lift(fam).system()
     target = lift(darboux_potential(fam, seed)).system()
-    moved = gauge(base, lifted_gauge(fam, seed, route).inv())
-    assert moved.a.equals(target.a)
+    assert gauge_residual(base, lifted_matrix(fam, seed, route), target).is_zero_matrix()
+
+
+def test_cleared_identity_mutants_fail():
+    # B G - G A + G' on the lifted Sym2 identity: the right form holds,
+    # and flipping the sign of G' or writing A G for G A leaves a residual
+    fam, seed = _generic_seeded()
+    lifted = sym_system(companion(fam), 2)
+    target = sym_system(companion(darboux_potential(fam, seed)), 2)
+    g = lifted_matrix(fam, seed, "Q", "sym2")
+    a, b, g_prime = lifted.a, target.a, g.diff(lifted.table)
+    assert gauge_residual(lifted, g, target).is_zero_matrix()
+    assert not (b @ g - g @ a - g_prime).normalized().is_zero_matrix()
+    assert not (b @ g - a @ g + g_prime).normalized().is_zero_matrix()
 
 
 def test_shape_preservation_of_perturbations():
@@ -260,10 +268,10 @@ def _companion_pair(fam):
 
 
 def _balanced_pair(fam):
-    # X1 = Delta X solves the companion system gauged by Delta
+    # X1 = Delta X solves the Delta-balanced companion system
     x_mat, x_sys = _companion_pair(fam)
     d = delta_gauge(fam)
-    return (d @ x_mat).normalized(), gauge(x_sys, GaugeMatrix(d.inverse(), d))
+    return (d @ x_mat).normalized(), LinearSystem(balanced_companion(fam).a, x_sys.table)
 
 
 def _sym2_pair(pair):
