@@ -1,6 +1,7 @@
 """Exact Darboux and gauge transformations for second-order operator
 families, their symmetric-power and orthogonal lifts, and the
-supporting symbolic kernel and numerical verification harness."""
+supporting symbolic kernel and numerical verification harness.  Only
+numeric verification and ``evaluate`` load numpy."""
 
 from .expr import (
     DerivationTable,
@@ -87,16 +88,30 @@ from .apps import (
     RigidData,
     application_chain,
 )
-from .numverify import (
-    Trajectory,
-    companion_solution_grid,
-    companion_solution_grids,
-    convergence_ratio,
-    drift,
-    integrate,
-    integrate_many,
-    residual_sweep,
-)
 from .golden import run_checks
 
 __version__ = "0.1.0"
+
+# The RK4 oracle needs numpy; its names load it on first access (PEP 562)
+_NUMERIC = frozenset({
+    "Trajectory",
+    "companion_solution_grid",
+    "companion_solution_grids",
+    "convergence_ratio",
+    "drift",
+    "integrate",
+    "integrate_many",
+    "residual_sweep",
+})
+
+
+def __getattr__(name: str):
+    if name in _NUMERIC:
+        from . import numverify
+
+        return getattr(numverify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_NUMERIC})

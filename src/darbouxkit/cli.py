@@ -408,7 +408,12 @@ def _interval(text: str) -> tuple[float, float]:
     return lo, hi
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every :func:`main` call in this process, built on the
+    first call and shared after it (parsing does not change it), so a
+    process that only imports the package holds none.  Callers must not
+    mutate it."""
     parser = argparse.ArgumentParser(
         prog="darbouxkit",
         description="Construct and verify Darboux/gauge transformations of "
@@ -556,19 +561,11 @@ def _join_expression_flags(argv: list[str]) -> list[str]:
     return out
 
 
-@functools.cache
-def _shared_parser() -> argparse.ArgumentParser:
-    """The parser of every :func:`main` call in this process (parsing does
-    not change it), built on the first call, so that a process that only
-    imports the package holds none."""
-    return build_parser()
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     level = os.environ.get("DARBOUXKIT_LOG", "warning").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         stream=sys.stderr, format="%(name)s: %(message)s")
-    parser = _shared_parser()
+    parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     args = parser.parse_args(_join_expression_flags(argv))
     try:

@@ -24,7 +24,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Union
 
-import numpy as np
+# numpy, bound by the first :func:`evaluate` call: the exact kernel never
+# loads it
+np = None
 
 Scalar = Union[int, Fraction, "GaussRat"]
 
@@ -395,7 +397,8 @@ def register_function(name: str, evaluate: Callable[[complex], complex],
 
     ``evaluate`` maps a complex scalar to one.  A numpy ufunc also
     receives array arguments whole; any other callable is applied to
-    them point by point.
+    them point by point.  Built-in ``exp`` is ``numpy.exp``, bound when
+    :func:`evaluate` first runs.
 
     ``derivative(arg, d_arg)`` must return the derivative of
     ``name(arg)`` given the argument and its derivative.
@@ -403,7 +406,8 @@ def register_function(name: str, evaluate: Callable[[complex], complex],
     _FUNCTIONS[name] = _FunctionRule(evaluate, derivative)
 
 
-register_function("exp", np.exp, lambda arg, d_arg: d_arg * Apply("exp", arg))
+# numpy.exp, bound by the first evaluate (see _bind_numpy)
+_FUNCTIONS["exp"] = _FunctionRule(None, lambda arg, d_arg: d_arg * Apply("exp", arg))
 
 
 # ---------------------------------------------------------------------------
@@ -1028,6 +1032,24 @@ def evaluate(e: Expr, bindings: Mapping[str, complex]) -> complex | np.ndarray:
     array argument point by point.  A zero denominator or a zero base of
     a negative power at any point raises :class:`EvalSingularity`.
     """
+    if np is None:
+        _bind_numpy()
+    return _evaluate(e, bindings)
+
+
+def _bind_numpy() -> None:
+    """Import numpy once, for every later walk, and give built-in ``exp``
+    (unless re-registered) its ufunc."""
+    global np
+    import numpy
+
+    rule = _FUNCTIONS["exp"]
+    if rule.evaluate is None:
+        rule.evaluate = numpy.exp
+    np = numpy
+
+
+def _evaluate(e: Expr, bindings: Mapping[str, complex]) -> complex | np.ndarray:
     if isinstance(e, Const):
         return e.value.to_complex()
     if isinstance(e, Var):
@@ -1035,25 +1057,25 @@ def evaluate(e: Expr, bindings: Mapping[str, complex]) -> complex | np.ndarray:
     if isinstance(e, (Param, Sym, Radical)):
         return _binding(bindings, e.name)
     if isinstance(e, Add):
-        return sum(evaluate(t, bindings) for t in e.terms)
+        return sum(_evaluate(t, bindings) for t in e.terms)
     if isinstance(e, Mul):
         out = 1 + 0j
         for f in e.factors:
-            out *= evaluate(f, bindings)
+            out *= _evaluate(f, bindings)
         return out
     if isinstance(e, Pow):
-        base = evaluate(e.base, bindings)
+        base = _evaluate(e.base, bindings)
         if e.exponent < 0 and np.any(base == 0):
             raise EvalSingularity("zero base with negative exponent")
         return base ** e.exponent
     if isinstance(e, Div):
-        den = evaluate(e.den, bindings)
+        den = _evaluate(e.den, bindings)
         if np.any(den == 0):
             raise EvalSingularity("division by numeric zero")
-        return evaluate(e.num, bindings) / den
+        return _evaluate(e.num, bindings) / den
     if isinstance(e, Apply):
         fn = _FUNCTIONS[e.func].evaluate
-        arg = evaluate(e.arg, bindings)
+        arg = _evaluate(e.arg, bindings)
         if isinstance(arg, np.ndarray) and not isinstance(fn, np.ufunc):
             return np.array([fn(v) for v in arg.tolist()], dtype=np.complex128)
         return fn(arg)

@@ -3,7 +3,9 @@
 Named checks re-derive the package's core identities (symbolically
 where exact, numerically through the RK4 oracle elsewhere) and report
 machine-readable results.  Sampled checks draw from a seeded generator
-so runs are reproducible; each records its seed in its report.
+so runs are reproducible; each records its seed in its report.  A
+numeric check imports the oracle (``numverify``, and with it numpy)
+when it runs, so the exact checks never load numpy.
 
 Report schema: {"check", "max_residual", "tolerance", "pass"} plus
 informational extras ("mode" is "max" when the measurement must stay
@@ -44,6 +46,8 @@ from .expr import (
     to_pretty,
 )
 from .linsys import (
+    DEFAULT_INTERVAL,
+    DEFAULT_STEP,
     ExprMatrix,
     LinearSystem,
     SecondOrderFamily,
@@ -84,17 +88,6 @@ from .susyqm import (
     partner_potentials,
 )
 from .apps import FrenetData, RigidData
-from .numverify import (
-    DEFAULT_INTERVAL,
-    DEFAULT_STEP,
-    companion_solution_grid,
-    companion_solution_grids,
-    convergence_ratio,
-    drift,
-    integrate,
-    integrate_many,
-    residual_sweep,
-)
 
 DEFAULT_SEED = 20260810
 
@@ -185,6 +178,8 @@ def _unit_family() -> SecondOrderFamily:
 
 
 def check_rk4_closed_form(seed: int, config: VerifyConfig) -> dict:
+    from .numverify import integrate
+
     fam = _unit_family()
     x0, x1 = config.interval
     traj = integrate(companion(fam), [1.0, 0.0], config.interval, config.step, {"m": 0})
@@ -195,6 +190,8 @@ def check_rk4_closed_form(seed: int, config: VerifyConfig) -> dict:
 
 
 def check_rk4_order(seed: int, config: VerifyConfig) -> dict:
+    from .numverify import convergence_ratio
+
     fam = _unit_family()
     x0, x1 = config.interval
     ratio = convergence_ratio(
@@ -272,6 +269,8 @@ def check_lifted_transforms(seed: int, config: VerifyConfig) -> dict:
 
 
 def check_first_integrals(seed: int, config: VerifyConfig) -> dict:
+    from .numverify import drift, integrate_many
+
     fam = _generic_family()
     lifted = sym_system(companion(fam), 2)
     _holds("Sym2 first integral is conserved",
@@ -346,6 +345,8 @@ def check_susy_oscillator(seed: int, config: VerifyConfig) -> dict:
 
 
 def check_applications(seed: int, config: VerifyConfig) -> dict:
+    from .numverify import companion_solution_grids, residual_sweep
+
     rng = Random(seed)
     table = DerivationTable(
         {**symbol_tower("kappa", 4), **symbol_tower("tau", 4), **symbol_tower("w1", 4)}
@@ -395,6 +396,8 @@ def check_applications(seed: int, config: VerifyConfig) -> dict:
 
 
 def check_orientation_mutation(seed: int, config: VerifyConfig) -> dict:
+    from .numverify import companion_solution_grid, residual_sweep
+
     fam = _unit_family()
     ortho, pair = orthogonal_lift(fam, "Q")
     flipped = LinearSystem(ortho.skew(), pair.system.table)

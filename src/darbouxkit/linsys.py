@@ -34,6 +34,12 @@ from .expr import (
     to_sexpr,
 )
 
+# Default RK4 step and interval for integrating a system numerically
+# (``numverify``) and for ``verify``; numpy-free, so the exact half can
+# name them without loading the numeric one
+DEFAULT_STEP = 1e-3
+DEFAULT_INTERVAL = (0.0, 1.0)
+
 
 class SingularGauge(KitError):
     """Gauge matrix with determinant normalizing to zero."""

@@ -31,10 +31,15 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .expr import EvalSingularity, Expr, Sym, evaluate, normalize
-from .linsys import ExprMatrix, LinearSystem, SecondOrderFamily, companion
+from .linsys import (
+    DEFAULT_INTERVAL,
+    DEFAULT_STEP,
+    ExprMatrix,
+    LinearSystem,
+    SecondOrderFamily,
+    companion,
+)
 
-DEFAULT_STEP = 1e-3
-DEFAULT_INTERVAL = (0.0, 1.0)
 _BLOCK = 256  # RK4 steps per coefficient evaluation; bounds the arrays of one block
 # Sixth-order central first difference in units of 1/h: at step 5e-3 a
 # fourth-order one errs by ~5e-8, above both RK4's ~8e-10 and the 1e-8 bound

@@ -182,22 +182,16 @@ def test_verify_subset_and_determinism(capsys):
     assert doc["seed"] == json.loads(out2)["seed"]
 
 
-def test_cached_parser_keeps_calls_independent(capsys, oscillator_json, monkeypatch):
-    # main builds its parser once per process and reuses it; no call may
-    # see the flags of the call before it
-    real, built = cli.build_parser, []
-
-    def counted():
-        built.append(real())
-        return built[-1]
-
-    monkeypatch.setattr(cli, "build_parser", counted)
-    cli._shared_parser.cache_clear()
+def test_cached_parser_keeps_calls_independent(capsys, oscillator_json):
+    # build_parser returns one shared parser per process, main reuses it,
+    # and no call may see the flags of the call before it
+    assert cli.build_parser() is cli.build_parser()
+    cli.build_parser.cache_clear()
     chain = ["darboux", "chain", "--family", oscillator_json, "--theta0", "-x", "--k", "2"]
     check = ["verify", "--check", "rk4-order"]
     first = [_run(capsys, chain), _run(capsys, check)]
     second = [_run(capsys, chain), _run(capsys, check)]
-    assert len(built) == 1
+    assert cli.build_parser.cache_info().misses == 1
     assert first == second
     assert first[0][0] == first[1][0] == 0
     assert [r["check"] for r in json.loads(second[1][1])["checks"]] == ["rk4-order"]
