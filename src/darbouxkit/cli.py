@@ -493,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub_susy = p_susy.add_subparsers(dest="subcommand", required=True)
     p_part = sub_susy.add_parser("partners", help="partner potentials")
     p_part.add_argument("--w", required=True, help="superpotential (infix)")
-    p_part.add_argument("--order", type=int, choices=(2, 3), default=2)
+    p_part.add_argument("--order", type=int, default=2, help="matrix order, at least 2")
     add_out(p_part)
     p_part.set_defaults(func=cmd_susy_partners)
     p_spec = sub_susy.add_parser("spectrum", help="shape-invariant spectrum")
@@ -506,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.set_defaults(func=cmd_susy_spectrum)
     p_states = sub_susy.add_parser("states", help="oscillator ladder states")
     p_states.add_argument("--n", type=int, required=True)
-    p_states.add_argument("--order", type=int, choices=(2, 3), default=2)
+    p_states.add_argument("--order", type=int, default=2, help="matrix order, at least 2")
     add_out(p_states)
     p_states.set_defaults(func=cmd_susy_states)
 

@@ -1,8 +1,9 @@
 """Witten-formalism supersymmetric quantum mechanics toys.
 
 Superpotentials, partner potentials, shape invariance with
-user-supplied reparametrization data, the 2x2 and 3x3 matrix wrappers
-of the Schrodinger operator with their ladder operators, and the
+user-supplied reparametrization data, the matrix wrappers of the
+Schrodinger operator with their ladders at every order >= 2, as
+symmetric powers (ladder convention ``E = -m``), and the
 harmonic-oscillator state ladder.
 
 States stay unnormalized: the ladder construction is algebraic and
@@ -12,6 +13,7 @@ normalization constants add nothing checkable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .expr import (
@@ -31,12 +33,9 @@ from .expr import (
     normalize,
     substitute,
 )
-from .linsys import ExprMatrix
-from .sympow import sym_power_vector
-
-
-class UnsupportedOrder(KitError):
-    """Only the 2x2 and 3x3 matrix formalisms exist."""
+from .darboux import darboux_gauge, make_seed
+from .linsys import ExprMatrix, SecondOrderFamily
+from .sympow import sym_group, sym_lie, sym_power_vector
 
 
 class NotShapeInvariant(KitError):
@@ -73,11 +72,6 @@ def partner_potentials(w: Expr, table: DerivationTable = DerivationTable()) -> S
     )
 
 
-# ---------------------------------------------------------------------------
-# First-order operators and operator-valued matrices
-# ---------------------------------------------------------------------------
-
-
 @dataclass(frozen=True)
 class FirstOrderOp:
     """The operator ``f -> d_coef * f' + mul_coef * f``."""
@@ -87,14 +81,6 @@ class FirstOrderOp:
 
     def apply(self, f: Expr, table: DerivationTable) -> Expr:
         return normalize(self.d_coef * differentiate(f, table) + self.mul_coef * f)
-
-    def compose_multiplier(self, c: Expr) -> "FirstOrderOp":
-        """The operator ``f -> c * (self f)``."""
-        return FirstOrderOp(normalize(c * self.d_coef), normalize(c * self.mul_coef))
-
-
-def multiplier(c) -> FirstOrderOp:
-    return FirstOrderOp(ZERO, as_expr(c))
 
 
 def lowering_op(w: Expr) -> FirstOrderOp:
@@ -107,49 +93,67 @@ def raising_op(w: Expr) -> FirstOrderOp:
     return FirstOrderOp(const(-1), normalize(w))
 
 
-class OperatorMatrix:
-    """Matrix whose entries are first-order operators."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: Sequence[Sequence[FirstOrderOp]]):
-        self.rows = tuple(tuple(row) for row in rows)
-
-    def apply(self, vector: Sequence[Expr], table: DerivationTable) -> list[Expr]:
-        return [
-            normalize(sum((op.apply(v, table) for op, v in zip(row, vector)), ZERO))
-            for row in self.rows
-        ]
-
-
 # ---------------------------------------------------------------------------
 # Matrix formalism
 # ---------------------------------------------------------------------------
 
 
+def _power(order: int) -> int:
+    """The symmetric power ``order - 1`` behind an order-``order`` wrapper."""
+    if order < 2:
+        raise ValueError(f"matrix formalism order must be at least 2, got {order}")
+    return order - 1
+
+
+def _intertwiner(v: Expr, theta0: Expr, table: DerivationTable) -> ExprMatrix:
+    """Darboux gauge matrix of ``-d2 + v`` with the seed ``theta0``, over ``m``."""
+    family = SecondOrderFamily(p=ZERO, q=normalize(-v), r=ONE, w=ONE, table=table)
+    return darboux_gauge(family, make_seed(family, theta0)).p_m
+
+
 @dataclass(frozen=True)
 class MatrixFormalism:
-    """The order-2 or order-3 matrix wrapper of a partner pair.
+    """The matrix wrapper of a partner pair at every order >= 2, as symmetric powers.
 
-    ``v_minus``/``v_plus`` wrap the scalar potentials; ``minus_n`` is
-    the constant matrix with ``energy(lam) = lam * minus_n``; the ladder
-    operators pair the scalar ``+-d/dx + W`` with a fixed matrix
-    dressing.  ``v_plus - v_minus == 2 W' * minus_n`` exactly.
+    With ``k = order - 1``, ``v_minus``/``v_plus`` are the Lie-sense
+    ``Sym^k`` of the Schrodinger companion ``[[0, 1], [V, 0]]`` and
+    ``minus_n`` that of ``[[0, 0], [1, 0]]``; ``energy(lam) = lam *
+    minus_n`` and ``v_plus - v_minus == 2 W' * minus_n`` exactly.
+    States are packed as ``Sym^k(psi, psi')``.
+
+    The ladders, built on first use, are matrices over the family
+    parameter ``m`` of ``-psi'' + V psi = E psi``, with ``E = -m``:
+    the group-sense ``Sym^k`` of the Darboux gauges whose first rows
+    are ``A = d/dx + W`` (``lowering``, seed ``-W`` on ``V-``, so
+    ``A H- = H+ A``) and ``A+ = -d/dx + W`` (``raising``, minus the
+    gauge of seed ``W`` on ``V+``).  ``raising @ lowering = (-m)^k I``.
     """
 
     order: int
+    pair: SusyPair
+    table: DerivationTable
     v_minus: ExprMatrix
     v_plus: ExprMatrix
     minus_n: ExprMatrix
-    lowering: OperatorMatrix
-    raising: OperatorMatrix
+
+    @cached_property
+    def lowering(self) -> ExprMatrix:
+        return sym_group(_intertwiner(self.pair.v_minus, -self.pair.w, self.table), self.order - 1)
+
+    @cached_property
+    def raising(self) -> ExprMatrix:
+        gauge = _intertwiner(self.pair.v_plus, self.pair.w, self.table)
+        return sym_group(gauge.scale(const(-1)), self.order - 1)
 
     def energy(self, lam) -> ExprMatrix:
         return self.minus_n.scale(as_expr(lam)).normalized()
 
     def hamiltonian_apply(self, which: str, state: Sequence[Expr],
                           table: DerivationTable) -> list[Expr]:
-        """Apply ``-d/dx + V`` componentwise to a state vector."""
+        """Apply ``-d/dx + V`` componentwise to a state vector, with ``V``
+        the ``"minus"`` or the ``"plus"`` potential matrix."""
+        if which not in ("minus", "plus"):
+            raise ValueError(f"which must be 'minus' or 'plus', got {which!r}")
         v = self.v_minus if which == "minus" else self.v_plus
         out = []
         for i, row in enumerate(v.rows):
@@ -161,66 +165,17 @@ class MatrixFormalism:
 
 
 def potential_matrix(v: Expr, order: int) -> ExprMatrix:
-    if order == 2:
-        return ExprMatrix([[ZERO, ONE], [v, ZERO]])
-    if order == 3:
-        return ExprMatrix([[ZERO, ONE, ZERO], [2 * v, ZERO, const(2)], [ZERO, v, ZERO]])
-    raise UnsupportedOrder(f"order {order} not supported")
+    """The Lie-sense ``Sym^(order-1)`` of ``[[0, 1], [v, 0]]``."""
+    return sym_lie(ExprMatrix([[ZERO, ONE], [v, ZERO]]), _power(order))
 
 
 def matrix_formalism(pair: SusyPair, order: int,
                      table: DerivationTable = DerivationTable()) -> MatrixFormalism:
-    w = pair.w
-    a_low = lowering_op(w)
-    a_raise = raising_op(w)
-    wp = differentiate(w, table)
-    zero_op = multiplier(ZERO)
-    if order == 2:
-        minus_n = ExprMatrix([[ZERO, ZERO], [ONE, ZERO]])
-        lowering = OperatorMatrix(
-            [
-                [a_low, zero_op],
-                [a_low.compose_multiplier(w), zero_op],
-            ]
-        )
-        # second row: f -> 2 W' f - W (A+ f)
-        raising = OperatorMatrix(
-            [
-                [a_raise, zero_op],
-                [
-                    FirstOrderOp(
-                        normalize(-a_raise.d_coef * w),
-                        normalize(2 * wp - w * a_raise.mul_coef),
-                    ),
-                    zero_op,
-                ],
-            ]
-        )
-    elif order == 3:
-        minus_n = ExprMatrix([[ZERO, ZERO, ZERO], [const(2), ZERO, ZERO], [ZERO, ONE, ZERO]])
-        lowering = OperatorMatrix(
-            [
-                [a_low.compose_multiplier(w), zero_op, multiplier(ONE)],
-                [a_low.compose_multiplier(2 * w * w), zero_op, multiplier(2 * w)],
-                [a_low.compose_multiplier(w ** 3), zero_op, multiplier(w * w)],
-            ]
-        )
-        raising = OperatorMatrix(
-            [
-                [a_raise.compose_multiplier(w), zero_op, multiplier(ONE)],
-                [a_raise.compose_multiplier(-2 * w * w), zero_op, multiplier(-2 * w)],
-                [a_raise.compose_multiplier(w ** 3), zero_op, multiplier(w * w)],
-            ]
-        )
-    else:
-        raise UnsupportedOrder(f"order {order} not supported")
     return MatrixFormalism(
-        order=order,
-        v_minus=potential_matrix(pair.v_minus, order).normalized(),
-        v_plus=potential_matrix(pair.v_plus, order).normalized(),
-        minus_n=minus_n,
-        lowering=lowering,
-        raising=raising,
+        order=order, pair=pair, table=table,
+        v_minus=potential_matrix(pair.v_minus, order),
+        v_plus=potential_matrix(pair.v_plus, order),
+        minus_n=sym_lie(ExprMatrix([[ZERO, ZERO], [ONE, ZERO]]), _power(order)),
     )
 
 
@@ -315,25 +270,19 @@ def oscillator_states(n: int, order: int = 2) -> tuple[list[list[Expr]], Derivat
 
     The scalar chain is ``psi_{k+1} = (-d/dx + x) psi_k`` starting from
     the Gaussian; component 1 of state k is the degree-k Hermite
-    polynomial times the Gaussian, exactly.  Order 2 packs
-    ``(psi, psi')``; order 3 packs ``(psi^2, 2 psi psi', psi'^2)``.
-    Each state satisfies ``(-d/dx + V-) state = 2k * minus_n state``.
+    polynomial times the Gaussian, exactly.  Every order packs
+    ``Sym^(order-1)(psi, psi')``: ``(psi, psi')`` at order 2,
+    ``(psi^2, 2 psi psi', psi'^2)`` at order 3.  Each state satisfies
+    ``(-d/dx + V-) state = 2k * minus_n state``.
     """
     if n < 0:
         raise ValueError(f"number of ladder steps must be nonnegative, got {n}")
-    if order not in (2, 3):
-        raise UnsupportedOrder(f"order {order} not supported")
+    power = _power(order)
     table = oscillator_table()
     psi = Sym(GROUND_STATE)
     raise_x = raising_op(X)
     scalars = [normalize(psi)]
     for _ in range(n):
         scalars.append(raise_x.apply(scalars[-1], table))
-    states = []
-    for s in scalars:
-        sp = differentiate(s, table)
-        if order == 2:
-            states.append([s, sp])
-        else:
-            states.append(sym_power_vector([s, sp], 2))
+    states = [sym_power_vector([s, differentiate(s, table)], power) for s in scalars]
     return states, table

@@ -273,6 +273,27 @@ def test_negative_counts_are_bad_input(capsys, argv):
     assert json.loads(err)["detail"] == "number of ladder steps must be nonnegative, got " + argv[-1]
 
 
+@pytest.mark.parametrize("argv", [["susy", "partners", "--w", "x", "--order", "1"],
+                                  ["susy", "states", "--n", "3", "--order", "1"]])
+def test_order_below_two_is_bad_input(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"error": "bad-input",
+                               "detail": "matrix formalism order must be at least 2, got 1"}
+
+
+def test_susy_commands_take_any_order_from_two(capsys):
+    code, out, _ = _run(capsys, ["susy", "partners", "--w", "x", "--order", "4"])
+    assert code == 0
+    assert len(json.loads(out)["v_minus_matrix"]) == 4
+    code, out, _ = _run(capsys, ["susy", "states", "--n", "2", "--order", "5"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["order"] == 5
+    assert [len(state) for state in doc["states"]] == [5, 5, 5]
+
+
 def test_chains_never_build_a_lift(capsys, monkeypatch):
     def no_fundamental_matrix(family):
         raise KitError("a fundamental matrix was built")

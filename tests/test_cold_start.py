@@ -34,6 +34,7 @@ EXACT_COMMANDS = [
     ["susy", "partners", "--w", "x"],
     ["susy", "spectrum", "--n", "3"],
     ["susy", "states", "--n", "3", "--order", "3"],
+    ["susy", "states", "--n", "3", "--order", "4"],
     ["frenet", "build", "--route", "S", "--kappa", "kappa", "--tau", "tau"],
     ["frenet", "chain", "--route", "S", "--kappa", "kappa", "--tau", "tau", "--k", "1"],
     ["rigid", "build", "--route", "Q", "--omega2", "2-i*w1"],

@@ -27,6 +27,10 @@ def test_oscillator_ladder_levels():
         if "level = " in line
     ]
     assert levels == ["0", "-2", "-4", "-6", "-8"]
+    ladder = [line.strip() for line in proc.stdout.splitlines() if "raising(state" in line]
+    assert ladder == [
+        f"n={n}: lambda = {2 * n}, raising(state {n}) is state {n + 1}" for n in range(5)
+    ]
 
 
 def test_frame_chain_demo_runs():

@@ -16,16 +16,18 @@ from darbouxkit.expr import (
     sym,
     symbol_tower,
 )
+from darbouxkit import susyqm
 from darbouxkit.darboux import darboux_potential, make_seed
-from darbouxkit.linsys import ExprMatrix, SecondOrderFamily
+from darbouxkit.linsys import ExprMatrix, SecondOrderFamily, companion, gauge_residual
+from darbouxkit.sympow import sym_system
 from darbouxkit.susyqm import (
     NotShapeInvariant,
     ParametricPotential,
-    UnsupportedOrder,
     hermite,
     lowering_op,
     matrix_formalism,
     oscillator_states,
+    potential_matrix,
     partner_potentials,
     raising_op,
     shape_invariance,
@@ -107,7 +109,7 @@ def test_matrix_formalism_generic_remainder():
     table = DerivationTable(symbol_tower("W", 2))
     pair = partner_potentials(sym("W"), table)
     wp = differentiate(sym("W"), table)
-    for order in (2, 3):
+    for order in (2, 3, 4, 5):
         mf = matrix_formalism(pair, order, table)
         assert mf.v_plus.equals(mf.v_minus + mf.minus_n.scale(2 * wp))
 
@@ -118,26 +120,106 @@ def test_matrix_formalism_zero_superpotential():
     assert mf.v_plus.equals(mf.v_minus)
 
 
-def test_matrix_formalism_rejects_other_orders():
+def test_matrix_formalism_rejects_order_below_two():
     pair = partner_potentials(X)
-    with pytest.raises(UnsupportedOrder):
-        matrix_formalism(pair, 4)
+    message = "matrix formalism order must be at least 2, got 1"
+    with pytest.raises(ValueError, match=message):
+        matrix_formalism(pair, 1)
+    with pytest.raises(ValueError, match=message):
+        potential_matrix(X, 1)
+    with pytest.raises(ValueError, match=message):
+        oscillator_states(2, order=1)
+
+
+def test_hamiltonian_apply_rejects_unknown_side():
+    states, table = oscillator_states(0)
+    mf = matrix_formalism(partner_potentials(X), 2, table)
+    assert mf.hamiltonian_apply("plus", states[0], table)
+    with pytest.raises(ValueError, match="which must be 'minus' or 'plus', got 'mins'"):
+        mf.hamiltonian_apply("mins", states[0], table)
+
+
+def _at_m(mat, value):
+    """The ladder matrix at the family parameter ``m = value`` (energy ``-value``)."""
+    return mat.map(lambda e: substitute(e, {"m": const(value)}))
 
 
 def test_ladder_matrices_annihilate_and_raise_ground_state():
-    # the lowering wrapper kills the ground state in both formalisms;
-    # the order-2 raising wrapper maps state 0 to state 1
+    # the lowering ladder at m = 0 kills the ground state in both
+    # formalisms; the order-2 raising ladder at m = -2 (the ground
+    # state's V+ energy) maps state 0 to state 1
     states2, table = oscillator_states(1, order=2)
     pair = partner_potentials(X)
     mf2 = matrix_formalism(pair, 2, table)
-    lowered = mf2.lowering.apply(states2[0], table)
+    lowered = _at_m(mf2.lowering, 0).apply(states2[0])
     assert all(is_zero(e) for e in lowered)
-    raised = mf2.raising.apply(states2[0], table)
+    raised = _at_m(mf2.raising, -2).apply(states2[0])
     assert all(equal(a, b) for a, b in zip(raised, states2[1]))
     states3, table3 = oscillator_states(0, order=3)
     mf3 = matrix_formalism(pair, 3, table3)
-    lowered3 = mf3.lowering.apply(states3[0], table3)
+    lowered3 = _at_m(mf3.lowering, 0).apply(states3[0])
     assert all(is_zero(e) for e in lowered3)
+
+
+def test_matrix_formalism_builds_ladders_on_first_use(monkeypatch):
+    def no_gauge(family, seed):
+        raise AssertionError("a ladder was built")
+
+    monkeypatch.setattr(susyqm, "darboux_gauge", no_gauge)
+    mf = matrix_formalism(partner_potentials(X), 3)
+    with pytest.raises(AssertionError, match="a ladder was built"):
+        mf.lowering
+
+
+def _partner_families(order):
+    table = DerivationTable(symbol_tower("W", 3))
+    pair = partner_potentials(sym("W"), table)
+    minus, plus = (
+        SecondOrderFamily(p=ZERO, q=normalize(-v), r=ONE, w=ONE, table=table)
+        for v in (pair.v_minus, pair.v_plus)
+    )
+    return matrix_formalism(pair, order, table), minus, plus
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+def test_ladders_intertwine_symmetric_powers(order):
+    # Sym^k A- carries V- solutions to V+ solutions and Sym^k A+ carries
+    # them back, on the Lie-sense powers of both companions
+    k = order - 1
+    mf, minus, plus = _partner_families(order)
+    sym_minus, sym_plus = sym_system(companion(minus), k), sym_system(companion(plus), k)
+    assert gauge_residual(sym_minus, mf.lowering, sym_plus).is_zero_matrix()
+    assert gauge_residual(sym_plus, mf.raising, sym_minus).is_zero_matrix()
+    m = minus.m
+    dim = mf.lowering.nrows
+    assert (mf.raising @ mf.lowering).equals(ExprMatrix.identity(dim).scale((-m) ** k))
+    assert is_zero(mf.lowering.det() - (-m) ** (k * (k + 1) // 2))
+
+
+def test_rank_one_dressing_is_no_intertwiner():
+    # the former order-2 lowering dressing (psi, psi') -> (A psi, W A psi)
+    # is singular, and the intertwining identity rejects it
+    mf, minus, plus = _partner_families(2)
+    w = sym("W")
+    dressing = ExprMatrix([[w, ONE], [w * w, w]])
+    assert is_zero(dressing.det())
+    assert not gauge_residual(companion(minus), dressing, companion(plus)).is_zero_matrix()
+    assert gauge_residual(companion(minus), mf.lowering, companion(plus)).is_zero_matrix()
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_ladders_step_oscillator_states(order):
+    # state n has V- energy 2n and V+ energy 2n + 2, so E = -m puts
+    # raising at m = -(2n + 2) and lowering at m = -2n
+    k = order - 1
+    states, table = oscillator_states(4, order=order)
+    mf = matrix_formalism(partner_potentials(X), order, table)
+    assert all(is_zero(e) for e in _at_m(mf.lowering, 0).apply(states[0]))
+    for n in range(4):
+        raised = _at_m(mf.raising, -(2 * n + 2)).apply(states[n])
+        assert all(equal(a, b) for a, b in zip(raised, states[n + 1])), n
+        lowered = _at_m(mf.lowering, -(2 * n + 2)).apply(states[n + 1])
+        assert all(equal(a, (2 * n + 2) ** k * b) for a, b in zip(lowered, states[n])), n
 
 
 def test_shape_invariance_oscillator_scaled():
@@ -216,6 +298,17 @@ def test_oscillator_eigen_residual_order3():
     states, table = oscillator_states(5, order=3)
     pair = partner_potentials(X)
     mf = matrix_formalism(pair, 3, table)
+    for n, state in enumerate(states):
+        h_state = mf.hamiltonian_apply("minus", state, table)
+        e_state = mf.energy(const(2 * n)).apply(state)
+        assert all(is_zero(a - b) for a, b in zip(h_state, e_state)), n
+
+
+@pytest.mark.parametrize("order", [4, 5])
+def test_oscillator_eigen_residual_higher_orders(order):
+    states, table = oscillator_states(3, order=order)
+    assert len(states[0]) == order
+    mf = matrix_formalism(partner_potentials(X), order, table)
     for n, state in enumerate(states):
         h_state = mf.hamiltonian_apply("minus", state, table)
         e_state = mf.energy(const(2 * n)).apply(state)
