@@ -8,14 +8,18 @@ at once with array bindings: the coefficient matrix per block of steps
 at the block's grid nodes and midpoints, a residual's candidate and
 coefficient matrix around its samples (differenced for the derivative),
 a first integral along the whole trajectory.  From a block's
-coefficient values every step's RK4 increment matrix is built in batch,
-so the stepping loop does one matrix product per step.  Independent
-problems of one size are stacked and share that loop
-(:func:`integrate_many`): each step is then one stacked product for all
-of them, and :func:`integrate` is the one-problem case.  Solution grids
-are built from second-order families: two companion solutions back the
-entries of the family's abstract fundamental matrix, and a symbolic
-Wronskian datum ``w`` is integrated alongside from ``w' = p w``.
+coefficient values every step's RK4 increment matrix ``D_k`` (with
+``X_{k+1} = X_k + D_k X_k``) is built in batch.  The block's L steps
+are then stepped in about sqrt(L) runs: one prefix scan over all runs
+at once turns each run's increments into the products of its leading
+steps, and each run then maps the state to all of its steps' states in
+one stacked product, so a block takes O(sqrt L) Python iterations, not
+L.  Independent problems of one size are stacked and share that
+stepping (:func:`integrate_many`), and :func:`integrate` is the
+one-problem case.  Solution grids are built from second-order families:
+two companion solutions back the entries of the family's abstract
+fundamental matrix, and a symbolic Wronskian datum ``w`` is integrated
+alongside from ``w' = p w``.
 Defaults: step 1e-3 on [0, 1] (global RK4 error ~ h^4 leaves three
 orders of margin for roundoff under the 1e-8 pass tolerance of the
 verify checks).  No adaptivity and no stiffness handling; coefficient
@@ -86,11 +90,14 @@ def _grid_values(exprs: Sequence[Expr], env: Mapping, xs: np.ndarray, what: str)
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stacked products of small square matrices as an explicit sum over
-    the inner index: ``np.matmul`` would make one BLAS call per matrix."""
-    out = a[..., :, :1] * b[..., :1, :]
-    for j in range(1, a.shape[-1]):
-        out += a[..., :, j:j + 1] * b[..., j:j + 1, :]
+    """Products of small matrices stacked along trailing axes: ``a`` has
+    axes ``(row, inner, ...)`` and ``b`` ``(inner, column, ...)``, the
+    rest broadcast.  An explicit sum over the inner index runs each numpy
+    operation over the whole stack, where ``np.matmul`` would make one
+    BLAS call per matrix."""
+    out = a[:, :1] * b[None, 0]
+    for j in range(1, a.shape[1]):
+        out += a[:, j:j + 1] * b[None, j]
     return out
 
 
@@ -108,14 +115,26 @@ def _increments(f0: np.ndarray, fm: np.ndarray, f1: np.ndarray, h: float) -> np.
 
 
 def _rk4(problems, interval: tuple[float, float], h: float) -> list[Trajectory]:
-    """The one stepping loop, behind :func:`integrate_many` and
+    """The one stepping routine, behind :func:`integrate_many` and
     :func:`integrate`.  Both call it directly, so that a traced
-    :func:`integrate` call is one span that holds its own stepping."""
+    :func:`integrate` call is one span that holds its own stepping.
+
+    A block of L steps is cut into runs of ``isqrt(L - 1) + 1`` steps.
+    A scan within all runs at once replaces each increment by ``T - I``
+    for the product ``T`` of the run's steps up to it, using ``(I + a)(I
+    + b) = I + a + b + a b``; then the runs are walked in order, each
+    giving its states as ``y + (T - I) y`` from the state ``y`` before
+    it.  ``I + D`` is never formed, so its rounding never accumulates.
+    Increments and states are stored with the matrix axes first and the
+    batch axes (problem, step) last, so that each numpy operation runs
+    over long contiguous axes."""
     if not 0 < h < math.inf:
         raise ValueError(f"step must be finite and positive, got {h}")
     x_start, x_end = interval
     if not -math.inf < x_start < x_end < math.inf:
         raise ValueError(f"interval must be finite and increasing, got {x_start},{x_end}")
+    if not problems:
+        raise ValueError("the problem list is empty: nothing to integrate")
     n = problems[0][0].n
     starts = [np.asarray(state, dtype=np.complex128) for _, state, _ in problems]
     shape = starts[0].shape
@@ -128,26 +147,34 @@ def _rk4(problems, interval: tuple[float, float], h: float) -> list[Trajectory]:
     steps = max(1, round((x_end - x_start) / h))
     h = (x_end - x_start) / steps
     xs = x_start + np.arange(steps + 1) * h
-    y = np.stack(starts).reshape(len(problems), n, -1)  # a vector state is one column
-    states = np.empty((len(problems), steps + 1) + y.shape[1:], dtype=np.complex128)
-    states[:, 0] = y
+    # axes (row, column, problem); a vector state is one column
+    y = np.moveaxis(np.stack(starts).reshape(len(problems), n, -1), 0, -1)
+    states = np.empty((len(problems), steps + 1) + y.shape[:2], dtype=np.complex128)
+    states[:, 0] = np.moveaxis(y, -1, 0)
     for first in range(0, steps, _BLOCK):
         last = min(first + _BLOCK, steps)
         nodes = np.empty(2 * (last - first) + 1)
         nodes[0::2] = xs[first:last + 1]
         nodes[1::2] = xs[first:last] + h / 2
-        # increments of the block's steps, axes (step, problem, row, column)
-        d = np.empty((last - first, len(problems), n, n), dtype=np.complex128)
+        # the block's increments in `chunks` runs of `run` steps, axes (row,
+        # column, problem, step); zero increments pad the last run
+        run = math.isqrt(last - first - 1) + 1
+        chunks = -(-(last - first) // run)
+        d = np.zeros((n, n, len(problems), chunks * run), dtype=np.complex128)
         for p, (exprs, (_, _, bindings)) in enumerate(zip(entries, problems)):
             values = _grid_values(exprs, bindings or {}, nodes, "coefficient")
-            # -A at the nodes; step k uses f[2j], f[2j + 1], f[2j + 2]
-            # with j = k - first
-            f = -np.stack([np.broadcast_to(v, nodes.shape) for v in values], axis=-1)
-            f = f.reshape(-1, n, n)
-            d[:, p] = _increments(f[0:-1:2], f[1::2], f[2::2], h)
-        for k, dk in enumerate(d, start=first):
-            y = y + dk @ y
-            states[:, k + 1] = y
+            # -A at the nodes, axes (row, column, node); step k uses nodes
+            # 2j, 2j + 1 and 2j + 2 with j = k - first
+            f = -np.stack([np.broadcast_to(v, nodes.shape) for v in values]).reshape(n, n, -1)
+            d[:, :, p, :last - first] = _increments(f[..., 0:-1:2], f[..., 1::2], f[..., 2::2], h)
+        d = d.reshape(n, n, len(problems), chunks, run)
+        for j in range(1, run):
+            d[..., j] += d[..., j - 1] + _matmul(d[..., j], d[..., j - 1])
+        for c, at in enumerate(range(first, last, run)):
+            count = min(run, last - at)
+            ys = y[..., None] + _matmul(d[..., c, :count], y[..., None])
+            states[:, at + 1:at + 1 + count] = ys.transpose(2, 3, 0, 1)
+            y = ys[..., -1]
     return [Trajectory(xs, s.reshape((steps + 1,) + shape)) for s in states]
 
 
@@ -161,14 +188,16 @@ def integrate_many(
 
     Each of one or more problems is a ``(system, x0_state, bindings)``
     triple as taken by :func:`integrate`; all share ``n`` and the state
-    shape (a vector of length n or an n x m matrix).  The states are stacked and stepped
-    together: per block of steps every problem's coefficient matrix is
-    evaluated at the block's grid nodes and midpoints and its RK4
-    increments ``D_k`` are built in batch (with ``X_{k+1} = X_k + D_k
-    X_k``, the exact RK4 map of a linear system) into one array for the
-    stack; the loop then does one stacked matrix product per step.
-    Returns one trajectory per problem, in order; each problem gets the
-    arithmetic that :func:`integrate` does for it alone.
+    shape (a vector of length n or an n x m matrix), and an empty list
+    raises ``ValueError``.  The states are stacked and stepped together:
+    per block of steps every problem's coefficient matrix is evaluated at
+    the block's grid nodes and midpoints and its RK4 increments ``D_k``
+    are built in batch (with ``X_{k+1} = X_k + D_k X_k``, the exact RK4
+    map of a linear system) into one array for the stack; the block is
+    then stepped in about sqrt(L) runs of its L steps, each one stacked
+    product for every problem and every step of the run.  Returns one
+    trajectory per problem, in order; each problem gets the arithmetic
+    that :func:`integrate` does for it alone.
     """
     return _rk4(problems, interval, h)
 
@@ -186,9 +215,10 @@ def integrate(
     are integrated together.  ``bindings`` fixes numeric values for every
     parameter and symbol appearing in the coefficient matrix.  This is
     the one-problem call of :func:`integrate_many`, which has the only
-    stepping loop: per block of steps the RK4 increments ``D_k`` (with
-    ``X_{k+1} = X_k + D_k X_k``) are built in batch, and the loop does
-    one matrix product per step.
+    stepping routine: per block of steps the RK4 increments ``D_k`` (with
+    ``X_{k+1} = X_k + D_k X_k``) are built in batch, and the block is
+    stepped in about sqrt(L) runs of its L steps, one stacked product
+    per run.
     """
     (trajectory,) = _rk4([(system, x0_state, bindings)], interval, h)
     return trajectory
@@ -219,13 +249,20 @@ def residual_sweep(
     candidate is only evaluated, never differentiated: ``candidate'`` is
     the sixth-order central difference of its grid values around each
     sample index (moved inward to have three points on either side), so
-    the grid needs at least 7 points.
+    the grid needs at least 7 points.  At least one index is needed, and
+    each must lie on the grid.
     """
     count = len(grid.xs)
     if count < len(_CENTRAL):
         raise ValueError(f"residual sweep needs at least 7 grid points, got {count}")
+    samples = np.asarray(sample_indices, dtype=int)
+    if samples.size == 0:
+        raise ValueError("residual sweep needs at least one sample index")
+    if samples.min() < 0 or samples.max() >= count:
+        raise ValueError(f"sample indices must lie in [0, {count}), got {samples.min()}"
+                         f" to {samples.max()}")
     reach = len(_CENTRAL) // 2
-    centres = np.clip(np.asarray(sample_indices, dtype=int), reach, count - 1 - reach)
+    centres = np.clip(samples, reach, count - 1 - reach)
     points = (centres[:, None] + np.arange(-reach, reach + 1)).ravel()
     env = {**(bindings or {}), **{name: vals[points] for name, vals in grid.values.items()}}
     entries = [e for m in (candidate, system.a) for row in m.rows for e in row]
@@ -281,6 +318,8 @@ class SolutionGrid:
         """``count + 1`` grid indices splitting the grid into ``count``
         near-equal parts, both endpoints included (fewer when the grid
         has fewer points)."""
+        if count < 1:
+            raise ValueError(f"sample count must be at least 1, got {count}")
         last = len(self.xs) - 1
         return sorted({i * last // count for i in range(count + 1)})
 
@@ -301,7 +340,7 @@ def companion_solution_grids(
     scaling is equally valid) and stored under the symbol's name; any
     other ``w`` evaluates directly.
     """
-    systems = []
+    companions = []
     for family, bindings in problems:
         system = companion(family)
         if isinstance(family.w, Sym):
@@ -309,11 +348,10 @@ def companion_solution_grids(
                 ExprMatrix([list(row) + [0] for row in system.a.rows] + [[0, 0, -family.p]]),
                 system.table,
             )
-        systems.append((system, bindings))
-    start = np.eye(systems[0][0].n, 2)
-    start[2:] = 1.0
-    trajectories = integrate_many(
-        [(system, start, bindings) for system, bindings in systems], interval, h)
+        start = np.eye(system.n, 2)
+        start[2:] = 1.0
+        companions.append((system, start, bindings))
+    trajectories = integrate_many(companions, interval, h)
     grids = []
     for (family, _), traj in zip(problems, trajectories):
         fundamental, _ = family.fundamental_matrix()

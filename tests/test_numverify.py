@@ -105,6 +105,23 @@ def test_integrate_matches_textbook_rk4(y0):
     assert np.max(np.abs(traj.states - reference)) <= 1e-12 * np.max(np.abs(reference))
 
 
+# step counts around the block and run sizes: one-step blocks, primes, a
+# perfect square (a full block of 16 runs of 16), a padded last run
+_RUN_LAYOUTS = [1, 2, 3, 255, 256, 257]
+
+
+@pytest.mark.parametrize("steps", _RUN_LAYOUTS)
+@pytest.mark.parametrize(
+    "y0", [[1.0, 0.5j, -2.0], np.arange(6).reshape(3, 2) + 1j * np.eye(3, 2)]
+)
+def test_integrate_matches_textbook_rk4_at_every_run_layout(y0, steps):
+    system, a_at = _variable_system()
+    traj = integrate(system, y0, (0.0, 1.0), 1.0 / steps)
+    reference = _textbook_rk4(a_at, y0, steps)
+    assert traj.states.shape == reference.shape
+    assert np.max(np.abs(traj.states - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
 def test_rk4_rounding_does_not_accumulate():
     # on y'' = -y the RK4 truncation error at h = 5e-4 is below 1e-15;
     # stepping with a rounded propagator I + D instead of the increment
@@ -205,6 +222,23 @@ def test_integrate_many_matches_one_problem_at_a_time(problems):
         assert np.array_equal(traj.xs, alone.xs)
         assert traj.states.shape == alone.states.shape
         assert np.array_equal(traj.states, alone.states)
+
+
+@pytest.mark.parametrize("steps", _RUN_LAYOUTS)
+@pytest.mark.parametrize("problems", [_matrix_problems, _vector_problems])
+def test_integrate_many_matches_one_problem_at_every_run_layout(problems, steps):
+    together = integrate_many(problems(), (0.0, 1.0), 1.0 / steps)
+    for (system, state, bindings), traj in zip(problems(), together, strict=True):
+        alone = integrate(system, state, (0.0, 1.0), 1.0 / steps, bindings)
+        assert np.array_equal(traj.xs, alone.xs)
+        assert np.array_equal(traj.states, alone.states)
+
+
+@pytest.mark.parametrize("run", [integrate_many, companion_solution_grids],
+                         ids=["integrate_many", "companion_solution_grids"])
+def test_integration_rejects_an_empty_problem_list(run):
+    with pytest.raises(ValueError, match="the problem list is empty"):
+        run([])
 
 
 def test_integrate_many_reports_singularity_in_a_later_problem():
@@ -322,6 +356,25 @@ def test_residual_sweep_needs_seven_grid_points():
     seven = companion_solution_grid(family, (0.0, 1.0), 1 / 6, {"m": 0})
     assert len(seven.xs) == 7
     assert np.isfinite(_sweep_orthogonal_fundamental(seven, 0))
+
+
+@pytest.mark.parametrize("indices", [[5000], [-7], [0, 50, 101]])
+def test_residual_sweep_rejects_indices_off_the_grid(indices):
+    # clipped, these would sweep an edge sample and read like a certificate
+    grid = companion_solution_grid(schrodinger_family(ONE), (0.0, 1.0), 1e-2, {"m": 0})
+    assert len(grid.xs) == 101
+    _, pair = orthogonal_lift(schrodinger_family(ONE), "Q")
+    with pytest.raises(ValueError, match=r"sample indices must lie in \[0, 101\)"):
+        residual_sweep(pair.matrix, pair.system, grid, indices, {"m": 0})
+    # in-range edge indices still move inward onto a full stencil
+    assert residual_sweep(pair.matrix, pair.system, grid, [0, 1, 99, 100], {"m": 0}) <= 1e-8
+
+
+def test_residual_sweep_rejects_an_empty_sample_list():
+    grid = companion_solution_grid(schrodinger_family(ONE), bindings={"m": 0})
+    _, pair = orthogonal_lift(schrodinger_family(ONE), "Q")
+    with pytest.raises(ValueError, match="at least one sample index"):
+        residual_sweep(pair.matrix, pair.system, grid, [], {"m": 0})
 
 
 def _exact_circle_grid(xs):
@@ -480,3 +533,10 @@ def test_sample_indices_include_both_endpoints():
         indices = grid.sample_indices(5)
         assert indices[0] == 0 and indices[-1] == points - 1
         assert len(indices) == min(6, points)
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_sample_indices_reject_counts_below_one(count):
+    grid = SolutionGrid(np.linspace(0.0, 1.0, 11), {})
+    with pytest.raises(ValueError, match=f"sample count must be at least 1, got {count}"):
+        grid.sample_indices(count)
