@@ -1,17 +1,15 @@
 """Frame and rigid-solid applications of the orthogonal lifts.
 
-An application is a second-order family on an orthogonal route.
-``FrenetData.family`` maps curvature/torsion data (moving frames) and
-``RigidData.family`` maps planar angular-velocity data (the Poisson
-kinematic equation) to that family; neither builds anything else.  What
-a route lifts to is defined in ``tensordt.ROUTES``; a caller that reads
-the lift builds it with ``tensordt.orthogonal_lift(family, route)``.
+An application is a flow vector ``(f, g, h)`` on an orthogonal route:
+moving frames give ``(tau, 0, kappa)`` from curvature and torsion, and
+the planar rigid solid (the Poisson kinematic equation) gives
+``(omega1, omega2, 0)`` from its angular velocity.  ``FrenetData.family``
+and ``RigidData.family`` return the route's family of that vector,
+``tensordt.ROUTES[route].family``, which owns the route's formulas and
+constraints (a vector off the route raises ``RouteConstraintViolated``
+there); neither builds anything else.  A caller that reads the lift
+builds it with ``tensordt.orthogonal_lift(family, route)``.
 ``application_chain`` lifts ``darboux_chain`` along a route.
-
-Both applications restrict to r = 1.  The frame antiderivative datum
-``exp(i * integral of kappa)`` is a registered symbol with derivative
-``i kappa w``; no symbolic integration is attempted because only the
-logarithmic derivative ever enters a formula.
 """
 
 from __future__ import annotations
@@ -19,34 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .expr import (
-    DerivationTable,
-    Expr,
-    I,
-    KitError,
-    ONE,
-    Sym,
-    ZERO,
-    as_expr,
-    differentiate,
-    is_zero,
-    normalize,
-)
+from .expr import DerivationTable, Expr, ZERO
 from .linsys import ExprMatrix, SecondOrderFamily
 from .darboux import DarbouxSeed, darboux_chain
 from .tensordt import ROUTES, OrthogonalSystem, lifted_matrix
 
 
-class RouteConstraintViolated(KitError):
-    """The data does not satisfy the route's defining identity."""
-
-
-FRAME_DATUM = "w_frame"
-
-
 @dataclass(frozen=True)
 class FrenetData:
-    """Curvature and torsion of a space curve with a route choice.
+    """Curvature and torsion of a space curve with a route choice: the
+    flow vector ``(tau, 0, kappa)``.
 
     The Q route only represents frames with ``tau == -2i`` (the
     degenerate coupled case); the S route handles any frame with
@@ -61,38 +41,17 @@ class FrenetData:
     def __post_init__(self):
         if self.route not in ROUTES:
             raise ValueError(f"unknown route {self.route!r}")
-        if self.route == "Q" and not is_zero(self.tau + 2 * I):
-            raise RouteConstraintViolated("Q route requires tau == -2i")
-        if self.route == "S" and is_zero(I * self.kappa - self.tau):
-            raise RouteConstraintViolated("S route requires i*kappa - tau != 0")
 
     def family(self) -> SecondOrderFamily:
-        """Second-order family behind the frame equations, on either route.
-
-        Q route: ``y'' + i kappa y' - y = 0`` with the registered frame
-        datum; S route: ``y'' - (eta'/eta) y' + (kappa^2 + tau^2)/4 y = 0``
-        with ``eta = i kappa - tau`` and ``w = 2/eta``.  The orthogonal
-        system's flow vector reproduces ``(tau, 0, kappa)`` at m = 0.
-        """
-        if self.route == "Q":
-            w = Sym(FRAME_DATUM)
-            table = self.table.extended({FRAME_DATUM: I * self.kappa * w})
-            return SecondOrderFamily(
-                p=normalize(I * self.kappa), q=normalize(as_expr(-1)), r=ONE,
-                w=w, table=table,
-            )
-        eta = normalize(I * self.kappa - self.tau)
-        w = normalize(2 / eta)
-        return SecondOrderFamily(
-            p=normalize(-_log_derivative(eta, self.table)),
-            q=normalize((self.kappa ** 2 + self.tau ** 2) / 4),
-            r=ONE, w=w, table=self.table,
-        )
+        """The route's family of ``(tau, 0, kappa)``; its orthogonal
+        system's flow vector reproduces that vector at m = 0."""
+        return ROUTES[self.route].family(self.tau, ZERO, self.kappa, self.table)
 
 
 @dataclass(frozen=True)
 class RigidData:
-    """Planar angular-velocity components with a route choice.
+    """Planar angular-velocity components with a route choice: the flow
+    vector ``(omega1, omega2, 0)``.
 
     The Q route represents the coupled case ``i omega1 + omega2 == 2``;
     the S route represents motion on a line (``omega2 == 0``) with
@@ -107,35 +66,11 @@ class RigidData:
     def __post_init__(self):
         if self.route not in ROUTES:
             raise ValueError(f"unknown route {self.route!r}")
-        if self.route == "Q" and not is_zero(I * self.omega1 + self.omega2 - 2):
-            raise RouteConstraintViolated("Q route requires i*omega1 + omega2 == 2")
-        if self.route == "S":
-            if not is_zero(self.omega2):
-                raise RouteConstraintViolated("S route requires omega2 == 0")
-            if is_zero(self.omega1):
-                raise RouteConstraintViolated("S route requires omega1 != 0")
 
     def family(self) -> SecondOrderFamily:
-        """Second-order family behind the Poisson kinematic equation.
-
-        Q route: ``y'' + (omega2 - 1) y = 0`` with w = 1; S route:
-        ``y'' - (omega1'/omega1) y' + omega1^2/4 y = 0`` with
-        ``w = -2/omega1``.  The orthogonal flow vector reproduces
-        ``(omega1, omega2, 0)`` at m = 0.
-        """
-        if self.route == "Q":
-            return SecondOrderFamily(
-                p=ZERO, q=normalize(self.omega2 - 1), r=ONE, w=ONE, table=self.table
-            )
-        return SecondOrderFamily(
-            p=normalize(-_log_derivative(self.omega1, self.table)),
-            q=normalize(self.omega1 ** 2 / 4),
-            r=ONE, w=normalize(-2 / self.omega1), table=self.table,
-        )
-
-
-def _log_derivative(e: Expr, table: DerivationTable) -> Expr:
-    return normalize(differentiate(e, table) / e)
+        """The route's family of ``(omega1, omega2, 0)``; its orthogonal
+        system's flow vector reproduces that vector at m = 0."""
+        return ROUTES[self.route].family(self.omega1, self.omega2, ZERO, self.table)
 
 
 @dataclass(frozen=True)

@@ -275,7 +275,9 @@ def cmd_so3_darboux(args) -> dict:
 
 
 def cmd_so3_riccati(args) -> dict:
-    if args.family:
+    if args.family or args.rigid or args.frenet:
+        if any(t is not None for t in (args.f, args.g, args.h)):
+            raise InputError("--f/--g/--h cannot be combined with --family, --rigid or --frenet")
         ortho = ROUTES[args.route].system(_so3_family_from_args(args))
     else:
         f, g, h = (_expr_flag(t) if t else ZERO for t in (args.f, args.g, args.h))
@@ -465,9 +467,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag)
 
     def add_so3_source(p):
-        p.add_argument("--family", help="family JSON path")
-        p.add_argument("--rigid", action="store_true")
-        p.add_argument("--frenet", action="store_true")
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--family", help="family JSON path")
+        source.add_argument("--rigid", action="store_true")
+        source.add_argument("--frenet", action="store_true")
         add_route_data(p)
 
     p_lift = sub_so3.add_parser("lift", help="orthogonal lift of a family")

@@ -29,6 +29,7 @@ poles are avoided by shifting the interval, never by special-casing.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -250,11 +251,14 @@ def residual_sweep(
     the sixth-order central difference of its grid values around each
     sample index (moved inward to have three points on either side), so
     the grid needs at least 7 points.  At least one index is needed, and
-    each must lie on the grid.
+    each must be an integer (not a bool) that lies on the grid.
     """
     count = len(grid.xs)
     if count < len(_CENTRAL):
         raise ValueError(f"residual sweep needs at least 7 grid points, got {count}")
+    for i in sample_indices:
+        if isinstance(i, bool) or not isinstance(i, numbers.Integral):
+            raise ValueError(f"sample indices must be integers, got {i!r}")
     samples = np.asarray(sample_indices, dtype=int)
     if samples.size == 0:
         raise ValueError("residual sweep needs at least one sample index")

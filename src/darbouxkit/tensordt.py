@@ -9,8 +9,12 @@ system by the constant matrix Q (solutions pick up a factor w, the
 antiderivative datum of p); the second first rebalances the companion
 state by Delta = diag(1, w) into a traceless system and conjugates its
 symmetric square by the constant matrix S.  The routes are not
-equivalent unless w = 1.  ``ROUTES`` defines each route once, and its
-one lifting rule, :meth:`Route.lift`, builds every lifted matrix, factor
+equivalent unless w = 1.  ``ROUTES`` defines each route once, in both
+directions: ``system`` maps a family to the flow vector of its
+orthogonal system, and ``family`` maps a flow vector that satisfies the
+route's constraint back to a family with that system at m = 0 (the
+frame and rigid-solid applications are such vectors).  Its one lifting
+rule, :meth:`Route.lift`, builds every lifted matrix, factor
 pair and orthogonal fundamental matrix, at the ``sym2`` level (P1, P2)
 or the ``so3`` level (T1, T2).  A lifted matrix G is certified as a
 transformation by :func:`~darbouxkit.linsys.gauge_residual`, with no
@@ -61,6 +65,14 @@ class OmegaOneZero(KitError):
 
 class NotUnitNorm(KitError):
     """The orthogonal solution does not satisfy the unit quadratic invariant."""
+
+
+class RouteConstraintViolated(KitError):
+    """The flow vector does not satisfy the route's defining identity."""
+
+
+# The datum exp(i * integral of h) of a Q-route family, never integrated
+FRAME_DATUM = "w_frame"
 
 
 # The two constant gauges and their exact inverses.
@@ -199,6 +211,39 @@ def so3_system_second(family: SecondOrderFamily) -> OrthogonalSystem:
     return OrthogonalSystem(f, g, h, family.table)
 
 
+def so3_family_first(f: Expr, g: Expr, h: Expr, table: DerivationTable) -> SecondOrderFamily:
+    """Q-route family ``y'' + i h y' + (g - 1) y = 0`` (r = 1) of the flow
+    vector ``(f, g, h)``, which needs ``f == i (g - 2)``; inverse of
+    :func:`so3_system_first` at m = 0.  Its datum w is 1 when h vanishes,
+    else the registered :data:`FRAME_DATUM` with ``w' = i h w``.
+    """
+    if not is_zero(f - I * (g - 2)):
+        raise RouteConstraintViolated("Q route requires f == i*(g - 2)")
+    w = ONE
+    if not is_zero(h):
+        w = Sym(FRAME_DATUM)
+        table = table.extended({FRAME_DATUM: I * h * w})
+    return SecondOrderFamily(p=normalize(I * h), q=normalize(g - 1), r=ONE, w=w, table=table)
+
+
+def so3_family_second(f: Expr, g: Expr, h: Expr, table: DerivationTable) -> SecondOrderFamily:
+    """S-route family ``y'' - (eta'/eta) y' + (f^2 + h^2)/4 y = 0`` (r = 1,
+    ``w = 2/eta``, ``eta = i h - f``) of the flow vector ``(f, g, h)``,
+    which needs ``g == 0`` and ``eta != 0``; inverse of
+    :func:`so3_system_second` at m = 0.
+    """
+    if not is_zero(g):
+        raise RouteConstraintViolated("S route requires g == 0")
+    eta = normalize(I * h - f)
+    if is_zero(eta):
+        raise RouteConstraintViolated("S route requires i*h - f != 0")
+    return SecondOrderFamily(
+        p=normalize(-normalize(differentiate(eta, table) / eta)),
+        q=normalize((f ** 2 + h ** 2) / 4),
+        r=ONE, w=normalize(2 / eta), table=table,
+    )
+
+
 # ---------------------------------------------------------------------------
 # The two routes and the lifting rule
 # ---------------------------------------------------------------------------
@@ -220,12 +265,16 @@ class Route:
     data by Delta = diag(1, w), making the companion system traceless;
     the other route scales its solutions by w instead.  ``system`` is
     the closed-form lift, the reference for what :meth:`lift` constructs.
+    ``family`` is its inverse: ``system(family(f, g, h, table))`` has the
+    flow vector ``(f, g, h)`` at m = 0, and a vector outside the route's
+    constraint raises :class:`RouteConstraintViolated`.
     """
 
     conj: ExprMatrix
     conj_inv: ExprMatrix
     balanced: bool
     system: Callable[[SecondOrderFamily], OrthogonalSystem]
+    family: Callable[[Expr, Expr, Expr, DerivationTable], SecondOrderFamily]
 
     def lift(self, family: SecondOrderFamily, mat: ExprMatrix, level: str = "so3",
              left: bool = True, right: bool = True) -> ExprMatrix:
@@ -257,8 +306,8 @@ class Route:
 
 
 ROUTES = {
-    "Q": Route(Q_GAUGE, Q_GAUGE_INV, False, so3_system_first),
-    "S": Route(S_GAUGE, S_GAUGE_INV, True, so3_system_second),
+    "Q": Route(Q_GAUGE, Q_GAUGE_INV, False, so3_system_first, so3_family_first),
+    "S": Route(S_GAUGE, S_GAUGE_INV, True, so3_system_second, so3_family_second),
 }
 
 

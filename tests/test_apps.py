@@ -18,12 +18,7 @@ from darbouxkit.expr import (
     symbol_tower,
     to_sexpr,
 )
-from darbouxkit.apps import (
-    FrenetData,
-    RigidData,
-    RouteConstraintViolated,
-    application_chain,
-)
+from darbouxkit.apps import FrenetData, RigidData, application_chain
 from darbouxkit.darboux import auto_level_seed, generic_seed
 from darbouxkit.linsys import ExprMatrix, gauge_residual
 from darbouxkit.numverify import (
@@ -33,6 +28,8 @@ from darbouxkit.numverify import (
     residual_sweep,
 )
 from darbouxkit.tensordt import (
+    FRAME_DATUM,
+    RouteConstraintViolated,
     first_integral_orthogonal,
     lifted_factors,
     orthogonal_lift,
@@ -53,7 +50,7 @@ def _sym_tables(*names, depth=4):
 def test_frenet_q_route_requires_fixed_torsion():
     table = _sym_tables("kappa")
     with pytest.raises(RouteConstraintViolated):
-        FrenetData(kappa=sym("kappa"), tau=ZERO, route="Q", table=table)
+        FrenetData(kappa=sym("kappa"), tau=ZERO, route="Q", table=table).family()
     data = FrenetData(kappa=sym("kappa"), tau=-2 * I, route="Q", table=table)
     family = data.family()
     assert equal(family.q, const(-1))
@@ -79,7 +76,7 @@ def test_frenet_s_route_identification():
 
 def test_frenet_s_route_rejects_degenerate_eta():
     with pytest.raises(RouteConstraintViolated):
-        FrenetData(kappa=ONE, tau=I, route="S")
+        FrenetData(kappa=ONE, tau=I, route="S").family()
 
 
 def test_rigid_q_route_identification():
@@ -92,7 +89,7 @@ def test_rigid_q_route_identification():
     f, g, h = (substitute(e, {"m": ZERO}) for e in ortho.omega)
     assert equal(f, w1) and equal(g, 2 - I * w1) and is_zero(h)
     with pytest.raises(RouteConstraintViolated):
-        RigidData(omega1=w1, omega2=ZERO, route="Q", table=table)
+        RigidData(omega1=w1, omega2=ZERO, route="Q", table=table).family()
 
 
 def test_rigid_s_route_identification():
@@ -106,9 +103,24 @@ def test_rigid_s_route_identification():
     f, g, h = (substitute(e, {"m": ZERO}) for e in ortho.omega)
     assert equal(f, w1) and is_zero(g) and is_zero(h)
     with pytest.raises(RouteConstraintViolated):
-        RigidData(omega1=w1, omega2=ONE, route="S", table=table)
+        RigidData(omega1=w1, omega2=ONE, route="S", table=table).family()
     with pytest.raises(RouteConstraintViolated):
-        RigidData(omega1=ZERO, omega2=ZERO, route="S", table=table)
+        RigidData(omega1=ZERO, omega2=ZERO, route="S", table=table).family()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FrenetData(sym("kappa"), sym("tau"), "T"),
+    lambda: RigidData(sym("w1"), ZERO, "q"),
+])
+def test_unknown_route_is_rejected_when_built(make):
+    with pytest.raises(ValueError, match="unknown route"):
+        make()
+
+
+def test_frenet_q_route_without_curvature_has_unit_datum():
+    family = FrenetData(ZERO, -2 * I, "Q").family()
+    assert family.w is ONE and is_zero(family.p)
+    assert FRAME_DATUM not in family.table
 
 
 # -- perturbations -------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from darbouxkit import cli, golden
 from darbouxkit.cli import main
-from darbouxkit.expr import KitError, Radical, X, equal, param, parse_sexpr
+from darbouxkit.expr import I, KitError, Radical, X, equal, param, parse_sexpr
 from darbouxkit.linsys import ExprMatrix, SecondOrderFamily, family_from_json, family_to_json
 from conftest import oscillator_family
 
@@ -95,6 +95,48 @@ def test_so3_riccati_from_vector(capsys):
     assert equal(parse_sexpr(doc["omega0"]), (sym("g") - I * sym("f")) / 2)
     assert equal(parse_sexpr(doc["mu"]), -I * sym("h"))
     assert doc["linear_form"] is not None
+
+
+def test_so3_riccati_reduces_the_lift_of_its_source(capsys, oscillator_json):
+    # rigid Q with omega2 = 2 - i w1: the Q lift has omega1 = (g + i f)/2 = 1
+    code, out, err = _run(capsys, ["so3", "riccati", "--route", "Q", "--rigid",
+                                   "--omega2", "2-i*w1"])
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["omega1"] == "1" and doc["linear_form"] is not None
+    code, out, err = _run(capsys, ["so3", "riccati", "--route", "S", "--frenet",
+                                   "--kappa", "kappa", "--tau", "tau"])
+    assert code == 0, err
+    assert json.loads(out)["linear_form"] is not None
+    _, lift, _ = _run(capsys, ["so3", "lift", "--route", "Q", "--family", oscillator_json])
+    code, out, _ = _run(capsys, ["so3", "riccati", "--route", "Q", "--family", oscillator_json])
+    assert code == 0
+    lifted = json.loads(lift)
+    f, g = parse_sexpr(lifted["f"]), parse_sexpr(lifted["g"])
+    assert equal(parse_sexpr(json.loads(out)["omega0"]), (g - I * f) / 2)
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("lift", ["--family", "F", "--rigid", "--omega2", "2-i*w1"]),
+    ("darboux", ["--family", "F", "--frenet", "--kappa", "k"]),
+    ("riccati", ["--rigid", "--frenet", "--omega2", "2-i*w1", "--kappa", "k"]),
+])
+def test_so3_sources_are_mutually_exclusive(capsys, oscillator_json, command, argv):
+    argv = [oscillator_json if a == "F" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(["so3", command, "--route", "Q", *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not allowed with argument" in captured.err
+
+
+@pytest.mark.parametrize("source", [["--family", "F"], ["--rigid", "--omega2", "2-i*w1"]])
+def test_so3_riccati_rejects_a_vector_with_a_source(capsys, oscillator_json, source):
+    source = [oscillator_json if a == "F" else a for a in source]
+    for vector in (["--f", "f"], ["--h", "h"]):
+        code, out, err = _run(capsys, ["so3", "riccati", "--route", "Q", *source, *vector])
+        assert code == 2 and out == ""
+        assert json.loads(err)["detail"].startswith("--f/--g/--h cannot be combined")
 
 
 def test_susy_partners_and_states(capsys):

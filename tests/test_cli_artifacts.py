@@ -70,6 +70,10 @@ ARTIFACTS = {
         ["frenet", "build", "--route", "S", "--kappa", "kappa", "--tau", "tau"],
         "c02995a8502c500bf71c96ecc28513915e4c1ab89a76dd2e37777de62abbf6ca",
     ),
+    "frenet-build-q": (
+        ["frenet", "build", "--route", "Q", "--kappa", "kappa"],
+        "07d5900785aa90265833f682bf90b49a5a802d167340f0fad3c56708c7ec08e0",
+    ),
     "frenet-chain": (
         ["frenet", "chain", "--route", "S", "--kappa", "kappa", "--tau", "tau",
          "--k", "2"],

@@ -16,7 +16,7 @@ from darbouxkit.expr import (
     rat,
     sym,
 )
-from darbouxkit.apps import FRAME_DATUM, FrenetData
+from darbouxkit.apps import FrenetData
 from darbouxkit.linsys import ExprMatrix, LinearSystem, SecondOrderFamily, companion
 from darbouxkit.numverify import (
     _BLOCK,
@@ -31,6 +31,7 @@ from darbouxkit.numverify import (
     residual_sweep,
 )
 from darbouxkit.tensordt import (
+    FRAME_DATUM,
     first_integral_orthogonal,
     first_integral_sym2,
     orthogonal_lift,
@@ -375,6 +376,23 @@ def test_residual_sweep_rejects_an_empty_sample_list():
     _, pair = orthogonal_lift(schrodinger_family(ONE), "Q")
     with pytest.raises(ValueError, match="at least one sample index"):
         residual_sweep(pair.matrix, pair.system, grid, [], {"m": 0})
+
+
+@pytest.mark.parametrize("indices, bad", [
+    ([2.7, 50.5], "2.7"),
+    ([True, False], "True"),
+    ([0, 50.0], "50.0"),
+    (np.array([1.0, 2.0]), "1.0"),
+    ([np.bool_(True)], "True"),
+])
+def test_residual_sweep_rejects_indices_that_are_not_integers(indices, bad):
+    # np.asarray(..., dtype=int) would truncate these to other samples
+    grid = companion_solution_grid(schrodinger_family(ONE), (0.0, 1.0), 1e-2, {"m": 0})
+    _, pair = orthogonal_lift(schrodinger_family(ONE), "Q")
+    with pytest.raises(ValueError, match=f"sample indices must be integers, got .*{bad}"):
+        residual_sweep(pair.matrix, pair.system, grid, indices, {"m": 0})
+    # numpy integers are integers
+    assert residual_sweep(pair.matrix, pair.system, grid, np.array([2, 50]), {"m": 0}) <= 1e-8
 
 
 def _exact_circle_grid(xs):

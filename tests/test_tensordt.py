@@ -25,6 +25,7 @@ from darbouxkit.linsys import (
 from darbouxkit.sympow import sym_group, sym_lie, sym_system
 from darbouxkit.darboux import attach_generic_seed, darboux_potential, make_seed
 from darbouxkit.tensordt import (
+    FRAME_DATUM,
     NotTraceless,
     NotUnitNorm,
     OmegaOneZero,
@@ -32,6 +33,7 @@ from darbouxkit.tensordt import (
     Q_GAUGE,
     Q_GAUGE_INV,
     ROUTES,
+    RouteConstraintViolated,
     S_GAUGE,
     S_GAUGE_INV,
     delta_gauge,
@@ -308,6 +310,36 @@ def test_orthogonal_lift_solves_the_route_closed_form(route):
     assert pair.system.a.equals(ROUTES[route].system(fam).system().a)
     assert ortho.system().a.equals(pair.system.a)
     assert residual(pair.system, pair.matrix).is_zero_matrix()
+
+
+def _vector_table():
+    return DerivationTable({**symbol_tower("f", 4), **symbol_tower("g", 4),
+                            **symbol_tower("h", 4)})
+
+
+@pytest.mark.parametrize("route, vector, w", [
+    ("Q", (I * (sym("g") - 2), sym("g"), sym("h")), Sym(FRAME_DATUM)),
+    ("Q", (I * (sym("g") - 2), sym("g"), ZERO), ONE),
+    ("S", (sym("f"), ZERO, sym("h")), 2 / (I * sym("h") - sym("f"))),
+])
+def test_route_family_inverts_the_route_system(route, vector, w):
+    # the closed-form inverse against the independent closed-form lift:
+    # system(family(v)) has the flow vector v at m = 0, exactly
+    family = ROUTES[route].family(*vector, _vector_table())
+    assert equal(family.w, w)
+    ortho = ROUTES[route].system(family)
+    for got, want in zip(ortho.omega, vector, strict=True):
+        assert is_zero(substitute(got, {"m": ZERO}) - want)
+
+
+@pytest.mark.parametrize("route, vector, message", [
+    ("Q", (sym("f"), sym("g"), sym("h")), r"f == i\*\(g - 2\)"),
+    ("S", (sym("f"), sym("g"), sym("h")), "g == 0"),
+    ("S", (I * sym("h"), ZERO, sym("h")), r"i\*h - f != 0"),
+])
+def test_route_family_rejects_vectors_off_the_route(route, vector, message):
+    with pytest.raises(RouteConstraintViolated, match=message):
+        ROUTES[route].family(*vector, _vector_table())
 
 
 def test_fundamental_orthogonal_structure():
