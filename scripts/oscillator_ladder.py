@@ -42,7 +42,7 @@ def main() -> None:
     print("\nenergy ladder (state n has lambda = 2n; the raising matrix acts at")
     print("m = -(2n+2), minus the energy 2n+2 of state n under V+):")
     for n in range(5):
-        raising = mf.raising.map(lambda e: substitute(e, {"m": const(-(2 * n + 2))}))
+        raising = mf.raising.gauge.map(lambda e: substitute(e, {"m": const(-(2 * n + 2))}))
         image = raising.apply(states[n])
         verdict = "is" if all(equal(a, b) for a, b in zip(image, states[n + 1])) else "is NOT"
         print(f"  n={n}: lambda = {2 * n}, raising(state {n}) {verdict} state {n + 1}")

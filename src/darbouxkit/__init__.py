@@ -52,12 +52,14 @@ from .sympow import (
 from .darboux import (
     DarbouxSeed,
     SeedNotSolution,
+    Transformation,
     attach_generic_seed,
     auto_level_seed,
     darboux_chain,
     darboux_gauge,
     darboux_potential,
     darboux_solution,
+    darboux_transformation,
     generic_seed,
     make_seed,
 )

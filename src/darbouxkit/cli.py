@@ -53,7 +53,14 @@ from .darboux import (
     generic_seed,
     make_seed,
 )
-from .tensordt import ROUTES, OmegaOneZero, OrthogonalSystem, orthogonal_lift, so3_to_riccati
+from .tensordt import (
+    ROUTES,
+    OmegaOneZero,
+    OrthogonalSystem,
+    orthogonal_lift,
+    so3_first_complete,
+    so3_to_riccati,
+)
 from .susyqm import (
     ParametricPotential,
     hermite,
@@ -214,8 +221,18 @@ def cmd_sympow_system(args) -> dict:
 
 def _so3_family_from_args(args) -> SecondOrderFamily:
     if args.family:
+        _reject_application_flags(args)
         return _load_family(args.family)
     return _application_data_from_args(args).family()
+
+
+def _reject_application_flags(args) -> None:
+    """An so3 command without --rigid or --frenet reads none of the
+    application flags, so it refuses them rather than ignore them."""
+    given = [f"--{name}" for name in ("kappa", "tau", "omega1", "omega2")
+             if getattr(args, name) is not None]
+    if given:
+        raise InputError(f"without --rigid or --frenet, nothing reads {', '.join(given)}")
 
 
 def _application_data_from_args(args):
@@ -224,12 +241,9 @@ def _application_data_from_args(args):
         omega1 = _expr_flag(args.omega1) if args.omega1 else None
         omega2 = _expr_flag(args.omega2) if args.omega2 else None
         if route == "Q":
-            if omega1 is None and omega2 is not None:
-                omega1 = normalize(-I * (2 - omega2))
-            elif omega2 is None and omega1 is not None:
-                omega2 = normalize(2 - I * omega1)
-            elif omega1 is None and omega2 is None:
+            if omega1 is None and omega2 is None:
                 raise InputError("rigid Q route needs --omega1 or --omega2")
+            omega1, omega2 = so3_first_complete(omega1, omega2)
         else:
             if omega1 is None:
                 raise InputError("rigid S route needs --omega1")
@@ -280,6 +294,7 @@ def cmd_so3_riccati(args) -> dict:
             raise InputError("--f/--g/--h cannot be combined with --family, --rigid or --frenet")
         ortho = ROUTES[args.route].system(_so3_family_from_args(args))
     else:
+        _reject_application_flags(args)
         f, g, h = (_expr_flag(t) if t else ZERO for t in (args.f, args.g, args.h))
         ortho = OrthogonalSystem(f, g, h, _tower_table_for([f, g, h]))
     data = so3_to_riccati(ortho)

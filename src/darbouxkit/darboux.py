@@ -8,12 +8,18 @@ with the same p, r, and m-dependence and a new potential ``q + q0``.
 The parameter stays symbolic throughout: the gauge matrix degenerates
 exactly at ``m = level`` (its determinant is ``-(m - level)``), so
 specialization happens only at evaluation time.
+
+A :class:`Transformation` records a gauge between two systems with its
+closed-form determinant and owns their certificate; the Darboux
+transformation is one (:func:`darboux_transformation`), and
+:meth:`Transformation.sym` carries any record to its symmetric powers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
+from math import comb
+from typing import Callable, Iterator
 
 from .expr import (
     DerivationTable,
@@ -27,7 +33,8 @@ from .expr import (
     is_zero,
     normalize,
 )
-from .linsys import ExprMatrix, SecondOrderFamily
+from .linsys import ExprMatrix, LinearSystem, SecondOrderFamily, companion, gauge_residual
+from .sympow import sym_group, sym_system
 
 
 class SeedNotSolution(KitError):
@@ -182,8 +189,8 @@ class DarbouxGauge:
     ``p_m = (1/sqrt(r)) [[-theta0, 1], [nu, rho]]`` has determinant
     ``-(m - level)``.  New solutions arise as ``X~ = p_m X``: with A
     the companion matrix of the family and A~ that of the transformed
-    family, ``A~ p_m - p_m A + p_m' = 0`` (see
-    :func:`~darbouxkit.linsys.gauge_residual`).
+    family, ``A~ p_m - p_m A + p_m' = 0``; :func:`darboux_transformation`
+    records ``p_m`` with that certificate.
     """
 
     p_m: ExprMatrix
@@ -199,6 +206,56 @@ def darboux_gauge(family: SecondOrderFamily, seed: DarbouxSeed) -> DarbouxGauge:
     r_factor = ExprMatrix([[1 / s, ZERO], [-theta0 / s, 1 / s]])
     return DarbouxGauge(
         p_m=p_m.normalized(), l_m=l_m.normalized(), r_factor=r_factor.normalized()
+    )
+
+
+@dataclass(frozen=True)
+class Transformation:
+    """A gauge ``X -> gauge X`` from ``source`` to ``target``, with ``det``
+    the closed-form determinant of ``gauge``.
+
+    :meth:`residuals` is its certificate: ``det`` proves the gauge
+    invertible, and then :func:`~darbouxkit.linsys.gauge_residual`
+    proves that it carries solutions of ``source`` to solutions of
+    ``target`` without forming an inverse.
+    """
+
+    source: LinearSystem
+    gauge: ExprMatrix
+    target: LinearSystem
+    det: Expr
+
+    def residuals(self) -> Iterator[tuple[str, Expr | ExprMatrix]]:
+        """The named residuals ``("det", det gauge - det)`` and then
+        ``("gauge", gauge_residual(source, gauge, target))``, each of
+        which must normalize to zero.  Lazy: a caller that stops at a
+        failed ``det`` never computes the gauge residual."""
+        yield "det", self.gauge.det() - self.det
+        yield "gauge", gauge_residual(self.source, self.gauge, self.target)
+
+    def sym(self, k: int) -> "Transformation":
+        """The ``Sym^k`` of the transformation: ``sym_group(gauge, k)``
+        between the ``sym_system``s, with determinant
+        ``det^(k C(n+k-1, k)/n)`` for an n x n gauge (``det^(k(k+1)/2)``
+        for 2 x 2)."""
+        n = self.gauge.nrows
+        return Transformation(
+            sym_system(self.source, k),
+            sym_group(self.gauge, k),
+            sym_system(self.target, k),
+            normalize(self.det ** (k * comb(n + k - 1, k) // n)),
+        )
+
+
+def darboux_transformation(family: SecondOrderFamily, seed: DarbouxSeed) -> Transformation:
+    """The record of the transformation: the gauge ``P`` of
+    :func:`darboux_gauge` from the companion system of ``family`` to
+    that of :func:`darboux_potential`, with ``det P = level - m``."""
+    return Transformation(
+        companion(family),
+        darboux_gauge(family, seed).p_m,
+        companion(darboux_potential(family, seed)),
+        normalize(seed.level - family.m),
     )
 
 

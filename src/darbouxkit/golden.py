@@ -52,7 +52,6 @@ from .linsys import (
     LinearSystem,
     SecondOrderFamily,
     companion,
-    gauge_residual,
     residual,
 )
 from .sympow import sym_group, sym_lie, sym_system
@@ -61,6 +60,7 @@ from .darboux import (
     darboux_gauge,
     darboux_potential,
     darboux_solution,
+    darboux_transformation,
     potential_compact,
     potential_shift,
 )
@@ -76,6 +76,7 @@ from .tensordt import (
     p2_explicit,
     riccati_invert,
     riccati_parametrize,
+    so3_first_complete,
     so3_system_first,
     so3_to_riccati,
     t1_explicit,
@@ -219,9 +220,8 @@ def check_darboux_gauge(seed: int, config: VerifyConfig) -> dict:
     fam, sd = attach_generic_seed(_generic_family())
     g = darboux_gauge(fam, sd)
     _holds("P = L R", g.p_m - (g.l_m @ g.r_factor).normalized())
-    _holds("det P = -m", g.p_m.det() + fam.m)
-    _holds("gauged companion is the transformed companion",
-           gauge_residual(companion(fam), g.p_m, companion(darboux_potential(fam, sd))))
+    for part, res in darboux_transformation(fam, sd).residuals():
+        _holds(f"P {part}", res)
     return _report("darboux-gauge", 0.0, 0.0)
 
 
@@ -248,23 +248,20 @@ def check_sym_power(seed: int, config: VerifyConfig) -> dict:
 
 def check_lifted_transforms(seed: int, config: VerifyConfig) -> dict:
     fam, sd = attach_generic_seed(_generic_family())
-    m = fam.m
-    p1 = lifted_matrix(fam, sd, "Q", "sym2")
+    p1 = darboux_transformation(fam, sd).sym(2)
     left1, right1 = lifted_factors(fam, sd, "Q", "sym2")
-    _holds("P1 closed form", p1 - p1_explicit(fam, sd))
-    _holds("P1 = L1 R1", p1 - (left1 @ right1).normalized())
-    _holds("det P1 = -m^3", p1.det() + m ** 3)
+    _holds("P1 closed form", p1.gauge - p1_explicit(fam, sd))
+    _holds("P1 = L1 R1", p1.gauge - (left1 @ right1).normalized())
     p2 = lifted_matrix(fam, sd, "S", "sym2")
     _holds("P2 closed form", p2 - p2_explicit(fam, sd))
-    _holds("det P2 = -m^3", p2.det() + m ** 3)
+    _holds("det P2 = -m^3", p2.det() + fam.m ** 3)
     at_w1 = lambda e: substitute(e, {"w": ONE, "p": ZERO})
     _holds("P2 = P1 at w = 1, p = 0",
            p2_explicit(fam, sd).map(at_w1) - p1_explicit(fam, sd).map(at_w1))
     _holds("T1 closed form", lifted_matrix(fam, sd, "Q") - t1_explicit(fam, sd))
     _holds("T2 closed form", lifted_matrix(fam, sd, "S") - t2_explicit(fam, sd))
-    lifted = sym_system(companion(fam), 2)
-    target = sym_system(companion(darboux_potential(fam, sd)), 2)
-    _holds("lifted gauge carries Sym2 A to Sym2 A~", gauge_residual(lifted, p1, target))
+    for part, res in p1.residuals():
+        _holds(f"P1 {part}", res)
     return _report("lifted-transforms", 0.0, 0.0)
 
 
@@ -357,7 +354,7 @@ def check_applications(seed: int, config: VerifyConfig) -> dict:
     frenet_s = FrenetData(kappa, tau, "S", table).family()
     _holds("Frenet S w = 2/(i kappa - tau)", frenet_s.w - 2 / (I * kappa - tau))
     _holds("Frenet S q = (kappa^2 + tau^2)/4", frenet_s.q - (kappa ** 2 + tau ** 2) / 4)
-    rigid_q = RigidData(w1, normalize(2 - I * w1), "Q", table).family()
+    rigid_q = RigidData(*so3_first_complete(w1, None), "Q", table).family()
     _holds("rigid Q q = omega2 - 1", rigid_q.q - (2 - I * w1 - 1))
     rigid_s = RigidData(w1, ZERO, "S", table).family()
     _holds("rigid S w = -2/omega1", rigid_s.w + 2 / w1)
@@ -368,7 +365,7 @@ def check_applications(seed: int, config: VerifyConfig) -> dict:
     omega2 = a + b * X
     lifted = []
     for name, data in (
-        ("rigid Q", RigidData(normalize(-I * (2 - omega2)), normalize(omega2), "Q")),
+        ("rigid Q", RigidData(*so3_first_complete(None, normalize(omega2)), "Q")),
         ("Frenet S", FrenetData(normalize(c + d * X), normalize(e * X), "S")),
     ):
         family = data.family()

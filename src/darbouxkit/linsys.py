@@ -206,10 +206,6 @@ class ExprMatrix:
         return f"ExprMatrix[{body}]"
 
 
-def matrix_commutator(a: ExprMatrix, b: ExprMatrix) -> ExprMatrix:
-    return (a @ b) - (b @ a)
-
-
 CONVENTION = "Xp=-AX"
 
 
@@ -357,13 +353,6 @@ def companion(family: SecondOrderFamily) -> LinearSystem:
         ]
     )
     return LinearSystem(a, family.table)
-
-
-def companion_matrices(family: SecondOrderFamily) -> tuple[ExprMatrix, ExprMatrix]:
-    """The pair (A0, N) with companion matrix A0 + m N."""
-    a0 = ExprMatrix([[ZERO, const(-1)], [family.q, family.p]])
-    n = ExprMatrix([[ZERO, ZERO], [-family.r, ZERO]])
-    return a0, n
 
 
 # ---------------------------------------------------------------------------

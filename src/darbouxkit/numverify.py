@@ -225,17 +225,6 @@ def integrate(
     return trajectory
 
 
-def fundamental_trajectories(
-    system: LinearSystem,
-    interval: tuple[float, float] = DEFAULT_INTERVAL,
-    h: float = DEFAULT_STEP,
-    bindings: Mapping[str, complex] | None = None,
-) -> list[Trajectory]:
-    """One trajectory per canonical basis initial state."""
-    whole = integrate(system, np.eye(system.n), interval, h, bindings)
-    return [Trajectory(whole.xs, whole.states[:, :, k]) for k in range(system.n)]
-
-
 def residual_sweep(
     candidate: ExprMatrix,
     system: LinearSystem,

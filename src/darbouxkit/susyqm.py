@@ -12,7 +12,7 @@ normalization constants add nothing checkable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -33,9 +33,9 @@ from .expr import (
     normalize,
     substitute,
 )
-from .darboux import darboux_gauge, make_seed
+from .darboux import Transformation, darboux_transformation, make_seed
 from .linsys import ExprMatrix, SecondOrderFamily
-from .sympow import sym_group, sym_lie, sym_power_vector
+from .sympow import sym_lie, sym_power_vector
 
 
 class NotShapeInvariant(KitError):
@@ -83,11 +83,6 @@ class FirstOrderOp:
         return normalize(self.d_coef * differentiate(f, table) + self.mul_coef * f)
 
 
-def lowering_op(w: Expr) -> FirstOrderOp:
-    """``d/dx + W``."""
-    return FirstOrderOp(ONE, normalize(w))
-
-
 def raising_op(w: Expr) -> FirstOrderOp:
     """``-d/dx + W``."""
     return FirstOrderOp(const(-1), normalize(w))
@@ -105,10 +100,10 @@ def _power(order: int) -> int:
     return order - 1
 
 
-def _intertwiner(v: Expr, theta0: Expr, table: DerivationTable) -> ExprMatrix:
-    """Darboux gauge matrix of ``-d2 + v`` with the seed ``theta0``, over ``m``."""
+def _partner_transformation(v: Expr, theta0: Expr, table: DerivationTable) -> Transformation:
+    """The Darboux transformation of ``-d2 + v`` with the seed ``theta0``, over ``m``."""
     family = SecondOrderFamily(p=ZERO, q=normalize(-v), r=ONE, w=ONE, table=table)
-    return darboux_gauge(family, make_seed(family, theta0)).p_m
+    return darboux_transformation(family, make_seed(family, theta0))
 
 
 @dataclass(frozen=True)
@@ -121,12 +116,15 @@ class MatrixFormalism:
     minus_n`` and ``v_plus - v_minus == 2 W' * minus_n`` exactly.
     States are packed as ``Sym^k(psi, psi')``.
 
-    The ladders, built on first use, are matrices over the family
-    parameter ``m`` of ``-psi'' + V psi = E psi``, with ``E = -m``:
-    the group-sense ``Sym^k`` of the Darboux gauges whose first rows
-    are ``A = d/dx + W`` (``lowering``, seed ``-W`` on ``V-``, so
-    ``A H- = H+ A``) and ``A+ = -d/dx + W`` (``raising``, minus the
-    gauge of seed ``W`` on ``V+``).  ``raising @ lowering = (-m)^k I``.
+    The ladders, built on first use, are the ``Sym^k`` records
+    (:meth:`~darbouxkit.darboux.Transformation.sym`) of Darboux
+    transformations over the family parameter ``m`` of
+    ``-psi'' + V psi = E psi``, with ``E = -m``, between the Lie-sense
+    ``Sym^k`` companions of the two partners; their ``gauge`` matrices
+    have first rows ``A = d/dx + W`` (``lowering``, seed ``-W`` on
+    ``V-``, so ``A H- = H+ A``) and ``A+ = -d/dx + W`` (``raising``,
+    minus the gauge of seed ``W`` on ``V+``, with the same determinant).
+    ``raising.gauge @ lowering.gauge = (-m)^k I``.
     """
 
     order: int
@@ -137,13 +135,14 @@ class MatrixFormalism:
     minus_n: ExprMatrix
 
     @cached_property
-    def lowering(self) -> ExprMatrix:
-        return sym_group(_intertwiner(self.pair.v_minus, -self.pair.w, self.table), self.order - 1)
+    def lowering(self) -> Transformation:
+        t = _partner_transformation(self.pair.v_minus, -self.pair.w, self.table)
+        return t.sym(self.order - 1)
 
     @cached_property
-    def raising(self) -> ExprMatrix:
-        gauge = _intertwiner(self.pair.v_plus, self.pair.w, self.table)
-        return sym_group(gauge.scale(const(-1)), self.order - 1)
+    def raising(self) -> Transformation:
+        t = _partner_transformation(self.pair.v_plus, self.pair.w, self.table)
+        return replace(t, gauge=t.gauge.scale(const(-1))).sym(self.order - 1)
 
     def energy(self, lam) -> ExprMatrix:
         return self.minus_n.scale(as_expr(lam)).normalized()

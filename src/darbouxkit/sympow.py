@@ -149,21 +149,3 @@ def sym2_operator(family: SecondOrderFamily) -> tuple[Expr, Expr, Expr]:
     a1 = normalize(4 * q + pprime + 2 * p * p)
     a0 = normalize(2 * (qprime + 2 * p * q))
     return a2, a1, a0
-
-
-def third_order_companion(coeffs: tuple[Expr, Expr, Expr],
-                          system_table) -> LinearSystem:
-    """Companion system ``X' = -A X`` for ``y''' + a2 y'' + a1 y' + a0 y = 0``.
-
-    The state is (y, y', y''); useful for residual checks against the
-    second-symmetric-power operator.
-    """
-    a2, a1, a0 = coeffs
-    a = ExprMatrix(
-        [
-            [ZERO, const(-1), ZERO],
-            [ZERO, ZERO, const(-1)],
-            [a0, a1, a2],
-        ]
-    )
-    return LinearSystem(a, system_table)

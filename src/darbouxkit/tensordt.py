@@ -226,6 +226,20 @@ def so3_family_first(f: Expr, g: Expr, h: Expr, table: DerivationTable) -> Secon
     return SecondOrderFamily(p=normalize(I * h), q=normalize(g - 1), r=ONE, w=w, table=table)
 
 
+def so3_first_complete(f: Expr | None, g: Expr | None) -> tuple[Expr, Expr]:
+    """The pair ``(f, g)`` of a Q-route flow vector, the missing one
+    completed by the route's constraint ``f == i (g - 2)``: ``f = -i (2 - g)``
+    or ``g = 2 - i f``.  Two given values are returned as they are, for
+    :func:`so3_family_first` to check; at least one is needed."""
+    if f is None and g is None:
+        raise ValueError("the Q route needs f or g to complete the other")
+    if f is None:
+        return normalize(-I * (2 - g)), g
+    if g is None:
+        return f, normalize(2 - I * f)
+    return f, g
+
+
 def so3_family_second(f: Expr, g: Expr, h: Expr, table: DerivationTable) -> SecondOrderFamily:
     """S-route family ``y'' - (eta'/eta) y' + (f^2 + h^2)/4 y = 0`` (r = 1,
     ``w = 2/eta``, ``eta = i h - f``) of the flow vector ``(f, g, h)``,
@@ -297,8 +311,8 @@ class Route:
             return m.normalized()
 
         if self.balanced:
-            d = delta_gauge(family)
-            mat = conjugate(mat, d, d.inverse())
+            d_inv = ExprMatrix.diagonal([ONE, normalize(1 / family.w)])
+            mat = conjugate(mat, delta_gauge(family), d_inv)
         mat = sym_group(mat, 2)
         if level == "so3":
             mat = conjugate(mat, self.conj, self.conj_inv)

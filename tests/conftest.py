@@ -15,10 +15,12 @@ from darbouxkit.expr import (
     ONE,
     Sym,
     X,
+    is_zero,
     normalize,
     sym,
     symbol_tower,
 )
+from darbouxkit.darboux import Transformation
 from darbouxkit.linsys import (
     ExprMatrix,
     LinearSystem,
@@ -92,6 +94,16 @@ def transported(system: LinearSystem, g: ExprMatrix) -> LinearSystem:
     return LinearSystem(a.normalized(), system.table)
 
 
+def failed_part(t: Transformation) -> str | None:
+    """The first part of the record's certificate whose residual does not
+    normalize to zero (``"det"`` or ``"gauge"``), or None when it holds."""
+    for part, residual in t.residuals():
+        entries = residual.rows if isinstance(residual, ExprMatrix) else [[residual]]
+        if not all(is_zero(e) for row in entries for e in row):
+            return part
+    return None
+
+
 def riccati_table(table: DerivationTable, theta_name: str, p, q) -> DerivationTable:
     """Constrain a seed symbol by theta' = -q - p theta - theta^2."""
     theta = Sym(theta_name)
@@ -112,8 +124,6 @@ def random_rational_matrix(rng: Random, n: int, *, invertible: bool = False,
         mat = ExprMatrix(rows)
         if not invertible:
             return mat
-        from darbouxkit.expr import is_zero
-
         if not is_zero(mat.det()):
             return mat
 

@@ -34,6 +34,7 @@ from darbouxkit.tensordt import (
     lifted_factors,
     orthogonal_lift,
     skew_matrix,
+    so3_first_complete,
 )
 
 
@@ -90,6 +91,16 @@ def test_rigid_q_route_identification():
     assert equal(f, w1) and equal(g, 2 - I * w1) and is_zero(h)
     with pytest.raises(RouteConstraintViolated):
         RigidData(omega1=w1, omega2=ZERO, route="Q", table=table).family()
+
+
+def test_q_completion_puts_the_vector_on_the_route():
+    # either of f and g completes the other onto f == i (g - 2)
+    w1 = sym("w1")
+    for f, g in (so3_first_complete(w1, None), so3_first_complete(None, w1)):
+        assert is_zero(f - I * (g - 2))
+    assert so3_first_complete(w1, ONE) == (w1, ONE)
+    with pytest.raises(ValueError, match="needs f or g"):
+        so3_first_complete(None, None)
 
 
 def test_rigid_s_route_identification():

@@ -1,8 +1,9 @@
 import json
+from dataclasses import replace
 
 import pytest
 
-from darbouxkit import cli, golden
+from darbouxkit import cli, darboux, golden
 from darbouxkit.cli import main
 from darbouxkit.expr import I, KitError, Radical, X, equal, param, parse_sexpr
 from darbouxkit.linsys import ExprMatrix, SecondOrderFamily, family_from_json, family_to_json
@@ -137,6 +138,20 @@ def test_so3_riccati_rejects_a_vector_with_a_source(capsys, oscillator_json, sou
         code, out, err = _run(capsys, ["so3", "riccati", "--route", "Q", *source, *vector])
         assert code == 2 and out == ""
         assert json.loads(err)["detail"].startswith("--f/--g/--h cannot be combined")
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("lift", ["--family", "F", "--omega1", "x"]),
+    ("darboux", ["--family", "F", "--kappa", "k", "--tau", "t"]),
+    ("riccati", ["--family", "F", "--kappa", "3"]),
+    ("riccati", ["--f", "f", "--omega2", "2-i*w1"]),
+])
+def test_so3_application_flags_need_an_application(capsys, oscillator_json, command, argv):
+    # without --rigid or --frenet nothing reads --kappa/--tau/--omega1/--omega2
+    argv = [oscillator_json if a == "F" else a for a in argv]
+    code, out, err = _run(capsys, ["so3", command, "--route", "Q", *argv])
+    assert code == 2 and out == ""
+    assert json.loads(err)["detail"].startswith("without --rigid or --frenet, nothing reads --")
 
 
 def test_susy_partners_and_states(capsys):
@@ -392,6 +407,24 @@ def test_verify_names_the_failing_identity(capsys, monkeypatch):
     assert report == {
         "check": "lifted-transforms", "max_residual": 1.0, "tolerance": 0.0,
         "pass": False, "mode": "max", "identity": "P1 closed form", "residual": "-1",
+    }
+
+
+def test_verify_names_the_failing_record_part(capsys, monkeypatch):
+    # a gauge scaled by 2 has det -4m, not the record's -m
+    real = darboux.darboux_gauge
+
+    def doubled(family, seed):
+        g = real(family, seed)
+        return replace(g, p_m=g.p_m.scale(2).normalized())
+
+    monkeypatch.setattr(darboux, "darboux_gauge", doubled)
+    code, out, _ = _run(capsys, ["verify", "--check", "darboux-gauge"])
+    assert code == 1
+    (report,) = json.loads(out)["checks"]
+    assert report == {
+        "check": "darboux-gauge", "max_residual": 1.0, "tolerance": 0.0,
+        "pass": False, "mode": "max", "identity": "P det", "residual": "(-3)*m",
     }
 
 

@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
+from darbouxkit import darboux
 from darbouxkit.expr import (
     DerivationTable,
     ONE,
@@ -20,10 +23,12 @@ from darbouxkit.expr import (
 from darbouxkit.darboux import (
     SeedNotSolution,
     attach_generic_seed,
+    auto_level_seed,
     darboux_chain,
     darboux_gauge,
     darboux_potential,
     darboux_solution,
+    darboux_transformation,
     make_seed,
     potential_compact,
     potential_shift,
@@ -32,9 +37,8 @@ from darbouxkit.linsys import (
     ExprMatrix,
     SecondOrderFamily,
     companion,
-    gauge_residual,
 )
-from conftest import generic_family, oscillator_family, schrodinger_family
+from conftest import failed_part, generic_family, oscillator_family, schrodinger_family
 
 
 def test_seed_requires_riccati_certificate():
@@ -165,12 +169,35 @@ def test_gauge_degenerates_exactly_at_level():
 
 
 def test_gauge_reproduces_transformed_companion():
-    # X -> P X carries the companion system to the transformed family's
+    # X -> P X carries the companion system to the transformed family's,
+    # with det P = -m; a record whose target is its source fails at the gauge
     fam, seed = attach_generic_seed(generic_family())
-    p_m = darboux_gauge(fam, seed).p_m
-    direct = companion(darboux_potential(fam, seed))
-    assert gauge_residual(companion(fam), p_m, direct).is_zero_matrix()
-    assert not gauge_residual(companion(fam), p_m, companion(fam)).is_zero_matrix()
+    t = darboux_transformation(fam, seed)
+    assert t.gauge.equals(darboux_gauge(fam, seed).p_m)
+    assert t.source.a.equals(companion(fam).a)
+    assert t.target.a.equals(companion(darboux_potential(fam, seed)).a)
+    assert equal(t.det, -fam.m)
+    assert failed_part(t) is None
+    assert failed_part(replace(t, target=t.source)) == "gauge"
+
+
+def test_darboux_record_at_a_nonzero_level():
+    # the oscillator chain's second step certifies -x at level -2: det P = -2 - m
+    osc = oscillator_family()
+    fam = darboux_potential(osc, make_seed(osc, -X))
+    t = darboux_transformation(fam, auto_level_seed(fam, -X))
+    assert equal(t.det, -2 - fam.m)
+    assert failed_part(t) is None
+
+
+def test_record_with_a_wrong_det_fails_before_its_gauge_residual(monkeypatch):
+    def no_residual(*args):
+        raise AssertionError("the gauge residual was computed")
+
+    fam, seed = attach_generic_seed(generic_family())
+    t = darboux_transformation(fam, seed)
+    monkeypatch.setattr(darboux, "gauge_residual", no_residual)
+    assert failed_part(replace(t, det=t.det + 1)) == "det"
 
 
 def test_first_order_link_generic():

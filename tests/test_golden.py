@@ -36,6 +36,7 @@ def test_identity_names_are_unique_within_each_check(monkeypatch):
         assert run_checks([check])["pass"] is True
         assert len(names) == len(set(names)), check
         counts[check] = len(names)
+    assert counts["darboux-gauge"] == 3
     assert counts["lifted-transforms"] == 9
     assert counts["susy-oscillator"] == 16
     assert counts["rk4-order"] == 0

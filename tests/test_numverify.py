@@ -24,8 +24,8 @@ from darbouxkit.numverify import (
     companion_solution_grid,
     companion_solution_grids,
     convergence_ratio,
+    Trajectory,
     drift,
-    fundamental_trajectories,
     integrate,
     integrate_many,
     residual_sweep,
@@ -148,6 +148,12 @@ def test_rk4_oscillator_state_propagation():
     end = traj.endpoint()
     assert abs(end[0] - psi(1.0)) < 1e-8
     assert abs(end[1] - psi_prime(1.0)) < 1e-8
+
+
+def fundamental_trajectories(system, interval, h, bindings):
+    """One trajectory per canonical basis initial state."""
+    whole = integrate(system, np.eye(system.n), interval, h, bindings)
+    return [Trajectory(whole.xs, whole.states[:, :, k]) for k in range(system.n)]
 
 
 def test_rk4_orthogonal_norm_preservation():

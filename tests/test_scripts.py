@@ -1,6 +1,9 @@
-"""The walkthrough scripts run end to end from a checkout."""
+"""The walkthrough scripts and the README's python examples run end to
+end from a checkout."""
 
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -43,3 +46,13 @@ def test_run_verification_passes_every_check():
     assert proc.returncode == 0, proc.stderr
     passed = [line for line in proc.stdout.splitlines() if line.startswith("[PASS]")]
     assert len(passed) == 11, proc.stdout
+
+
+def test_readme_python_blocks_run(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    assert len(blocks) == 2
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    # the first block prints the oscillator's family JSON
+    assert json.loads(capsys.readouterr().out)["q"]

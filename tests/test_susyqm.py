@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from darbouxkit.expr import (
@@ -17,14 +19,14 @@ from darbouxkit.expr import (
     symbol_tower,
 )
 from darbouxkit import susyqm
-from darbouxkit.darboux import darboux_potential, make_seed
-from darbouxkit.linsys import ExprMatrix, SecondOrderFamily, companion, gauge_residual
+from darbouxkit.darboux import Transformation, darboux_potential, make_seed
+from darbouxkit.linsys import ExprMatrix, SecondOrderFamily, companion
 from darbouxkit.sympow import sym_system
 from darbouxkit.susyqm import (
+    FirstOrderOp,
     NotShapeInvariant,
     ParametricPotential,
     hermite,
-    lowering_op,
     matrix_formalism,
     oscillator_states,
     potential_matrix,
@@ -35,6 +37,7 @@ from darbouxkit.susyqm import (
     superpotential,
 )
 from darbouxkit.tensordt import lifted_factors, lifted_matrix
+from conftest import failed_part
 
 
 def test_superpotential_examples():
@@ -64,7 +67,7 @@ def test_factorization_identities_generic():
     table = DerivationTable({**symbol_tower("W", 2), **symbol_tower("y", 2)})
     w, y = sym("W"), sym("y")
     pair = partner_potentials(w, table)
-    lower, raise_ = lowering_op(w), raising_op(w)
+    lower, raise_ = FirstOrderOp(ONE, w), raising_op(w)  # d/dx + W, -d/dx + W
     lhs_minus = raise_.apply(lower.apply(y, table), table)
     ypp = differentiate(differentiate(y, table), table)
     assert is_zero(lhs_minus - normalize(-ypp + pair.v_minus * y))
@@ -151,21 +154,21 @@ def test_ladder_matrices_annihilate_and_raise_ground_state():
     states2, table = oscillator_states(1, order=2)
     pair = partner_potentials(X)
     mf2 = matrix_formalism(pair, 2, table)
-    lowered = _at_m(mf2.lowering, 0).apply(states2[0])
+    lowered = _at_m(mf2.lowering.gauge, 0).apply(states2[0])
     assert all(is_zero(e) for e in lowered)
-    raised = _at_m(mf2.raising, -2).apply(states2[0])
+    raised = _at_m(mf2.raising.gauge, -2).apply(states2[0])
     assert all(equal(a, b) for a, b in zip(raised, states2[1]))
     states3, table3 = oscillator_states(0, order=3)
     mf3 = matrix_formalism(pair, 3, table3)
-    lowered3 = _at_m(mf3.lowering, 0).apply(states3[0])
+    lowered3 = _at_m(mf3.lowering.gauge, 0).apply(states3[0])
     assert all(is_zero(e) for e in lowered3)
 
 
 def test_matrix_formalism_builds_ladders_on_first_use(monkeypatch):
-    def no_gauge(family, seed):
+    def no_transformation(family, seed):
         raise AssertionError("a ladder was built")
 
-    monkeypatch.setattr(susyqm, "darboux_gauge", no_gauge)
+    monkeypatch.setattr(susyqm, "darboux_transformation", no_transformation)
     mf = matrix_formalism(partner_potentials(X), 3)
     with pytest.raises(AssertionError, match="a ladder was built"):
         mf.lowering
@@ -188,12 +191,14 @@ def test_ladders_intertwine_symmetric_powers(order):
     k = order - 1
     mf, minus, plus = _partner_families(order)
     sym_minus, sym_plus = sym_system(companion(minus), k), sym_system(companion(plus), k)
-    assert gauge_residual(sym_minus, mf.lowering, sym_plus).is_zero_matrix()
-    assert gauge_residual(sym_plus, mf.raising, sym_minus).is_zero_matrix()
-    m = minus.m
-    dim = mf.lowering.nrows
-    assert (mf.raising @ mf.lowering).equals(ExprMatrix.identity(dim).scale((-m) ** k))
-    assert is_zero(mf.lowering.det() - (-m) ** (k * (k + 1) // 2))
+    lowering, raising = mf.lowering, mf.raising
+    for t, source, target in ((lowering, sym_minus, sym_plus), (raising, sym_plus, sym_minus)):
+        assert t.source.a.equals(source.a) and t.target.a.equals(target.a)
+        assert is_zero(t.det - (-minus.m) ** (k * (k + 1) // 2))
+        assert failed_part(t) is None
+    dim = lowering.gauge.nrows
+    product = raising.gauge @ lowering.gauge
+    assert product.equals(ExprMatrix.identity(dim).scale((-minus.m) ** k))
 
 
 def test_rank_one_dressing_is_no_intertwiner():
@@ -201,10 +206,10 @@ def test_rank_one_dressing_is_no_intertwiner():
     # is singular, and the intertwining identity rejects it
     mf, minus, plus = _partner_families(2)
     w = sym("W")
-    dressing = ExprMatrix([[w, ONE], [w * w, w]])
-    assert is_zero(dressing.det())
-    assert not gauge_residual(companion(minus), dressing, companion(plus)).is_zero_matrix()
-    assert gauge_residual(companion(minus), mf.lowering, companion(plus)).is_zero_matrix()
+    dressing = Transformation(companion(minus), ExprMatrix([[w, ONE], [w * w, w]]),
+                              companion(plus), ZERO)
+    assert failed_part(dressing) == "gauge"
+    assert failed_part(replace(dressing, gauge=mf.lowering.gauge, det=-minus.m)) is None
 
 
 @pytest.mark.parametrize("order", [2, 3, 4])
@@ -214,11 +219,11 @@ def test_ladders_step_oscillator_states(order):
     k = order - 1
     states, table = oscillator_states(4, order=order)
     mf = matrix_formalism(partner_potentials(X), order, table)
-    assert all(is_zero(e) for e in _at_m(mf.lowering, 0).apply(states[0]))
+    assert all(is_zero(e) for e in _at_m(mf.lowering.gauge, 0).apply(states[0]))
     for n in range(4):
-        raised = _at_m(mf.raising, -(2 * n + 2)).apply(states[n])
+        raised = _at_m(mf.raising.gauge, -(2 * n + 2)).apply(states[n])
         assert all(equal(a, b) for a, b in zip(raised, states[n + 1])), n
-        lowered = _at_m(mf.lowering, -(2 * n + 2)).apply(states[n + 1])
+        lowered = _at_m(mf.lowering.gauge, -(2 * n + 2)).apply(states[n + 1])
         assert all(equal(a, (2 * n + 2) ** k * b) for a, b in zip(lowered, states[n])), n
 
 

@@ -13,12 +13,12 @@ from darbouxkit.expr import (
     sym,
     symbol_tower,
 )
+from darbouxkit.darboux import Transformation
 from darbouxkit.linsys import (
     ExprMatrix,
     LinearSystem,
     SecondOrderFamily,
     companion,
-    gauge_residual,
     residual,
 )
 from darbouxkit.sympow import (
@@ -29,9 +29,8 @@ from darbouxkit.sympow import (
     sym_lie,
     sym_power_vector,
     sym_system,
-    third_order_companion,
 )
-from conftest import generic_family, random_rational_matrix, transported
+from conftest import failed_part, generic_family, random_rational_matrix, transported
 
 
 def test_monomial_basis_order():
@@ -154,7 +153,9 @@ def test_sym_lie_traceless_example():
 
 def test_sym_lie_zero_and_morphism(rng):
     assert sym_lie(ExprMatrix.zeros(2), 2).is_zero_matrix()
-    from darbouxkit.linsys import matrix_commutator
+
+    def matrix_commutator(a, b):
+        return (a @ b) - (b @ a)
 
     for _ in range(10):
         m1 = random_rational_matrix(rng, 2)
@@ -199,8 +200,11 @@ def test_sym2_operator_annihilates_solution_products():
     (pair1, pair2), table = fam.solution_symbols("y1", "y2")
     y1, _ = pair1
     y2, _ = pair2
-    coeffs = sym2_operator(fam)
-    sys3 = third_order_companion(coeffs, table)
+    a2, a1, a0 = sym2_operator(fam)
+    # the companion system of d3 + a2 d2 + a1 d + a0, state (y, y', y'')
+    sys3 = LinearSystem(
+        ExprMatrix([[ZERO, const(-1), ZERO], [ZERO, ZERO, const(-1)], [a0, a1, a2]]), table
+    )
     for u in (y1 * y2, y1 * y1):
         up = differentiate(u, table)
         upp = differentiate(up, table)
@@ -239,12 +243,14 @@ def test_sym_system_residual_of_lifted_fundamental():
     assert residual(lifted_sys, lifted_fund).is_zero_matrix()
 
 
-def _assert_natural(sys, g, m=2):
-    # if G certifies A -> B, then Sym^m G certifies Sym^m A -> Sym^m B
-    target = transported(sys, g)
-    assert gauge_residual(sys, g, target).is_zero_matrix()
-    lifted = gauge_residual(sym_system(sys, m), sym_group(g, m), sym_system(target, m))
-    assert lifted.is_zero_matrix()
+def _assert_natural(sys, g, powers=(2, 3)):
+    # if G certifies A -> B, then Sym^k G certifies Sym^k A -> Sym^k B,
+    # with det Sym^k G = (det G)^(k C(n+k-1, k)/n)
+    t = Transformation(sys, g, transported(sys, g), g.det())
+    assert failed_part(t) is None
+    for k in powers:
+        assert failed_part(t.sym(k)) is None
+    return t
 
 
 def test_sym_gauge_naturality(rng):
@@ -257,5 +263,14 @@ def test_sym_gauge_naturality(rng):
 def test_sym_gauge_naturality_nonconstant():
     table = DerivationTable(symbol_tower("q", 2))
     sys = LinearSystem(ExprMatrix([[sym("q"), X], [ONE, ZERO]]), table)
-    for m in (2, 3):
-        _assert_natural(sys, ExprMatrix([[ONE, X], [ZERO, ONE]]), m)
+    _assert_natural(sys, ExprMatrix([[ONE, X], [ZERO, ONE]]))
+
+
+def test_sym_gauge_naturality_three_by_three():
+    # a 3x3 gauge of determinant 2: its Sym^2 is 6x6, of determinant 2^4
+    table = DerivationTable(symbol_tower("q", 2))
+    sys = LinearSystem(
+        ExprMatrix([[sym("q"), X, ZERO], [ONE, ZERO, X], [ZERO, ONE, sym("q")]]), table
+    )
+    t = _assert_natural(sys, ExprMatrix([[2, 0, 0], [0, 1, 1], [1, 0, 1]]), powers=(2,))
+    assert equal(t.det, const(2)) and equal(t.sym(2).det, const(16))

@@ -23,7 +23,13 @@ from darbouxkit.linsys import (
     residual,
 )
 from darbouxkit.sympow import sym_group, sym_lie, sym_system
-from darbouxkit.darboux import attach_generic_seed, darboux_potential, make_seed
+from darbouxkit.darboux import (
+    Transformation,
+    attach_generic_seed,
+    darboux_potential,
+    darboux_transformation,
+    make_seed,
+)
 from darbouxkit.tensordt import (
     FRAME_DATUM,
     NotTraceless,
@@ -57,7 +63,7 @@ from darbouxkit.tensordt import (
     t1_explicit,
     t2_explicit,
 )
-from conftest import balanced_companion, generic_family
+from conftest import balanced_companion, failed_part, generic_family
 
 
 import functools
@@ -138,9 +144,14 @@ def test_lift_presentations_agree(route, level):
 
 
 def test_p1_determinant_is_minus_m_cubed():
+    # P1 is the Sym2 record of the Darboux transformation, whose det rule
+    # gives -m^3; test_diagram_commutes certifies it
     fam, seed = _generic_seeded()
-    m = fam.m
-    assert equal(lifted_matrix(fam, seed, "Q", "sym2").det(), -(m ** 3))
+    p1 = darboux_transformation(fam, seed).sym(2)
+    assert p1.gauge.equals(lifted_matrix(fam, seed, "Q", "sym2"))
+    assert p1.source.a.equals(sym_system(companion(fam), 2).a)
+    assert p1.target.a.equals(sym_system(companion(darboux_potential(fam, seed)), 2).a)
+    assert equal(p1.det, -(fam.m ** 3))
 
 
 def test_p1_susy_specialization():
@@ -210,14 +221,17 @@ def _route_companion(fam, route):
 
 @pytest.mark.parametrize("route", ROUTES)
 def test_diagram_commutes(route):
-    # the lifted transformation carries the lifted system to the lift of
-    # the transformed system
+    # the lifted transformation, with det -m^3, carries the lifted system
+    # to the lift of the transformed system
     fam, seed = _generic_seeded()
-    lifted = sym_system(_route_companion(fam, route), 2)
     new_fam = darboux_potential(fam, seed)
-    transformed_then_lifted = sym_system(_route_companion(new_fam, route), 2)
-    p = lifted_matrix(fam, seed, route, "sym2")
-    assert gauge_residual(lifted, p, transformed_then_lifted).is_zero_matrix()
+    lifted = Transformation(
+        sym_system(_route_companion(fam, route), 2),
+        lifted_matrix(fam, seed, route, "sym2"),
+        sym_system(_route_companion(new_fam, route), 2),
+        -(fam.m ** 3),
+    )
+    assert failed_part(lifted) is None
 
 
 @pytest.mark.parametrize("route", ROUTES)
