@@ -226,18 +226,19 @@ def _so3_family_from_args(args) -> SecondOrderFamily:
     return _application_data_from_args(args).family()
 
 
-def _reject_application_flags(args) -> None:
-    """An so3 command without --rigid or --frenet reads none of the
-    application flags, so it refuses them rather than ignore them."""
-    given = [f"--{name}" for name in ("kappa", "tau", "omega1", "omega2")
-             if getattr(args, name) is not None]
+def _reject_application_flags(args, names=("kappa", "tau", "omega1", "omega2"),
+                               where="without --rigid or --frenet") -> None:
+    """Refuse the application flags in ``names`` that no one reads here,
+    rather than ignore them."""
+    given = [f"--{name}" for name in names if getattr(args, name) is not None]
     if given:
-        raise InputError(f"without --rigid or --frenet, nothing reads {', '.join(given)}")
+        raise InputError(f"{where}, nothing reads {', '.join(given)}")
 
 
 def _application_data_from_args(args):
     route = args.route
     if args.rigid:
+        _reject_application_flags(args, ("kappa", "tau"), "for a rigid body")
         omega1 = _expr_flag(args.omega1) if args.omega1 else None
         omega2 = _expr_flag(args.omega2) if args.omega2 else None
         if route == "Q":
@@ -251,6 +252,7 @@ def _application_data_from_args(args):
         table = _tower_table_for([omega1, omega2])
         return RigidData(omega1, omega2, route, table)
     if args.frenet:
+        _reject_application_flags(args, ("omega1", "omega2"), "for a Frenet frame")
         kappa = _expr_flag(args.kappa) if args.kappa else None
         if kappa is None:
             raise InputError("frenet routes need --kappa")

@@ -509,6 +509,17 @@ def symbol_tower(base: str, depth: int) -> dict[str, Expr]:
 # Generators are not interned to small ints: the order would then follow
 # the order in which they were first seen, and normal forms would depend
 # on cache state.
+#
+# Every _RatFunc has radical powers at most one and a radical-free
+# denominator.  So a sum of polynomials (denominator one) needs no
+# reduction, and a product of polynomials needs it only when both
+# factors hold a radical; _to_ratfunc and _rf_mul take those fast paths
+# and call _rf only once a fraction is involved.  _rf is idempotent on
+# its own results, so an Add or Mul in the first place of one of its own
+# kind folds as one with it: (a + b) + c is the fold 0 + a + b + c.  Only
+# that left spine is spliced.  Without a GCD the fold is not associative
+# on fractions, so a + (b + c) must fold b + c first, as before; splicing
+# there would change normal forms and make them depend on cache state.
 
 Gen = tuple
 Mono = tuple
@@ -553,7 +564,11 @@ def _poly_gen(gen: Gen) -> Poly:
 
 
 def _poly_add(a: Poly, b: Poly) -> Poly:
-    out = dict(a)
+    return _poly_add_into(dict(a), b)
+
+
+def _poly_add_into(out: Poly, b: Poly) -> Poly:
+    """Add ``b`` into ``out`` in place; ``out`` must be the caller's own."""
     for mono, coeff in b.items():
         s = out.get(mono)
         if s is None:
@@ -722,6 +737,10 @@ def _poly_cancel_content(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     return strip(num), strip(den)
 
 
+def _poly_has_radical(a: Poly) -> bool:
+    return any(g[0] == 3 for mono in a for g, _ in mono[1])
+
+
 def _poly_radical_gens(a: Poly) -> set[Gen]:
     gens = set()
     for mono in a:
@@ -768,7 +787,7 @@ def _reduce_radicals(a: Poly) -> Poly:
         for _ in range(power):
             repl = _poly_mul(repl, square_rf.num)
         del a[mono]
-        a = _poly_add(a, _poly_mul({rest: coeff}, repl))
+        a = _poly_add_into(a, _poly_mul({rest: coeff}, repl))
 
 
 def _rf(num: Poly, den: Poly) -> _RatFunc:
@@ -794,7 +813,7 @@ def _rf(num: Poly, den: Poly) -> _RatFunc:
             else:
                 radpart[stripped] = coeff
         # den = plain + radpart*g ; multiply by the conjugate plain - radpart*g
-        conj = _poly_add(plain, _poly_mul(_poly_neg(radpart), {g_mono: _UNIT}))
+        conj = _poly_add_into(plain, _poly_mul(_poly_neg(radpart), {g_mono: _UNIT}))
         num_p = _reduce_radicals(_poly_mul(num_p, conj))
         den_p = _reduce_radicals(_poly_mul(den_p, conj))
         if _poly_is_zero(den_p):
@@ -832,11 +851,17 @@ def _rf_add(a: _RatFunc, b: _RatFunc) -> _RatFunc:
     if shared is not None:
         num_a, num_b, den = shared
         return _rf(_poly_add(num_a, num_b), dict(den))
-    num = _poly_add(_poly_mul(a.num, b.den), _poly_mul(b.num, a.den))
+    num = _poly_add_into(_poly_mul(a.num, b.den), _poly_mul(b.num, a.den))
     return _rf(num, _poly_mul(a.den, b.den))
 
 
 def _rf_mul(a: _RatFunc, b: _RatFunc) -> _RatFunc:
+    if a.den == _POLY_ONE and b.den == _POLY_ONE:
+        # radical powers are at most one in each factor
+        prod = _poly_mul(a.num, b.num)
+        if _poly_has_radical(a.num) and _poly_has_radical(b.num):
+            prod = _reduce_radicals(prod)
+        return _RatFunc(prod, dict(_POLY_ONE))
     return _rf(_poly_mul(a.num, b.num), _poly_mul(a.den, b.den))
 
 
@@ -860,24 +885,51 @@ def _rf_pow(a: _RatFunc, n: int) -> _RatFunc:
     return out
 
 
+def _operands(e: Add | Mul) -> tuple:
+    return e.terms if type(e) is Add else e.factors
+
+
+def _left_spine(e: Add | Mul) -> list[Expr]:
+    """The operands of ``e``, with an uncached first operand of the same
+    type replaced by its own operands, down the left spine."""
+    kind = type(e)
+    ops = _operands(e)
+    rests = []
+    while ops and type(ops[0]) is kind and ops[0] not in _NORMAL_CACHE:
+        rests.append(ops[1:])
+        ops = _operands(ops[0])
+    out = list(ops)
+    for rest in reversed(rests):
+        out.extend(rest)
+    return out
+
+
 def _to_ratfunc(e: Expr) -> _RatFunc:
     cached = _NORMAL_CACHE.get(e)
     if cached is not None:
         return cached[1]
     if isinstance(e, Const):
         return _RatFunc(_poly_const(e.value), dict(_POLY_ONE))
-    if isinstance(e, (Var, Param, Sym)):
+    if isinstance(e, (Var, Param, Sym, Radical)):
         return _RatFunc(_poly_gen(_gen(e)), dict(_POLY_ONE))
-    if isinstance(e, Radical):
-        return _rf(_poly_gen(_gen(e)), dict(_POLY_ONE))
     if isinstance(e, Add):
+        # out.num is this fold's own until a fraction joins the sum, and
+        # every _rf result is fresh, so polynomials are added in place
         out = _RatFunc({}, dict(_POLY_ONE))
-        for t in e.terms:
-            out = _rf_add(out, _to_ratfunc(t))
+        for t in _left_spine(e):
+            b = _to_ratfunc(t)
+            if out.den == _POLY_ONE and b.den == _POLY_ONE:
+                _poly_add_into(out.num, b.num)
+            else:
+                out = _rf_add(out, b)
         return out
     if isinstance(e, Mul):
-        out = _RatFunc(dict(_POLY_ONE), dict(_POLY_ONE))
-        for f in e.factors:
+        factors = _left_spine(e)
+        if not factors:
+            return _RatFunc(dict(_POLY_ONE), dict(_POLY_ONE))
+        # may be a cached _RatFunc: products never write into an operand
+        out = _to_ratfunc(factors[0])
+        for f in factors[1:]:
             out = _rf_mul(out, _to_ratfunc(f))
         return out
     if isinstance(e, Pow):

@@ -154,6 +154,22 @@ def test_so3_application_flags_need_an_application(capsys, oscillator_json, comm
     assert json.loads(err)["detail"].startswith("without --rigid or --frenet, nothing reads --")
 
 
+@pytest.mark.parametrize("argv, flags", [
+    (["so3", "lift", "--route", "S", "--rigid", "--omega1", "w1", "--kappa", "k"], "--kappa"),
+    (["so3", "darboux", "--route", "Q", "--frenet", "--kappa", "k", "--omega2", "2"],
+     "--omega2"),
+    (["frenet", "build", "--route", "S", "--kappa", "kappa", "--tau", "tau", "--omega1", "x"],
+     "--omega1"),
+    (["rigid", "build", "--route", "S", "--omega1", "w1", "--tau", "t"], "--tau"),
+    (["rigid", "chain", "--route", "S", "--omega1", "w1", "--kappa", "k", "--tau", "t"],
+     "--kappa, --tau"),
+])
+def test_an_application_refuses_the_other_applications_flags(capsys, argv, flags):
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["detail"].endswith(f"nothing reads {flags}")
+
+
 def test_susy_partners_and_states(capsys):
     code, out, _ = _run(capsys, ["susy", "partners", "--w", "x"])
     assert code == 0

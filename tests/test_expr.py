@@ -629,9 +629,71 @@ def test_cached_ratfunc_is_never_mutated(e, f):
         assume(False)
     rf = kernel._NORMAL_CACHE[n][1]
     snapshot = (list(rf.num.items()), list(rf.den.items()))
-    for use in (n + f, f - n, n * f, f * n * n, n / f, f / n, n ** -1, (n + f) ** -2):
+    for use in (n + f, f - n, n * f, f * n * n, n / f, f / n, n ** -1, (n + f) ** -2,
+                n + n + f, f + n + n, n * n * f):
         _normal_text(use)
     assert (list(rf.num.items()), list(rf.den.items())) == snapshot
+
+
+# -- the fold of sums and products ----------------------------------------------
+
+_y = param("y")
+
+
+@pytest.mark.parametrize("e, want", [
+    # the inner sum cancels to zero, which leaves 1/(x+1) alone
+    (Add((1 / (X + 1), Add((1 / (_y + 2), -1 / (_y + 2))))), "(/ 1 (+ x 1))"),
+    # without a GCD, (x+1)/((x+1)(y+2)) keeps its common factor
+    (Mul((1 / (X + 1), Mul((X + 1, 1 / (_y + 2))))),
+     "(/ (+ x 1) (+ (* x (param y)) (param y) (* 2 x) 2))"),
+], ids=["add", "mul"])
+@pytest.mark.parametrize("inner_cached", [False, True])
+def test_right_nested_operands_fold_on_their_own(e, want, inner_cached):
+    _clear_caches()
+    if inner_cached:
+        normalize(e.terms[1] if isinstance(e, Add) else e.factors[1])
+    assert _normal_text(e) == want
+
+
+def _left_nested_matches_flat(kind, parts):
+    flat = kind(tuple(parts))
+    nested = parts[0]
+    for p in parts[1:]:
+        nested = kind((nested, p))
+    _clear_caches()
+    cold = _normal_text(flat)
+    _clear_caches()
+    assert _normal_text(nested) == cold
+    # warm: every partial sum or product, and every operand, is cached
+    _clear_caches()
+    for sub in _subtrees(nested):
+        _normal_text(sub)
+    assert _normal_text(nested) == cold
+    assert _normal_text(flat) == cold
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_numeric_exprs(2), min_size=2, max_size=4))
+def test_left_nested_sum_folds_as_the_flat_sum(parts):
+    _left_nested_matches_flat(Add, parts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_numeric_exprs(2), min_size=2, max_size=4))
+def test_left_nested_product_folds_as_the_flat_product(parts):
+    _left_nested_matches_flat(Mul, parts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_numeric_exprs(3))
+def test_rf_is_idempotent_on_normal_forms(e):
+    try:
+        n = normalize(e)
+    except DivisionByZeroExpr:
+        assume(False)
+    rf = kernel._NORMAL_CACHE[n][1]
+    again = kernel._rf(rf.num, rf.den)
+    assert (again.num, again.den) == (rf.num, rf.den)
 
 
 def test_caches_stay_bounded_and_results_match_cold(monkeypatch):
