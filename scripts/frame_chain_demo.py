@@ -10,11 +10,11 @@ fundamental matrix plus the drift of the quadratic first integral.
 
 from darbouxkit import (
     DerivationTable,
-    FrenetData,
     X,
     application_chain,
     companion_solution_grid,
     drift,
+    frenet_family,
     generic_seed,
     integrate,
     normalize,
@@ -28,7 +28,7 @@ from darbouxkit.tensordt import first_integral_orthogonal, orthogonal_lift
 
 def main() -> None:
     table = DerivationTable({**symbol_tower("kappa", 4), **symbol_tower("tau", 4)})
-    symbolic = FrenetData(sym("kappa"), sym("tau"), "S", table).family()
+    symbolic = frenet_family(sym("kappa"), sym("tau"), "S", table)
     print("frame family (symbolic curvature and torsion):")
     print("  p =", to_pretty(symbolic.p))
     print("  q =", to_pretty(symbolic.q))
@@ -44,7 +44,7 @@ def main() -> None:
 
     kappa = normalize(2 + X / 2)
     tau = normalize(X / 3)
-    family = FrenetData(kappa, tau, "S", DerivationTable()).family()
+    family = frenet_family(kappa, tau, "S")
     ortho, pair = orthogonal_lift(family, "S")
     grid = companion_solution_grid(family, bindings={"m": 0.5})
     value = residual_sweep(

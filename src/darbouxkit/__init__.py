@@ -82,13 +82,13 @@ from .susyqm import (
     oscillator_states,
     partner_potentials,
     shape_invariance,
-    spectrum_sum,
+    spectrum,
     superpotential,
 )
 from .apps import (
-    FrenetData,
-    RigidData,
     application_chain,
+    frenet_family,
+    rigid_family,
 )
 from .golden import run_checks
 

@@ -3,74 +3,49 @@
 An application is a flow vector ``(f, g, h)`` on an orthogonal route:
 moving frames give ``(tau, 0, kappa)`` from curvature and torsion, and
 the planar rigid solid (the Poisson kinematic equation) gives
-``(omega1, omega2, 0)`` from its angular velocity.  ``FrenetData.family``
-and ``RigidData.family`` return the route's family of that vector,
+``(omega1, omega2, 0)`` from its angular velocity.  ``frenet_family``
+and ``rigid_family`` return the route's family of that vector,
 ``tensordt.ROUTES[route].family``, which owns the route's formulas and
 constraints (a vector off the route raises ``RouteConstraintViolated``
-there); neither builds anything else.  A caller that reads the lift
-builds it with ``tensordt.orthogonal_lift(family, route)``.
+there, an unknown route ``KeyError``); neither builds anything else.  A
+caller that reads the lift builds it with
+``tensordt.orthogonal_lift(family, route)``.
 ``application_chain`` lifts ``darboux_chain`` along a route.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
-from .expr import DerivationTable, Expr, ZERO
+from .expr import EMPTY_TABLE, DerivationTable, Expr, ZERO
 from .linsys import ExprMatrix, SecondOrderFamily
 from .darboux import DarbouxSeed, darboux_chain
 from .tensordt import ROUTES, OrthogonalSystem, lifted_matrix
 
 
-@dataclass(frozen=True)
-class FrenetData:
-    """Curvature and torsion of a space curve with a route choice: the
-    flow vector ``(tau, 0, kappa)``.
+def frenet_family(kappa: Expr, tau: Expr, route: str,
+                  table: DerivationTable = EMPTY_TABLE) -> SecondOrderFamily:
+    """The route's family of the Frenet flow vector ``(tau, 0, kappa)``
+    of a space curve with curvature ``kappa`` and torsion ``tau``.
 
     The Q route only represents frames with ``tau == -2i`` (the
     degenerate coupled case); the S route handles any frame with
     ``i kappa - tau`` nonzero.
     """
-
-    kappa: Expr
-    tau: Expr
-    route: str
-    table: DerivationTable = field(default_factory=DerivationTable)
-
-    def __post_init__(self):
-        if self.route not in ROUTES:
-            raise ValueError(f"unknown route {self.route!r}")
-
-    def family(self) -> SecondOrderFamily:
-        """The route's family of ``(tau, 0, kappa)``; its orthogonal
-        system's flow vector reproduces that vector at m = 0."""
-        return ROUTES[self.route].family(self.tau, ZERO, self.kappa, self.table)
+    return ROUTES[route].family(tau, ZERO, kappa, table)
 
 
-@dataclass(frozen=True)
-class RigidData:
-    """Planar angular-velocity components with a route choice: the flow
-    vector ``(omega1, omega2, 0)``.
+def rigid_family(omega1: Expr, omega2: Expr, route: str,
+                 table: DerivationTable = EMPTY_TABLE) -> SecondOrderFamily:
+    """The route's family of the planar rigid-solid flow vector
+    ``(omega1, omega2, 0)``.
 
     The Q route represents the coupled case ``i omega1 + omega2 == 2``;
     the S route represents motion on a line (``omega2 == 0``) with
     ``omega1`` nonzero.
     """
-
-    omega1: Expr
-    omega2: Expr
-    route: str
-    table: DerivationTable = field(default_factory=DerivationTable)
-
-    def __post_init__(self):
-        if self.route not in ROUTES:
-            raise ValueError(f"unknown route {self.route!r}")
-
-    def family(self) -> SecondOrderFamily:
-        """The route's family of ``(omega1, omega2, 0)``; its orthogonal
-        system's flow vector reproduces that vector at m = 0."""
-        return ROUTES[self.route].family(self.omega1, self.omega2, ZERO, self.table)
+    return ROUTES[route].family(omega1, omega2, ZERO, table)
 
 
 @dataclass(frozen=True)

@@ -68,9 +68,9 @@ from .susyqm import (
     oscillator_states,
     partner_potentials,
     shape_invariance,
-    spectrum_sum,
+    spectrum,
 )
-from .apps import FrenetData, RigidData, application_chain
+from .apps import application_chain, frenet_family, rigid_family
 from .golden import CHECKS, DEFAULT_CONFIG, DEFAULT_SEED, VerifyConfig, run_checks
 
 log = logging.getLogger("darbouxkit")
@@ -223,7 +223,7 @@ def _so3_family_from_args(args) -> SecondOrderFamily:
     if args.family:
         _reject_application_flags(args)
         return _load_family(args.family)
-    return _application_data_from_args(args).family()
+    return _application_family_from_args(args)
 
 
 def _reject_application_flags(args, names=("kappa", "tau", "omega1", "omega2"),
@@ -235,7 +235,7 @@ def _reject_application_flags(args, names=("kappa", "tau", "omega1", "omega2"),
         raise InputError(f"{where}, nothing reads {', '.join(given)}")
 
 
-def _application_data_from_args(args):
+def _application_family_from_args(args) -> SecondOrderFamily:
     route = args.route
     if args.rigid:
         _reject_application_flags(args, ("kappa", "tau"), "for a rigid body")
@@ -250,7 +250,7 @@ def _application_data_from_args(args):
                 raise InputError("rigid S route needs --omega1")
             omega2 = ZERO if omega2 is None else omega2
         table = _tower_table_for([omega1, omega2])
-        return RigidData(omega1, omega2, route, table)
+        return rigid_family(omega1, omega2, route, table)
     if args.frenet:
         _reject_application_flags(args, ("omega1", "omega2"), "for a Frenet frame")
         kappa = _expr_flag(args.kappa) if args.kappa else None
@@ -262,7 +262,7 @@ def _application_data_from_args(args):
         if tau is None:
             raise InputError("frenet S route needs --tau")
         table = _tower_table_for([kappa, tau])
-        return FrenetData(kappa, tau, route, table)
+        return frenet_family(kappa, tau, route, table)
     raise InputError("need --family, --rigid, or --frenet")
 
 
@@ -338,8 +338,6 @@ def cmd_susy_partners(args) -> dict:
 
 
 def cmd_susy_spectrum(args) -> dict:
-    if args.n < 0:
-        raise InputError(f"number of ladder steps must be nonnegative, got {args.n}")
     w = _expr_flag(args.w, params=(args.a,))
     f = _expr_flag(args.f, params=(args.a,))
     remainder = _expr_flag(args.remainder, params=(args.a,)) if args.remainder else None
@@ -347,8 +345,9 @@ def cmd_susy_spectrum(args) -> dict:
         w=w, a_name=args.a, f=f, remainder=remainder,
         table=_tower_table_for([w]),
     )
+    # spectrum rejects a negative --n before proving anything
+    energies = spectrum(pot, args.n)
     shift = shape_invariance(pot)
-    energies = [spectrum_sum(pot, n) for n in range(args.n + 1)]
     return {
         "command": "susy spectrum",
         "a": args.a,
@@ -373,7 +372,7 @@ def cmd_susy_states(args) -> dict:
 
 
 def cmd_application_build(args) -> dict:
-    family = _application_data_from_args(args).family()
+    family = _application_family_from_args(args)
     ortho, fundamental = orthogonal_lift(family, args.route)
     return {
         "command": f"{args.command} build",
@@ -385,7 +384,7 @@ def cmd_application_build(args) -> dict:
 
 
 def cmd_application_chain(args) -> dict:
-    family = _application_data_from_args(args).family()
+    family = _application_family_from_args(args)
     rule = generic_seed
     if args.theta0 != "generic":
         family, theta0 = _theta0_for(family, args.theta0)

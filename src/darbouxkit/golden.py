@@ -88,7 +88,7 @@ from .susyqm import (
     oscillator_states,
     partner_potentials,
 )
-from .apps import FrenetData, RigidData
+from .apps import frenet_family, rigid_family
 
 DEFAULT_SEED = 20260810
 
@@ -349,14 +349,14 @@ def check_applications(seed: int, config: VerifyConfig) -> dict:
         {**symbol_tower("kappa", 4), **symbol_tower("tau", 4), **symbol_tower("w1", 4)}
     )
     kappa, tau, w1 = sym("kappa"), sym("tau"), sym("w1")
-    frenet_q = FrenetData(kappa, -2 * I, "Q", table).family()
+    frenet_q = frenet_family(kappa, -2 * I, "Q", table)
     _holds("Frenet Q q = -1", frenet_q.q + 1)
-    frenet_s = FrenetData(kappa, tau, "S", table).family()
+    frenet_s = frenet_family(kappa, tau, "S", table)
     _holds("Frenet S w = 2/(i kappa - tau)", frenet_s.w - 2 / (I * kappa - tau))
     _holds("Frenet S q = (kappa^2 + tau^2)/4", frenet_s.q - (kappa ** 2 + tau ** 2) / 4)
-    rigid_q = RigidData(*so3_first_complete(w1, None), "Q", table).family()
+    rigid_q = rigid_family(*so3_first_complete(w1, None), "Q", table)
     _holds("rigid Q q = omega2 - 1", rigid_q.q - (2 - I * w1 - 1))
-    rigid_s = RigidData(w1, ZERO, "S", table).family()
+    rigid_s = rigid_family(w1, ZERO, "S", table)
     _holds("rigid S w = -2/omega1", rigid_s.w + 2 / w1)
     _holds("rigid S q = omega1^2/4", rigid_s.q - w1 ** 2 / 4)
     # one family per sampled route, over the sample's parameters, lifted
@@ -364,12 +364,11 @@ def check_applications(seed: int, config: VerifyConfig) -> dict:
     a, b, c, d, e = (param(name) for name in "abcde")
     omega2 = a + b * X
     lifted = []
-    for name, data in (
-        ("rigid Q", RigidData(*so3_first_complete(None, normalize(omega2)), "Q")),
-        ("Frenet S", FrenetData(normalize(c + d * X), normalize(e * X), "S")),
+    for name, route, family in (
+        ("rigid Q", "Q", rigid_family(*so3_first_complete(None, normalize(omega2)), "Q")),
+        ("Frenet S", "S", frenet_family(normalize(c + d * X), normalize(e * X), "S")),
     ):
-        family = data.family()
-        pair = orthogonal_lift(family, data.route)[1]
+        pair = orthogonal_lift(family, route)[1]
         _holds(f"{name} lift over parameters solves its system",
                residual(pair.system, pair.matrix))
         lifted.append((family, pair))

@@ -1,10 +1,10 @@
 """Witten-formalism supersymmetric quantum mechanics toys.
 
 Superpotentials, partner potentials, shape invariance with
-user-supplied reparametrization data, the matrix wrappers of the
-Schrodinger operator with their ladders at every order >= 2, as
-symmetric powers (ladder convention ``E = -m``), and the
-harmonic-oscillator state ladder.
+user-supplied reparametrization data and its spectrum, the matrix
+wrappers of the Schrodinger operator with their ladders at every
+order >= 2, as symmetric powers (ladder convention ``E = -m``), and
+the harmonic-oscillator state ladder.
 
 States stay unnormalized: the ladder construction is algebraic and
 normalization constants add nothing checkable.
@@ -224,19 +224,24 @@ def shape_invariance(pot: ParametricPotential) -> Expr:
     return diff
 
 
-def spectrum_sum(pot: ParametricPotential, n: int) -> Expr:
-    """Accumulated energy after n ladder steps: sum of remainders along
-    the orbit ``a, f(a), f(f(a)), ...``."""
+def spectrum(pot: ParametricPotential, n: int) -> list[Expr]:
+    """Energies ``[E_0, ..., E_n]`` after 0..n ladder steps: ``E_0 = 0``
+    and ``E_{k+1} = E_k + R(f^k(a))``, the remainders summed along the
+    orbit ``a, f(a), f(f(a)), ...``.
+
+    Shape invariance is proved once, and each running total and orbit
+    point is normalized as it is formed, so no expression nests deeper
+    than one step whatever ``n`` is.
+    """
     if n < 0:
         raise ValueError(f"number of ladder steps must be nonnegative, got {n}")
     shift = shape_invariance(pot)
-    a = Param(pot.a_name)
-    total: Expr = ZERO
-    current: Expr = a
+    energies: list[Expr] = [ZERO]
+    current: Expr = Param(pot.a_name)
     for _ in range(n):
-        total = total + substitute(shift, {pot.a_name: current})
-        current = substitute(pot.f, {pot.a_name: current})
-    return normalize(total)
+        energies.append(normalize(energies[-1] + substitute(shift, {pot.a_name: current})))
+        current = normalize(substitute(pot.f, {pot.a_name: current}))
+    return energies
 
 
 # ---------------------------------------------------------------------------

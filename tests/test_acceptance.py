@@ -71,7 +71,7 @@ from darbouxkit.susyqm import (
     oscillator_states,
     partner_potentials,
 )
-from darbouxkit.apps import FrenetData, RigidData, application_chain
+from darbouxkit.apps import application_chain, frenet_family, rigid_family
 from darbouxkit.numverify import (
     companion_solution_grid,
     companion_solution_grids,
@@ -327,13 +327,13 @@ def test_criterion_7_susy_oscillator():
             is_zero(a - b) for a, b in zip(h_state, e_state)
         )
     results["ladder-eigenstates-n-le-5"] = ladder_ok
-    from darbouxkit.susyqm import ParametricPotential, spectrum_sum
+    from darbouxkit.susyqm import ParametricPotential, spectrum
 
     a = param("a")
     pot = ParametricPotential(w=a * X, a_name="a", f=a, remainder=2 * a)
     spectrum_ok = all(
-        equal(substitute(spectrum_sum(pot, n), {"a": ONE}), const(2 * n))
-        for n in range(6)
+        equal(substitute(energy, {"a": ONE}), const(2 * n))
+        for n, energy in enumerate(spectrum(pot, 5))
     )
     results["spectrum-2n"] = spectrum_ok
     _criterion(7, "supersymmetric oscillator formalism", results)
@@ -354,10 +354,10 @@ def test_criterion_8_applications():
         {**symbol_tower("kappa", 4), **symbol_tower("tau", 4), **symbol_tower("w1", 4)}
     )
     kappa, tau, w1 = sym("kappa"), sym("tau"), sym("w1")
-    frenet_q = FrenetData(kappa, -2 * I, "Q", table).family()
-    frenet_s = FrenetData(kappa, tau, "S", table).family()
-    rigid_q = RigidData(w1, normalize(2 - I * w1), "Q", table).family()
-    rigid_s = RigidData(w1, ZERO, "S", table).family()
+    frenet_q = frenet_family(kappa, -2 * I, "Q", table)
+    frenet_s = frenet_family(kappa, tau, "S", table)
+    rigid_q = rigid_family(w1, normalize(2 - I * w1), "Q", table)
+    rigid_s = rigid_family(w1, ZERO, "S", table)
     results = {
         "frenet-q-identification": equal(frenet_q.q, const(-1))
         and equal(frenet_q.p, I * kappa),
@@ -392,10 +392,10 @@ def test_criterion_8_applications():
     a, b, c = param("a"), param("b"), param("c")
     linear = normalize(a + b * X)
     routes = {
-        "frenet-q": FrenetData(linear, -2 * I, "Q"),
-        "frenet-s": FrenetData(linear, normalize(c * X), "S"),
-        "rigid-q": RigidData(normalize(-I * (2 - linear)), linear, "Q"),
-        "rigid-s": RigidData(linear, ZERO, "S"),
+        "frenet-q": ("Q", frenet_family(linear, -2 * I, "Q")),
+        "frenet-s": ("S", frenet_family(linear, normalize(c * X), "S")),
+        "rigid-q": ("Q", rigid_family(normalize(-I * (2 - linear)), linear, "Q")),
+        "rigid-s": ("S", rigid_family(linear, ZERO, "S")),
     }
     # five rounds, each drawing one m and then one binding per route
     rng = Random(SEED)
@@ -408,9 +408,8 @@ def test_criterion_8_applications():
             if route == "frenet-s":
                 bindings["c"] = rng.randint(-2, 2) / 3
             samples[route].append(bindings)
-    for route, data in routes.items():
-        family = data.family()
-        _, pair = orthogonal_lift(family, data.route)
+    for route, (letter, family) in routes.items():
+        _, pair = orthogonal_lift(family, letter)
         results[f"{route}-lift-exact"] = residual(pair.system, pair.matrix).is_zero_matrix()
         results[f"sweep-{route}-below-1e-8"] = _worst_sweep(family, pair, samples[route]) <= 1e-8
     _criterion(8, "frame and rigid-solid applications", results)

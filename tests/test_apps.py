@@ -18,7 +18,7 @@ from darbouxkit.expr import (
     symbol_tower,
     to_sexpr,
 )
-from darbouxkit.apps import FrenetData, RigidData, application_chain
+from darbouxkit.apps import application_chain, frenet_family, rigid_family
 from darbouxkit.darboux import auto_level_seed, generic_seed
 from darbouxkit.linsys import ExprMatrix, gauge_residual
 from darbouxkit.numverify import (
@@ -51,9 +51,8 @@ def _sym_tables(*names, depth=4):
 def test_frenet_q_route_requires_fixed_torsion():
     table = _sym_tables("kappa")
     with pytest.raises(RouteConstraintViolated):
-        FrenetData(kappa=sym("kappa"), tau=ZERO, route="Q", table=table).family()
-    data = FrenetData(kappa=sym("kappa"), tau=-2 * I, route="Q", table=table)
-    family = data.family()
+        frenet_family(kappa=sym("kappa"), tau=ZERO, route="Q", table=table)
+    family = frenet_family(kappa=sym("kappa"), tau=-2 * I, route="Q", table=table)
     assert equal(family.q, const(-1))
     assert equal(family.p, I * sym("kappa"))
     # flow vector reproduces (tau, 0, kappa) at m = 0
@@ -65,8 +64,7 @@ def test_frenet_q_route_requires_fixed_torsion():
 def test_frenet_s_route_identification():
     table = _sym_tables("kappa", "tau")
     kappa, tau = sym("kappa"), sym("tau")
-    data = FrenetData(kappa=kappa, tau=tau, route="S", table=table)
-    family = data.family()
+    family = frenet_family(kappa=kappa, tau=tau, route="S", table=table)
     eta = I * kappa - tau
     assert equal(family.w, 2 / eta)
     assert equal(family.q, (kappa ** 2 + tau ** 2) / 4)
@@ -77,20 +75,19 @@ def test_frenet_s_route_identification():
 
 def test_frenet_s_route_rejects_degenerate_eta():
     with pytest.raises(RouteConstraintViolated):
-        FrenetData(kappa=ONE, tau=I, route="S").family()
+        frenet_family(kappa=ONE, tau=I, route="S")
 
 
 def test_rigid_q_route_identification():
     table = _sym_tables("w1")
     w1 = sym("w1")
-    data = RigidData(omega1=w1, omega2=normalize(2 - I * w1), route="Q", table=table)
-    family = data.family()
+    family = rigid_family(omega1=w1, omega2=normalize(2 - I * w1), route="Q", table=table)
     assert equal(family.q, 1 - I * w1)
     ortho, _ = orthogonal_lift(family, "Q")
     f, g, h = (substitute(e, {"m": ZERO}) for e in ortho.omega)
     assert equal(f, w1) and equal(g, 2 - I * w1) and is_zero(h)
     with pytest.raises(RouteConstraintViolated):
-        RigidData(omega1=w1, omega2=ZERO, route="Q", table=table).family()
+        rigid_family(omega1=w1, omega2=ZERO, route="Q", table=table)
 
 
 def test_q_completion_puts_the_vector_on_the_route():
@@ -106,30 +103,30 @@ def test_q_completion_puts_the_vector_on_the_route():
 def test_rigid_s_route_identification():
     table = _sym_tables("w1")
     w1 = sym("w1")
-    data = RigidData(omega1=w1, omega2=ZERO, route="S", table=table)
-    family = data.family()
+    family = rigid_family(omega1=w1, omega2=ZERO, route="S", table=table)
     assert equal(family.w, -2 / w1)
     assert equal(family.q, w1 ** 2 / 4)
     ortho, _ = orthogonal_lift(family, "S")
     f, g, h = (substitute(e, {"m": ZERO}) for e in ortho.omega)
     assert equal(f, w1) and is_zero(g) and is_zero(h)
     with pytest.raises(RouteConstraintViolated):
-        RigidData(omega1=w1, omega2=ONE, route="S", table=table).family()
+        rigid_family(omega1=w1, omega2=ONE, route="S", table=table)
     with pytest.raises(RouteConstraintViolated):
-        RigidData(omega1=ZERO, omega2=ZERO, route="S", table=table).family()
+        rigid_family(omega1=ZERO, omega2=ZERO, route="S", table=table)
 
 
 @pytest.mark.parametrize("make", [
-    lambda: FrenetData(sym("kappa"), sym("tau"), "T"),
-    lambda: RigidData(sym("w1"), ZERO, "q"),
+    lambda: frenet_family(sym("kappa"), sym("tau"), "T"),
+    lambda: rigid_family(sym("w1"), ZERO, "q"),
 ])
 def test_unknown_route_is_rejected_when_built(make):
-    with pytest.raises(ValueError, match="unknown route"):
+    # an unknown route is a missing key of ROUTES, as in lifted_matrix
+    with pytest.raises(KeyError):
         make()
 
 
 def test_frenet_q_route_without_curvature_has_unit_datum():
-    family = FrenetData(ZERO, -2 * I, "Q").family()
+    family = frenet_family(ZERO, -2 * I, "Q")
     assert family.w is ONE and is_zero(family.p)
     assert FRAME_DATUM not in family.table
 
@@ -140,13 +137,13 @@ def test_frenet_q_route_without_curvature_has_unit_datum():
 def test_perturbation_shapes():
     table = _sym_tables("kappa", "tau", "w1")
     rigid, _ = orthogonal_lift(
-        RigidData(sym("w1"), normalize(2 - I * sym("w1")), "Q", table).family(), "Q"
+        rigid_family(sym("w1"), normalize(2 - I * sym("w1")), "Q", table), "Q"
     )
     base, pert = rigid.m_split("m")
     n3 = ExprMatrix([[ZERO, ZERO, const(-1)], [ZERO, ZERO, I], [ONE, -I, ZERO]])
     assert pert.equals(n3)
     assert base.equals(rigid.system().a.map(lambda e: substitute(e, {"m": ZERO})))
-    frame = FrenetData(sym("kappa"), sym("tau"), "S", table).family()
+    frame = frenet_family(sym("kappa"), sym("tau"), "S", table)
     frenet, _ = orthogonal_lift(frame, "S")
     _, pert_s = frenet.m_split("m")
     w = frame.w
@@ -160,7 +157,7 @@ def test_perturbed_base_is_frame_matrix():
     # at m = 0 the lifted system is exactly the frame system Z' = Z x Omega
     table = _sym_tables("kappa", "tau")
     kappa, tau = sym("kappa"), sym("tau")
-    ortho, _ = orthogonal_lift(FrenetData(kappa, tau, "S", table).family(), "S")
+    ortho, _ = orthogonal_lift(frenet_family(kappa, tau, "S", table), "S")
     base, _ = ortho.m_split("m")
     frame_flow = skew_matrix(tau, ZERO, kappa)
     assert base.equals(frame_flow.scale(const(-1)).normalized())
@@ -171,7 +168,7 @@ def test_perturbed_base_is_frame_matrix():
 
 def test_rigid_chain_step_one_matches_closed_form():
     table = _sym_tables("w1")
-    family = RigidData(sym("w1"), normalize(2 - I * sym("w1")), "Q", table).family()
+    family = rigid_family(sym("w1"), normalize(2 - I * sym("w1")), "Q", table)
     links = application_chain(family, "Q", generic_seed, 1)
     assert len(links) == 2
     th = Sym("theta0_0")
@@ -189,7 +186,7 @@ def test_rigid_chain_step_one_matches_closed_form():
 
 def test_rigid_chain_step_one_factorization():
     table = _sym_tables("w1")
-    family = RigidData(sym("w1"), normalize(2 - I * sym("w1")), "Q", table).family()
+    family = rigid_family(sym("w1"), normalize(2 - I * sym("w1")), "Q", table)
     links = application_chain(family, "Q", generic_seed, 1)
     fam, seed = links[0].family, links[0].seed
     left, right = lifted_factors(fam, seed, "Q")
@@ -217,7 +214,7 @@ def test_rigid_chain_step_one_factorization():
 def test_frenet_chain_step_one_matches_closed_form():
     table = _sym_tables("kappa", "tau")
     kappa, tau = sym("kappa"), sym("tau")
-    family = FrenetData(kappa, tau, "S", table).family()
+    family = frenet_family(kappa, tau, "S", table)
     links = application_chain(family, "S", generic_seed, 1)
     fam, seed = links[0].family, links[0].seed
     th = Sym("theta0_0")
@@ -252,7 +249,7 @@ def test_frenet_chain_step_one_matches_closed_form():
 
 def test_chain_length_zero_returns_base():
     table = _sym_tables("w1")
-    family = RigidData(sym("w1"), normalize(2 - I * sym("w1")), "Q", table).family()
+    family = rigid_family(sym("w1"), normalize(2 - I * sym("w1")), "Q", table)
     links = application_chain(family, "Q", generic_seed, 0)
     assert len(links) == 1
     assert links[0].family is family
@@ -261,7 +258,7 @@ def test_chain_length_zero_returns_base():
 
 def test_chain_steps_stay_skew_with_fixed_perturbation():
     table = _sym_tables("w1")
-    family = RigidData(sym("w1"), normalize(2 - I * sym("w1")), "Q", table).family()
+    family = rigid_family(sym("w1"), normalize(2 - I * sym("w1")), "Q", table)
     links = application_chain(family, "Q", generic_seed, 2)
     n3 = ExprMatrix([[ZERO, ZERO, const(-1)], [ZERO, ZERO, I], [ONE, -I, ZERO]])
     for link in links:
@@ -273,9 +270,8 @@ def test_chain_steps_stay_skew_with_fixed_perturbation():
 # -- numeric checks ------------------------------------------------------------
 
 
-def _sweep_application(data, bindings):
-    family = data.family()
-    _, pair = orthogonal_lift(family, data.route)
+def _sweep_application(family, route, bindings):
+    _, pair = orthogonal_lift(family, route)
     grid = companion_solution_grid(family, bindings=bindings)
     return residual_sweep(
         pair.matrix,
@@ -290,17 +286,16 @@ def test_frenet_q_route_numeric_sweep():
     # kappa = 2 + x/2 with the registered frame datum integrated alongside
     table = DerivationTable()
     kappa = normalize(2 + X / 2)
-    value = _sweep_application(FrenetData(kappa, -2 * I, "Q", table), {"m": 0.7})
+    value = _sweep_application(frenet_family(kappa, -2 * I, "Q", table), "Q", {"m": 0.7})
     assert value <= 1e-8
 
 
 def test_frenet_s_route_circle_numeric():
     # unit circle kappa = 1, tau = 0: the equation is y'' + y/4 = 0
-    data = FrenetData(ONE, ZERO, "S", DerivationTable())
-    family = data.family()
+    family = frenet_family(ONE, ZERO, "S", DerivationTable())
     assert equal(family.q, rat(1, 4))
     assert is_zero(family.p)
-    value = _sweep_application(data, {"m": -0.3})
+    value = _sweep_application(family, "S", {"m": -0.3})
     assert value <= 1e-8
     # first integral stays put along the integrated orthogonal flow
     traj = integrate(
@@ -312,10 +307,9 @@ def test_frenet_s_route_circle_numeric():
 
 def test_rigid_q_route_numeric():
     # omega2 = 2, omega1 = 0: q = 1, solutions are trigonometric
-    data = RigidData(ZERO, const(2), "Q", DerivationTable())
-    family = data.family()
+    family = rigid_family(ZERO, const(2), "Q", DerivationTable())
     assert equal(family.q, ONE)
-    value = _sweep_application(data, {"m": 0.2})
+    value = _sweep_application(family, "Q", {"m": 0.2})
     assert value <= 1e-8
     traj = integrate(orthogonal_lift(family, "Q")[0].system(), [1.0, 0, 0], (0.0, 1.0), 1e-3, {"m": 0})
     assert drift(first_integral_orthogonal(), traj, ("alpha", "beta", "gamma")) <= 1e-9
@@ -323,8 +317,8 @@ def test_rigid_q_route_numeric():
 
 def test_rigid_s_route_numeric():
     # omega1 = 2 + x/2 stays away from zero on [0, 1]
-    data = RigidData(normalize(2 + X / 2), ZERO, "S", DerivationTable())
-    value = _sweep_application(data, {"m": -0.6})
+    family = rigid_family(normalize(2 + X / 2), ZERO, "S", DerivationTable())
+    value = _sweep_application(family, "S", {"m": -0.6})
     assert value <= 1e-8
 
 
@@ -332,7 +326,7 @@ def test_parametric_rigid_q_sweep_fails_on_one_wrong_binding():
     # one application over params a, b; its grid is integrated at one
     # binding, and changing a, b or m alone must fail the sweep
     omega2 = param("a") + param("b") * X
-    family = RigidData(normalize(-I * (2 - omega2)), normalize(omega2), "Q").family()
+    family = rigid_family(normalize(-I * (2 - omega2)), normalize(omega2), "Q")
     _, pair = orthogonal_lift(family, "Q")
     bindings = {"a": 2, "b": 0.25, "m": 0.4}
     grid = companion_solution_grid(family, bindings=bindings)
@@ -347,7 +341,7 @@ def test_parametric_rigid_q_sweep_fails_on_one_wrong_binding():
 
 
 def test_explicit_seed_chain_certifies_each_step_at_its_level():
-    family = RigidData(normalize(-I * X ** 2), normalize(2 - X ** 2), "Q").family()
+    family = rigid_family(normalize(-I * X ** 2), normalize(2 - X ** 2), "Q")
     links = application_chain(family, "Q", lambda fam, _: (fam, auto_level_seed(fam, -X)), 2)
     assert [to_sexpr(link.seed.level) for link in links[:-1]] == ["0", "-2"]
     for link, nxt in zip(links, links[1:]):
@@ -358,7 +352,7 @@ def test_explicit_seed_chain_certifies_each_step_at_its_level():
 
 def test_chain_transforms_compose():
     # T1 T0 carries link 0's orthogonal system to link 2's; T0 alone does not
-    family = RigidData(normalize(-I * X ** 2), normalize(2 - X ** 2), "Q").family()
+    family = rigid_family(normalize(-I * X ** 2), normalize(2 - X ** 2), "Q")
     links = application_chain(family, "Q", lambda fam, _: (fam, auto_level_seed(fam, -X)), 2)
     first, last = links[0].orthogonal.system(), links[2].orthogonal.system()
     product = links[1].transform @ links[0].transform

@@ -337,6 +337,15 @@ def test_verify_rejects_bad_interval_and_tolerance(capsys, flag):
     assert json.loads(err)["error"] == "bad-input"
 
 
+def test_susy_spectrum_runs_two_thousand_steps(capsys):
+    # each energy is normalized as it is summed, so no sum nests deeply
+    code, out, _ = _run(capsys, ["susy", "spectrum", "--n", "2000"])
+    assert code == 0
+    doc = json.loads(out)
+    assert len(doc["energies"]) == 2001
+    assert doc["energies_pretty"][-1] == "4000*a"
+
+
 @pytest.mark.parametrize("argv", [["susy", "states", "--n", "-1"],
                                   ["susy", "spectrum", "--n", "-2"]])
 def test_negative_counts_are_bad_input(capsys, argv):

@@ -8,6 +8,7 @@ pinned: its residuals are floats that depend on the numpy build.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -101,3 +102,16 @@ def test_cli_artifact_bytes(capsys, artifact):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_long_spectrum_starts_with_the_pinned_energies(capsys):
+    argv, digest = ARTIFACTS["susy-spectrum"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    pinned = json.loads(out)
+    assert main(["susy", "spectrum", "--n", "2000"]) == 0
+    long = json.loads(capsys.readouterr().out)
+    assert long["shift"] == pinned["shift"]
+    assert long["energies"][:6] == pinned["energies"]
+    assert long["energies_pretty"][:6] == pinned["energies_pretty"]

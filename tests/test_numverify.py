@@ -16,7 +16,7 @@ from darbouxkit.expr import (
     rat,
     sym,
 )
-from darbouxkit.apps import FrenetData
+from darbouxkit.apps import frenet_family
 from darbouxkit.linsys import ExprMatrix, LinearSystem, SecondOrderFamily, companion
 from darbouxkit.numverify import (
     _BLOCK,
@@ -529,7 +529,7 @@ def test_companion_grids_match_one_system_at_a_time():
 def test_companion_grid_backs_the_frame_datum():
     # the Frenet Q family's datum w_frame' = i kappa w_frame is integrated
     # under its own name; kappa = 2 + x/2 gives exp(i (2x + x^2/4))
-    family = FrenetData(normalize(2 + X / 2), -2 * I, "Q").family()
+    family = frenet_family(normalize(2 + X / 2), -2 * I, "Q")
     grid = companion_solution_grid(family, bindings={"m": 0.7})
     assert grid.values.keys() == {"y1", "y1_p", "y2", "y2_p", FRAME_DATUM}
     exact = np.exp(1j * (2 * grid.xs + grid.xs ** 2 / 4))

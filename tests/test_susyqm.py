@@ -33,7 +33,7 @@ from darbouxkit.susyqm import (
     partner_potentials,
     raising_op,
     shape_invariance,
-    spectrum_sum,
+    spectrum,
     superpotential,
 )
 from darbouxkit.tensordt import lifted_factors, lifted_matrix
@@ -253,17 +253,18 @@ def test_shape_invariance_rejects_wrong_remainder():
 def test_spectrum_accumulation():
     a = param("a")
     pot = ParametricPotential(w=a * X, a_name="a", f=a, remainder=2 * a)
-    for n in (0, 1, 4):
-        total = spectrum_sum(pot, n)
+    energies = spectrum(pot, 4)
+    assert len(energies) == 5
+    for n, total in enumerate(energies):
         assert equal(total, 2 * n * a)
         assert equal(substitute(total, {"a": ONE}), const(2 * n))
 
 
-def test_spectrum_sum_rejects_negative_steps():
+def test_spectrum_rejects_negative_steps():
     a = param("a")
     pot = ParametricPotential(w=a * X, a_name="a", f=a, remainder=2 * a)
     with pytest.raises(ValueError, match="number of ladder steps must be nonnegative, got -3"):
-        spectrum_sum(pot, -3)
+        spectrum(pot, -3)
 
 
 def test_hermite_recurrence_and_derivative():

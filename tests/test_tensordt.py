@@ -30,6 +30,7 @@ from darbouxkit.darboux import (
     darboux_transformation,
     make_seed,
 )
+from darbouxkit import tensordt
 from darbouxkit.tensordt import (
     FRAME_DATUM,
     NotTraceless,
@@ -391,6 +392,25 @@ def test_orthogonal_first_integral_symbolic():
     sys = OrthogonalSystem(f, g, h, table).system()
     drift = flow_derivative(sys, first_integral_orthogonal(), ("alpha", "beta", "gamma"))
     assert is_zero(drift)
+
+
+def test_building_an_orthogonal_system_differentiates_nothing(monkeypatch):
+    # the first integral holds for every skew flow and is proved once by
+    # the test above; building a system must not prove it again
+    def refuse(*args, **kwargs):
+        raise AssertionError("an orthogonal system was differentiated while built")
+
+    monkeypatch.setattr(tensordt, "flow_derivative", refuse)
+    monkeypatch.setattr(tensordt, "differentiate", refuse)
+    table = DerivationTable(
+        {**symbol_tower("f", 1), **symbol_tower("g", 1), **symbol_tower("h", 1)}
+    )
+    system = OrthogonalSystem(sym("f"), sym("g"), sym("h"), table)
+    assert system.omega == (sym("f"), sym("g"), sym("h"))
+    fam = generic_family()
+    for route in ROUTES.values():
+        route.system(fam)
+    so3_from_sym2(sym2_from_so3(system), table)
 
 
 def test_sym2_first_integral_symbolic():
