@@ -6,10 +6,10 @@ the planar rigid solid (the Poisson kinematic equation) gives
 ``(omega1, omega2, 0)`` from its angular velocity.  ``frenet_family``
 and ``rigid_family`` return the route's family of that vector,
 ``tensordt.ROUTES[route].family``, which owns the route's formulas and
-constraints (a vector off the route raises ``RouteConstraintViolated``
-there, an unknown route ``KeyError``); neither builds anything else.  A
-caller that reads the lift builds it with
-``tensordt.orthogonal_lift(family, route)``.
+constraints (a ``None`` component is completed or rejected there, a
+vector off the route raises ``RouteConstraintViolated``, an unknown
+route ``KeyError``); neither builds anything else.  A caller that reads
+the lift builds it with ``tensordt.orthogonal_lift(family, route)``.
 ``application_chain`` lifts ``darboux_chain`` along a route.
 """
 
@@ -24,26 +24,27 @@ from .darboux import DarbouxSeed, darboux_chain
 from .tensordt import ROUTES, OrthogonalSystem, lifted_matrix
 
 
-def frenet_family(kappa: Expr, tau: Expr, route: str,
+def frenet_family(kappa: Expr | None, tau: Expr | None, route: str,
                   table: DerivationTable = EMPTY_TABLE) -> SecondOrderFamily:
     """The route's family of the Frenet flow vector ``(tau, 0, kappa)``
     of a space curve with curvature ``kappa`` and torsion ``tau``.
 
     The Q route only represents frames with ``tau == -2i`` (the
-    degenerate coupled case); the S route handles any frame with
-    ``i kappa - tau`` nonzero.
+    degenerate coupled case), the value of a ``None`` tau; the S route
+    handles any frame with ``i kappa - tau`` nonzero, and needs tau.
     """
     return ROUTES[route].family(tau, ZERO, kappa, table)
 
 
-def rigid_family(omega1: Expr, omega2: Expr, route: str,
+def rigid_family(omega1: Expr | None, omega2: Expr | None, route: str,
                  table: DerivationTable = EMPTY_TABLE) -> SecondOrderFamily:
     """The route's family of the planar rigid-solid flow vector
     ``(omega1, omega2, 0)``.
 
-    The Q route represents the coupled case ``i omega1 + omega2 == 2``;
-    the S route represents motion on a line (``omega2 == 0``) with
-    ``omega1`` nonzero.
+    The Q route represents the coupled case ``i omega1 + omega2 == 2``,
+    so a ``None`` velocity follows from the other; the S route represents
+    motion on a line (``omega2 == 0``, the value of a ``None`` omega2)
+    with ``omega1`` nonzero.
     """
     return ROUTES[route].family(omega1, omega2, ZERO, table)
 

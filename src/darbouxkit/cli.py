@@ -24,7 +24,6 @@ from typing import Sequence
 from .expr import (
     DerivationTable,
     Expr,
-    I,
     KitError,
     ZERO,
     normalize,
@@ -58,7 +57,6 @@ from .tensordt import (
     OmegaOneZero,
     OrthogonalSystem,
     orthogonal_lift,
-    so3_first_complete,
     so3_to_riccati,
 )
 from .susyqm import (
@@ -67,7 +65,6 @@ from .susyqm import (
     matrix_formalism,
     oscillator_states,
     partner_potentials,
-    shape_invariance,
     spectrum,
 )
 from .apps import application_chain, frenet_family, rigid_family
@@ -97,14 +94,14 @@ def _expr_flag(text: str, params: Sequence[str] = ("m",)) -> Expr:
         raise InputError(f"cannot parse expression {text!r}: {exc}") from exc
 
 
-def _tower_table_for(exprs: Sequence[Expr],
+def _tower_table_for(exprs: Sequence[Expr | None],
                      base: DerivationTable | None = None) -> DerivationTable:
     """Symbols appearing in CLI expressions get derivative towers of depth
     4; parameters are constant and radicals differentiate through their
-    squares, so neither gets one."""
+    squares, so neither gets one; a ``None`` (flag not given) is skipped."""
     table = base or DerivationTable()
     entries = {}
-    for e in exprs:
+    for e in filter(None, exprs):
         for name in sorted(symbol_names(normalize(e))):
             if name not in table and name not in entries:
                 entries.update(symbol_tower(name, 4))
@@ -236,34 +233,21 @@ def _reject_application_flags(args, names=("kappa", "tau", "omega1", "omega2"),
 
 
 def _application_family_from_args(args) -> SecondOrderFamily:
-    route = args.route
+    """The route's family of the application's flow vector, from the flags
+    given; the route completes or rejects a component left out."""
     if args.rigid:
         _reject_application_flags(args, ("kappa", "tau"), "for a rigid body")
-        omega1 = _expr_flag(args.omega1) if args.omega1 else None
-        omega2 = _expr_flag(args.omega2) if args.omega2 else None
-        if route == "Q":
-            if omega1 is None and omega2 is None:
-                raise InputError("rigid Q route needs --omega1 or --omega2")
-            omega1, omega2 = so3_first_complete(omega1, omega2)
-        else:
-            if omega1 is None:
-                raise InputError("rigid S route needs --omega1")
-            omega2 = ZERO if omega2 is None else omega2
-        table = _tower_table_for([omega1, omega2])
-        return rigid_family(omega1, omega2, route, table)
-    if args.frenet:
+        build, names, layout = rigid_family, ("omega1", "omega2"), "(--omega1, --omega2, 0)"
+    elif args.frenet:
         _reject_application_flags(args, ("omega1", "omega2"), "for a Frenet frame")
-        kappa = _expr_flag(args.kappa) if args.kappa else None
-        if kappa is None:
-            raise InputError("frenet routes need --kappa")
-        tau = _expr_flag(args.tau) if args.tau else (
-            normalize(-2 * I) if route == "Q" else None
-        )
-        if tau is None:
-            raise InputError("frenet S route needs --tau")
-        table = _tower_table_for([kappa, tau])
-        return frenet_family(kappa, tau, route, table)
-    raise InputError("need --family, --rigid, or --frenet")
+        build, names, layout = frenet_family, ("kappa", "tau"), "(--tau, 0, --kappa)"
+    else:
+        raise InputError("need --family, --rigid, or --frenet")
+    values = [_expr_flag(getattr(args, n)) if getattr(args, n) else None for n in names]
+    try:
+        return build(*values, args.route, _tower_table_for(values))
+    except ValueError as exc:
+        raise InputError(f"flow vector (f, g, h) = {layout}: {exc}") from exc
 
 
 def cmd_so3_lift(args) -> dict:
@@ -345,9 +329,7 @@ def cmd_susy_spectrum(args) -> dict:
         w=w, a_name=args.a, f=f, remainder=remainder,
         table=_tower_table_for([w]),
     )
-    # spectrum rejects a negative --n before proving anything
-    energies = spectrum(pot, args.n)
-    shift = shape_invariance(pot)
+    shift, energies = spectrum(pot, args.n)
     return {
         "command": "susy spectrum",
         "a": args.a,

@@ -174,13 +174,22 @@ class Expr:
     def _key(self) -> tuple:
         raise NotImplementedError
 
+    # __eq__ and __hash__ recurse through the keys; a tree too deep for the
+    # stack (a sum built term by term) falls back on an iterative walk
+
     def __eq__(self, other):
-        return type(self) is type(other) and self._key() == other._key()
+        try:
+            return type(self) is type(other) and self._key() == other._key()
+        except RecursionError:
+            return _eq_walk(self, other)
 
     def __hash__(self):
         h = getattr(self, "_h", None)
         if h is None:
-            h = hash((type(self).__name__,) + self._key())
+            try:
+                h = hash((type(self).__name__,) + self._key())
+            except RecursionError:
+                h = _hash_walk(self)
             object.__setattr__(self, "_h", h)
         return h
 
@@ -218,6 +227,36 @@ class Expr:
 
     def __neg__(self):
         return Mul((const(-1), self))
+
+
+def _eq_walk(a: Expr, b: Expr) -> bool:
+    """``a == b`` without recursion, over a stack of key entries."""
+    pairs = [(a, b)]
+    while pairs:
+        a, b = pairs.pop()
+        if a is b:
+            continue
+        if isinstance(a, Expr) and type(a) is type(b):
+            ka, kb = a._key(), b._key()
+            if len(ka) != len(kb):
+                return False
+            pairs += zip(ka, kb)
+        elif a != b:
+            return False
+    return True
+
+
+def _hash_walk(root: Expr) -> int:
+    """``hash(root)`` without recursion: each uncached node is hashed
+    after its children, so its own hash only reads theirs."""
+    stack = [root]
+    while stack:
+        todo = [c for c in stack[-1]._key() if isinstance(c, Expr) and not hasattr(c, "_h")]
+        if todo:
+            stack += todo
+        else:
+            hash(stack.pop())
+    return root._h
 
 
 class Const(Expr):

@@ -76,7 +76,6 @@ from .tensordt import (
     p2_explicit,
     riccati_invert,
     riccati_parametrize,
-    so3_first_complete,
     so3_system_first,
     so3_to_riccati,
     t1_explicit,
@@ -349,14 +348,14 @@ def check_applications(seed: int, config: VerifyConfig) -> dict:
         {**symbol_tower("kappa", 4), **symbol_tower("tau", 4), **symbol_tower("w1", 4)}
     )
     kappa, tau, w1 = sym("kappa"), sym("tau"), sym("w1")
-    frenet_q = frenet_family(kappa, -2 * I, "Q", table)
+    frenet_q = frenet_family(kappa, None, "Q", table)
     _holds("Frenet Q q = -1", frenet_q.q + 1)
     frenet_s = frenet_family(kappa, tau, "S", table)
     _holds("Frenet S w = 2/(i kappa - tau)", frenet_s.w - 2 / (I * kappa - tau))
     _holds("Frenet S q = (kappa^2 + tau^2)/4", frenet_s.q - (kappa ** 2 + tau ** 2) / 4)
-    rigid_q = rigid_family(*so3_first_complete(w1, None), "Q", table)
-    _holds("rigid Q q = omega2 - 1", rigid_q.q - (2 - I * w1 - 1))
-    rigid_s = rigid_family(w1, ZERO, "S", table)
+    rigid_q = rigid_family(w1, None, "Q", table)
+    _holds("rigid Q q = 1 - i omega1", rigid_q.q - (1 - I * w1))
+    rigid_s = rigid_family(w1, None, "S", table)
     _holds("rigid S w = -2/omega1", rigid_s.w + 2 / w1)
     _holds("rigid S q = omega1^2/4", rigid_s.q - w1 ** 2 / 4)
     # one family per sampled route, over the sample's parameters, lifted
@@ -365,7 +364,7 @@ def check_applications(seed: int, config: VerifyConfig) -> dict:
     omega2 = a + b * X
     lifted = []
     for name, route, family in (
-        ("rigid Q", "Q", rigid_family(*so3_first_complete(None, normalize(omega2)), "Q")),
+        ("rigid Q", "Q", rigid_family(None, omega2, "Q")),
         ("Frenet S", "S", frenet_family(normalize(c + d * X), normalize(e * X), "S")),
     ):
         pair = orthogonal_lift(family, route)[1]

@@ -224,10 +224,11 @@ def shape_invariance(pot: ParametricPotential) -> Expr:
     return diff
 
 
-def spectrum(pot: ParametricPotential, n: int) -> list[Expr]:
-    """Energies ``[E_0, ..., E_n]`` after 0..n ladder steps: ``E_0 = 0``
-    and ``E_{k+1} = E_k + R(f^k(a))``, the remainders summed along the
-    orbit ``a, f(a), f(f(a)), ...``.
+def spectrum(pot: ParametricPotential, n: int) -> tuple[Expr, list[Expr]]:
+    """The shift ``R(f(a))`` of :func:`shape_invariance` and the energies
+    ``[E_0, ..., E_n]`` after 0..n ladder steps: ``E_0 = 0`` and
+    ``E_{k+1} = E_k + R(f^k(a))``, the remainders summed along the orbit
+    ``a, f(a), f(f(a)), ...``.
 
     Shape invariance is proved once, and each running total and orbit
     point is normalized as it is formed, so no expression nests deeper
@@ -241,7 +242,7 @@ def spectrum(pot: ParametricPotential, n: int) -> list[Expr]:
     for _ in range(n):
         energies.append(normalize(energies[-1] + substitute(shift, {pot.a_name: current})))
         current = normalize(substitute(pot.f, {pot.a_name: current}))
-    return energies
+    return shift, energies
 
 
 # ---------------------------------------------------------------------------

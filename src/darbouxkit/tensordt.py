@@ -207,13 +207,22 @@ def so3_system_second(family: SecondOrderFamily) -> OrthogonalSystem:
     return OrthogonalSystem(f, g, h, family.table)
 
 
-def so3_family_first(f: Expr, g: Expr, h: Expr, table: DerivationTable) -> SecondOrderFamily:
+def so3_family_first(f: Expr | None, g: Expr | None, h: Expr | None,
+                     table: DerivationTable) -> SecondOrderFamily:
     """Q-route family ``y'' + i h y' + (g - 1) y = 0`` (r = 1) of the flow
     vector ``(f, g, h)``, which needs ``f == i (g - 2)``; inverse of
-    :func:`so3_system_first` at m = 0.  Its datum w is 1 when h vanishes,
-    else the registered :data:`FRAME_DATUM` with ``w' = i h w``.
+    :func:`so3_system_first` at m = 0.  A ``None`` f or g is completed
+    from the other by that constraint, ``f = -i (2 - g)`` or
+    ``g = 2 - i f``.  Its datum w is 1 when h vanishes, else the
+    registered :data:`FRAME_DATUM` with ``w' = i h w``.
     """
-    if not is_zero(f - I * (g - 2)):
+    if h is None or f is None and g is None:
+        raise ValueError(f"the Q route needs {'h' if h is None else 'one of f, g'}")
+    if f is None:
+        f = normalize(-I * (2 - g))
+    elif g is None:
+        g = normalize(2 - I * f)
+    elif not is_zero(f - I * (g - 2)):
         raise RouteConstraintViolated("Q route requires f == i*(g - 2)")
     w = ONE
     if not is_zero(h):
@@ -222,27 +231,16 @@ def so3_family_first(f: Expr, g: Expr, h: Expr, table: DerivationTable) -> Secon
     return SecondOrderFamily(p=normalize(I * h), q=normalize(g - 1), r=ONE, w=w, table=table)
 
 
-def so3_first_complete(f: Expr | None, g: Expr | None) -> tuple[Expr, Expr]:
-    """The pair ``(f, g)`` of a Q-route flow vector, the missing one
-    completed by the route's constraint ``f == i (g - 2)``: ``f = -i (2 - g)``
-    or ``g = 2 - i f``.  Two given values are returned as they are, for
-    :func:`so3_family_first` to check; at least one is needed."""
-    if f is None and g is None:
-        raise ValueError("the Q route needs f or g to complete the other")
-    if f is None:
-        return normalize(-I * (2 - g)), g
-    if g is None:
-        return f, normalize(2 - I * f)
-    return f, g
-
-
-def so3_family_second(f: Expr, g: Expr, h: Expr, table: DerivationTable) -> SecondOrderFamily:
+def so3_family_second(f: Expr | None, g: Expr | None, h: Expr | None,
+                      table: DerivationTable) -> SecondOrderFamily:
     """S-route family ``y'' - (eta'/eta) y' + (f^2 + h^2)/4 y = 0`` (r = 1,
     ``w = 2/eta``, ``eta = i h - f``) of the flow vector ``(f, g, h)``,
     which needs ``g == 0`` and ``eta != 0``; inverse of
-    :func:`so3_system_second` at m = 0.
+    :func:`so3_system_second` at m = 0.  A ``None`` g is that 0.
     """
-    if not is_zero(g):
+    if f is None or h is None:
+        raise ValueError(f"the S route needs {'f' if f is None else 'h'}")
+    if g is not None and not is_zero(g):
         raise RouteConstraintViolated("S route requires g == 0")
     eta = normalize(I * h - f)
     if is_zero(eta):
@@ -276,15 +274,17 @@ class Route:
     the other route scales its solutions by w instead.  ``system`` is
     the closed-form lift, the reference for what :meth:`lift` constructs.
     ``family`` is its inverse: ``system(family(f, g, h, table))`` has the
-    flow vector ``(f, g, h)`` at m = 0, and a vector outside the route's
-    constraint raises :class:`RouteConstraintViolated`.
+    flow vector ``(f, g, h)`` at m = 0; it completes a ``None`` component
+    that the route's constraint fixes and raises ValueError for any other,
+    and a vector outside the constraint raises :class:`RouteConstraintViolated`.
     """
 
     conj: ExprMatrix
     conj_inv: ExprMatrix
     balanced: bool
     system: Callable[[SecondOrderFamily], OrthogonalSystem]
-    family: Callable[[Expr, Expr, Expr, DerivationTable], SecondOrderFamily]
+    family: Callable[[Expr | None, Expr | None, Expr | None, DerivationTable],
+                     SecondOrderFamily]
 
     def lift(self, family: SecondOrderFamily, mat: ExprMatrix, level: str = "so3",
              left: bool = True, right: bool = True) -> ExprMatrix:

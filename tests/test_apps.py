@@ -20,7 +20,7 @@ from darbouxkit.expr import (
 )
 from darbouxkit.apps import application_chain, frenet_family, rigid_family
 from darbouxkit.darboux import auto_level_seed, generic_seed
-from darbouxkit.linsys import ExprMatrix, gauge_residual
+from darbouxkit.linsys import ExprMatrix, family_to_json, gauge_residual
 from darbouxkit.numverify import (
     companion_solution_grid,
     drift,
@@ -29,12 +29,12 @@ from darbouxkit.numverify import (
 )
 from darbouxkit.tensordt import (
     FRAME_DATUM,
+    ROUTES,
     RouteConstraintViolated,
     first_integral_orthogonal,
     lifted_factors,
     orthogonal_lift,
     skew_matrix,
-    so3_first_complete,
 )
 
 
@@ -90,14 +90,49 @@ def test_rigid_q_route_identification():
         rigid_family(omega1=w1, omega2=ZERO, route="Q", table=table)
 
 
-def test_q_completion_puts_the_vector_on_the_route():
-    # either of f and g completes the other onto f == i (g - 2)
-    w1 = sym("w1")
-    for f, g in (so3_first_complete(w1, None), so3_first_complete(None, w1)):
-        assert is_zero(f - I * (g - 2))
-    assert so3_first_complete(w1, ONE) == (w1, ONE)
-    with pytest.raises(ValueError, match="needs f or g"):
-        so3_first_complete(None, None)
+W1 = sym("w1")
+
+
+@pytest.mark.parametrize("route, vector", [
+    ("Q", (W1, None, sym("kappa"))),
+    ("Q", (None, W1, ZERO)),
+    ("S", (W1, None, sym("kappa"))),
+], ids=["q-completes-g", "q-completes-f", "s-completes-g"])
+def test_route_family_completes_the_component_its_constraint_fixes(route, vector):
+    # the completed vector lies on the route: its system gives it back
+    # at m = 0, with the given components unchanged
+    family = ROUTES[route].family(*vector, _sym_tables("w1", "kappa"))
+    f, g, h = (substitute(e, {"m": ZERO}) for e in ROUTES[route].system(family).omega)
+    assert all(equal(given, back) for given, back in zip(vector, (f, g, h)) if given is not None)
+    assert is_zero(f - I * (g - 2)) if route == "Q" else is_zero(g)
+
+
+@pytest.mark.parametrize("route, vector, message", [
+    ("Q", (W1, None, None), "the Q route needs h"),
+    ("Q", (None, None, ZERO), "the Q route needs one of f, g"),
+    ("Q", (None, None, None), "the Q route needs h"),
+    ("S", (None, ZERO, ZERO), "the S route needs f"),
+    ("S", (W1, None, None), "the S route needs h"),
+    ("S", (None, None, None), "the S route needs f"),
+], ids=["q-without-h", "q-without-f-or-g", "q-without-any", "s-without-f", "s-without-h",
+        "s-without-any"])
+def test_route_family_rejects_a_component_no_constraint_supplies(route, vector, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ROUTES[route].family(*vector, _sym_tables("w1"))
+
+
+@pytest.mark.parametrize("build, completed, by_hand", [
+    (frenet_family, (sym("kappa"), None, "Q"), (sym("kappa"), -2 * I, "Q")),
+    (rigid_family, (W1, None, "Q"), (W1, normalize(2 - I * W1), "Q")),
+    (rigid_family, (None, W1, "Q"), (normalize(-I * (2 - W1)), W1, "Q")),
+    (rigid_family, (W1, None, "S"), (W1, ZERO, "S")),
+], ids=["frenet-q-without-tau", "rigid-q-from-omega1", "rigid-q-from-omega2",
+        "rigid-s-without-omega2"])
+def test_completed_application_family_is_the_hand_completed_one(build, completed, by_hand):
+    table = _sym_tables("kappa", "w1")
+    a, b = build(*completed, table), build(*by_hand, table)
+    assert (a.p, a.q, a.r, a.w) == (b.p, b.q, b.r, b.w)
+    assert family_to_json(a) == family_to_json(b)
 
 
 def test_rigid_s_route_identification():

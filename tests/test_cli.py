@@ -1,9 +1,10 @@
 import json
+import sys
 from dataclasses import replace
 
 import pytest
 
-from darbouxkit import cli, darboux, golden
+from darbouxkit import cli, darboux, golden, susyqm
 from darbouxkit.cli import main
 from darbouxkit.expr import I, KitError, Radical, X, equal, param, parse_sexpr
 from darbouxkit.linsys import ExprMatrix, SecondOrderFamily, family_from_json, family_to_json
@@ -168,6 +169,33 @@ def test_an_application_refuses_the_other_applications_flags(capsys, argv, flags
     code, out, err = _run(capsys, argv)
     assert code == 2 and out == ""
     assert json.loads(err)["detail"].endswith(f"nothing reads {flags}")
+
+
+RIGID, FRENET = "(--omega1, --omega2, 0)", "(--tau, 0, --kappa)"
+
+
+@pytest.mark.parametrize("argv, detail", [
+    (["rigid", "build", "--route", "Q"], f"{RIGID}: the Q route needs one of f, g"),
+    (["rigid", "build", "--route", "S", "--omega2", "0"], f"{RIGID}: the S route needs f"),
+    (["frenet", "build", "--route", "S", "--kappa", "k"], f"{FRENET}: the S route needs f"),
+    (["frenet", "build", "--route", "Q"], f"{FRENET}: the Q route needs h"),
+])
+def test_an_application_missing_a_component_names_its_flag(capsys, argv, detail):
+    # the vector layout maps the component the route needs to its flag
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "bad-input", "detail": f"flow vector (f, g, h) = {detail}"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["rigid", "build", "--route", "S", "--omega1", "w1", "--omega2", "1"],
+    ["rigid", "build", "--route", "Q", "--omega1", "w1", "--omega2", "0"],
+    ["frenet", "build", "--route", "Q", "--kappa", "k", "--tau", "0"],
+])
+def test_an_application_vector_off_its_route_exits_one(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "RouteConstraintViolated"
 
 
 def test_susy_partners_and_states(capsys):
@@ -344,6 +372,25 @@ def test_susy_spectrum_runs_two_thousand_steps(capsys):
     doc = json.loads(out)
     assert len(doc["energies"]) == 2001
     assert doc["energies_pretty"][-1] == "4000*a"
+
+
+def test_susy_spectrum_proves_shape_invariance_once(capsys):
+    # the shift comes back from spectrum with the energies, not from a
+    # second proof
+    proof = susyqm.shape_invariance.__code__
+    calls = []
+
+    def count(frame, event, _):
+        if event == "call" and frame.f_code is proof:
+            calls.append(event)
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        code, _, _ = _run(capsys, ["susy", "spectrum", "--n", "5"])
+    finally:
+        sys.setprofile(previous)
+    assert code == 0 and len(calls) == 1
 
 
 @pytest.mark.parametrize("argv", [["susy", "states", "--n", "-1"],

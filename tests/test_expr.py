@@ -684,6 +684,33 @@ def test_left_nested_product_folds_as_the_flat_product(parts):
     _left_nested_matches_flat(Mul, parts)
 
 
+def test_a_sum_deeper_than_the_stack_hashes_compares_and_folds():
+    # summed one term at a time, 2,000 terms nest 2,000 levels deep
+    terms = [param(f"a{i}") * X for i in range(2000)]
+    deep, copy = sum(terms, const(0)), sum(terms, const(0))
+    assert hash(deep) == hash(copy) and deep == copy
+    assert deep != sum(terms[:-1], const(0)) + param("a0") * X
+    _clear_caches()
+    assert normalize(deep) == normalize(Add(tuple(terms)))
+
+
+@pytest.mark.parametrize("nest", [
+    lambda e, i: Mul((e, param(f"a{i}"))),
+    lambda e, i: Add((param(f"a{i}"), e)),
+    lambda e, i: Div(e, X + i) if i % 2 else Pow(e, 1),
+], ids=["left-product", "right-sum", "div-pow"])
+def test_any_tree_deeper_than_the_stack_hashes_and_compares(nest):
+    def build(bottom):
+        e = bottom
+        for i in range(3000):
+            e = nest(e, i)
+        return e
+
+    a, b = build(X), build(X)
+    assert hash(a) == hash(b) and a == b
+    assert a != build(param("z"))
+
+
 @settings(max_examples=150, deadline=None)
 @given(_numeric_exprs(3))
 def test_rf_is_idempotent_on_normal_forms(e):

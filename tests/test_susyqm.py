@@ -253,7 +253,8 @@ def test_shape_invariance_rejects_wrong_remainder():
 def test_spectrum_accumulation():
     a = param("a")
     pot = ParametricPotential(w=a * X, a_name="a", f=a, remainder=2 * a)
-    energies = spectrum(pot, 4)
+    shift, energies = spectrum(pot, 4)
+    assert equal(shift, 2 * a)
     assert len(energies) == 5
     for n, total in enumerate(energies):
         assert equal(total, 2 * n * a)
