@@ -69,7 +69,8 @@ def application_chain(
     seed-rule contract (``darboux.generic_seed`` adjoins ``theta0_i`` at
     step i).  Each of its steps is mapped to a link carrying the route's
     orthogonal system of the family and the transformation matrix that
-    leaves it (``lifted_matrix``).  No fundamental matrix is built.
+    leaves it, ``K Sym2(P) K^-1`` for P the step's 2x2 gauge and K the
+    route's frame (``lifted_matrix``).  No fundamental matrix is built.
     """
     lift = ROUTES[route].system
     return [

@@ -141,6 +141,8 @@ def _fixed_seed(theta0: Expr):
 
 def _seed_for(family: SecondOrderFamily, args) -> tuple[SecondOrderFamily, object]:
     if args.theta0 == "generic":
+        if args.level != "auto":
+            raise InputError("with --theta0 generic, nothing reads --level")
         return attach_generic_seed(family)
     family, theta0 = _theta0_for(family, args.theta0)
     if args.level == "auto":

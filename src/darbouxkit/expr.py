@@ -1227,29 +1227,15 @@ def symbol_names(e: Expr) -> set[str]:
 
 def _names(e: Expr, kinds: tuple[type, ...]) -> set[str]:
     """Names of the leaves of the given kinds, including those inside a
-    radical's square."""
+    radical's square; one loop over a stack of key entries, so a tree of
+    any depth is walked."""
     out: set[str] = set()
-
-    def walk(node: Expr) -> None:
+    stack = [e]
+    while stack:
+        node = stack.pop()
         if isinstance(node, kinds):
             out.add(node.name)
-        if isinstance(node, Radical):
-            walk(node.square)
-        elif isinstance(node, Add):
-            for t in node.terms:
-                walk(t)
-        elif isinstance(node, Mul):
-            for f in node.factors:
-                walk(f)
-        elif isinstance(node, Pow):
-            walk(node.base)
-        elif isinstance(node, Div):
-            walk(node.num)
-            walk(node.den)
-        elif isinstance(node, Apply):
-            walk(node.arg)
-
-    walk(e)
+        stack += (c for c in node._key() if isinstance(c, Expr))
     return out
 
 

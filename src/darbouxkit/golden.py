@@ -69,7 +69,6 @@ from .tensordt import (
     first_integral_orthogonal,
     first_integral_sym2,
     flow_derivative,
-    lifted_factors,
     lifted_matrix,
     orthogonal_lift,
     p1_explicit,
@@ -248,10 +247,13 @@ def check_sym_power(seed: int, config: VerifyConfig) -> dict:
 def check_lifted_transforms(seed: int, config: VerifyConfig) -> dict:
     fam, sd = attach_generic_seed(_generic_family())
     p1 = darboux_transformation(fam, sd).sym(2)
-    left1, right1 = lifted_factors(fam, sd, "Q", "sym2")
+    g = darboux_gauge(fam, sd)
     _holds("P1 closed form", p1.gauge - p1_explicit(fam, sd))
-    _holds("P1 = L1 R1", p1.gauge - (left1 @ right1).normalized())
-    p2 = lifted_matrix(fam, sd, "S", "sym2")
+    l1_r1 = (sym_group(g.l_m, 2) @ sym_group(g.r_factor, 2)).normalized()
+    _holds("P1 = L1 R1", p1.gauge - l1_r1)
+    # P2 = Sym2(Delta P Delta^-1) = Sym2(Delta) P1 Sym2(Delta)^-1, Delta = diag(1, w)
+    d2, d2_inv = (sym_group(ExprMatrix.diagonal([ONE, d]), 2) for d in (fam.w, 1 / fam.w))
+    p2 = (d2 @ p1.gauge @ d2_inv).normalized()
     _holds("P2 closed form", p2 - p2_explicit(fam, sd))
     _holds("det P2 = -m^3", p2.det() + fam.m ** 3)
     at_w1 = lambda e: substitute(e, {"w": ONE, "p": ZERO})

@@ -1,7 +1,7 @@
-"""Lifted Darboux transformations for second-symmetric-power and
-orthogonal (so(3)) systems: the constant Q/S gauges, the diagonal
-Delta-gauge, the orthogonal lift with its fundamental matrix, first
-integrals, and the Riccati parametrization of orthogonal flows.
+"""Lifted Darboux transformations for orthogonal (so(3)) systems: the
+constant Q/S gauges, each route's frame, the orthogonal lift with its
+fundamental matrix, first integrals, and the Riccati parametrization of
+orthogonal flows.
 
 Two independent routes lift a second-order family to a 3x3 orthogonal
 system.  The first conjugates the symmetric square of the companion
@@ -13,12 +13,13 @@ equivalent unless w = 1.  ``ROUTES`` defines each route once, in both
 directions: ``system`` maps a family to the flow vector of its
 orthogonal system, and ``family`` maps a flow vector that satisfies the
 route's constraint back to a family with that system at m = 0 (the
-frame and rigid-solid applications are such vectors).  Its one lifting
-rule, :meth:`Route.lift`, builds every lifted matrix, factor
-pair and orthogonal fundamental matrix, at the ``sym2`` level (P1, P2)
-or the ``so3`` level (T1, T2).  A lifted matrix G is certified as a
-transformation by :func:`~darbouxkit.linsys.gauge_residual`, with no
-lift of its inverse.
+frame and rigid-solid applications are such vectors).  Each route has
+one change of frame K (:meth:`Route.frame`: Q, or S Sym2(Delta)), so
+every lift is a product with K: a 2x2 gauge G lifts to
+``K Sym2(G) K^-1`` (:meth:`Route.lift`; T1 and T2 are the lifts of the
+Darboux gauge) and a companion fundamental matrix X to ``K Sym2(X)``.
+A lifted matrix is certified as a transformation by
+:func:`~darbouxkit.linsys.gauge_residual`, with no lift of its inverse.
 
 Every lifted transformation matrix here is *constructed* from the
 functorial definitions (symmetric powers of the 2x2 gauge), and the
@@ -257,26 +258,21 @@ def so3_family_second(f: Expr | None, g: Expr | None, h: Expr | None,
 # ---------------------------------------------------------------------------
 
 
-def delta_gauge(family: SecondOrderFamily) -> ExprMatrix:
-    return ExprMatrix.diagonal([ONE, family.w])
-
-
-LEVELS = ("sym2", "so3")
-
-
 @dataclass(frozen=True)
 class Route:
     """One orthogonal lift of a second-order family.
 
-    ``conj`` (with its exact inverse) carries symmetric squares to the
-    orthogonal system.  A ``balanced`` route first conjugates all 2x2
-    data by Delta = diag(1, w), making the companion system traceless;
-    the other route scales its solutions by w instead.  ``system`` is
-    the closed-form lift, the reference for what :meth:`lift` constructs.
-    ``family`` is its inverse: ``system(family(f, g, h, table))`` has the
-    flow vector ``(f, g, h)`` at m = 0; it completes a ``None`` component
-    that the route's constraint fixes and raises ValueError for any other,
-    and a vector outside the constraint raises :class:`RouteConstraintViolated`.
+    ``conj`` (with its exact inverse) is the route's constant conjugator.
+    A ``balanced`` route first rebalances the companion state by
+    Delta = diag(1, w), making the companion system traceless; the other
+    route scales its solutions by w instead.  :meth:`frame` fixes the
+    route's change of frame and :meth:`lift` is its one lifting rule.
+    ``system`` is the closed-form lift, the reference for what
+    :meth:`lift` constructs.  ``family`` is its inverse:
+    ``system(family(f, g, h, table))`` has the flow vector ``(f, g, h)``
+    at m = 0; it completes a ``None`` component that the route's
+    constraint fixes and raises ValueError for any other, and a vector
+    outside the constraint raises :class:`RouteConstraintViolated`.
     """
 
     conj: ExprMatrix
@@ -286,33 +282,23 @@ class Route:
     family: Callable[[Expr | None, Expr | None, Expr | None, DerivationTable],
                      SecondOrderFamily]
 
-    def lift(self, family: SecondOrderFamily, mat: ExprMatrix, level: str = "so3",
-             left: bool = True, right: bool = True) -> ExprMatrix:
-        """The lifting rule ``M -> C Sym2(D M D^-1) C^-1``.
+    def frame(self, family: SecondOrderFamily) -> tuple[ExprMatrix, ExprMatrix]:
+        """``(K, K^-1)``, the gauge from Sym2 of the companion system to the
+        route's orthogonal system: ``K = C Sym2(Delta) = C diag(1, w, w^2)``
+        on a balanced route and ``K = C`` otherwise, where the orthogonal
+        solutions carry the extra factor w."""
+        if not self.balanced:
+            return self.conj, self.conj_inv
+        d = (ONE, family.w, family.w ** 2)
+        k = ExprMatrix([[c * e for c, e in zip(row, d)] for row in self.conj.rows])
+        k_inv = ExprMatrix([[c / e for c in row] for e, row in zip(d, self.conj_inv.rows)])
+        return k.normalized(), k_inv.normalized()
 
-        D is Delta on a balanced route and C the route's conjugator at the
-        ``so3`` level; either is the identity otherwise.  ``left``/``right``
-        keep only one side, so a factor pair (L, R) lifts to
-        ``(C Sym2(D L), Sym2(R D^-1) C^-1)``.  Each stage is normalized
-        before the next.
-        """
-        if level not in LEVELS:
-            raise ValueError(f"unknown lift level {level!r}")
-
-        def conjugate(m: ExprMatrix, c: ExprMatrix, c_inv: ExprMatrix) -> ExprMatrix:
-            if left:
-                m = c @ m
-            if right:
-                m = m @ c_inv
-            return m.normalized()
-
-        if self.balanced:
-            d_inv = ExprMatrix.diagonal([ONE, normalize(1 / family.w)])
-            mat = conjugate(mat, delta_gauge(family), d_inv)
-        mat = sym_group(mat, 2)
-        if level == "so3":
-            mat = conjugate(mat, self.conj, self.conj_inv)
-        return mat
+    def lift(self, family: SecondOrderFamily, gauge: ExprMatrix) -> ExprMatrix:
+        """The lifting rule ``G -> K Sym2(G) K^-1`` of a 2x2 gauge of the
+        companion system, with K from :meth:`frame`."""
+        k, k_inv = self.frame(family)
+        return (k @ sym_group(gauge, 2) @ k_inv).normalized()
 
 
 ROUTES = {
@@ -321,23 +307,11 @@ ROUTES = {
 }
 
 
-def lifted_matrix(family: SecondOrderFamily, seed: DarbouxSeed, route: str,
-                  level: str = "so3") -> ExprMatrix:
-    """Lift of the 2x2 Darboux gauge along ``route``.
-
-    At the ``sym2`` level this is P1 = Sym2(P) (route Q) or
-    P2 = Sym2(Delta P Delta^-1) (route S); at the ``so3`` level the
-    orthogonal transformation T1 = Q P1 Q^-1 or T2 = S P2 S^-1.
-    """
-    return ROUTES[route].lift(family, darboux_gauge(family, seed).p_m, level)
-
-
-def lifted_factors(family: SecondOrderFamily, seed: DarbouxSeed, route: str,
-                   level: str = "so3") -> tuple[ExprMatrix, ExprMatrix]:
-    """The lift of the factorization ``P = L R``; its product is :func:`lifted_matrix`."""
-    r, g = ROUTES[route], darboux_gauge(family, seed)
-    return (r.lift(family, g.l_m, level, right=False),
-            r.lift(family, g.r_factor, level, left=False))
+def lifted_matrix(family: SecondOrderFamily, seed: DarbouxSeed, route: str) -> ExprMatrix:
+    """The orthogonal transformation of the 2x2 Darboux gauge P along
+    ``route``: T1 = Q Sym2(P) Q^-1 (route Q) or
+    T2 = S Sym2(Delta P Delta^-1) S^-1 (route S)."""
+    return ROUTES[route].lift(family, darboux_gauge(family, seed).p_m)
 
 
 def p1_explicit(family: SecondOrderFamily, seed: DarbouxSeed) -> ExprMatrix:
@@ -425,13 +399,13 @@ def orthogonal_lift(family: SecondOrderFamily,
                     route: str) -> tuple[OrthogonalSystem, FundamentalPair]:
     """The route's orthogonal system with a fundamental matrix of it.
 
-    The matrix is the left side of the lifting rule, ``C Sym2(D X)`` for
+    The matrix is ``K Sym2(X)`` for K the route's :meth:`Route.frame` and
     X the companion fundamental matrix, times w on the unbalanced route;
     it satisfies ``matrix' + A matrix == 0`` exactly.
     """
     r = ROUTES[route]
     x_mat, table = family.fundamental_matrix()
-    z_mat = r.lift(family, x_mat, right=False)
+    z_mat = (r.frame(family)[0] @ sym_group(x_mat, 2)).normalized()
     if not r.balanced:
         z_mat = z_mat.scale(family.w).normalized()
     ortho = r.system(family)

@@ -44,16 +44,17 @@ from darbouxkit.darboux import (
     darboux_gauge,
     darboux_potential,
     darboux_solution,
+    darboux_transformation,
     generic_seed,
     potential_compact,
     potential_shift,
 )
 from darbouxkit.tensordt import (
+    ROUTES,
     OrthogonalSystem,
     first_integral_orthogonal,
     first_integral_sym2,
     flow_derivative,
-    lifted_factors,
     lifted_matrix,
     orthogonal_lift,
     p1_explicit,
@@ -188,14 +189,18 @@ def test_criterion_3_symmetric_power_coherence():
 def test_criterion_4_lifted_transformations():
     fam, seed = _seeded()
     m = fam.m
-    p1 = lifted_matrix(fam, seed, "Q", "sym2")
-    p2 = lifted_matrix(fam, seed, "S", "sym2")
+    g = darboux_gauge(fam, seed)
+    # Sym2(Delta) = diag(1, w, w^2) for Delta = diag(1, w); P2 = Sym2(Delta P Delta^-1)
+    d2, d2_inv = (sym_group(ExprMatrix.diagonal([ONE, e]), 2) for e in (fam.w, 1 / fam.w))
+    p1 = darboux_transformation(fam, seed).sym(2).gauge
+    p2 = (d2 @ p1 @ d2_inv).normalized()
     t1 = lifted_matrix(fam, seed, "Q")
     t2 = lifted_matrix(fam, seed, "S")
-    left1, right1 = lifted_factors(fam, seed, "Q", "sym2")
-    left2, right2 = lifted_factors(fam, seed, "S", "sym2")
-    tl1, tr1 = lifted_factors(fam, seed, "Q")
-    tl2, tr2 = lifted_factors(fam, seed, "S")
+    left1, right1 = sym_group(g.l_m, 2), sym_group(g.r_factor, 2)
+    left2, right2 = (d2 @ left1).normalized(), (right1 @ d2_inv).normalized()
+    (k1, k1_inv), (k2, k2_inv) = ROUTES["Q"].frame(fam), ROUTES["S"].frame(fam)
+    tl1, tr1 = (k1 @ left1).normalized(), (right1 @ k1_inv).normalized()
+    tl2, tr2 = (k2 @ left1).normalized(), (right1 @ k2_inv).normalized()
     at_w1 = lambda e: substitute(e, {"w": ONE, "p": ZERO})
     lifted = sym_system(companion(fam), 2)
     lifted_target = sym_system(companion(darboux_potential(fam, seed)), 2)

@@ -19,8 +19,9 @@ from darbouxkit.expr import (
     to_sexpr,
 )
 from darbouxkit.apps import application_chain, frenet_family, rigid_family
-from darbouxkit.darboux import auto_level_seed, generic_seed
+from darbouxkit.darboux import auto_level_seed, darboux_gauge, generic_seed
 from darbouxkit.linsys import ExprMatrix, family_to_json, gauge_residual
+from darbouxkit.sympow import sym_group
 from darbouxkit.numverify import (
     companion_solution_grid,
     drift,
@@ -32,7 +33,6 @@ from darbouxkit.tensordt import (
     ROUTES,
     RouteConstraintViolated,
     first_integral_orthogonal,
-    lifted_factors,
     orthogonal_lift,
     skew_matrix,
 )
@@ -224,7 +224,9 @@ def test_rigid_chain_step_one_factorization():
     family = rigid_family(sym("w1"), normalize(2 - I * sym("w1")), "Q", table)
     links = application_chain(family, "Q", generic_seed, 1)
     fam, seed = links[0].family, links[0].seed
-    left, right = lifted_factors(fam, seed, "Q")
+    g, (k, k_inv) = darboux_gauge(fam, seed), ROUTES["Q"].frame(fam)
+    left = (k @ sym_group(g.l_m, 2)).normalized()
+    right = (sym_group(g.r_factor, 2) @ k_inv).normalized()
     th = Sym("theta0_0")
     m = fam.m
     expected_left = ExprMatrix(

@@ -171,6 +171,18 @@ def test_an_application_refuses_the_other_applications_flags(capsys, argv, flags
     assert json.loads(err)["detail"].endswith(f"nothing reads {flags}")
 
 
+@pytest.mark.parametrize("argv", [
+    ["darboux", "apply", "--family", "F", "--theta0", "generic", "--level", "5"],
+    ["so3", "darboux", "--route", "S", "--rigid", "--omega1", "w1", "--level", "0"],
+])
+def test_generic_seed_refuses_a_level(capsys, oscillator_json, argv):
+    # the generic seed is certified at level 0 by construction; nothing reads --level
+    argv = [oscillator_json if a == "F" else a for a in argv]
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["detail"] == "with --theta0 generic, nothing reads --level"
+
+
 RIGID, FRENET = "(--omega1, --omega2, 0)", "(--tau, 0, --kappa)"
 
 

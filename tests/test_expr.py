@@ -47,6 +47,7 @@ from darbouxkit.expr import (
     register_function,
     substitute,
     sym,
+    symbol_names,
     symbol_tower,
     to_sexpr,
     Var,
@@ -692,6 +693,13 @@ def test_a_sum_deeper_than_the_stack_hashes_compares_and_folds():
     assert deep != sum(terms[:-1], const(0)) + param("a0") * X
     _clear_caches()
     assert normalize(deep) == normalize(Add(tuple(terms)))
+
+
+def test_names_of_a_sum_deeper_than_the_stack():
+    # the leaf-name walks visit a 2,000-deep sum without recursing
+    deep = sum([param(f"a{i}") * X for i in range(2000)], const(0)) + sym("s")
+    assert free_names(deep) == {f"a{i}" for i in range(2000)} | {"s"}
+    assert symbol_names(deep) == {"s"}
 
 
 @pytest.mark.parametrize("nest", [

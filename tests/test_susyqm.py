@@ -19,9 +19,15 @@ from darbouxkit.expr import (
     symbol_tower,
 )
 from darbouxkit import susyqm
-from darbouxkit.darboux import Transformation, darboux_potential, make_seed
+from darbouxkit.darboux import (
+    Transformation,
+    darboux_gauge,
+    darboux_potential,
+    darboux_transformation,
+    make_seed,
+)
 from darbouxkit.linsys import ExprMatrix, SecondOrderFamily, companion
-from darbouxkit.sympow import sym_system
+from darbouxkit.sympow import sym_group, sym_system
 from darbouxkit.susyqm import (
     FirstOrderOp,
     NotShapeInvariant,
@@ -36,7 +42,6 @@ from darbouxkit.susyqm import (
     spectrum,
     superpotential,
 )
-from darbouxkit.tensordt import lifted_factors, lifted_matrix
 from conftest import failed_part
 
 
@@ -334,7 +339,7 @@ def test_susy_p1_specializes_to_three_by_three_closed_form():
     seed = make_seed(fam, -w)
     lam = Sym("lam")
     to_lambda = lambda e: substitute(e, {"m": -lam})
-    got = lifted_matrix(fam, seed, "Q", "sym2").map(to_lambda)
+    got = darboux_transformation(fam, seed).sym(2).gauge.map(to_lambda)
     expected = ExprMatrix(
         [
             [w ** 2, w, ONE],
@@ -343,7 +348,8 @@ def test_susy_p1_specializes_to_three_by_three_closed_form():
         ]
     )
     assert got.equals(expected)
-    left, right = (mat.map(to_lambda) for mat in lifted_factors(fam, seed, "Q", "sym2"))
+    g = darboux_gauge(fam, seed)
+    left, right = (sym_group(mat, 2).map(to_lambda) for mat in (g.l_m, g.r_factor))
     expected_left = ExprMatrix(
         [
             [ZERO, ZERO, ONE],

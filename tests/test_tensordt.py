@@ -26,6 +26,7 @@ from darbouxkit.sympow import sym_group, sym_lie, sym_system
 from darbouxkit.darboux import (
     Transformation,
     attach_generic_seed,
+    darboux_gauge,
     darboux_potential,
     darboux_transformation,
     make_seed,
@@ -43,11 +44,9 @@ from darbouxkit.tensordt import (
     RouteConstraintViolated,
     S_GAUGE,
     S_GAUGE_INV,
-    delta_gauge,
     first_integral_orthogonal,
     first_integral_sym2,
     flow_derivative,
-    lifted_factors,
     lifted_matrix,
     orthogonal_lift,
     p1_explicit,
@@ -78,6 +77,12 @@ def _generic_seeded():
 def test_constant_gauges_invert_exactly():
     assert (Q_GAUGE @ Q_GAUGE_INV).normalized().equals(ExprMatrix.identity(3))
     assert (S_GAUGE @ S_GAUGE_INV).normalized().equals(ExprMatrix.identity(3))
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_route_frame_inverts_exactly(route):
+    k, k_inv = ROUTES[route].frame(generic_family())
+    assert (k @ k_inv).normalized().equals(ExprMatrix.identity(3))
 
 
 def test_q_conjugation_of_sym2_is_skew():
@@ -124,23 +129,58 @@ def test_operator_vector_satisfies_conjugation_identity():
 # -- lifted transformation matrices -----------------------------------------
 
 
-# the independent closed forms of each route's lift, per level
-EXPLICIT = {
-    ("Q", "sym2"): p1_explicit,
-    ("S", "sym2"): p2_explicit,
-    ("Q", "so3"): t1_explicit,
-    ("S", "so3"): t2_explicit,
+def _sym2_delta(fam):
+    # Sym2(Delta) = diag(1, w, w^2) and its inverse, for Delta = diag(1, w)
+    return tuple(sym_group(ExprMatrix.diagonal([ONE, e]), 2) for e in (fam.w, 1 / fam.w))
+
+
+def _p1(fam, seed):
+    # P1 = Sym2(P), the gauge of the Sym2 record of the transformation
+    return darboux_transformation(fam, seed).sym(2).gauge
+
+
+def _p2(fam, seed):
+    # P2 = Sym2(Delta P Delta^-1) = Sym2(Delta) P1 Sym2(Delta)^-1, the gauge
+    # between the squares of the Delta-balanced companion systems
+    d2, d2_inv = _sym2_delta(fam)
+    return (d2 @ _p1(fam, seed) @ d2_inv).normalized()
+
+
+def _sym2_factors(fam, seed, route):
+    # Sym2 of the factors L, R of P, rebalanced by Sym2(Delta) on route S
+    g = darboux_gauge(fam, seed)
+    left, right = sym_group(g.l_m, 2), sym_group(g.r_factor, 2)
+    if route == "Q":
+        return left, right
+    d2, d2_inv = _sym2_delta(fam)
+    return (d2 @ left).normalized(), (right @ d2_inv).normalized()
+
+
+def _so3_factors(fam, seed, route):
+    # K Sym2(L) and Sym2(R) K^-1, for K the route's frame
+    g, (k, k_inv) = darboux_gauge(fam, seed), ROUTES[route].frame(fam)
+    return ((k @ sym_group(g.l_m, 2)).normalized(),
+            (sym_group(g.r_factor, 2) @ k_inv).normalized())
+
+
+# each route's lift in Sym2 (P1, P2) and in so(3) (T1, T2): how it is
+# built, its factors, and its independent closed form
+PRESENTATIONS = {
+    ("Q", "sym2"): (_p1, _sym2_factors, p1_explicit),
+    ("S", "sym2"): (_p2, _sym2_factors, p2_explicit),
+    ("Q", "so3"): (functools.partial(lifted_matrix, route="Q"), _so3_factors, t1_explicit),
+    ("S", "so3"): (functools.partial(lifted_matrix, route="S"), _so3_factors, t2_explicit),
 }
 
 
 @pytest.mark.parametrize("route", ROUTES)
-@pytest.mark.parametrize("level", ("sym2", "so3"))
-def test_lift_presentations_agree(route, level):
-    # built, factored and closed-form presentations: P1/P2 at sym2, T1/T2 at so3
+@pytest.mark.parametrize("space", ("sym2", "so3"))
+def test_lift_presentations_agree(route, space):
     fam, seed = _generic_seeded()
-    built = lifted_matrix(fam, seed, route, level)
-    left, right = lifted_factors(fam, seed, route, level)
-    assert built.equals(EXPLICIT[route, level](fam, seed))
+    build, factors, explicit = PRESENTATIONS[route, space]
+    built = build(fam, seed)
+    left, right = factors(fam, seed, route)
+    assert built.equals(explicit(fam, seed))
     assert built.equals((left @ right).normalized())
 
 
@@ -149,7 +189,7 @@ def test_p1_determinant_is_minus_m_cubed():
     # gives -m^3; test_diagram_commutes certifies it
     fam, seed = _generic_seeded()
     p1 = darboux_transformation(fam, seed).sym(2)
-    assert p1.gauge.equals(lifted_matrix(fam, seed, "Q", "sym2"))
+    assert p1.gauge.equals(sym_group(darboux_gauge(fam, seed).p_m, 2))
     assert p1.source.a.equals(sym_system(companion(fam), 2).a)
     assert p1.target.a.equals(sym_system(companion(darboux_potential(fam, seed)), 2).a)
     assert equal(p1.det, -(fam.m ** 3))
@@ -166,7 +206,7 @@ def test_p1_susy_specialization():
     )
     seed = make_seed(fam, -w_)
     lam = Sym("lam")
-    got = lifted_matrix(fam, seed, "Q", "sym2").map(lambda e: substitute(e, {"m": -lam}))
+    got = _p1(fam, seed).map(lambda e: substitute(e, {"m": -lam}))
     expected = ExprMatrix(
         [
             [w_ ** 2, w_, ONE],
@@ -191,7 +231,7 @@ def test_p2_reduces_to_p1_at_w_equal_one():
 def test_p2_determinant_is_minus_m_cubed():
     fam, seed = _generic_seeded()
     m = fam.m
-    assert equal(lifted_matrix(fam, seed, "S", "sym2").det(), -(m ** 3))
+    assert equal(_p2(fam, seed).det(), -(m ** 3))
 
 
 def test_t2_at_w_one_matches_s_conjugated_p1():
@@ -203,12 +243,10 @@ def test_t2_at_w_one_matches_s_conjugated_p1():
     assert lhs.equals(rhs)
 
 
-def test_unknown_route_or_level_is_rejected():
+def test_unknown_route_is_rejected():
     fam, seed = _generic_seeded()
     with pytest.raises(KeyError):
         lifted_matrix(fam, seed, "T")
-    with pytest.raises(ValueError, match="unknown lift level"):
-        lifted_matrix(fam, seed, "Q", "sym3")
 
 
 # -- diagrams ----------------------------------------------------------------
@@ -228,7 +266,7 @@ def test_diagram_commutes(route):
     new_fam = darboux_potential(fam, seed)
     lifted = Transformation(
         sym_system(_route_companion(fam, route), 2),
-        lifted_matrix(fam, seed, route, "sym2"),
+        PRESENTATIONS[route, "sym2"][0](fam, seed),
         sym_system(_route_companion(new_fam, route), 2),
         -(fam.m ** 3),
     )
@@ -250,7 +288,7 @@ def test_cleared_identity_mutants_fail():
     fam, seed = _generic_seeded()
     lifted = sym_system(companion(fam), 2)
     target = sym_system(companion(darboux_potential(fam, seed)), 2)
-    g = lifted_matrix(fam, seed, "Q", "sym2")
+    g = _p1(fam, seed)
     a, b, g_prime = lifted.a, target.a, g.diff(lifted.table)
     assert gauge_residual(lifted, g, target).is_zero_matrix()
     assert not (b @ g - g @ a - g_prime).normalized().is_zero_matrix()
@@ -287,7 +325,7 @@ def _companion_pair(fam):
 def _balanced_pair(fam):
     # X1 = Delta X solves the Delta-balanced companion system
     x_mat, x_sys = _companion_pair(fam)
-    d = delta_gauge(fam)
+    d = ExprMatrix.diagonal([ONE, fam.w])
     return (d @ x_mat).normalized(), LinearSystem(balanced_companion(fam).a, x_sys.table)
 
 
