@@ -83,7 +83,6 @@ from .susyqm import (
     partner_potentials,
     shape_invariance,
     spectrum,
-    superpotential,
 )
 from .apps import (
     application_chain,

@@ -86,12 +86,16 @@ def _vector_json(ortho: OrthogonalSystem) -> dict[str, str]:
 
 
 def _expr_flag(text: str, params: Sequence[str] = ("m",)) -> Expr:
+    """Parse an expression flag; one that divides by zero is malformed too."""
     try:
         if text.lstrip().startswith("("):
-            return parse_sexpr(text)
-        return parse_infix(text, params=params)
+            expr = parse_sexpr(text)
+        else:
+            expr = parse_infix(text, params=params)
+        normalize(expr)
     except KitError as exc:
         raise InputError(f"cannot parse expression {text!r}: {exc}") from exc
+    return expr
 
 
 def _tower_table_for(exprs: Sequence[Expr | None],
@@ -176,6 +180,8 @@ def cmd_darboux_apply(args) -> dict:
 
 
 def cmd_darboux_chain(args) -> dict:
+    if args.theta0 == "generic":
+        raise InputError("darboux chain needs an explicit --theta0; it takes no generic seed")
     family, theta0 = _theta0_for(_load_family(args.family), args.theta0)
     steps = darboux_chain(family, _fixed_seed(theta0), args.k)
     return {

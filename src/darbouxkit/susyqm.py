@@ -1,10 +1,12 @@
 """Witten-formalism supersymmetric quantum mechanics toys.
 
-Superpotentials, partner potentials, shape invariance with
-user-supplied reparametrization data and its spectrum, the matrix
-wrappers of the Schrodinger operator with their ladders at every
-order >= 2, as symmetric powers (ladder convention ``E = -m``), and
-the harmonic-oscillator state ladder.
+Partner potentials, shape invariance with user-supplied
+reparametrization data and its spectrum, the matrix wrappers of the
+Schrodinger operator with their ladders at every order >= 2, as
+symmetric powers (ladder convention ``E = -m``), and the
+harmonic-oscillator state ladder.  A state of energy ``E`` is a
+solution of the wrapper's system ``system(E)``, certified by
+:func:`~darbouxkit.linsys.residual` like any other solution.
 
 States stay unnormalized: the ladder construction is algebraic and
 normalization constants add nothing checkable.
@@ -14,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Sequence
 
 from .expr import (
     DerivationTable,
@@ -34,7 +35,7 @@ from .expr import (
     substitute,
 )
 from .darboux import Transformation, darboux_transformation, make_seed
-from .linsys import ExprMatrix, SecondOrderFamily
+from .linsys import ExprMatrix, LinearSystem, SecondOrderFamily
 from .sympow import sym_lie, sym_power_vector
 
 
@@ -58,11 +59,6 @@ class SusyPair:
     v_plus: Expr
 
 
-def superpotential(theta0: Expr) -> Expr:
-    """``W = -theta0`` for ``theta0`` the ground-state logarithmic derivative."""
-    return normalize(-theta0)
-
-
 def partner_potentials(w: Expr, table: DerivationTable = DerivationTable()) -> SusyPair:
     wp = differentiate(w, table)
     return SusyPair(
@@ -70,22 +66,6 @@ def partner_potentials(w: Expr, table: DerivationTable = DerivationTable()) -> S
         v_minus=normalize(w * w - wp),
         v_plus=normalize(w * w + wp),
     )
-
-
-@dataclass(frozen=True)
-class FirstOrderOp:
-    """The operator ``f -> d_coef * f' + mul_coef * f``."""
-
-    d_coef: Expr
-    mul_coef: Expr
-
-    def apply(self, f: Expr, table: DerivationTable) -> Expr:
-        return normalize(self.d_coef * differentiate(f, table) + self.mul_coef * f)
-
-
-def raising_op(w: Expr) -> FirstOrderOp:
-    """``-d/dx + W``."""
-    return FirstOrderOp(const(-1), normalize(w))
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +92,11 @@ class MatrixFormalism:
 
     With ``k = order - 1``, ``v_minus``/``v_plus`` are the Lie-sense
     ``Sym^k`` of the Schrodinger companion ``[[0, 1], [V, 0]]`` and
-    ``minus_n`` that of ``[[0, 0], [1, 0]]``; ``energy(lam) = lam *
-    minus_n`` and ``v_plus - v_minus == 2 W' * minus_n`` exactly.
-    States are packed as ``Sym^k(psi, psi')``.
+    ``minus_n`` that of ``[[0, 0], [1, 0]]``, and ``v_plus - v_minus
+    == 2 W' * minus_n`` exactly.  States are packed as
+    ``Sym^k(psi, psi')``; ``system(E)``, with matrix ``E * minus_n -
+    v_minus``, is the order-``order`` system of ``-psi'' + V- psi = E
+    psi``, the ``lowering`` record's ``source`` at ``m = -E``.
 
     The ladders, built on first use, are the ``Sym^k`` records
     (:meth:`~darbouxkit.darboux.Transformation.sym`) of Darboux
@@ -144,23 +126,9 @@ class MatrixFormalism:
         t = _partner_transformation(self.pair.v_plus, self.pair.w, self.table)
         return replace(t, gauge=t.gauge.scale(const(-1))).sym(self.order - 1)
 
-    def energy(self, lam) -> ExprMatrix:
-        return self.minus_n.scale(as_expr(lam)).normalized()
-
-    def hamiltonian_apply(self, which: str, state: Sequence[Expr],
-                          table: DerivationTable) -> list[Expr]:
-        """Apply ``-d/dx + V`` componentwise to a state vector, with ``V``
-        the ``"minus"`` or the ``"plus"`` potential matrix."""
-        if which not in ("minus", "plus"):
-            raise ValueError(f"which must be 'minus' or 'plus', got {which!r}")
-        v = self.v_minus if which == "minus" else self.v_plus
-        out = []
-        for i, row in enumerate(v.rows):
-            acc = -differentiate(state[i], table)
-            for j, entry in enumerate(row):
-                acc = acc + entry * state[j]
-            out.append(normalize(acc))
-        return out
+    def system(self, energy) -> LinearSystem:
+        """The system whose solutions are the energy-``energy`` states of ``V-``."""
+        return LinearSystem(self.minus_n.scale(as_expr(energy)) - self.v_minus, self.table)
 
 
 def potential_matrix(v: Expr, order: int) -> ExprMatrix:
@@ -277,17 +245,16 @@ def oscillator_states(n: int, order: int = 2) -> tuple[list[list[Expr]], Derivat
     the Gaussian; component 1 of state k is the degree-k Hermite
     polynomial times the Gaussian, exactly.  Every order packs
     ``Sym^(order-1)(psi, psi')``: ``(psi, psi')`` at order 2,
-    ``(psi^2, 2 psi psi', psi'^2)`` at order 3.  Each state satisfies
-    ``(-d/dx + V-) state = 2k * minus_n state``.
+    ``(psi^2, 2 psi psi', psi'^2)`` at order 3.  State k solves the
+    matrix formalism's ``system(2k)``: it has energy ``2k`` on ``V-``.
     """
     if n < 0:
         raise ValueError(f"number of ladder steps must be nonnegative, got {n}")
     power = _power(order)
     table = oscillator_table()
     psi = Sym(GROUND_STATE)
-    raise_x = raising_op(X)
     scalars = [normalize(psi)]
     for _ in range(n):
-        scalars.append(raise_x.apply(scalars[-1], table))
+        scalars.append(normalize(-differentiate(scalars[-1], table) + X * scalars[-1]))
     states = [sym_power_vector([s, differentiate(s, table)], power) for s in scalars]
     return states, table

@@ -183,6 +183,31 @@ def test_generic_seed_refuses_a_level(capsys, oscillator_json, argv):
     assert json.loads(err)["detail"] == "with --theta0 generic, nothing reads --level"
 
 
+def test_darboux_chain_refuses_the_generic_seed(capsys, oscillator_json):
+    # every step certifies the one given theta0; "generic" is no symbol to chain
+    argv = ["darboux", "chain", "--family", oscillator_json, "--theta0", "generic"]
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["detail"] == (
+        "darboux chain needs an explicit --theta0; it takes no generic seed")
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["so3", "riccati", "--route", "Q", "--f", "1/0"], "1/0"),
+    (["frenet", "build", "--route", "S", "--kappa", "1/0", "--tau", "t"], "1/0"),
+    (["darboux", "apply", "--family", "F", "--theta0", "1/(x-x)"], "1/(x-x)"),
+    (["susy", "partners", "--w", "1/0"], "1/0"),
+], ids=["so3", "frenet", "darboux", "susy"])
+def test_an_expression_dividing_by_zero_is_bad_input(capsys, oscillator_json, argv, text):
+    argv = [oscillator_json if a == "F" else a for a in argv]
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "bad-input",
+        "detail": f"cannot parse expression {text!r}: denominator normalized to zero",
+    }
+
+
 RIGID, FRENET = "(--omega1, --omega2, 0)", "(--tau, 0, --kappa)"
 
 

@@ -39,6 +39,7 @@ def test_identity_names_are_unique_within_each_check(monkeypatch):
     assert counts["darboux-gauge"] == 3
     assert counts["lifted-transforms"] == 9
     assert counts["susy-oscillator"] == 16
+    assert counts["riccati-parametrization"] == 7
     assert counts["rk4-order"] == 0
 
 

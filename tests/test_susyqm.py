@@ -26,10 +26,9 @@ from darbouxkit.darboux import (
     darboux_transformation,
     make_seed,
 )
-from darbouxkit.linsys import ExprMatrix, SecondOrderFamily, companion
+from darbouxkit.linsys import ExprMatrix, SecondOrderFamily, companion, residual
 from darbouxkit.sympow import sym_group, sym_system
 from darbouxkit.susyqm import (
-    FirstOrderOp,
     NotShapeInvariant,
     ParametricPotential,
     hermite,
@@ -37,20 +36,10 @@ from darbouxkit.susyqm import (
     oscillator_states,
     potential_matrix,
     partner_potentials,
-    raising_op,
     shape_invariance,
     spectrum,
-    superpotential,
 )
 from conftest import failed_part
-
-
-def test_superpotential_examples():
-    # psi0 = exp(-x^2/2) has theta0 = -x; psi0 = const has theta0 = 0;
-    # psi0 = exp(-x^3/3) has theta0 = -x^2
-    assert equal(superpotential(-X), X)
-    assert is_zero(superpotential(ZERO))
-    assert equal(superpotential(-(X ** 2)), X ** 2)
 
 
 def test_partner_potentials_oscillator():
@@ -72,11 +61,12 @@ def test_factorization_identities_generic():
     table = DerivationTable({**symbol_tower("W", 2), **symbol_tower("y", 2)})
     w, y = sym("W"), sym("y")
     pair = partner_potentials(w, table)
-    lower, raise_ = FirstOrderOp(ONE, w), raising_op(w)  # d/dx + W, -d/dx + W
-    lhs_minus = raise_.apply(lower.apply(y, table), table)
+    lower = lambda f: normalize(differentiate(f, table) + w * f)  # d/dx + W
+    raise_ = lambda f: normalize(-differentiate(f, table) + w * f)  # -d/dx + W
+    lhs_minus = raise_(lower(y))
     ypp = differentiate(differentiate(y, table), table)
     assert is_zero(lhs_minus - normalize(-ypp + pair.v_minus * y))
-    lhs_plus = lower.apply(raise_.apply(y, table), table)
+    lhs_plus = lower(raise_(y))
     assert is_zero(lhs_plus - normalize(-ypp + pair.v_plus * y))
 
 
@@ -137,14 +127,6 @@ def test_matrix_formalism_rejects_order_below_two():
         potential_matrix(X, 1)
     with pytest.raises(ValueError, match=message):
         oscillator_states(2, order=1)
-
-
-def test_hamiltonian_apply_rejects_unknown_side():
-    states, table = oscillator_states(0)
-    mf = matrix_formalism(partner_potentials(X), 2, table)
-    assert mf.hamiltonian_apply("plus", states[0], table)
-    with pytest.raises(ValueError, match="which must be 'minus' or 'plus', got 'mins'"):
-        mf.hamiltonian_apply("mins", states[0], table)
 
 
 def _at_m(mat, value):
@@ -296,35 +278,34 @@ def test_oscillator_states_are_hermite_multiples():
         assert equal(state[0], normalize(hermite(n) * psi0))
 
 
-def test_oscillator_eigen_residual_order2():
-    states, table = oscillator_states(5, order=2)
-    pair = partner_potentials(X)
-    mf = matrix_formalism(pair, 2, table)
-    for n, state in enumerate(states):
-        h_state = mf.hamiltonian_apply("minus", state, table)
-        e_state = mf.energy(const(2 * n)).apply(state)
-        assert all(is_zero(a - b) for a, b in zip(h_state, e_state)), n
+def _column(state):
+    return ExprMatrix([[e] for e in state])
 
 
-def test_oscillator_eigen_residual_order3():
-    states, table = oscillator_states(5, order=3)
-    pair = partner_potentials(X)
-    mf = matrix_formalism(pair, 3, table)
-    for n, state in enumerate(states):
-        h_state = mf.hamiltonian_apply("minus", state, table)
-        e_state = mf.energy(const(2 * n)).apply(state)
-        assert all(is_zero(a - b) for a, b in zip(h_state, e_state)), n
-
-
-@pytest.mark.parametrize("order", [4, 5])
-def test_oscillator_eigen_residual_higher_orders(order):
-    states, table = oscillator_states(3, order=order)
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+def test_oscillator_eigen_residual(order):
+    # state n solves the order-k system of -psi'' + V- psi = 2n psi
+    states, table = oscillator_states(5 if order < 4 else 3, order=order)
     assert len(states[0]) == order
     mf = matrix_formalism(partner_potentials(X), order, table)
     for n, state in enumerate(states):
-        h_state = mf.hamiltonian_apply("minus", state, table)
-        e_state = mf.energy(const(2 * n)).apply(state)
-        assert all(is_zero(a - b) for a, b in zip(h_state, e_state)), n
+        assert residual(mf.system(2 * n), _column(state)).is_zero_matrix(), n
+    # negative control: state 1 has energy 2, not 3
+    assert not residual(mf.system(3), _column(states[1])).is_zero_matrix()
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+@pytest.mark.parametrize("w", ["x", "W"])
+def test_system_is_the_ladder_source_at_minus_energy(order, w):
+    # system(E) is the lowering source at m = -E, and E N - V+ the raising source
+    table = DerivationTable(symbol_tower("W", 3))
+    pair = partner_potentials(X if w == "x" else sym("W"), table)
+    mf = matrix_formalism(pair, order, table)
+    energy = param("E")
+    at_energy = lambda mat: mat.map(lambda e: substitute(e, {"m": -energy})).normalized()
+    assert mf.system(energy).a.equals(at_energy(mf.lowering.source.a))
+    plus = (mf.minus_n.scale(energy) - mf.v_plus).normalized()
+    assert plus.equals(at_energy(mf.raising.source.a))
 
 
 def test_susy_p1_specializes_to_three_by_three_closed_form():
