@@ -110,6 +110,9 @@ class GaussRat:
         return NotImplemented
 
     def __hash__(self):
+        # a real value hashes as the equal int or Fraction does
+        if self._b == 0:
+            return hash(self._a) if self._d == 1 else hash(Fraction(self._a, self._d))
         return hash((self._a, self._b, self._d))
 
     def __add__(self, other: "GaussRat") -> "GaussRat":
@@ -174,8 +177,10 @@ class Expr:
     def _key(self) -> tuple:
         raise NotImplementedError
 
-    # __eq__ and __hash__ recurse through the keys; a tree too deep for the
-    # stack (a sum built term by term) falls back on an iterative walk
+    # a node's hash is built once, bottom-up: its __init__ stores it, from
+    # its tag and its children's stored hashes, so no tree is too deep to
+    # hash.  Only __eq__ recurses through the keys, and a tree too deep for
+    # the stack (a sum built term by term) falls back on an iterative walk
 
     def __eq__(self, other):
         try:
@@ -184,14 +189,7 @@ class Expr:
             return _eq_walk(self, other)
 
     def __hash__(self):
-        h = getattr(self, "_h", None)
-        if h is None:
-            try:
-                h = hash((type(self).__name__,) + self._key())
-            except RecursionError:
-                h = _hash_walk(self)
-            object.__setattr__(self, "_h", h)
-        return h
+        return self._h
 
     def __repr__(self):
         return f"<Expr {to_sexpr(self)}>"
@@ -246,24 +244,12 @@ def _eq_walk(a: Expr, b: Expr) -> bool:
     return True
 
 
-def _hash_walk(root: Expr) -> int:
-    """``hash(root)`` without recursion: each uncached node is hashed
-    after its children, so its own hash only reads theirs."""
-    stack = [root]
-    while stack:
-        todo = [c for c in stack[-1]._key() if isinstance(c, Expr) and not hasattr(c, "_h")]
-        if todo:
-            stack += todo
-        else:
-            hash(stack.pop())
-    return root._h
-
-
 class Const(Expr):
     __slots__ = ("value",)
 
     def __init__(self, value: Scalar):
-        object.__setattr__(self, "value", value if isinstance(value, GaussRat) else GaussRat(value))
+        self.value = v = value if isinstance(value, GaussRat) else GaussRat(value)
+        self._h = hash((v._a, v._b, v._d))
 
     def _key(self):
         return (self.value,)
@@ -273,6 +259,9 @@ class Var(Expr):
     """The independent variable ``x``."""
 
     __slots__ = ()
+
+    def __init__(self):
+        self._h = hash("Var")
 
     def _key(self):
         return ()
@@ -284,7 +273,8 @@ class Param(Expr):
     __slots__ = ("name",)
 
     def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
+        self.name = name
+        self._h = hash(("Param", name))
 
     def _key(self):
         return (self.name,)
@@ -296,7 +286,8 @@ class Sym(Expr):
     __slots__ = ("name",)
 
     def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
+        self.name = name
+        self._h = hash(("Sym", name))
 
     def _key(self):
         return (self.name,)
@@ -314,8 +305,9 @@ class Radical(Expr):
     __slots__ = ("name", "square")
 
     def __init__(self, name: str, square: Expr):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "square", square)
+        self.name = name
+        self.square = square
+        self._h = hash(("Radical", name, square))
 
     def _key(self):
         return (self.name, self.square)
@@ -325,7 +317,8 @@ class Add(Expr):
     __slots__ = ("terms",)
 
     def __init__(self, terms: Iterable[Expr]):
-        object.__setattr__(self, "terms", tuple(terms))
+        self.terms = terms = tuple(terms)
+        self._h = hash(("Add", terms))
 
     def _key(self):
         return self.terms
@@ -335,7 +328,8 @@ class Mul(Expr):
     __slots__ = ("factors",)
 
     def __init__(self, factors: Iterable[Expr]):
-        object.__setattr__(self, "factors", tuple(factors))
+        self.factors = factors = tuple(factors)
+        self._h = hash(("Mul", factors))
 
     def _key(self):
         return self.factors
@@ -349,8 +343,9 @@ class Pow(Expr):
             raise TypeError(
                 "only integer exponents are allowed; use a Radical for square roots"
             )
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exponent", exponent)
+        self.base = base
+        self.exponent = exponent
+        self._h = hash(("Pow", base, exponent))
 
     def _key(self):
         return (self.base, self.exponent)
@@ -360,8 +355,9 @@ class Div(Expr):
     __slots__ = ("num", "den")
 
     def __init__(self, num: Expr, den: Expr):
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        self.num = num
+        self.den = den
+        self._h = hash(("Div", num, den))
 
     def _key(self):
         return (self.num, self.den)
@@ -375,8 +371,9 @@ class Apply(Expr):
     def __init__(self, func: str, arg: Expr):
         if func not in _FUNCTIONS:
             raise KitError(f"unregistered function {func!r}")
-        object.__setattr__(self, "func", func)
-        object.__setattr__(self, "arg", arg)
+        self.func = func
+        self.arg = arg
+        self._h = hash(("Apply", func, arg))
 
     def _key(self):
         return (self.func, self.arg)
@@ -559,6 +556,14 @@ def symbol_tower(base: str, depth: int) -> dict[str, Expr]:
 # that left spine is spliced.  Without a GCD the fold is not associative
 # on fractions, so a + (b + c) must fold b + c first, as before; splicing
 # there would change normal forms and make them depend on cache state.
+#
+# Equal terms of normal forms are one node: _poly_to_expr builds the term
+# of a (monomial, coefficient) pair once and keeps it in _TERM_CACHE.  A
+# term is built from its key alone, so sharing changes which objects a
+# normal form holds, never its structure, and it saves rebuilding and
+# rehashing the term.  The term cache is cleared with _NORMAL_CACHE and
+# _GEN_KEY_CACHE, once it or _NORMAL_CACHE holds more than
+# _NORMAL_CACHE_LIMIT entries.
 
 Gen = tuple
 Mono = tuple
@@ -994,20 +999,28 @@ def _gen_to_expr(gen: Gen) -> Expr:
     return gen[3]
 
 
+def _term_to_expr(mono: Mono, coeff: GaussRat) -> Expr:
+    factors: list[Expr] = []
+    if not (coeff == _UNIT) or not mono[0]:
+        factors.append(Const(coeff))
+    # factors in ascending generator order
+    for gen, power in reversed(mono[1]):
+        base = _gen_to_expr(gen)
+        factors.append(base if power == 1 else Pow(base, power))
+    return factors[0] if len(factors) == 1 else Mul(tuple(factors))
+
+
 def _poly_to_expr(p: Poly) -> Expr:
     if not p:
         return ZERO
     terms = []
     for mono in sorted(p, reverse=True):
         coeff = p[mono]
-        factors: list[Expr] = []
-        if not (coeff == _UNIT) or not mono[0]:
-            factors.append(Const(coeff))
-        # factors in ascending generator order
-        for gen, power in reversed(mono[1]):
-            base = _gen_to_expr(gen)
-            factors.append(base if power == 1 else Pow(base, power))
-        terms.append(factors[0] if len(factors) == 1 else Mul(tuple(factors)))
+        key = (mono, coeff._a, coeff._b, coeff._d)
+        term = _TERM_CACHE.get(key)
+        if term is None:
+            term = _TERM_CACHE[key] = _term_to_expr(mono, coeff)
+        terms.append(term)
     return terms[0] if len(terms) == 1 else Add(tuple(terms))
 
 
@@ -1015,6 +1028,9 @@ def _poly_to_expr(p: Poly) -> Expr:
 # are shared by every hit and must never be mutated
 _NORMAL_CACHE: dict[Expr, tuple[Expr, _RatFunc]] = {}
 _NORMAL_CACHE_LIMIT = 1 << 16
+
+# (monomial, coefficient parts) -> its term node; cleared with _NORMAL_CACHE
+_TERM_CACHE: dict[tuple, Expr] = {}
 
 
 def normalize(e: Expr) -> Expr:
@@ -1041,9 +1057,10 @@ def normalize(e: Expr) -> Expr:
         out = ZERO
     else:
         out = Div(_poly_to_expr(rf.num), _poly_to_expr(rf.den))
-    if len(_NORMAL_CACHE) > _NORMAL_CACHE_LIMIT:
+    if len(_NORMAL_CACHE) > _NORMAL_CACHE_LIMIT or len(_TERM_CACHE) > _NORMAL_CACHE_LIMIT:
         _NORMAL_CACHE.clear()
         _GEN_KEY_CACHE.clear()
+        _TERM_CACHE.clear()
     _NORMAL_CACHE[e] = _NORMAL_CACHE[out] = (out, rf)
     return out
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .expr import (
@@ -109,15 +110,15 @@ class ExprMatrix:
     def __matmul__(self, other: "ExprMatrix") -> "ExprMatrix":
         if self.ncols != other.nrows:
             raise ValueError("matrix size mismatch")
-        cols = other.ncols
+        # a pair with a ZERO operand adds nothing, and each sum starts at
+        # its first product left, so sparse factors build small trees
+        cols = list(zip(*other.rows))
         out = []
         for row in self.rows:
             new_row = []
-            for j in range(cols):
-                acc = ZERO
-                for k, a in enumerate(row):
-                    acc = acc + a * other.rows[k][j]
-                new_row.append(acc)
+            for col in cols:
+                products = [a * b for a, b in zip(row, col) if a is not ZERO and b is not ZERO]
+                new_row.append(reduce(operator.add, products) if products else ZERO)
             out.append(new_row)
         return ExprMatrix(out)
 

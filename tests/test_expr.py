@@ -113,6 +113,16 @@ def test_gaussrat_compares_with_int_and_fraction():
         GaussRat(1, 1) / GaussRat(0)
 
 
+@pytest.mark.parametrize("value", [3, -7, 0, Fraction(1, 2), Fraction(-7, 4)], ids=str)
+def test_a_real_gaussrat_hashes_as_the_equal_number(value):
+    g = GaussRat(value)
+    assert g == value and hash(g) == hash(value)
+    assert len({g, value}) == 1
+    # a nonreal value equals no int or Fraction and keeps its tuple hash
+    h = GaussRat(value, 1)
+    assert h != value and hash(h) == hash((h._a, h._b, h._d))
+
+
 def test_normalize_perfect_square_cancellation():
     e = (X + 1) ** 2 - X ** 2 - 2 * X - 1
     assert is_zero(e)
@@ -574,6 +584,7 @@ def test_array_evaluate_matches_sympy_lambdify(e):
 def _clear_caches():
     kernel._NORMAL_CACHE.clear()
     kernel._GEN_KEY_CACHE.clear()
+    kernel._TERM_CACHE.clear()
 
 
 def _normal_text(e):
@@ -619,6 +630,45 @@ def test_normal_form_does_not_depend_on_cache_state(e):
         assume("DivisionByZeroExpr" not in texts)
         rebuilt = type(e)(tuple(normalize(p) for p in parts))
         assert _normal_text(rebuilt) == cold
+
+
+def _normal_terms(n):
+    """The term nodes of a normal form, numerator then denominator."""
+    parts = (n.num, n.den) if isinstance(n, Div) else (n,)
+    return [t for p in parts for t in (p.terms if isinstance(p, Add) else (p,))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_numeric_exprs(3))
+def test_equal_normal_forms_share_their_terms(e):
+    _clear_caches()
+    try:
+        n = normalize(e)
+    except DivisionByZeroExpr:
+        assume(False)
+    # an equal input built anew misses the normal-form cache, and its
+    # rebuilt normal form reuses the term nodes of the first
+    kernel._NORMAL_CACHE.clear()
+    again = normalize(parse_sexpr(to_sexpr(e)))
+    assert again == n
+    first, second = _normal_terms(n), _normal_terms(again)
+    assert len(first) == len(second)
+    assert all(a is b for a, b in zip(first, second))
+
+
+def _key_read(self):
+    raise AssertionError("_key was read")
+
+
+@pytest.mark.parametrize("kind", [
+    lambda a, b: Add((a, b)), lambda a, b: Mul((a, b)), Div,
+], ids=["add", "mul", "div"])
+def test_a_node_hashes_without_reading_its_key(monkeypatch, kind):
+    # a node's hash is stored when it is built, from its children's
+    a, b = X + param("h"), param("h") * X
+    for cls in (Const, Var, Param, Sym, Radical, Add, Mul, Pow, Div, Apply):
+        monkeypatch.setattr(cls, "_key", _key_read)
+    assert hash(kind(a, b)) == hash(kind(a, b))
 
 
 @settings(max_examples=150, deadline=None)
@@ -745,6 +795,7 @@ def test_caches_stay_bounded_and_results_match_cold(monkeypatch):
         warm.append(normalize(e))
         assert len(kernel._NORMAL_CACHE) <= limit + 2
         assert len(kernel._GEN_KEY_CACHE) <= limit + 2
+        assert len(kernel._TERM_CACHE) <= limit
     for e, result in zip(exprs, warm):
         _clear_caches()
         assert normalize(e) == result

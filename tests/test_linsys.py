@@ -116,6 +116,19 @@ def test_entrywise_arithmetic_rejects_mismatched_shapes():
     assert (square + square).equals(square.scale(2))
 
 
+def test_product_skips_zero_operands_in_order():
+    a, b, c = sym("a"), sym("b"), sym("c")
+    left = ExprMatrix([[a, ZERO, b], [ZERO, ZERO, ONE]])
+    right = ExprMatrix([[ONE, ZERO], [c, ZERO], [b, a]])
+    product = left @ right
+    # each sum starts at its first nonzero product, in the order of k
+    assert product.rows == ((a * ONE + b * b, b * a), (ONE * b, ONE * a))
+    dense = ExprMatrix([[sum((x * y for x, y in zip(row, col)), ZERO)
+                         for col in zip(*right.rows)] for row in left.rows])
+    assert product.equals(dense)
+    assert (ExprMatrix.zeros(2) @ ExprMatrix.identity(2)).rows == ((ZERO, ZERO),) * 2
+
+
 def test_gauge_singular_rejected():
     with pytest.raises(SingularGauge):
         ExprMatrix([[ONE, ONE], [ONE, ONE]]).inverse()
