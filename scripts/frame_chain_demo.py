@@ -2,8 +2,9 @@
 """Transform a moving-frame system and verify the result numerically.
 
 First displays the shape of one transformation step for symbolic
-curvature and torsion (compact entries only; the corner entries expand
-to large rational functions).  Then switches to a concrete profile,
+curvature and torsion: a compact entry of its record's gauge (the
+corner entries expand to large rational functions) and the record's
+closed-form determinant.  Then switches to a concrete profile,
 integrates the base system, and measures the residual of the symbolic
 fundamental matrix plus the drift of the quadratic first integral.
 """
@@ -39,8 +40,8 @@ def main() -> None:
     seed = links[0].seed
     print("\nstep-1 transformation (compact views):")
     print("  seed data rho =", to_pretty(seed.rho))
-    print("  centre entry  =", to_pretty(t[1, 1]))
-    print("  determinant   =", to_pretty(t.det()))
+    print("  centre entry  =", to_pretty(t.gauge[1, 1]))
+    print("  determinant   =", to_pretty(t.det))
 
     kappa = normalize(2 + X / 2)
     tau = normalize(X / 3)

@@ -65,7 +65,6 @@ from .darboux import (
 )
 from .tensordt import (
     OrthogonalSystem,
-    lifted_matrix,
     orthogonal_lift,
     riccati_invert,
     riccati_parametrize,

@@ -10,7 +10,9 @@ constraints (a ``None`` component is completed or rejected there, a
 vector off the route raises ``RouteConstraintViolated``, an unknown
 route ``KeyError``); neither builds anything else.  A caller that reads
 the lift builds it with ``tensordt.orthogonal_lift(family, route)``.
-``application_chain`` lifts ``darboux_chain`` along a route.
+``application_chain`` lifts ``darboux_chain`` along a route; each link
+carries the lifted transformation that leaves it as a
+``darboux.Transformation`` record, which certifies itself.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .expr import EMPTY_TABLE, DerivationTable, Expr, ZERO
-from .linsys import ExprMatrix, SecondOrderFamily
-from .darboux import DarbouxSeed, darboux_chain
-from .tensordt import ROUTES, OrthogonalSystem, lifted_matrix
+from .expr import EMPTY_TABLE, DerivationTable, Expr, ZERO, normalize
+from .linsys import SecondOrderFamily
+from .darboux import DarbouxSeed, Transformation, darboux_chain, darboux_gauge
+from .tensordt import ROUTES, OrthogonalSystem
 
 
 def frenet_family(kappa: Expr | None, tau: Expr | None, route: str,
@@ -54,7 +56,7 @@ class ChainLink:
     family: SecondOrderFamily
     orthogonal: OrthogonalSystem
     seed: DarbouxSeed | None
-    transform: ExprMatrix | None
+    transform: Transformation | None
 
 
 def application_chain(
@@ -68,17 +70,27 @@ def application_chain(
     The scalar chain is ``darboux_chain(family, seed_rule, k)``, with its
     seed-rule contract (``darboux.generic_seed`` adjoins ``theta0_i`` at
     step i).  Each of its steps is mapped to a link carrying the route's
-    orthogonal system of the family and the transformation matrix that
-    leaves it, ``K Sym2(P) K^-1`` for P the step's 2x2 gauge and K the
-    route's frame (``lifted_matrix``).  No fundamental matrix is built.
+    orthogonal system of the family and the :class:`Transformation` that
+    leaves it: the gauge ``Route.lift(family, P)`` for P the step's 2x2
+    Darboux gauge, from this link's orthogonal system to the next one's,
+    with determinant ``(level - m)^3``, whose ``residuals()`` certify it.
+    Consecutive records share the system between them, and the last
+    link's ``transform`` is None.  No fundamental matrix is built.
     """
-    lift = ROUTES[route].system
-    return [
-        ChainLink(
-            step.family,
-            lift(step.family),
-            step.seed,
-            None if step.seed is None else lifted_matrix(step.family, step.seed, route),
+    r = ROUTES[route]
+    steps = darboux_chain(family, seed_rule, k)
+    orthogonals = [r.system(step.family) for step in steps]
+    systems = [ortho.system() for ortho in orthogonals]
+    transforms = [
+        Transformation(
+            source,
+            r.lift(step.family, darboux_gauge(step.family, step.seed).p_m),
+            target,
+            normalize((step.seed.level - step.family.m) ** 3),
         )
-        for step in darboux_chain(family, seed_rule, k)
+        for step, source, target in zip(steps, systems, systems[1:])
+    ]
+    return [
+        ChainLink(step.family, ortho, step.seed, transform)
+        for step, ortho, transform in zip(steps, orthogonals, [*transforms, None])
     ]

@@ -269,16 +269,17 @@ def cmd_so3_lift(args) -> dict:
 
 
 def cmd_so3_darboux(args) -> dict:
-    base, moved = application_chain(
+    base = application_chain(
         _so3_family_from_args(args), args.route, lambda fam, _: _seed_for(fam, args), 1
-    )
+    )[0]
+    record = base.transform
     return {
         "command": "so3 darboux",
         "route": args.route,
         "theta0": to_sexpr(base.seed.theta0),
-        "transform": _matrix_json(base.transform),
-        "base_system": system_to_json(base.orthogonal.system()),
-        "transformed_system": system_to_json(moved.orthogonal.system()),
+        "transform": _matrix_json(record.gauge),
+        "base_system": system_to_json(record.source),
+        "transformed_system": system_to_json(record.target),
     }
 
 
@@ -388,7 +389,7 @@ def cmd_application_chain(args) -> dict:
             {
                 "family": family_to_json(link.family),
                 "orthogonal": _vector_json(link.orthogonal),
-                "transform": _matrix_json(link.transform) if link.transform else None,
+                "transform": _matrix_json(link.transform.gauge) if link.transform else None,
             }
             for link in links
         ],

@@ -1257,30 +1257,15 @@ def _names(e: Expr, kinds: tuple[type, ...]) -> set[str]:
 
 
 def depends_on_x(e: Expr) -> bool:
-    n = normalize(e)
-    return _uses_x(n)
-
-
-def _uses_x(e: Expr) -> bool:
-    if isinstance(e, Var):
-        return True
-    if isinstance(e, (Const, Param)):
-        return False
-    if isinstance(e, (Sym, Radical)):
-        # symbols are x-dependent unless proven otherwise; callers that
-        # need a sharper test should substitute them away first
-        return True
-    if isinstance(e, Add):
-        return any(_uses_x(t) for t in e.terms)
-    if isinstance(e, Mul):
-        return any(_uses_x(f) for f in e.factors)
-    if isinstance(e, Pow):
-        return _uses_x(e.base)
-    if isinstance(e, Div):
-        return _uses_x(e.num) or _uses_x(e.den)
-    if isinstance(e, Apply):
-        return _uses_x(e.arg)
-    return False
+    """Whether a generator of the normal form of ``e`` may depend on x: x
+    itself, a symbol or a radical (x-dependent unless proven otherwise;
+    callers that need a sharper test substitute them away first), or an
+    application whose argument does.  Parameters do not."""
+    rf = _to_ratfunc(e)
+    return any(
+        gen[0] in (0, 2, 3) or gen[0] == 4 and depends_on_x(gen[3].arg)
+        for poly in (rf.num, rf.den) for mono in poly for gen, _ in mono[1]
+    )
 
 
 def param_coefficients(e: Expr, name: str) -> dict[int, Expr]:

@@ -65,11 +65,11 @@ from .darboux import (
     potential_shift,
 )
 from .tensordt import (
+    ROUTES,
     OrthogonalSystem,
     first_integral_orthogonal,
     first_integral_sym2,
     flow_derivative,
-    lifted_matrix,
     orthogonal_lift,
     p1_explicit,
     p2_explicit,
@@ -259,8 +259,8 @@ def check_lifted_transforms(seed: int, config: VerifyConfig) -> dict:
     at_w1 = lambda e: substitute(e, {"w": ONE, "p": ZERO})
     _holds("P2 = P1 at w = 1, p = 0",
            p2_explicit(fam, sd).map(at_w1) - p1_explicit(fam, sd).map(at_w1))
-    _holds("T1 closed form", lifted_matrix(fam, sd, "Q") - t1_explicit(fam, sd))
-    _holds("T2 closed form", lifted_matrix(fam, sd, "S") - t2_explicit(fam, sd))
+    _holds("T1 closed form", ROUTES["Q"].lift(fam, g.p_m) - t1_explicit(fam, sd))
+    _holds("T2 closed form", ROUTES["S"].lift(fam, g.p_m) - t2_explicit(fam, sd))
     for part, res in p1.residuals():
         _holds(f"P1 {part}", res)
     return _report("lifted-transforms", 0.0, 0.0)

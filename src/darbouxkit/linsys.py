@@ -46,6 +46,15 @@ class SingularGauge(KitError):
     """Gauge matrix with determinant normalizing to zero."""
 
 
+def _sum(terms: Iterable[Expr]) -> Expr:
+    """The one summation rule of :class:`ExprMatrix`: the ``ZERO`` terms
+    are dropped and the rest folded left from the first, so sparse
+    matrices build small trees (callers drop products with a ``ZERO``
+    factor too)."""
+    terms = [t for t in terms if t is not ZERO]
+    return reduce(operator.add, terms) if terms else ZERO
+
+
 class ExprMatrix:
     """Dense matrix of expressions with exact arithmetic.
 
@@ -110,17 +119,12 @@ class ExprMatrix:
     def __matmul__(self, other: "ExprMatrix") -> "ExprMatrix":
         if self.ncols != other.nrows:
             raise ValueError("matrix size mismatch")
-        # a pair with a ZERO operand adds nothing, and each sum starts at
-        # its first product left, so sparse factors build small trees
         cols = list(zip(*other.rows))
-        out = []
-        for row in self.rows:
-            new_row = []
-            for col in cols:
-                products = [a * b for a, b in zip(row, col) if a is not ZERO and b is not ZERO]
-                new_row.append(reduce(operator.add, products) if products else ZERO)
-            out.append(new_row)
-        return ExprMatrix(out)
+        return ExprMatrix([
+            [_sum(a * b for a, b in zip(row, col) if a is not ZERO and b is not ZERO)
+             for col in cols]
+            for row in self.rows
+        ])
 
     def scale(self, c) -> "ExprMatrix":
         c = as_expr(c)
@@ -139,13 +143,11 @@ class ExprMatrix:
         return self.map(lambda e: differentiate(e, table))
 
     def apply(self, vector: Sequence[Expr]) -> list[Expr]:
-        return [
-            normalize(sum((a * v for a, v in zip(row, vector)), ZERO))
-            for row in self.rows
-        ]
+        """The normalized product with ``vector`` as a column."""
+        return [normalize(e) for (e,) in self @ ExprMatrix([v] for v in vector)]
 
     def trace(self) -> Expr:
-        return normalize(sum((self.rows[i][i] for i in range(self.nrows)), ZERO))
+        return normalize(_sum(self.rows[i][i] for i in range(self.nrows)))
 
     def det(self) -> Expr:
         n = self.nrows
@@ -161,11 +163,12 @@ class ExprMatrix:
             a, b = self.rows[0]
             c, d = self.rows[1]
             return a * d - b * c
-        acc = ZERO
-        for j in range(n):
-            term = self.rows[0][j] * self._minor(0, j)._det_raw()
-            acc = acc + (term if j % 2 == 0 else -term)
-        return acc
+
+        def cofactor_term(j: int, a: Expr) -> Expr:
+            term = a * self._minor(0, j)._det_raw()
+            return term if j % 2 == 0 else -term
+
+        return _sum(cofactor_term(j, a) for j, a in enumerate(self.rows[0]) if a is not ZERO)
 
     def _minor(self, i: int, j: int) -> "ExprMatrix":
         """The matrix without row i and column j."""

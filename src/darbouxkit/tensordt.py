@@ -5,17 +5,18 @@ orthogonal flows.
 
 Two independent routes lift a second-order family to a 3x3 orthogonal
 system.  The first conjugates the symmetric square of the companion
-system by the constant matrix Q (solutions pick up a factor w, the
-antiderivative datum of p); the second first rebalances the companion
-state by Delta = diag(1, w) into a traceless system and conjugates its
+system by the constant matrix Q and scales it by w, the antiderivative
+datum of p; the second first rebalances the companion state by
+Delta = diag(1, w) into a traceless system and conjugates its
 symmetric square by the constant matrix S.  The routes are not
 equivalent unless w = 1.  ``ROUTES`` defines each route once, in both
 directions: ``system`` maps a family to the flow vector of its
 orthogonal system, and ``family`` maps a flow vector that satisfies the
 route's constraint back to a family with that system at m = 0 (the
 frame and rigid-solid applications are such vectors).  Each route has
-one change of frame K (:meth:`Route.frame`: Q, or S Sym2(Delta)), so
-every lift is a product with K: a 2x2 gauge G lifts to
+one change of frame K (:meth:`Route.frame`: w Q, or S Sym2(Delta)), a
+gauge from Sym2 of the companion system to the route's orthogonal
+system, so every lift is a product with K: a 2x2 gauge G lifts to
 ``K Sym2(G) K^-1`` (:meth:`Route.lift`; T1 and T2 are the lifts of the
 Darboux gauge) and a companion fundamental matrix X to ``K Sym2(X)``.
 A lifted matrix is certified as a transformation by
@@ -52,7 +53,7 @@ from .expr import (
     rat,
 )
 from .linsys import ExprMatrix, LinearSystem, SecondOrderFamily
-from .darboux import DarbouxSeed, darboux_gauge
+from .darboux import DarbouxSeed
 from .sympow import sym_group
 
 
@@ -122,7 +123,8 @@ class OrthogonalSystem:
         return skew_matrix(self.f, self.g, self.h)
 
     def system(self) -> LinearSystem:
-        return LinearSystem(self.skew().scale(const(-1)), self.table)
+        # -skew is its transpose, which negates each component only once
+        return LinearSystem(self.skew().transpose(), self.table)
 
     def m_split(self, m_name: str) -> tuple[ExprMatrix, ExprMatrix]:
         """Split the internal coefficient matrix as base + m * perturbation."""
@@ -262,56 +264,49 @@ def so3_family_second(f: Expr | None, g: Expr | None, h: Expr | None,
 class Route:
     """One orthogonal lift of a second-order family.
 
-    ``conj`` (with its exact inverse) is the route's constant conjugator.
-    A ``balanced`` route first rebalances the companion state by
-    Delta = diag(1, w), making the companion system traceless; the other
-    route scales its solutions by w instead.  :meth:`frame` fixes the
-    route's change of frame and :meth:`lift` is its one lifting rule.
-    ``system`` is the closed-form lift, the reference for what
-    :meth:`lift` constructs.  ``family`` is its inverse:
-    ``system(family(f, g, h, table))`` has the flow vector ``(f, g, h)``
-    at m = 0; it completes a ``None`` component that the route's
-    constraint fixes and raises ValueError for any other, and a vector
-    outside the constraint raises :class:`RouteConstraintViolated`.
+    ``conj`` (with its exact inverse) is the route's constant conjugator
+    and ``exponents`` are the powers e of w in its frame
+    ``K = conj diag(w^e)``: (1, 1, 1) on route Q, whose solutions carry
+    the factor w, and (0, 1, 2) on route S, where
+    ``diag(1, w, w^2) = Sym2(Delta)`` rebalances the companion state by
+    Delta = diag(1, w).  :meth:`frame` is the route's change of frame and
+    :meth:`lift` is its one lifting rule.  ``system`` is the closed-form
+    lift, the reference for what :meth:`lift` constructs.  ``family`` is
+    its inverse: ``system(family(f, g, h, table))`` has the flow vector
+    ``(f, g, h)`` at m = 0; it completes a ``None`` component that the
+    route's constraint fixes and raises ValueError for any other, and a
+    vector outside the constraint raises :class:`RouteConstraintViolated`.
     """
 
     conj: ExprMatrix
     conj_inv: ExprMatrix
-    balanced: bool
+    exponents: tuple[int, int, int]
     system: Callable[[SecondOrderFamily], OrthogonalSystem]
     family: Callable[[Expr | None, Expr | None, Expr | None, DerivationTable],
                      SecondOrderFamily]
 
     def frame(self, family: SecondOrderFamily) -> tuple[ExprMatrix, ExprMatrix]:
         """``(K, K^-1)``, the gauge from Sym2 of the companion system to the
-        route's orthogonal system: ``K = C Sym2(Delta) = C diag(1, w, w^2)``
-        on a balanced route and ``K = C`` otherwise, where the orthogonal
-        solutions carry the extra factor w."""
-        if not self.balanced:
-            return self.conj, self.conj_inv
-        d = (ONE, family.w, family.w ** 2)
+        route's orthogonal system: ``K = conj diag(w^e)`` and
+        ``K^-1 = diag(w^-e) conj^-1``, so ``K = w Q`` on route Q and
+        ``K = S Sym2(Delta) = S diag(1, w, w^2)`` on route S."""
+        d = [family.w ** e for e in self.exponents]
         k = ExprMatrix([[c * e for c, e in zip(row, d)] for row in self.conj.rows])
         k_inv = ExprMatrix([[c / e for c in row] for e, row in zip(d, self.conj_inv.rows)])
         return k.normalized(), k_inv.normalized()
 
     def lift(self, family: SecondOrderFamily, gauge: ExprMatrix) -> ExprMatrix:
         """The lifting rule ``G -> K Sym2(G) K^-1`` of a 2x2 gauge of the
-        companion system, with K from :meth:`frame`."""
+        companion system, with K from :meth:`frame`; a scalar factor of K
+        cancels, so route Q's lift is ``Q Sym2(G) Q^-1``."""
         k, k_inv = self.frame(family)
         return (k @ sym_group(gauge, 2) @ k_inv).normalized()
 
 
 ROUTES = {
-    "Q": Route(Q_GAUGE, Q_GAUGE_INV, False, so3_system_first, so3_family_first),
-    "S": Route(S_GAUGE, S_GAUGE_INV, True, so3_system_second, so3_family_second),
+    "Q": Route(Q_GAUGE, Q_GAUGE_INV, (1, 1, 1), so3_system_first, so3_family_first),
+    "S": Route(S_GAUGE, S_GAUGE_INV, (0, 1, 2), so3_system_second, so3_family_second),
 }
-
-
-def lifted_matrix(family: SecondOrderFamily, seed: DarbouxSeed, route: str) -> ExprMatrix:
-    """The orthogonal transformation of the 2x2 Darboux gauge P along
-    ``route``: T1 = Q Sym2(P) Q^-1 (route Q) or
-    T2 = S Sym2(Delta P Delta^-1) S^-1 (route S)."""
-    return ROUTES[route].lift(family, darboux_gauge(family, seed).p_m)
 
 
 def p1_explicit(family: SecondOrderFamily, seed: DarbouxSeed) -> ExprMatrix:
@@ -400,14 +395,12 @@ def orthogonal_lift(family: SecondOrderFamily,
     """The route's orthogonal system with a fundamental matrix of it.
 
     The matrix is ``K Sym2(X)`` for K the route's :meth:`Route.frame` and
-    X the companion fundamental matrix, times w on the unbalanced route;
-    it satisfies ``matrix' + A matrix == 0`` exactly.
+    X the companion fundamental matrix; it satisfies
+    ``matrix' + A matrix == 0`` exactly.
     """
     r = ROUTES[route]
     x_mat, table = family.fundamental_matrix()
     z_mat = (r.frame(family)[0] @ sym_group(x_mat, 2)).normalized()
-    if not r.balanced:
-        z_mat = z_mat.scale(family.w).normalized()
     ortho = r.system(family)
     return ortho, FundamentalPair(z_mat, LinearSystem(ortho.system().a, table))
 

@@ -55,7 +55,6 @@ from darbouxkit.tensordt import (
     first_integral_orthogonal,
     first_integral_sym2,
     flow_derivative,
-    lifted_matrix,
     orthogonal_lift,
     p1_explicit,
     p2_explicit,
@@ -194,8 +193,8 @@ def test_criterion_4_lifted_transformations():
     d2, d2_inv = (sym_group(ExprMatrix.diagonal([ONE, e]), 2) for e in (fam.w, 1 / fam.w))
     p1 = darboux_transformation(fam, seed).sym(2).gauge
     p2 = (d2 @ p1 @ d2_inv).normalized()
-    t1 = lifted_matrix(fam, seed, "Q")
-    t2 = lifted_matrix(fam, seed, "S")
+    t1 = ROUTES["Q"].lift(fam, g.p_m)
+    t2 = ROUTES["S"].lift(fam, g.p_m)
     left1, right1 = sym_group(g.l_m, 2), sym_group(g.r_factor, 2)
     left2, right2 = (d2 @ left1).normalized(), (right1 @ d2_inv).normalized()
     (k1, k1_inv), (k2, k2_inv) = ROUTES["Q"].frame(fam), ROUTES["S"].frame(fam)
@@ -381,12 +380,12 @@ def test_criterion_8_applications():
             [2 * th * (nu - 1), -2 * I * th * (nu + 1), 2 * (nu + th ** 2)],
         ]
     ).scale(Const(Fraction(1, 2)))
-    results["rigid-step1-transform"] = rigid_links[0].transform.equals(
+    results["rigid-step1-transform"] = rigid_links[0].transform.gauge.equals(
         rigid_expected.normalized()
     )
     frenet_links = application_chain(frenet_s, "S", generic_seed, 1)
     f_fam, f_seed = frenet_links[0].family, frenet_links[0].seed
-    results["frenet-step1-transform"] = frenet_links[0].transform.equals(
+    results["frenet-step1-transform"] = frenet_links[0].transform.gauge.equals(
         t2_explicit(f_fam, f_seed)
     )
     # each route built once over parameters, so its lift is proved exact

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from darbouxkit.expr import (
@@ -19,8 +21,8 @@ from darbouxkit.expr import (
     to_sexpr,
 )
 from darbouxkit.apps import application_chain, frenet_family, rigid_family
-from darbouxkit.darboux import auto_level_seed, darboux_gauge, generic_seed
-from darbouxkit.linsys import ExprMatrix, family_to_json, gauge_residual
+from darbouxkit.darboux import Transformation, auto_level_seed, darboux_gauge, generic_seed
+from darbouxkit.linsys import ExprMatrix, family_to_json
 from darbouxkit.sympow import sym_group
 from darbouxkit.numverify import (
     companion_solution_grid,
@@ -36,6 +38,7 @@ from darbouxkit.tensordt import (
     orthogonal_lift,
     skew_matrix,
 )
+from conftest import failed_part
 
 
 def _sym_tables(*names, depth=4):
@@ -155,7 +158,7 @@ def test_rigid_s_route_identification():
     lambda: rigid_family(sym("w1"), ZERO, "q"),
 ])
 def test_unknown_route_is_rejected_when_built(make):
-    # an unknown route is a missing key of ROUTES, as in lifted_matrix
+    # an unknown route is a missing key of ROUTES, as in Route.lift
     with pytest.raises(KeyError):
         make()
 
@@ -216,7 +219,7 @@ def test_rigid_chain_step_one_matches_closed_form():
             [2 * th * (nu - 1), -2 * I * th * (nu + 1), 2 * (nu + th ** 2)],
         ]
     ).scale(rat(1, 2))
-    assert links[0].transform.equals(expected.normalized())
+    assert links[0].transform.gauge.equals(expected.normalized())
 
 
 def test_rigid_chain_step_one_factorization():
@@ -245,7 +248,7 @@ def test_rigid_chain_step_one_factorization():
     )
     assert left.equals(expected_left.normalized())
     assert right.equals(expected_right.normalized())
-    assert links[0].transform.equals((left @ right).normalized())
+    assert links[0].transform.gauge.equals((left @ right).normalized())
 
 
 def test_frenet_chain_step_one_matches_closed_form():
@@ -281,7 +284,7 @@ def test_frenet_chain_step_one_matches_closed_form():
             ],
         ]
     ).scale(rat(1, 2))
-    assert links[0].transform.equals(expected.normalized())
+    assert links[0].transform.gauge.equals(expected.normalized())
 
 
 def test_chain_length_zero_returns_base():
@@ -382,16 +385,41 @@ def test_explicit_seed_chain_certifies_each_step_at_its_level():
     links = application_chain(family, "Q", lambda fam, _: (fam, auto_level_seed(fam, -X)), 2)
     assert [to_sexpr(link.seed.level) for link in links[:-1]] == ["0", "-2"]
     for link, nxt in zip(links, links[1:]):
-        certificate = gauge_residual(link.orthogonal.system(), link.transform,
-                                     nxt.orthogonal.system())
-        assert certificate.is_zero_matrix()
+        assert link.transform.target.a.equals(nxt.orthogonal.system().a)
+        assert failed_part(link.transform) is None
 
 
 def test_chain_transforms_compose():
     # T1 T0 carries link 0's orthogonal system to link 2's; T0 alone does not
     family = rigid_family(normalize(-I * X ** 2), normalize(2 - X ** 2), "Q")
     links = application_chain(family, "Q", lambda fam, _: (fam, auto_level_seed(fam, -X)), 2)
-    first, last = links[0].orthogonal.system(), links[2].orthogonal.system()
-    product = links[1].transform @ links[0].transform
-    assert gauge_residual(first, product, last).is_zero_matrix()
-    assert not gauge_residual(first, links[0].transform, last).is_zero_matrix()
+    t0, t1 = links[0].transform, links[1].transform
+    product = Transformation(t0.source, t1.gauge @ t0.gauge, t1.target, t0.det * t1.det)
+    assert failed_part(product) is None
+    assert failed_part(replace(t0, target=t1.target)) == "gauge"
+
+
+# each application on each route, with a nonzero third component on the
+# Frenet Q chain, so that its frame datum w is not 1
+CHAIN_APPLICATIONS = {
+    "rigid-q": lambda t: rigid_family(sym("w1"), normalize(2 - I * sym("w1")), "Q", t),
+    "rigid-s": lambda t: rigid_family(sym("w1"), None, "S", t),
+    "frenet-q": lambda t: frenet_family(sym("kappa"), None, "Q", t),
+    "frenet-s": lambda t: frenet_family(sym("kappa"), sym("tau"), "S", t),
+}
+
+
+@pytest.mark.parametrize("application", CHAIN_APPLICATIONS)
+def test_chain_records_certify(application):
+    family = CHAIN_APPLICATIONS[application](_sym_tables("w1", "kappa", "tau"))
+    route = application.split("-")[1].upper()
+    links = application_chain(family, route, generic_seed, 2)
+    first, t0, t1 = links[0], links[0].transform, links[1].transform
+    # one system between consecutive records, and the route's lift as gauge
+    assert t0.target is t1.source and links[2].transform is None
+    p = darboux_gauge(first.family, first.seed).p_m
+    assert t0.gauge.equals(ROUTES[route].lift(first.family, p))
+    assert failed_part(t0) is None
+    assert failed_part(t1) is None
+    # negative control: link 0's gauge against link 2's system
+    assert failed_part(replace(t0, target=t1.target)) == "gauge"

@@ -80,6 +80,11 @@ ARTIFACTS = {
          "--k", "2"],
         "99e18fa8a9e646be44b1847374d862f8a6435ab76df6aeb89ddebdabb036dcdf",
     ),
+    # route Q with h = kappa, so its frame datum w is not 1
+    "frenet-chain-q": (
+        ["frenet", "chain", "--route", "Q", "--kappa", "kappa", "--k", "2"],
+        "f6c0ec52f800b3ec2b9c23332b0666f07928634c361aa3a7d7af38b926c1ec17",
+    ),
     "rigid-build": (
         ["rigid", "build", "--route", "Q", "--omega2", "2-i*w1"],
         "bc045bc89d8fe9146f3de5db10667e34a438dad2abb4a6ce8769d8242a5d805f",

@@ -384,6 +384,18 @@ def test_name_walkers_see_symbols_inside_radicals():
     assert not depends_on_x(param("m") * 2)
 
 
+@pytest.mark.parametrize("e, expected", [
+    (lambda: exp(param("m")), False),
+    (lambda: exp(param("m") * X), True),
+    (lambda: exp(exp(X) - exp(X)), False),
+    (lambda: X / X + param("m"), False),
+    (lambda: 1 / (X + param("m")), True),
+])
+def test_depends_on_x_reads_the_generators_of_the_normal_form(e, expected):
+    # an application counts through its argument, and a cancelled x not at all
+    assert depends_on_x(e()) is expected
+
+
 def test_symbol_tower_depth():
     table = DerivationTable(symbol_tower("q", 3))
     e = sym("q")

@@ -129,6 +129,14 @@ def test_product_skips_zero_operands_in_order():
     assert (ExprMatrix.zeros(2) @ ExprMatrix.identity(2)).rows == ((ZERO, ZERO),) * 2
 
 
+def test_det_skips_zero_entries_of_its_first_row():
+    a, b, c = sym("a"), sym("b"), sym("c")
+    m = ExprMatrix([[ZERO, a, ZERO], [b, ZERO, ONE], [ONE, c, ZERO]])
+    # one cofactor term, with no ZERO start
+    assert m._det_raw() == -(a * (b * ZERO - ONE * ONE))
+    assert equal(m.det(), a)
+
+
 def test_gauge_singular_rejected():
     with pytest.raises(SingularGauge):
         ExprMatrix([[ONE, ONE], [ONE, ONE]]).inverse()

@@ -6,6 +6,7 @@ from darbouxkit.expr import (
     ONE,
     Sym,
     ZERO,
+    const,
     differentiate,
     equal,
     is_zero,
@@ -47,7 +48,6 @@ from darbouxkit.tensordt import (
     first_integral_orthogonal,
     first_integral_sym2,
     flow_derivative,
-    lifted_matrix,
     orthogonal_lift,
     p1_explicit,
     p2_explicit,
@@ -83,6 +83,20 @@ def test_constant_gauges_invert_exactly():
 def test_route_frame_inverts_exactly(route):
     k, k_inv = ROUTES[route].frame(generic_family())
     assert (k @ k_inv).normalized().equals(ExprMatrix.identity(3))
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_route_frame_is_a_gauge(route):
+    # K carries Sym2 of the companion system to the route's orthogonal
+    # system; det Q = 2i and det S = 2, and either frame adds w^3
+    fam = generic_family()
+    frame = Transformation(
+        sym_system(companion(fam), 2),
+        ROUTES[route].frame(fam)[0],
+        ROUTES[route].system(fam).system(),
+        {"Q": 2 * I, "S": const(2)}[route] * fam.w ** 3,
+    )
+    assert failed_part(frame) is None
 
 
 def test_q_conjugation_of_sym2_is_skew():
@@ -134,6 +148,11 @@ def _sym2_delta(fam):
     return tuple(sym_group(ExprMatrix.diagonal([ONE, e]), 2) for e in (fam.w, 1 / fam.w))
 
 
+def _lifted(fam, seed, route):
+    # T1 or T2: the route's lift of the Darboux gauge
+    return ROUTES[route].lift(fam, darboux_gauge(fam, seed).p_m)
+
+
 def _p1(fam, seed):
     # P1 = Sym2(P), the gauge of the Sym2 record of the transformation
     return darboux_transformation(fam, seed).sym(2).gauge
@@ -168,8 +187,8 @@ def _so3_factors(fam, seed, route):
 PRESENTATIONS = {
     ("Q", "sym2"): (_p1, _sym2_factors, p1_explicit),
     ("S", "sym2"): (_p2, _sym2_factors, p2_explicit),
-    ("Q", "so3"): (functools.partial(lifted_matrix, route="Q"), _so3_factors, t1_explicit),
-    ("S", "so3"): (functools.partial(lifted_matrix, route="S"), _so3_factors, t2_explicit),
+    ("Q", "so3"): (functools.partial(_lifted, route="Q"), _so3_factors, t1_explicit),
+    ("S", "so3"): (functools.partial(_lifted, route="S"), _so3_factors, t2_explicit),
 }
 
 
@@ -246,16 +265,16 @@ def test_t2_at_w_one_matches_s_conjugated_p1():
 def test_unknown_route_is_rejected():
     fam, seed = _generic_seeded()
     with pytest.raises(KeyError):
-        lifted_matrix(fam, seed, "T")
+        _lifted(fam, seed, "T")
 
 
 # -- diagrams ----------------------------------------------------------------
 
 
 def _route_companion(fam, route):
-    # the 2x2 system a route squares: the companion system, Delta-balanced
-    # on a balanced route
-    return balanced_companion(fam) if ROUTES[route].balanced else companion(fam)
+    # the 2x2 system a route squares: the companion system on route Q and
+    # the Delta-balanced one on route S
+    return {"Q": companion, "S": balanced_companion}[route](fam)
 
 
 @pytest.mark.parametrize("route", ROUTES)
@@ -277,9 +296,13 @@ def test_diagram_commutes(route):
 def test_t_transforms_its_route_lift(route):
     fam, seed = _generic_seeded()
     lift = ROUTES[route].system
-    base = lift(fam).system()
-    target = lift(darboux_potential(fam, seed)).system()
-    assert gauge_residual(base, lifted_matrix(fam, seed, route), target).is_zero_matrix()
+    lifted = Transformation(
+        lift(fam).system(),
+        _lifted(fam, seed, route),
+        lift(darboux_potential(fam, seed)).system(),
+        -(fam.m ** 3),
+    )
+    assert failed_part(lifted) is None
 
 
 def test_cleared_identity_mutants_fail():
