@@ -547,15 +547,20 @@ def symbol_tower(base: str, depth: int) -> dict[str, Expr]:
 # on cache state.
 #
 # Every _RatFunc has radical powers at most one and a radical-free
-# denominator.  So a sum of polynomials (denominator one) needs no
-# reduction, and a product of polynomials needs it only when both
-# factors hold a radical; _to_ratfunc and _rf_mul take those fast paths
-# and call _rf only once a fraction is involved.  _rf is idempotent on
-# its own results, so an Add or Mul in the first place of one of its own
-# kind folds as one with it: (a + b) + c is the fold 0 + a + b + c.  Only
-# that left spine is spliced.  Without a GCD the fold is not associative
-# on fractions, so a + (b + c) must fold b + c first, as before; splicing
-# there would change normal forms and make them depend on cache state.
+# denominator.  So a product of polynomials needs reduction only when
+# both factors hold a radical, and _rf_mul calls _rf only for fractions.
+# A sum adds the numerators of a run of terms over one denominator D (or
+# over one) unreduced and calls _rf once, when another denominator comes
+# or at the end.  A fold reducing after every term gives the same: its
+# sum so far is num/D with a monomial and a constant struck from both,
+# or an exact quotient of num by D, and either way adding n/D reduces
+# num + n over D, since _rf(g X, g Y) = _rf(X, Y) for such a g and exact
+# quotients are unique.  _rf is idempotent on its own results, so an Add
+# or Mul in the first place of one of its own kind folds as one with it:
+# (a + b) + c is the fold 0 + a + b + c.  Only that left spine is
+# spliced.  Without a GCD the fold is not associative on fractions, so
+# a + (b + c) must fold b + c first, as before; splicing there would
+# change normal forms and make them depend on cache state.
 #
 # Equal terms of normal forms are one node: _poly_to_expr builds the term
 # of a (monomial, coefficient) pair once and keeps it in _TERM_CACHE.  A
@@ -758,21 +763,24 @@ def _poly_exact_div(num: Poly, den: Poly) -> Poly | None:
 
 
 def _poly_cancel_content(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    """Strip the common monomial factor of two polynomials."""
+    """Strip the common monomial factor of two polynomials.  The
+    denominator, most often one monomial, goes first; a constant ends it."""
     common: dict | None = None
-    for poly in (num, den):
-        for mono in poly:
-            powers = dict(mono[1])
-            if common is None:
-                common = powers
-            else:
-                common = {
-                    g: min(p, powers[g]) for g, p in common.items() if g in powers
-                }
-            if not common:
+    for poly in (den, num):
+        for degree, factors in poly:
+            if not degree:
                 return num, den
-    if not common:
-        return num, den
+            if common is None:
+                common = dict(factors)
+                continue
+            kept = {}
+            for g, p in factors:
+                c = common.get(g)
+                if c is not None:
+                    kept[g] = p if p < c else c
+            if not kept:
+                return num, den
+            common = kept
     factor = (sum(common.values()), tuple(sorted(common.items(), reverse=True)))
 
     def strip(poly: Poly) -> Poly:
@@ -835,7 +843,9 @@ def _reduce_radicals(a: Poly) -> Poly:
 
 
 def _rf(num: Poly, den: Poly) -> _RatFunc:
-    """Build a reduced rational function with a canonical monic denominator."""
+    """``num/den`` with radicals reduced and out of the denominator, free of
+    common monomial factors, divided out if exact, and monic; without a
+    GCD other common factors stay."""
     if _poly_is_zero(den):
         raise DivisionByZeroExpr("denominator normalized to zero")
     num_p = _reduce_radicals(dict(num))
@@ -957,16 +967,21 @@ def _to_ratfunc(e: Expr) -> _RatFunc:
     if isinstance(e, (Var, Param, Sym, Radical)):
         return _RatFunc(_poly_gen(_gen(e)), dict(_POLY_ONE))
     if isinstance(e, Add):
-        # out.num is this fold's own until a fraction joins the sum, and
-        # every _rf result is fresh, so polynomials are added in place
-        out = _RatFunc({}, dict(_POLY_ONE))
+        # num/den is the sum so far, unreduced after a run over den != 1; a
+        # zero sum takes the next term as it is.  num is a copy or a fresh
+        # _rf result, so terms add in place
+        num, den, reduced = {}, dict(_POLY_ONE), True
         for t in _left_spine(e):
             b = _to_ratfunc(t)
-            if out.den == _POLY_ONE and b.den == _POLY_ONE:
-                _poly_add_into(out.num, b.num)
+            if not num:
+                num, den, reduced = dict(b.num), b.den, True
+            elif b.den == den:
+                _poly_add_into(num, b.num)
+                reduced = den == _POLY_ONE
             else:
-                out = _rf_add(out, b)
-        return out
+                out = _rf_add(_RatFunc(num, den) if reduced else _rf(num, den), b)
+                num, den, reduced = out.num, out.den, True
+        return _RatFunc(num, den) if reduced else _rf(num, den)
     if isinstance(e, Mul):
         factors = _left_spine(e)
         if not factors:
@@ -1050,7 +1065,11 @@ def normalize(e: Expr) -> Expr:
     cached = _NORMAL_CACHE.get(e)
     if cached is not None:
         return cached[0]
-    rf = _to_ratfunc(e)
+    return _remember(e, _to_ratfunc(e))
+
+
+def _remember(e: Expr, rf: _RatFunc) -> Expr:
+    """Cache ``rf`` as the normal form of ``e`` and of itself; return it."""
     if rf.den == _POLY_ONE:
         out = _poly_to_expr(rf.num)
     elif _poly_is_zero(rf.num):
@@ -1081,11 +1100,72 @@ def equal(a: Expr, b: Expr) -> bool:
 
 
 def differentiate(e: Expr, table: DerivationTable = EMPTY_TABLE) -> Expr:
-    """Derivative of ``e`` with table rewrites applied, normalized."""
-    return normalize(_diff(e, table))
+    """Derivative of ``e`` with table rewrites applied, normalized.
+
+    The derivative tree of ``e`` keys the normal-form cache.  When ``e`` is
+    a cached normal form ``N/D`` and each of its generators has a
+    polynomial derivative, the result is formed on the polynomials as
+    ``N'`` or the reduced ``(N' D - N D')/D**2``.  That is what normalizing
+    the tree gives: its terms are then products of polynomials, whose
+    reduced expansion is unique, and it ends in the same quotient.
+    """
+    tree = _diff(e, table)
+    cached = _NORMAL_CACHE.get(tree)
+    if cached is not None:
+        return cached[0]
+    rf = _normal_form_derivative(e, table)
+    return normalize(tree) if rf is None else _remember(tree, rf)
+
+
+def _normal_form_derivative(e: Expr, table: DerivationTable) -> _RatFunc | None:
+    """The derivative of ``e`` formed on its polynomials; None unless ``e``
+    is its own cached normal form and its generators' derivatives are
+    polynomials."""
+    cached = _NORMAL_CACHE.get(e)
+    if cached is None or not (cached[0] is e or cached[0] == e):
+        return None
+    num, den = cached[1].num, cached[1].den
+    d_gens: dict[Gen, Poly] = {}
+    for poly in (num, den):
+        for mono in poly:
+            for g, _ in mono[1]:
+                if g not in d_gens:
+                    d = _to_ratfunc(_diff(_gen_to_expr(g), table))
+                    if d.den != _POLY_ONE:
+                        return None
+                    d_gens[g] = d.num
+    d_num = _poly_derivative(num, d_gens)
+    if den == _POLY_ONE:
+        return _RatFunc(d_num, dict(_POLY_ONE))
+    top = _poly_mul(d_num, den)
+    _poly_add_into(top, _poly_neg(_poly_mul(num, _poly_derivative(den, d_gens))))
+    return _rf(top, _poly_mul(den, den))
+
+
+def _poly_derivative(p: Poly, d_gens: dict[Gen, Poly]) -> Poly:
+    """The derivative of ``p`` given those of its generators, reduced."""
+    out: Poly = {}
+    for (degree, factors), coeff in p.items():
+        for k, (g, power) in enumerate(factors):
+            if not d_gens[g]:
+                continue
+            rest = factors[:k] + ((g, power - 1),) if power > 1 else factors[:k]
+            rest = (degree - 1, rest + factors[k + 1:])
+            c = coeff * GaussRat(power) if power > 1 else coeff
+            _poly_add_into(out, _poly_mul({rest: c}, d_gens[g]))
+    return _reduce_radicals(out)
+
+
+def _sum(terms: list[Expr]) -> Expr:
+    """The sum of the terms that are not ZERO: a zero operand changes
+    nothing in the fold, since _rf is idempotent on its own results."""
+    terms = [t for t in terms if t is not ZERO]
+    return Add(tuple(terms)) if terms else ZERO
 
 
 def _diff(e: Expr, table: DerivationTable) -> Expr:
+    """The derivative tree of ``e``, without the product-, power- and
+    quotient-rule terms whose factor derivative is ZERO."""
     if isinstance(e, (Const, Param)):
         return ZERO
     if isinstance(e, Var):
@@ -1100,25 +1180,26 @@ def _diff(e: Expr, table: DerivationTable) -> Expr:
         if entry is not None:
             return entry
         # s' = square' * s / (2 * square), from s**2 == square
-        return Div(Mul((_diff(e.square, table), e)), Mul((const(2), e.square)))
+        d = _diff(e.square, table)
+        return ZERO if d is ZERO else Div(Mul((d, e)), Mul((const(2), e.square)))
     if isinstance(e, Add):
-        return Add(tuple(_diff(t, table) for t in e.terms))
+        return _sum([_diff(t, table) for t in e.terms])
     if isinstance(e, Mul):
         factors = e.factors
         terms = []
-        for k in range(len(factors)):
-            parts = list(factors)
-            parts[k] = _diff(factors[k], table)
-            terms.append(Mul(tuple(parts)))
-        return Add(tuple(terms))
+        for k, f in enumerate(factors):
+            d = _diff(f, table)
+            if d is not ZERO:
+                terms.append(Mul(factors[:k] + (d,) + factors[k + 1:]))
+        return _sum(terms)
     if isinstance(e, Pow):
-        if e.exponent == 0:
-            return ZERO
-        return Mul((const(e.exponent), Pow(e.base, e.exponent - 1), _diff(e.base, table)))
+        d = ZERO if e.exponent == 0 else _diff(e.base, table)
+        return ZERO if d is ZERO else Mul((const(e.exponent), Pow(e.base, e.exponent - 1), d))
     if isinstance(e, Div):
-        du = _diff(e.num, table)
-        dv = _diff(e.den, table)
-        return Div(Add((Mul((du, e.den)), Mul((const(-1), e.num, dv)))), Pow(e.den, 2))
+        du, dv = _diff(e.num, table), _diff(e.den, table)
+        num = _sum([ZERO if du is ZERO else Mul((du, e.den)),
+                    ZERO if dv is ZERO else Mul((const(-1), e.num, dv))])
+        return ZERO if num is ZERO else Div(num, Pow(e.den, 2))
     if isinstance(e, Apply):
         return _FUNCTIONS[e.func].derivative(e.arg, _diff(e.arg, table))
     raise TypeError(f"unknown node {e!r}")

@@ -130,12 +130,17 @@ class IdentityFailed(KitError):
 
 def _holds(identity: str, residual: Expr | ExprMatrix | Sequence[Expr]) -> None:
     """Raise :class:`IdentityFailed` unless every entry of ``residual``
-    (written ``lhs - rhs``) normalizes to zero."""
+    (written ``lhs - rhs``) normalizes to zero.  Logs the identity, its
+    verdict and its seconds at debug level."""
+    start = time.perf_counter()
     if isinstance(residual, ExprMatrix):
         residual = [e for row in residual.rows for e in row]
-    for entry in [residual] if isinstance(residual, Expr) else residual:
-        if not is_zero(entry):
-            raise IdentityFailed(identity, to_pretty(normalize(entry)))
+    entries = [residual] if isinstance(residual, Expr) else residual
+    failed = next((e for e in entries if not is_zero(e)), None)
+    log.debug("identity %s: %s in %.4f s", identity, "pass" if failed is None else "fail",
+              time.perf_counter() - start)
+    if failed is not None:
+        raise IdentityFailed(identity, to_pretty(normalize(failed)))
 
 
 def _report(check: str, value: float, tolerance: float, mode: str = "max",

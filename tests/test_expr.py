@@ -811,3 +811,137 @@ def test_caches_stay_bounded_and_results_match_cold(monkeypatch):
     for e, result in zip(exprs, warm):
         _clear_caches()
         assert normalize(e) == result
+
+
+# -- one reduction per denominator, and derivatives on polynomials -----------------
+
+# 100 examples, or more under a profile that asks for more
+_FOLD_EXAMPLES = max(100, settings.default.max_examples)
+
+# x + 1, a one-monomial denominator, and one with monomial content
+_DENOMINATORS = [X + 1, param("w") ** 2, X ** 2 + X]
+
+
+# numerators that can sum to a multiple of a denominator or of its content
+_numerators = st.one_of(
+    _numeric_exprs(1),
+    st.sampled_from([X, -X, const(1), const(-1), X + 2, X ** 2 + 1, param("w") + 1]),
+)
+
+
+@st.composite
+def _sums_over_denominators(draw):
+    """Sums of quotients over one shared denominator or over a mix of them
+    and one; the numerators may hold radicals and fractions of their own."""
+    nums = draw(st.lists(_numerators, min_size=2, max_size=5))
+    shared = draw(st.sampled_from(_DENOMINATORS + [None]))
+    if shared is None:
+        dens = draw(st.lists(st.sampled_from(_DENOMINATORS + [const(1)]),
+                             min_size=len(nums), max_size=len(nums)))
+    else:
+        dens = [shared] * len(nums)
+    return Add(tuple(n / d for n, d in zip(nums, dens)))
+
+
+def _fold_reducing_every_term(terms):
+    """The sum fold that reduces the running sum after every term."""
+    one = kernel._POLY_ONE
+    out = kernel._RatFunc({}, dict(one))
+    for t in terms:
+        b = kernel._to_ratfunc(t)
+        if out.den == one and b.den == one:
+            out = kernel._RatFunc(kernel._poly_add(out.num, b.num), dict(one))
+        else:
+            out = kernel._rf_add(out, b)
+    return out
+
+
+@settings(max_examples=_FOLD_EXAMPLES, deadline=None)
+@given(_sums_over_denominators())
+def test_sum_reduces_once_per_denominator_as_the_fold_reducing_every_term(e):
+    _clear_caches()
+    try:
+        want = _fold_reducing_every_term(e.terms)
+    except DivisionByZeroExpr:
+        assume(False)
+    _clear_caches()
+    got = kernel._to_ratfunc(e)
+    assert (got.num, got.den) == (want.num, want.den)
+
+
+def _product_rule_tree(e, table):
+    """The derivative tree of ``e`` with every zero term kept."""
+    d = lambda f: _product_rule_tree(f, table)
+    if isinstance(e, (Const, Param)):
+        return const(0)
+    if isinstance(e, Var):
+        return const(1)
+    if isinstance(e, (Sym, Radical)) and e.name in table:
+        return table.get(e.name)
+    if isinstance(e, Radical):
+        return Div(Mul((d(e.square), e)), Mul((const(2), e.square)))
+    if isinstance(e, Add):
+        return Add(tuple(d(t) for t in e.terms))
+    if isinstance(e, Mul):
+        fs = e.factors
+        return Add(tuple(Mul(fs[:k] + (d(f),) + fs[k + 1:]) for k, f in enumerate(fs)))
+    if isinstance(e, Pow):
+        if e.exponent == 0:
+            return const(0)
+        return Mul((const(e.exponent), Pow(e.base, e.exponent - 1), d(e.base)))
+    if isinstance(e, Div):
+        return Div(Add((Mul((d(e.num), e.den)), Mul((const(-1), e.num, d(e.den))))),
+                   Pow(e.den, 2))
+    return kernel._FUNCTIONS[e.func].derivative(e.arg, d(e.arg))
+
+
+# r' = 0, so with u' = r v the derivative of r u holds r**2
+_R3 = Radical("r", const(3))
+_RADICAL_TABLE = DerivationTable({"u": _R3 * _v, "v": _u})
+_RATIONAL_TABLE = DerivationTable({"u": _v / (X + 1), "v": _u})
+
+# polynomials and fractions in the symbols u and v, with radicals and
+# applications from the numeric strategy
+_derivable_exprs = st.one_of(
+    _exprs(3),
+    st.tuples(_exprs(2), _numeric_exprs(2)).map(lambda p: p[0] * p[1]),
+    st.tuples(_exprs(2), _numeric_exprs(1)).map(lambda p: p[0] / (p[1] + _u)),
+    st.tuples(_exprs(1), _exprs(1)).map(lambda p: _R3 * _u * p[0] + p[1]),
+)
+
+
+@pytest.mark.parametrize("cached", [True, False], ids=["cached", "uncached"])
+@pytest.mark.parametrize("table", [_TABLE, _RADICAL_TABLE, _RATIONAL_TABLE],
+                         ids=["polynomial", "polynomial-radical", "rational"])
+@settings(max_examples=_FOLD_EXAMPLES, deadline=None)
+@given(_derivable_exprs)
+def test_derivative_of_a_normal_form_matches_its_product_rule_tree(table, cached, e):
+    _clear_caches()
+    try:
+        n = normalize(e)
+        want = to_sexpr(normalize(_product_rule_tree(n, table)))
+    except DivisionByZeroExpr:
+        assume(False)
+    _clear_caches()
+    # cached, n is the normal form object itself; uncached, an equal tree
+    n = normalize(n) if cached else parse_sexpr(to_sexpr(n))
+    assert to_sexpr(differentiate(n, table)) == want
+
+
+def test_polynomial_derivative_path_runs_only_for_polynomial_generator_derivatives(monkeypatch):
+    ran = []
+    real = kernel._poly_derivative
+    monkeypatch.setattr(kernel, "_poly_derivative", lambda p, d: ran.append(p) or real(p, d))
+    e = (_u ** 2 + X * _v) / (_v + param("k"))
+    _clear_caches()
+    n = normalize(e)
+    assert differentiate(n, _TABLE) == normalize(_product_rule_tree(n, _TABLE))
+    assert len(ran) == 2  # the numerator and the denominator
+    # v' = u / (x + 1) is a fraction, so the tree is normalized instead
+    ran.clear()
+    assert differentiate(n, _RATIONAL_TABLE) == normalize(_product_rule_tree(n, _RATIONAL_TABLE))
+    assert ran == []
+    # so is the tree of an equal input that is not in the cache
+    _clear_caches()
+    differentiate(parse_sexpr(to_sexpr(n)), _TABLE)
+    assert ran == []

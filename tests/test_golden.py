@@ -54,9 +54,31 @@ def test_verify_config_validates_every_field():
         golden.DEFAULT_CONFIG.step = 1e-2
 
 
+def _golden_log(caplog):
+    return [r.getMessage() for r in caplog.records if r.name == "darbouxkit.golden"]
+
+
 def test_run_checks_logs_each_check(caplog):
     caplog.set_level(logging.DEBUG, logger="darbouxkit")
     run_checks(["rk4-order", "darboux-gauge"])
-    messages = [r.getMessage() for r in caplog.records if r.name == "darbouxkit.golden"]
-    assert [m.split(" in ")[0] for m in messages] == ["rk4-order: pass", "darboux-gauge: pass"]
+    messages = _golden_log(caplog)
+    assert [m.split(" in ")[0] for m in messages] == [
+        "rk4-order: pass",
+        "identity P = L R: pass", "identity P det: pass", "identity P gauge: pass",
+        "darboux-gauge: pass",
+    ]
     assert all(m.endswith(" s") for m in messages)
+
+
+def test_holds_logs_each_identity_in_order(caplog):
+    caplog.set_level(logging.DEBUG, logger="darbouxkit.golden")
+    run_checks(["lifted-transforms"])
+    identities = [m.split(" in ")[0] for m in _golden_log(caplog) if m.startswith("identity ")]
+    assert identities == [f"identity {name}: pass" for name in (
+        "P1 closed form", "P1 = L1 R1", "P2 closed form", "det P2 = -m^3",
+        "P2 = P1 at w = 1, p = 0", "T1 closed form", "T2 closed form", "P1 det", "P1 gauge",
+    )]
+    caplog.clear()
+    with pytest.raises(IdentityFailed):
+        _holds("doubled", X + X - X)
+    assert [m.split(" in ")[0] for m in _golden_log(caplog)] == ["identity doubled: fail"]
