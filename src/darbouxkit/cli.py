@@ -7,7 +7,7 @@ every artifact is UTF-8 JSON with sorted keys, so runs are
 reproducible byte for byte.  Exit status: 0 on success and for passing
 verification, 1 when a requested verification or construction fails,
 2 on malformed input.  Set DARBOUXKIT_LOG=debug for progress logging on
-stderr: each verify check's verdict and seconds.
+stderr: each verify check's and each exact identity's verdict and seconds.
 """
 
 from __future__ import annotations

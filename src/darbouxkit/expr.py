@@ -763,8 +763,8 @@ def _poly_exact_div(num: Poly, den: Poly) -> Poly | None:
 
 
 def _poly_cancel_content(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    """Strip the common monomial factor of two polynomials.  The
-    denominator, most often one monomial, goes first; a constant ends it."""
+    """Strip the common monomial factor of two polynomials, reading the
+    denominator (most often one monomial) first; a constant term has none."""
     common: dict | None = None
     for poly in (den, num):
         for degree, factors in poly:
