@@ -3,8 +3,8 @@
 Expressions are immutable trees over Gaussian-rational constants, the
 independent variable ``x``, named parameters (constants under the
 derivation), named symbols whose derivatives come from a
-:class:`DerivationTable`, registered radicals, and applications of
-registered functions (``exp`` is built in).
+:class:`DerivationTable`, radicals, and applications of ``exp``, the
+kernel's only function.
 
 Normalization rewrites any expression as a ratio of expanded
 multivariate polynomials with Gaussian-rational coefficients.  Radical
@@ -16,13 +16,17 @@ need ``exp`` identities or a polynomial GCD (see :func:`normalize`).
 
 Fractional powers never appear as free exponents; they enter only
 through radical symbols.
+
+The S-expression reader, :func:`parse_sexpr`, checks the arity and the
+argument kinds of every list and raises :class:`KitError` on malformed text.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 # numpy, bound by the first :func:`evaluate` call: the exact kernel never
 # loads it
@@ -364,13 +368,17 @@ class Div(Expr):
 
 
 class Apply(Expr):
-    """Application of a registered function to one argument."""
+    """Application of ``exp``, the only function, to one argument.
+
+    ``func`` stays because the S-expression format names the function,
+    ``(apply exp arg)``; any other name raises :class:`KitError`.
+    """
 
     __slots__ = ("func", "arg")
 
     def __init__(self, func: str, arg: Expr):
-        if func not in _FUNCTIONS:
-            raise KitError(f"unregistered function {func!r}")
+        if func != "exp":
+            raise KitError(f"unknown function {func!r}: exp is the only one")
         self.func = func
         self.arg = arg
         self._h = hash(("Apply", func, arg))
@@ -415,37 +423,6 @@ def as_expr(value) -> Expr:
     raise TypeError(f"cannot interpret {value!r} as an expression")
 
 
-class _FunctionRule:
-    __slots__ = ("evaluate", "derivative")
-
-    def __init__(self, evaluate: Callable[[complex], complex],
-                 derivative: Callable[[Expr, Expr], Expr]):
-        self.evaluate = evaluate
-        self.derivative = derivative
-
-
-_FUNCTIONS: dict[str, _FunctionRule] = {}
-
-
-def register_function(name: str, evaluate: Callable[[complex], complex],
-                      derivative: Callable[[Expr, Expr], Expr]) -> None:
-    """Register a unary function usable in Apply nodes.
-
-    ``evaluate`` maps a complex scalar to one.  A numpy ufunc also
-    receives array arguments whole; any other callable is applied to
-    them point by point.  Built-in ``exp`` is ``numpy.exp``, bound when
-    :func:`evaluate` first runs.
-
-    ``derivative(arg, d_arg)`` must return the derivative of
-    ``name(arg)`` given the argument and its derivative.
-    """
-    _FUNCTIONS[name] = _FunctionRule(evaluate, derivative)
-
-
-# numpy.exp, bound by the first evaluate (see _bind_numpy)
-_FUNCTIONS["exp"] = _FunctionRule(None, lambda arg, d_arg: d_arg * Apply("exp", arg))
-
-
 # ---------------------------------------------------------------------------
 # Derivation tables
 # ---------------------------------------------------------------------------
@@ -477,21 +454,6 @@ class DerivationTable:
         merged = dict(self._entries)
         merged.update(entries)
         return DerivationTable(merged)
-
-    def closure_defect(self) -> set[str]:
-        """Symbol names referenced by entries but not registered.
-
-        Derivative towers deliberately end in one unregistered symbol so
-        that differentiating past them raises instead of truncating;
-        this reports exactly those loose ends.  Parameters and the
-        variable never appear (they are always derivable).
-        """
-        loose: set[str] = set()
-        for entry in self._entries.values():
-            for name in symbol_names(entry):
-                if name not in self._entries:
-                    loose.add(name)
-        return loose
 
     def __repr__(self):
         names = ", ".join(sorted(self._entries))
@@ -525,9 +487,11 @@ def symbol_tower(base: str, depth: int) -> dict[str, Expr]:
 #   a symbol, and, carrying the leaf node itself as a fourth entry,
 #   (3, name, to_sexpr(square), node) for a radical and
 #   (4, func, to_sexpr(normalized arg), node) for an application.
-# Plain tuple order is therefore the rank order, and _gen is the only
-# code that knows the rank table.  Equal first three entries mean equal
-# leaves, so the node never decides a comparison.
+# Plain tuple order is therefore the rank order.  _gen builds the keys;
+# the radical helpers (_poly_has_radical, _poly_radical_gens,
+# _reduce_radicals) read rank 3, and depends_on_x reads ranks 0, 2, 3
+# and 4.  Equal first three entries mean equal leaves, so the node never
+# decides a comparison.
 #
 # A monomial is its own graded lexicographic key, ``(degree, factors)``,
 # with the (generator, positive power) factors in descending generator
@@ -566,17 +530,12 @@ def symbol_tower(base: str, depth: int) -> dict[str, Expr]:
 # of a (monomial, coefficient) pair once and keeps it in _TERM_CACHE.  A
 # term is built from its key alone, so sharing changes which objects a
 # normal form holds, never its structure, and it saves rebuilding and
-# rehashing the term.  The term cache is cleared with _NORMAL_CACHE and
-# _GEN_KEY_CACHE, once it or _NORMAL_CACHE holds more than
-# _NORMAL_CACHE_LIMIT entries.
+# rehashing the term.  The term cache is cleared with _NORMAL_CACHE, once
+# either holds more than _NORMAL_CACHE_LIMIT entries.
 
 Gen = tuple
 Mono = tuple
 Poly = dict
-
-
-# radical and application leaf -> its generator; cleared with _NORMAL_CACHE
-_GEN_KEY_CACHE: dict[Expr, Gen] = {}
 
 
 def _gen(leaf: Expr) -> Gen:
@@ -588,14 +547,9 @@ def _gen(leaf: Expr) -> Gen:
         return (1, leaf.name, "")
     if isinstance(leaf, Sym):
         return (2, leaf.name, "")
-    gen = _GEN_KEY_CACHE.get(leaf)
-    if gen is None:
-        if isinstance(leaf, Radical):
-            gen = (3, leaf.name, to_sexpr(leaf.square), leaf)
-        else:
-            gen = (4, leaf.func, to_sexpr(leaf.arg), leaf)
-        _GEN_KEY_CACHE[leaf] = gen
-    return gen
+    if isinstance(leaf, Radical):
+        return (3, leaf.name, to_sexpr(leaf.square), leaf)
+    return (4, leaf.func, to_sexpr(leaf.arg), leaf)
 
 
 _EMPTY_MONO: Mono = (0, ())
@@ -997,7 +951,7 @@ def _to_ratfunc(e: Expr) -> _RatFunc:
         return _rf_div(_to_ratfunc(e.num), _to_ratfunc(e.den))
     if isinstance(e, Apply):
         arg = normalize(e.arg)
-        if isinstance(arg, Const) and arg.value.is_zero() and e.func == "exp":
+        if isinstance(arg, Const) and arg.value.is_zero():
             return _RatFunc(dict(_POLY_ONE), dict(_POLY_ONE))
         return _RatFunc(_poly_gen(_gen(Apply(e.func, arg))), dict(_POLY_ONE))
     raise TypeError(f"unknown node {e!r}")
@@ -1078,7 +1032,6 @@ def _remember(e: Expr, rf: _RatFunc) -> Expr:
         out = Div(_poly_to_expr(rf.num), _poly_to_expr(rf.den))
     if len(_NORMAL_CACHE) > _NORMAL_CACHE_LIMIT or len(_TERM_CACHE) > _NORMAL_CACHE_LIMIT:
         _NORMAL_CACHE.clear()
-        _GEN_KEY_CACHE.clear()
         _TERM_CACHE.clear()
     _NORMAL_CACHE[e] = _NORMAL_CACHE[out] = (out, rf)
     return out
@@ -1108,6 +1061,10 @@ def differentiate(e: Expr, table: DerivationTable = EMPTY_TABLE) -> Expr:
     ``N'`` or the reduced ``(N' D - N D')/D**2``.  That is what normalizing
     the tree gives: its terms are then products of polynomials, whose
     reduced expansion is unique, and it ends in the same quotient.
+
+    A constant's derivative is ``0`` even where the constant is singular:
+    ``differentiate(param("k") / (const(2) - 2))`` is ``0``, while
+    ``normalize`` of that quotient raises :class:`DivisionByZeroExpr`.
     """
     tree = _diff(e, table)
     cached = _NORMAL_CACHE.get(tree)
@@ -1201,7 +1158,7 @@ def _diff(e: Expr, table: DerivationTable) -> Expr:
                     ZERO if dv is ZERO else Mul((const(-1), e.num, dv))])
         return ZERO if num is ZERO else Div(num, Pow(e.den, 2))
     if isinstance(e, Apply):
-        return _FUNCTIONS[e.func].derivative(e.arg, _diff(e.arg, table))
+        return Mul((_diff(e.arg, table), e))
     raise TypeError(f"unknown node {e!r}")
 
 
@@ -1217,25 +1174,14 @@ def evaluate(e: Expr, bindings: Mapping[str, complex]) -> complex | np.ndarray:
     may be a complex scalar or a 1-D numpy array; array bindings share one
     length and the tree is walked once for all of their points, giving a
     complex128 array (a subtree free of array-bound names stays a scalar).
-    A registered function that is not a numpy ufunc is applied to an
-    array argument point by point.  A zero denominator or a zero base of
-    a negative power at any point raises :class:`EvalSingularity`.
+    ``exp`` is ``numpy.exp``; numpy is imported by the first call.  A zero
+    denominator or a zero base of a negative power at any point raises
+    :class:`EvalSingularity`.
     """
-    if np is None:
-        _bind_numpy()
-    return _evaluate(e, bindings)
-
-
-def _bind_numpy() -> None:
-    """Import numpy once, for every later walk, and give built-in ``exp``
-    (unless re-registered) its ufunc."""
     global np
-    import numpy
-
-    rule = _FUNCTIONS["exp"]
-    if rule.evaluate is None:
-        rule.evaluate = numpy.exp
-    np = numpy
+    if np is None:
+        import numpy as np
+    return _evaluate(e, bindings)
 
 
 def _evaluate(e: Expr, bindings: Mapping[str, complex]) -> complex | np.ndarray:
@@ -1263,11 +1209,7 @@ def _evaluate(e: Expr, bindings: Mapping[str, complex]) -> complex | np.ndarray:
             raise EvalSingularity("division by numeric zero")
         return _evaluate(e.num, bindings) / den
     if isinstance(e, Apply):
-        fn = _FUNCTIONS[e.func].evaluate
-        arg = _evaluate(e.arg, bindings)
-        if isinstance(arg, np.ndarray) and not isinstance(fn, np.ufunc):
-            return np.array([fn(v) for v in arg.tolist()], dtype=np.complex128)
-        return fn(arg)
+        return np.exp(_evaluate(e.arg, bindings))
     raise TypeError(f"unknown node {e!r}")
 
 
@@ -1380,7 +1322,7 @@ def param_coefficients(e: Expr, name: str) -> dict[int, Expr]:
 # Grammar (tokens separated by whitespace or parentheses):
 #   expr  := const | x | (param NAME) | (sym NAME) | (rad NAME expr)
 #          | (+ expr ...) | (* expr ...) | (^ expr INT) | (/ expr expr)
-#          | (apply NAME expr)
+#          | (apply exp expr)
 #   const := RAT | (c RAT RAT)          -- (c re im) for nonreal constants
 #   RAT   := optionally signed integer or integer/integer
 
@@ -1390,97 +1332,112 @@ def _rat_str(f: Fraction) -> str:
 
 
 def to_sexpr(e: Expr) -> str:
-    """Canonical S-expression text for ``e`` (not normalized first)."""
-    if isinstance(e, Const):
-        v = e.value
-        if v.im == 0:
-            return _rat_str(v.re)
-        return f"(c {_rat_str(v.re)} {_rat_str(v.im)})"
-    if isinstance(e, Var):
-        return "x"
-    if isinstance(e, Param):
-        return f"(param {e.name})"
-    if isinstance(e, Sym):
-        return f"(sym {e.name})"
-    if isinstance(e, Radical):
-        return f"(rad {e.name} {to_sexpr(e.square)})"
-    if isinstance(e, Add):
-        return "(+ " + " ".join(to_sexpr(t) for t in e.terms) + ")"
-    if isinstance(e, Mul):
-        return "(* " + " ".join(to_sexpr(f) for f in e.factors) + ")"
-    if isinstance(e, Pow):
-        return f"(^ {to_sexpr(e.base)} {e.exponent})"
-    if isinstance(e, Div):
-        return f"(/ {to_sexpr(e.num)} {to_sexpr(e.den)})"
-    if isinstance(e, Apply):
-        return f"(apply {e.func} {to_sexpr(e.arg)})"
-    raise TypeError(f"unknown node {e!r}")
+    """Canonical S-expression text for ``e`` (not normalized first), from one
+    loop over a stack of nodes and text, so a tree of any depth prints."""
+    out: list[str] = []
+    stack: list = [e]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is str:
+            out.append(node)
+        elif kind is Const:
+            v = node.value
+            if v._b:
+                out.append(f"(c {_rat_str(v.re)} {_rat_str(v.im)})")
+            else:
+                # gcd(a, d) == 1 when b == 0, so a/d is the reduced real part
+                out.append(str(v._a) if v._d == 1 else f"{v._a}/{v._d}")
+        elif kind is Mul or kind is Add:
+            ops = node.factors if kind is Mul else node.terms
+            out.append("(* " if kind is Mul else "(+ ")
+            stack.append(")")
+            for op in reversed(ops[1:]):
+                stack += (op, " ")
+            stack += ops[:1]
+        elif kind is Param:
+            out.append(f"(param {node.name})")
+        elif kind is Pow:
+            out.append("(^ ")
+            stack += (f" {node.exponent})", node.base)
+        elif kind is Var:
+            out.append("x")
+        elif kind is Sym:
+            out.append(f"(sym {node.name})")
+        elif kind is Div:
+            out.append("(/ ")
+            stack += (")", node.den, " ", node.num)
+        elif kind is Radical:
+            out.append(f"(rad {node.name} ")
+            stack += (")", node.square)
+        elif kind is Apply:
+            out.append(f"(apply {node.func} ")
+            stack += (")", node.arg)
+        else:
+            raise TypeError(f"unknown node {kind.__name__}")
+    return "".join(out)
 
 
-def _tokenize_sexpr(text: str) -> list[str]:
-    return text.replace("(", " ( ").replace(")", " ) ").split()
+# head -> (the kinds of its arguments, its constructor); + and * take
+# any number of expressions
+_SEXPR_HEADS = {
+    "+": (None, Add), "*": (None, Mul),
+    "^": (("expr", "INT"), Pow), "/": (("expr", "expr"), Div),
+    "param": (("NAME",), Param), "sym": (("NAME",), Sym),
+    "rad": (("NAME", "expr"), Radical), "apply": (("NAME", "expr"), Apply),
+    "c": (("RAT", "RAT"), lambda re, im: Const(GaussRat(re, im))),
+}
+# argument kind -> the reader of a token in its place
+_SEXPR_TOKEN = {"expr": lambda tok: X if tok == "x" else Const(GaussRat(Fraction(tok))),
+                "NAME": str, "INT": int, "RAT": Fraction}
 
 
 def parse_sexpr(text: str) -> Expr:
-    """Parse the canonical S-expression serialization back to an Expr."""
-    tokens = _tokenize_sexpr(text)
-    expr, rest = _parse_tokens(tokens)
-    if rest:
-        raise KitError(f"trailing tokens in expression text: {rest!r}")
-    return expr
+    """Parse the canonical S-expression serialization back to an Expr.
 
-
-def _parse_rat(token: str) -> Fraction:
-    return Fraction(token)
-
-
-def _parse_tokens(tokens: list[str]) -> tuple[Expr, list[str]]:
+    One pass over the tokens with a stack of open lists.  Each head fixes
+    the number and kind of its arguments, and text that breaks the
+    grammar raises :class:`KitError`; a bad number raises ValueError.
+    """
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     if not tokens:
         raise KitError("empty expression text")
-    tok, rest = tokens[0], tokens[1:]
-    if tok == "(":
-        head, rest = rest[0], rest[1:]
-        args: list = []
-        while rest and rest[0] != ")":
-            if head in ("param", "sym", "apply", "rad", "c") and not args:
-                args.append(rest[0])
-                rest = rest[1:]
-                continue
-            if head == "c":
-                args.append(rest[0])
-                rest = rest[1:]
-                continue
-            if head == "^" and len(args) == 1:
-                args.append(rest[0])
-                rest = rest[1:]
-                continue
-            sub, rest = _parse_tokens(rest)
-            args.append(sub)
-        if not rest:
-            raise KitError("unbalanced parenthesis in expression text")
-        rest = rest[1:]
-        if head == "+":
-            return Add(tuple(args)), rest
-        if head == "*":
-            return Mul(tuple(args)), rest
-        if head == "^":
-            return Pow(args[0], int(args[1])), rest
-        if head == "/":
-            return Div(args[0], args[1]), rest
-        if head == "param":
-            return Param(args[0]), rest
-        if head == "sym":
-            return Sym(args[0]), rest
-        if head == "rad":
-            return Radical(args[0], args[1]), rest
-        if head == "apply":
-            return Apply(args[0], args[1]), rest
-        if head == "c":
-            return Const(GaussRat(_parse_rat(args[0]), _parse_rat(args[1]))), rest
-        raise KitError(f"unknown S-expression head {head!r}")
-    if tok == "x":
-        return X, rest
-    return Const(GaussRat(_parse_rat(tok))), rest
+    # open lists, innermost last, as (head, kinds, constructor, arguments
+    # as tokens or nodes); None for a list whose head comes next
+    stack: list = []
+    atom = _SEXPR_TOKEN["expr"]
+    for k, tok in enumerate(tokens):
+        if stack and stack[-1] is None:
+            if tok not in _SEXPR_HEADS:
+                raise KitError(f"unknown S-expression head {tok!r}")
+            stack[-1] = (tok, *_SEXPR_HEADS[tok], [])
+            continue
+        if tok == "(":
+            stack.append(None)
+            continue
+        node = tok
+        if tok == ")":
+            if not stack:
+                raise KitError("unbalanced parenthesis in expression text")
+            head, kinds, build, args = stack.pop()
+            # each token is read as its kind; a list goes only where an
+            # expression does
+            if kinds is None:
+                node = build([atom(a) if type(a) is str else a for a in args])
+            elif len(args) == len(kinds) and all(
+                    type(a) is str or kind == "expr" for kind, a in zip(kinds, args)):
+                node = build(*[_SEXPR_TOKEN[kind](a) if type(a) is str else a
+                               for kind, a in zip(kinds, args)])
+            else:
+                raise KitError(f"malformed ({head} ...) in expression text: "
+                               f"expected ({head} {' '.join(kinds)})")
+        if stack:
+            stack[-1][3].append(node)
+        elif k + 1 < len(tokens):
+            raise KitError(f"trailing tokens in expression text: {tokens[k + 1:]!r}")
+        else:
+            return atom(node) if type(node) is str else node
+    raise KitError("unbalanced parenthesis in expression text")
 
 
 # ---------------------------------------------------------------------------
@@ -1494,7 +1451,7 @@ def parse_infix(text: str, params: Iterable[str] = ()) -> Expr:
     Operators + - * / ^ with usual precedence, parentheses, integer and
     a/b rational literals, ``i`` for the imaginary unit, ``x`` for the
     variable.  Other names become Param if listed in ``params``, else
-    Sym.  ``exp(...)`` and other registered functions are recognized.
+    Sym.  ``exp(...)`` is the one function.
     """
     parser = _InfixParser(_tokenize_infix(text), set(params))
     expr = parser.parse_expression()
@@ -1503,30 +1460,16 @@ def parse_infix(text: str, params: Iterable[str] = ()) -> Expr:
     return expr
 
 
+# a digit run, a name, or an operator; any other non-space character is bad
+_INFIX_TOKEN = re.compile(r"\s*(?:(\d+|[^\W\d]\w*|[-+*/^()])|(\S))")
+
+
 def _tokenize_infix(text: str) -> list[str]:
     out: list[str] = []
-    k = 0
-    while k < len(text):
-        ch = text[k]
-        if ch.isspace():
-            k += 1
-        elif ch.isdigit():
-            j = k
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            out.append(text[k:j])
-            k = j
-        elif ch.isalpha() or ch == "_":
-            j = k
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(text[k:j])
-            k = j
-        elif ch in "+-*/^()":
-            out.append(ch)
-            k += 1
-        else:
-            raise KitError(f"bad character {ch!r} in expression text")
+    for tok, bad in _INFIX_TOKEN.findall(text):
+        if bad:
+            raise KitError(f"bad character {bad!r} in expression text")
+        out.append(tok)
     return out
 
 
@@ -1598,12 +1541,12 @@ class _InfixParser:
             return I
         if tok == "x":
             return X
-        if tok in _FUNCTIONS and self.peek() == "(":
+        if tok == "exp" and self.peek() == "(":
             self.take()
             arg = self.parse_expression()
             if self.take() != ")":
                 raise KitError("missing closing parenthesis")
-            return Apply(tok, arg)
+            return Apply("exp", arg)
         if tok in self.params:
             return Param(tok)
         return Sym(tok)

@@ -208,6 +208,17 @@ def test_an_expression_dividing_by_zero_is_bad_input(capsys, oscillator_json, ar
     }
 
 
+@pytest.mark.parametrize("text", ["(^ x)", "(/ x 1 2)"])
+def test_a_malformed_sexpr_is_bad_input(capsys, tmp_path, text):
+    # a missing or a surplus argument, in a flag and in a family file
+    code, out, err = _run(capsys, ["so3", "riccati", "--route", "Q", "--f", text])
+    assert code == 2 and out == "" and json.loads(err)["error"] == "bad-input"
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({**family_to_json(oscillator_family()), "q": text}))
+    code, out, err = _run(capsys, ["darboux", "apply", "--family", str(path), "--theta0", "-x"])
+    assert code == 2 and out == "" and json.loads(err)["error"] == "bad-input"
+
+
 RIGID, FRENET = "(--omega1, --omega2, 0)", "(--tau, 0, --kappa)"
 
 

@@ -133,21 +133,6 @@ def test_first_evaluate_binds_numpy_exp():
     assert result == [True, True, True]
 
 
-def test_function_registered_before_numpy_evaluates():
-    result = _fresh("""
-        import cmath
-        from darbouxkit.expr import Apply, X, evaluate, register_function
-        register_function("sinh_scalar", cmath.sinh, lambda arg, d: d * Apply("cosh_scalar", arg))
-        before = 'numpy' in sys.modules
-        import numpy as np
-        xs = np.array([0.0, 0.5, 1 + 1j])
-        values = evaluate(Apply("sinh_scalar", X), {"x": xs})
-        print(json.dumps([before, values.tolist() == [cmath.sinh(v) for v in xs.tolist()],
-                          str(values.dtype)]))
-    """)
-    assert result == [False, True, "complex128"]
-
-
 @pytest.mark.parametrize("name", sorted(NUMERIC_NAMES))
 def test_package_serves_numeric_names(name):
     assert getattr(darbouxkit, name) is getattr(numverify, name)
