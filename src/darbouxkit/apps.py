@@ -17,10 +17,9 @@ carries the lifted transformation that leaves it as a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
-from .expr import EMPTY_TABLE, DerivationTable, Expr, ZERO, normalize
+from .expr import EMPTY_TABLE, DerivationTable, Expr, Record, ZERO, normalize
 from .linsys import SecondOrderFamily
 from .darboux import DarbouxSeed, Transformation, darboux_chain, darboux_gauge
 from .tensordt import ROUTES, OrthogonalSystem
@@ -51,8 +50,7 @@ def rigid_family(omega1: Expr | None, omega2: Expr | None, route: str,
     return ROUTES[route].family(omega1, omega2, ZERO, table)
 
 
-@dataclass(frozen=True)
-class ChainLink:
+class ChainLink(Record):
     family: SecondOrderFamily
     orthogonal: OrthogonalSystem
     seed: DarbouxSeed | None

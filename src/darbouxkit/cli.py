@@ -18,7 +18,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
 from typing import Sequence
 
 from .expr import (
@@ -134,7 +133,7 @@ def _emit(document: dict, out: str | None) -> None:
 def _theta0_for(family: SecondOrderFamily, text: str) -> tuple[SecondOrderFamily, Expr]:
     """Parse a seed flag; its free symbols get towers in the family's table."""
     theta0 = _expr_flag(text, params=(family.m_name,))
-    return replace(family, table=_tower_table_for([theta0], base=family.table)), theta0
+    return family.replace(table=_tower_table_for([theta0], base=family.table)), theta0
 
 
 def _fixed_seed(theta0: Expr):

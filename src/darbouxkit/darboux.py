@@ -17,7 +17,6 @@ transformation is one (:func:`darboux_transformation`), and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from math import comb
 from typing import Callable, Iterator
 
@@ -25,6 +24,7 @@ from .expr import (
     DerivationTable,
     Expr,
     KitError,
+    Record,
     Sym,
     ZERO,
     as_expr,
@@ -41,8 +41,7 @@ class SeedNotSolution(KitError):
     """The candidate seed fails its Riccati certificate."""
 
 
-@dataclass(frozen=True)
-class DarbouxSeed:
+class DarbouxSeed(Record):
     """Seed data for one transformation step.
 
     ``theta0`` is the logarithmic derivative of a solution of the family
@@ -111,7 +110,7 @@ def attach_generic_seed(
     if name in family.table:
         raise KitError(f"symbol {name!r} already has a table entry")
     entry = normalize(-family.q - family.p * theta - theta * theta)
-    fam = replace(family, table=family.table.extended({name: entry}))
+    fam = family.replace(table=family.table.extended({name: entry}))
     return fam, make_seed(fam, theta)
 
 
@@ -160,7 +159,7 @@ def potential_compact(family: SecondOrderFamily, seed: DarbouxSeed) -> Expr:
 def darboux_potential(family: SecondOrderFamily, seed: DarbouxSeed) -> SecondOrderFamily:
     """Transformed family: same p, r, m-dependence, potential ``q + q0``."""
     q0 = potential_shift(family, seed)
-    return replace(family, q=normalize(family.q + q0))
+    return family.replace(q=normalize(family.q + q0))
 
 
 def darboux_solution(
@@ -181,8 +180,7 @@ def darboux_solution(
     return normalize((yprime - seed.theta0 * y) / family.sqrt_r)
 
 
-@dataclass(frozen=True)
-class DarbouxGauge:
+class DarbouxGauge(Record):
     """The gauge matrix of the transformation with its factorization.
 
     ``p_m = l_m @ r_factor`` exactly;
@@ -209,8 +207,7 @@ def darboux_gauge(family: SecondOrderFamily, seed: DarbouxSeed) -> DarbouxGauge:
     )
 
 
-@dataclass(frozen=True)
-class Transformation:
+class Transformation(Record):
     """A gauge ``X -> gauge X`` from ``source`` to ``target``, with ``det``
     the closed-form determinant of ``gauge``.
 
@@ -259,8 +256,7 @@ def darboux_transformation(family: SecondOrderFamily, seed: DarbouxSeed) -> Tran
     )
 
 
-@dataclass(frozen=True)
-class ChainStep:
+class ChainStep(Record):
     family: SecondOrderFamily
     seed: DarbouxSeed | None
 

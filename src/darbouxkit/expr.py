@@ -39,6 +39,69 @@ class KitError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class Record:
+    """Base class of the package's immutable records.
+
+    A subclass declares its fields as annotations, in order; a class
+    attribute of the same name in its own body is the field's default.
+    ``__init__`` binds the arguments and then runs ``__post_init__``, if
+    the subclass has one.  Records compare, hash and print by their
+    fields, as frozen dataclasses do, and refuse assignment;
+    :meth:`replace` is the copy with some fields changed, validated again.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {key: vars(cls)[key] for key in cls._fields if key in vars(cls)}
+
+    def __init__(self, *args, **kwargs):
+        name, fields = type(self).__name__, self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name} takes {len(fields)} fields, got {len(args)}")
+        given = dict(zip(fields, args))
+        for key in kwargs:
+            if key not in fields or key in given:
+                raise TypeError(f"{name} got an unknown or repeated field {key!r}")
+        given.update(kwargs)
+        for key in fields:
+            if key not in given and key not in self._defaults:
+                raise TypeError(f"{name} is missing field {key!r}")
+            self.__dict__[key] = given.get(key, self._defaults.get(key))
+        if hasattr(self, "__post_init__"):
+            self.__post_init__()
+
+    def _values(self) -> tuple:
+        return tuple([self.__dict__[key] for key in self._fields])
+
+    def replace(self, **changes) -> Record:
+        """A copy with the given fields changed, built by ``__init__``."""
+        return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        body = ", ".join(f"{key}={value!r}" for key, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, key, value):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {key!r}")
+
+    def __delattr__(self, key):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {key!r}")
+
+
 class UnknownSymbol(KitError):
     """A symbol was differentiated without a derivation-table entry."""
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass
 from random import Random
 from typing import Callable, Iterable, Sequence
 
@@ -32,6 +31,7 @@ from .expr import (
     I,
     KitError,
     ONE,
+    Record,
     Sym,
     X,
     ZERO,
@@ -93,8 +93,7 @@ DEFAULT_SEED = 20260810
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class VerifyConfig:
+class VerifyConfig(Record):
     """Numeric knobs for the sampled/integrated checks.
 
     ``tolerance`` overrides the 1e-8 pass bound of the numeric checks

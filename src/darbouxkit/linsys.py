@@ -9,7 +9,6 @@ no sign ever changes silently.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -20,6 +19,7 @@ from .expr import (
     KitError,
     Param,
     Radical,
+    Record,
     Sym,
     ZERO,
     ONE,
@@ -213,8 +213,7 @@ class ExprMatrix:
 CONVENTION = "Xp=-AX"
 
 
-@dataclass(frozen=True)
-class LinearSystem:
+class LinearSystem(Record):
     """First-order linear system ``X' = -A X`` with exact coefficients."""
 
     a: ExprMatrix
@@ -268,8 +267,7 @@ def residual(system: LinearSystem, candidate: ExprMatrix) -> ExprMatrix:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SecondOrderFamily:
+class SecondOrderFamily(Record):
     """Operator family ``d2 + p d + (q - m r)`` with Wronskian datum w.
 
     ``w`` satisfies ``w' = p w`` (so ``p = w'/w``); the constructor

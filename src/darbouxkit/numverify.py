@@ -30,12 +30,11 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .expr import EvalSingularity, Expr, Sym, evaluate, normalize
+from .expr import EvalSingularity, Expr, Record, Sym, evaluate, normalize
 from .linsys import (
     DEFAULT_INTERVAL,
     DEFAULT_STEP,
@@ -51,8 +50,7 @@ _BLOCK = 256  # RK4 steps per coefficient evaluation; bounds the arrays of one b
 _CENTRAL = np.array([-1, 9, -45, 0, 45, -9, 1]) / 60
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Record):
     """Grid values of one integrated initial-value problem."""
 
     xs: np.ndarray
@@ -285,8 +283,7 @@ def drift(
     return float(np.max(np.abs(values[1:] - values[0]), initial=0.0))
 
 
-@dataclass(frozen=True)
-class SolutionGrid:
+class SolutionGrid(Record):
     """Numeric values of abstract solution symbols along one grid.
 
     ``values`` maps each symbol name to its values at the grid points

@@ -14,7 +14,6 @@ normalization constants add nothing checkable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .expr import (
@@ -22,6 +21,7 @@ from .expr import (
     Expr,
     KitError,
     Param,
+    Record,
     Sym,
     X,
     ZERO,
@@ -50,8 +50,7 @@ class NotShapeInvariant(KitError):
         self.residual = residual
 
 
-@dataclass(frozen=True)
-class SusyPair:
+class SusyPair(Record):
     """Superpotential with its partner potentials ``W^2 -+ W'``."""
 
     w: Expr
@@ -86,8 +85,7 @@ def _partner_transformation(v: Expr, theta0: Expr, table: DerivationTable) -> Tr
     return darboux_transformation(family, make_seed(family, theta0))
 
 
-@dataclass(frozen=True)
-class MatrixFormalism:
+class MatrixFormalism(Record):
     """The matrix wrapper of a partner pair at every order >= 2, as symmetric powers.
 
     With ``k = order - 1``, ``v_minus``/``v_plus`` are the Lie-sense
@@ -124,7 +122,7 @@ class MatrixFormalism:
     @cached_property
     def raising(self) -> Transformation:
         t = _partner_transformation(self.pair.v_plus, self.pair.w, self.table)
-        return replace(t, gauge=t.gauge.scale(const(-1))).sym(self.order - 1)
+        return t.replace(gauge=t.gauge.scale(const(-1))).sym(self.order - 1)
 
     def system(self, energy) -> LinearSystem:
         """The system whose solutions are the energy-``energy`` states of ``V-``."""
@@ -151,8 +149,7 @@ def matrix_formalism(pair: SusyPair, order: int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ParametricPotential:
+class ParametricPotential(Record):
     """A parametric superpotential with reparametrization data.
 
     ``w`` depends on x and the parameter ``a_name``; ``f`` rewrites the

@@ -32,15 +32,16 @@ sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .expr import (
     DerivationTable,
+    EMPTY_TABLE,
     Expr,
     I,
     KitError,
     ONE,
+    Record,
     Sym,
     ZERO,
     as_expr,
@@ -93,8 +94,7 @@ def skew_matrix(f: Expr, g: Expr, h: Expr) -> ExprMatrix:
     return ExprMatrix([[ZERO, h, -as_expr(g)], [-as_expr(h), ZERO, f], [g, -as_expr(f), ZERO]])
 
 
-@dataclass(frozen=True)
-class OrthogonalSystem:
+class OrthogonalSystem(Record):
     """A 3x3 system with skew coefficient matrix, ``Z' = Z x Omega``.
 
     ``omega = (f, g, h)`` is the vector of the flow form
@@ -108,7 +108,7 @@ class OrthogonalSystem:
     f: Expr
     g: Expr
     h: Expr
-    table: DerivationTable = field(default_factory=DerivationTable)
+    table: DerivationTable = EMPTY_TABLE
 
     def __post_init__(self):
         object.__setattr__(self, "f", normalize(self.f))
@@ -260,8 +260,7 @@ def so3_family_second(f: Expr | None, g: Expr | None, h: Expr | None,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Route:
+class Route(Record):
     """One orthogonal lift of a second-order family.
 
     ``conj`` (with its exact inverse) is the route's constant conjugator
@@ -384,8 +383,7 @@ def t2_explicit(family: SecondOrderFamily, seed: DarbouxSeed) -> ExprMatrix:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FundamentalPair:
+class FundamentalPair(Record):
     matrix: ExprMatrix
     system: LinearSystem
 
@@ -434,8 +432,7 @@ def flow_derivative(system: LinearSystem, integral: Expr,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RiccatiData:
+class RiccatiData(Record):
     """Riccati reduction ``theta' = omega0 + mu theta + omega1 theta^2``
     of an orthogonal flow, with the associated linear second-order form.
 

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from darbouxkit.expr import (
@@ -396,7 +394,7 @@ def test_chain_transforms_compose():
     t0, t1 = links[0].transform, links[1].transform
     product = Transformation(t0.source, t1.gauge @ t0.gauge, t1.target, t0.det * t1.det)
     assert failed_part(product) is None
-    assert failed_part(replace(t0, target=t1.target)) == "gauge"
+    assert failed_part(t0.replace(target=t1.target)) == "gauge"
 
 
 # each application on each route, with a nonzero third component on the
@@ -422,4 +420,4 @@ def test_chain_records_certify(application):
     assert failed_part(t0) is None
     assert failed_part(t1) is None
     # negative control: link 0's gauge against link 2's system
-    assert failed_part(replace(t0, target=t1.target)) == "gauge"
+    assert failed_part(t0.replace(target=t1.target)) == "gauge"

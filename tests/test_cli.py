@@ -1,6 +1,5 @@
 import json
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -536,7 +535,7 @@ def test_verify_names_the_failing_record_part(capsys, monkeypatch):
 
     def doubled(family, seed):
         g = real(family, seed)
-        return replace(g, p_m=g.p_m.scale(2).normalized())
+        return g.replace(p_m=g.p_m.scale(2).normalized())
 
     monkeypatch.setattr(darboux, "darboux_gauge", doubled)
     code, out, _ = _run(capsys, ["verify", "--check", "darboux-gauge"])

@@ -2,8 +2,9 @@
 
 Importing the package, building the CLI parser, the exact verify checks
 and every exact CLI command leave numpy unloaded; the RK4 oracle and
-``evaluate`` load it on first use.  pytest has numpy loaded already, so
-each of these runs in a fresh interpreter.
+``evaluate`` load it on first use.  Nor does a cold CLI call import
+dataclasses.  pytest has numpy loaded already, so each of these runs in
+a fresh interpreter.
 """
 
 import json
@@ -67,6 +68,22 @@ def test_import_and_parser_leave_numpy_unloaded():
         print(json.dumps([after_package, 'numpy' in sys.modules]))
     """)
     assert loaded == [False, False]
+
+
+def test_import_parser_and_exact_command_leave_dataclasses_unloaded():
+    # records subclass expr.Record, which generates no code per class, so a
+    # cold CLI call never imports dataclasses (or inspect behind it)
+    loaded = _fresh(f"""
+        import contextlib, io
+        before = 'dataclasses' in sys.modules
+        import darbouxkit.cli
+        darbouxkit.cli.build_parser()
+        after_parser = 'dataclasses' in sys.modules
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = darbouxkit.cli.main({EXACT_COMMANDS[1]!r})
+        print(json.dumps([before, after_parser, code, 'dataclasses' in sys.modules]))
+    """)
+    assert loaded == [False, False, 0, False]
 
 
 def test_exact_checks_leave_numpy_unloaded():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -24,12 +25,15 @@ from darbouxkit.expr import (
     GaussRat,
     KitError,
     Mul,
+    ONE,
     Param,
     Pow,
     Radical,
+    Record,
     Sym,
     UnboundSymbol,
     UnknownSymbol,
+    ZERO,
     const,
     depends_on_x,
     differentiate,
@@ -644,7 +648,7 @@ def _subtrees(e):
         yield child
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=max(150, settings.default.max_examples), deadline=None)
 @given(_numeric_exprs(3))
 def test_normal_form_does_not_depend_on_cache_state(e):
     _clear_caches()
@@ -669,7 +673,7 @@ def _normal_terms(n):
     return [t for p in parts for t in (p.terms if isinstance(p, Add) else (p,))]
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=max(150, settings.default.max_examples), deadline=None)
 @given(_numeric_exprs(3))
 def test_equal_normal_forms_share_their_terms(e):
     _clear_caches()
@@ -702,7 +706,7 @@ def test_a_node_hashes_without_reading_its_key(monkeypatch, kind):
     assert hash(kind(a, b)) == hash(kind(a, b))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=max(150, settings.default.max_examples), deadline=None)
 @given(_numeric_exprs(2), _numeric_exprs(2))
 def test_cached_ratfunc_is_never_mutated(e, f):
     try:
@@ -754,13 +758,13 @@ def _left_nested_matches_flat(kind, parts):
     assert _normal_text(flat) == cold
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=max(100, settings.default.max_examples), deadline=None)
 @given(st.lists(_numeric_exprs(2), min_size=2, max_size=4))
 def test_left_nested_sum_folds_as_the_flat_sum(parts):
     _left_nested_matches_flat(Add, parts)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=max(100, settings.default.max_examples), deadline=None)
 @given(st.lists(_numeric_exprs(2), min_size=2, max_size=4))
 def test_left_nested_product_folds_as_the_flat_product(parts):
     _left_nested_matches_flat(Mul, parts)
@@ -810,7 +814,7 @@ def test_any_tree_deeper_than_the_stack_hashes_and_compares(nest):
     assert a != build(param("z"))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=max(150, settings.default.max_examples), deadline=None)
 @given(_numeric_exprs(3))
 def test_rf_is_idempotent_on_normal_forms(e):
     try:
@@ -973,3 +977,115 @@ def test_polynomial_derivative_path_runs_only_for_polynomial_generator_derivativ
     _clear_caches()
     differentiate(parse_sexpr(to_sexpr(n)), _TABLE)
     assert ran == []
+
+
+# -- records ------------------------------------------------------------------------
+
+
+def _twins():
+    """A record and a frozen dataclass with the same name and fields."""
+    class Pair(Record):
+        a: int
+        b: object = None
+
+    record = Pair
+
+    @dataclasses.dataclass(frozen=True)
+    class Pair:
+        a: int
+        b: object = None
+
+    return record, Pair
+
+
+def test_records_compare_and_hash_by_fields_like_frozen_dataclasses():
+    record, twin = _twins()
+    for cls in (record, twin):
+        assert cls(1, (2,)) == cls(a=1, b=(2,)) == cls(b=(2,), a=1)
+        assert cls(1) == cls(1, None) != cls(2)
+        assert hash(cls(1, (2,))) == hash(cls(1, (2,))) == hash((1, (2,)))
+    # another class, even with the same fields, is never equal
+    other, _ = _twins()
+    assert record(1).__eq__(other(1)) is NotImplemented
+    assert record(1).__eq__(twin(1)) is NotImplemented
+    assert twin(1).__eq__(record(1)) is NotImplemented
+    assert record(1) != other(1) and record(1) != twin(1) and record(1) != (1, None)
+
+
+def test_records_print_as_frozen_dataclasses():
+    record, twin = _twins()
+    assert repr(record(1, "b")) == repr(twin(1, "b"))
+    assert repr(record(b=record(2), a=[1])) == repr(twin(b=twin(2), a=[1]))
+    assert repr(record(1)).startswith("_twins.<locals>.Pair(a=1, ")
+
+
+def test_records_refuse_assignment_and_deletion():
+    for cls in _twins():
+        value = cls(1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            value.a = 2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            value.c = 2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del value.a
+        assert value == cls(1)
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    ((), {}),  # missing
+    ((1, 2, 3), {}),  # surplus
+    ((1,), {"c": 3}),  # unknown
+    ((1,), {"a": 1}),  # repeated
+], ids=["missing", "surplus", "unknown", "repeated"])
+def test_records_reject_bad_fields_like_frozen_dataclasses(args, kwargs):
+    for cls in _twins():
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
+
+
+def test_a_record_field_named_like_a_method_still_needs_an_argument():
+    # defaults come from the class's own body, so the inherited replace
+    # method is no default; a dataclass would take it as one
+    class Named(Record):
+        replace: int
+
+    with pytest.raises(TypeError):
+        Named()
+    assert Named(3).replace == 3
+
+    class Base:
+        def replace(self):
+            pass
+
+    @dataclasses.dataclass(frozen=True)
+    class Twin(Base):
+        replace: int
+
+    assert Twin().replace is Base.replace
+
+
+def test_record_replace_runs_post_init_again():
+    from darbouxkit.golden import DEFAULT_CONFIG, VerifyConfig
+    from darbouxkit.linsys import SecondOrderFamily
+
+    assert DEFAULT_CONFIG.replace(step=1e-3) == VerifyConfig(step=1e-3)
+    assert DEFAULT_CONFIG.replace() == DEFAULT_CONFIG
+    with pytest.raises(ValueError, match="step"):
+        DEFAULT_CONFIG.replace(step=0)
+    with pytest.raises(TypeError):
+        DEFAULT_CONFIG.replace(steps=1e-3)
+    family = SecondOrderFamily(p=ZERO, q=-X * X, r=ONE, w=ONE, table=DerivationTable())
+    assert family.replace(q=X).q == X
+    with pytest.raises(ValueError, match="w'/w"):
+        family.replace(p=X)
+
+
+def test_cached_properties_stay_out_of_record_identity():
+    from darbouxkit.susyqm import matrix_formalism, partner_potentials
+
+    mf = matrix_formalism(partner_potentials(X), 2)
+    copy, text = mf.replace(), repr(mf)
+    mf.lowering, mf.raising
+    assert {"lowering", "raising"} <= set(vars(mf)) and "lowering" not in vars(copy)
+    assert mf == copy and hash(mf) == hash(copy)
+    assert repr(mf) == repr(copy) == text

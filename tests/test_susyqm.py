@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from darbouxkit.expr import (
@@ -196,7 +194,7 @@ def test_rank_one_dressing_is_no_intertwiner():
     dressing = Transformation(companion(minus), ExprMatrix([[w, ONE], [w * w, w]]),
                               companion(plus), ZERO)
     assert failed_part(dressing) == "gauge"
-    assert failed_part(replace(dressing, gauge=mf.lowering.gauge, det=-minus.m)) is None
+    assert failed_part(dressing.replace(gauge=mf.lowering.gauge, det=-minus.m)) is None
 
 
 @pytest.mark.parametrize("order", [2, 3, 4])
