@@ -50,32 +50,27 @@ class Record:
     :meth:`replace` is the copy with some fields changed, validated again.
     """
 
-    _fields: tuple[str, ...] = ()
+    _fields = {}.keys()  # in order, and compared as a set
     _defaults: dict[str, object] = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._fields = tuple(cls.__annotations__)
+        cls._fields = dict.fromkeys(cls.__annotations__).keys()
         cls._defaults = {key: vars(cls)[key] for key in cls._fields if key in vars(cls)}
 
     def __init__(self, *args, **kwargs):
-        name, fields = type(self).__name__, self._fields
-        if len(args) > len(fields):
-            raise TypeError(f"{name} takes {len(fields)} fields, got {len(args)}")
-        given = dict(zip(fields, args))
-        for key in kwargs:
-            if key not in fields or key in given:
-                raise TypeError(f"{name} got an unknown or repeated field {key!r}")
-        given.update(kwargs)
-        for key in fields:
-            if key not in given and key not in self._defaults:
-                raise TypeError(f"{name} is missing field {key!r}")
-            self.__dict__[key] = given.get(key, self._defaults.get(key))
+        given = dict(zip(self._fields, args), **kwargs)
+        values = {**self._defaults, **given}
+        # a surplus or repeated argument shrinks given; an unknown or missing one shows in values
+        if len(given) < len(args) + len(kwargs) or values.keys() != self._fields:
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(self._fields)}; got "
+                            f"{len(args)} positional and the keywords {', '.join(kwargs) or 'none'}")
+        self.__dict__.update(values)
         if hasattr(self, "__post_init__"):
             self.__post_init__()
 
     def _values(self) -> tuple:
-        return tuple([self.__dict__[key] for key in self._fields])
+        return tuple(map(self.__dict__.__getitem__, self._fields))
 
     def replace(self, **changes) -> Record:
         """A copy with the given fields changed, built by ``__init__``."""

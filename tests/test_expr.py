@@ -1087,5 +1087,5 @@ def test_cached_properties_stay_out_of_record_identity():
     copy, text = mf.replace(), repr(mf)
     mf.lowering, mf.raising
     assert {"lowering", "raising"} <= set(vars(mf)) and "lowering" not in vars(copy)
-    assert mf == copy and hash(mf) == hash(copy)
+    assert mf == copy == mf.replace() and hash(mf) == hash(copy)
     assert repr(mf) == repr(copy) == text
