@@ -61,10 +61,10 @@ class Record:
     def __init__(self, *args, **kwargs):
         given = dict(zip(self._fields, args), **kwargs)
         values = {**self._defaults, **given}
-        # a surplus or repeated argument shrinks given; an unknown or missing one shows in values
+        # surplus or repeated arguments shrink given; unknown or missing fields show in values
         if len(given) < len(args) + len(kwargs) or values.keys() != self._fields:
-            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(self._fields)}; got "
-                            f"{len(args)} positional and the keywords {', '.join(kwargs) or 'none'}")
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(self._fields)}; "
+                            f"got {len(args)} positional arguments and the keywords {list(kwargs)}")
         self.__dict__.update(values)
         if hasattr(self, "__post_init__"):
             self.__post_init__()
@@ -74,7 +74,7 @@ class Record:
 
     def replace(self, **changes) -> Record:
         """A copy with the given fields changed, built by ``__init__``."""
-        return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
