@@ -1,7 +1,8 @@
 """Exact Darboux and gauge transformations for second-order operator
 families, their symmetric-power and orthogonal lifts, and the
 supporting symbolic kernel and numerical verification harness.  Only
-numeric verification and ``evaluate`` load numpy."""
+numeric verification and ``evaluate`` load numpy, and the verify suite
+(``golden``) loads on first access to ``run_checks``."""
 
 from .expr import (
     DerivationTable,
@@ -88,30 +89,26 @@ from .apps import (
     frenet_family,
     rigid_family,
 )
-from .golden import run_checks
 
 __version__ = "0.1.0"
 
-# The RK4 oracle needs numpy; its names load it on first access (PEP 562)
-_NUMERIC = frozenset({
-    "Trajectory",
-    "companion_solution_grid",
-    "companion_solution_grids",
-    "convergence_ratio",
-    "drift",
-    "integrate",
-    "integrate_many",
-    "residual_sweep",
-})
+# Names served on first access (PEP 562), by module: the RK4 oracle needs
+# numpy, and the verify suite is for ``verify`` only
+_LAZY = {
+    **dict.fromkeys(("Trajectory", "companion_solution_grid", "companion_solution_grids",
+                     "convergence_ratio", "drift", "integrate", "integrate_many",
+                     "residual_sweep"), "numverify"),
+    "run_checks": "golden",
+}
 
 
 def __getattr__(name: str):
-    if name in _NUMERIC:
-        from . import numverify
+    if name in _LAZY:
+        from importlib import import_module
 
-        return getattr(numverify, name)
+        return getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_NUMERIC})
+    return sorted({*globals(), *_LAZY})

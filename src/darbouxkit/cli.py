@@ -7,7 +7,10 @@ every artifact is UTF-8 JSON with sorted keys, so runs are
 reproducible byte for byte.  Exit status: 0 on success and for passing
 verification, 1 when a requested verification or construction fails,
 2 on malformed input.  Set DARBOUXKIT_LOG=debug for progress logging on
-stderr: each verify check's and each exact identity's verdict and seconds.
+stderr: each verify check's and each exact identity's verdict and seconds
+(``info`` logs only each artifact written with --out).  ``logging`` is
+imported only when DARBOUXKIT_LOG is set, and only ``verify`` loads the
+verify suite (``golden``), so a construction command loads neither.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import logging
 import os
 import sys
 from typing import Sequence
@@ -34,6 +36,7 @@ from .expr import (
     to_sexpr,
 )
 from .linsys import (
+    CHECK_NAMES,
     ExprMatrix,
     SecondOrderFamily,
     companion,
@@ -67,9 +70,6 @@ from .susyqm import (
     spectrum,
 )
 from .apps import application_chain, frenet_family, rigid_family
-from .golden import CHECKS, DEFAULT_CONFIG, DEFAULT_SEED, VerifyConfig, run_checks
-
-log = logging.getLogger("darbouxkit")
 
 
 class InputError(Exception):
@@ -125,7 +125,6 @@ def _emit(document: dict, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-        log.info("wrote %s", out)
     else:
         print(text)
 
@@ -399,8 +398,12 @@ def cmd_application_chain(args) -> dict:
 
 
 def cmd_verify(args) -> dict:
-    config = VerifyConfig(step=args.step, interval=args.interval, tolerance=args.tol)
-    result = run_checks(None if args.all else args.check, seed=args.seed, config=config)
+    from . import golden
+
+    given = {"step": args.step, "interval": args.interval, "tolerance": args.tol}
+    config = golden.VerifyConfig(**{k: v for k, v in given.items() if v is not None})
+    seed = golden.DEFAULT_SEED if args.seed is None else args.seed
+    result = golden.run_checks(None if args.all else args.check, seed=seed, config=config)
     result["command"] = "verify"
     return result
 
@@ -537,12 +540,13 @@ def build_parser() -> argparse.ArgumentParser:
     # verify
     p_verify = sub.add_parser("verify", help="run the shipped verification suite")
     p_verify.add_argument("--all", action="store_true", help="run every check")
-    p_verify.add_argument("--check", action="append", choices=sorted(CHECKS),
+    p_verify.add_argument("--check", action="append", choices=sorted(CHECK_NAMES),
                           help="run one named check (repeatable)")
-    p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_verify.add_argument("--tol", type=float, default=DEFAULT_CONFIG.tolerance)
-    p_verify.add_argument("--step", type=float, default=DEFAULT_CONFIG.step)
-    p_verify.add_argument("--interval", type=_interval, default=DEFAULT_CONFIG.interval)
+    # a flag left out keeps golden's default
+    p_verify.add_argument("--seed", type=int)
+    p_verify.add_argument("--tol", type=float)
+    p_verify.add_argument("--step", type=float)
+    p_verify.add_argument("--interval", type=_interval)
     add_out(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
@@ -571,9 +575,12 @@ def _join_expression_flags(argv: list[str]) -> list[str]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    level = os.environ.get("DARBOUXKIT_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        stream=sys.stderr, format="%(name)s: %(message)s")
+    level = os.environ.get("DARBOUXKIT_LOG")
+    if level:
+        import logging
+
+        logging.basicConfig(level=getattr(logging, level.upper(), logging.WARNING),
+                            stream=sys.stderr, format="%(name)s: %(message)s")
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     args = parser.parse_args(_join_expression_flags(argv))
@@ -586,6 +593,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}), file=sys.stderr)
         return 1
     _emit(document, args.out)
+    if level and args.out:
+        logging.getLogger("darbouxkit").info("wrote %s", args.out)
     return 1 if document.get("pass") is False else 0
 
 

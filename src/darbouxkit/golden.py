@@ -5,7 +5,10 @@ where exact, numerically through the RK4 oracle elsewhere) and report
 machine-readable results.  Sampled checks draw from a seeded generator
 so runs are reproducible; each records its seed in its report.  A
 numeric check imports the oracle (``numverify``, and with it numpy)
-when it runs, so the exact checks never load numpy.
+when it runs, so the exact checks never load numpy.  This module itself
+loads only for ``verify`` and on first access to ``darbouxkit.run_checks``;
+the check names, in run order, are ``linsys.CHECK_NAMES``, so the CLI
+parser lists them without it.
 
 Report schema: {"check", "max_residual", "tolerance", "pass"} plus
 informational extras ("mode" is "max" when the measurement must stay
@@ -46,6 +49,7 @@ from .expr import (
     to_pretty,
 )
 from .linsys import (
+    CHECK_NAMES,
     DEFAULT_INTERVAL,
     DEFAULT_STEP,
     ExprMatrix,
@@ -406,18 +410,9 @@ def check_orientation_mutation(seed: int, config: VerifyConfig) -> dict:
     return _report("orientation-mutation", float(value), 1e-2, mode="min")
 
 
+# check "a-b" is the function check_a_b
 CHECKS: dict[str, Callable[[int, VerifyConfig], dict]] = {
-    "rk4-closed-form": check_rk4_closed_form,
-    "rk4-order": check_rk4_order,
-    "darboux-covariance": check_darboux_covariance,
-    "darboux-gauge": check_darboux_gauge,
-    "sym-power": check_sym_power,
-    "lifted-transforms": check_lifted_transforms,
-    "first-integrals": check_first_integrals,
-    "riccati-parametrization": check_riccati_parametrization,
-    "susy-oscillator": check_susy_oscillator,
-    "applications": check_applications,
-    "orientation-mutation": check_orientation_mutation,
+    name: globals()["check_" + name.replace("-", "_")] for name in CHECK_NAMES
 }
 
 

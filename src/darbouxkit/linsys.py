@@ -36,10 +36,16 @@ from .expr import (
 )
 
 # Default RK4 step and interval for integrating a system numerically
-# (``numverify``) and for ``verify``; numpy-free, so the exact half can
-# name them without loading the numeric one
+# (``numverify``) and for ``verify``, and verify's check names in run
+# order; numpy-free, so the exact half and the CLI parser can name them
+# without loading the numeric half or the verify suite (``golden``)
 DEFAULT_STEP = 1e-3
 DEFAULT_INTERVAL = (0.0, 1.0)
+CHECK_NAMES = (
+    "rk4-closed-form", "rk4-order", "darboux-covariance", "darboux-gauge", "sym-power",
+    "lifted-transforms", "first-integrals", "riccati-parametrization", "susy-oscillator",
+    "applications", "orientation-mutation",
+)
 
 
 class SingularGauge(KitError):

@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -410,6 +413,67 @@ def test_verify_rejects_bad_interval_and_tolerance(capsys, flag):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "bad-input"
+
+
+def _verify_flag(dest):
+    command = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    return next(a for a in command.choices["verify"]._actions if a.dest == dest)
+
+
+def test_verify_parser_and_suite_name_the_same_checks(capsys, monkeypatch):
+    # the parser lists the checks without loading golden, and golden maps
+    # each listed name to its check_ function: every such function is listed
+    functions = {n[len("check_"):].replace("_", "-") for n in vars(golden)
+                 if n.startswith("check_")}
+    assert _verify_flag("check").choices == sorted(golden.CHECKS) == sorted(functions)
+    calls = []
+
+    def run_checks(names, seed, config):
+        calls.append((names, seed, config))
+        return {"pass": True}
+
+    monkeypatch.setattr(golden, "run_checks", run_checks)
+    assert _run(capsys, ["verify", "--all"])[0] == 0
+    assert calls == [(None, golden.DEFAULT_SEED, golden.DEFAULT_CONFIG)]
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--check", "nope"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def _cli_process(argv, log_level=None):
+    """Run the CLI in a fresh interpreter, with DARBOUXKIT_LOG set to
+    ``log_level`` or unset."""
+    env = {k: v for k, v in os.environ.items() if k != "DARBOUXKIT_LOG"}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if log_level:
+        env["DARBOUXKIT_LOG"] = log_level
+    return subprocess.run([sys.executable, "-m", "darbouxkit.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize("log_level", [None, "info"])
+def test_written_artifact_is_logged_only_at_info(tmp_path, oscillator_json, log_level):
+    out = tmp_path / "operator.json"
+    proc = _cli_process(["sympow", "operator", "--family", oscillator_json, "--out", str(out)],
+                        log_level)
+    assert proc.returncode == 0
+    assert json.loads(out.read_text())["command"] == "sympow operator"
+    assert proc.stderr == ("" if log_level is None else f"darbouxkit: wrote {out}\n")
+
+
+def test_debug_log_lists_each_identity_and_the_check():
+    proc = _cli_process(["verify", "--check", "darboux-gauge"], "debug")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["pass"] is True
+    lines = [line.split(" in ")[0] for line in proc.stderr.splitlines()]
+    assert lines == [
+        "darbouxkit.golden: identity P = L R: pass",
+        "darbouxkit.golden: identity P det: pass",
+        "darbouxkit.golden: identity P gauge: pass",
+        "darbouxkit.golden: darboux-gauge: pass",
+    ]
 
 
 def test_susy_spectrum_runs_two_thousand_steps(capsys):

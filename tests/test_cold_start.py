@@ -3,8 +3,9 @@
 Importing the package, building the CLI parser, the exact verify checks
 and every exact CLI command leave numpy unloaded; the RK4 oracle and
 ``evaluate`` load it on first use.  Nor does a cold CLI call import
-dataclasses.  pytest has numpy loaded already, so each of these runs in
-a fresh interpreter.
+dataclasses, and a construction command loads neither the verify suite
+(``golden``) nor ``logging``.  pytest has numpy loaded already, so each
+of these runs in a fresh interpreter, with DARBOUXKIT_LOG unset.
 """
 
 import json
@@ -51,9 +52,10 @@ def _fresh(code: str):
     last line it prints is JSON."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     prelude = "import json, sys\nassert 'numpy' not in sys.modules\n"
+    env = {k: v for k, v in os.environ.items() if k != "DARBOUXKIT_LOG"}
     proc = subprocess.run(
         [sys.executable, "-c", prelude + textwrap.dedent(code)],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, env={**env, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
@@ -84,6 +86,47 @@ def test_import_parser_and_exact_command_leave_dataclasses_unloaded():
         print(json.dumps([before, after_parser, code, 'dataclasses' in sys.modules]))
     """)
     assert loaded == [False, False, 0, False]
+
+
+def test_construction_commands_leave_the_verify_suite_and_logging_unloaded():
+    # golden loads for verify and run_checks only, logging for DARBOUXKIT_LOG
+    # only; the first command that loads either is named
+    result = _fresh(f"""
+        import contextlib, io
+        import darbouxkit, darbouxkit.cli
+        loaded = lambda: [m for m in ('darbouxkit.golden', 'logging') if m in sys.modules]
+        darbouxkit.cli.build_parser()
+        after_parser, listed = loaded(), 'run_checks' in dir(darbouxkit)
+        codes = []
+        for argv in {EXACT_COMMANDS!r}:
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes.append(darbouxkit.cli.main(argv))
+            if loaded():
+                break
+        print(json.dumps([after_parser, listed, codes, loaded(), argv]))
+    """)
+    assert result == [[], True, [0] * len(EXACT_COMMANDS), [], EXACT_COMMANDS[-1]]
+
+
+def test_verify_and_run_checks_load_the_verify_suite():
+    # positive controls: the suite still arrives when it is asked for
+    result = _fresh("""
+        import contextlib, io
+        from darbouxkit import cli
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = cli.main(["verify", "--check", "darboux-gauge"])
+        report = json.loads(out.getvalue())
+        print(json.dumps([code, report["pass"], 'darbouxkit.golden' in sys.modules]))
+    """)
+    assert result == [0, True, True]
+    result = _fresh("""
+        import darbouxkit
+        before = 'darbouxkit.golden' in sys.modules
+        from darbouxkit import run_checks
+        report = run_checks(["darboux-gauge"])
+        print(json.dumps([before, report["pass"], 'darbouxkit.golden' in sys.modules]))
+    """)
+    assert result == [False, True, True]
 
 
 def test_exact_checks_leave_numpy_unloaded():
