@@ -27,6 +27,7 @@ from .expr import (
     Expr,
     KitError,
     ZERO,
+    _SEXPR_HEADS,
     normalize,
     parse_infix,
     parse_sexpr,
@@ -85,16 +86,19 @@ def _vector_json(ortho: OrthogonalSystem) -> dict[str, str]:
 
 
 def _expr_flag(text: str, params: Sequence[str] = ("m",)) -> Expr:
-    """Parse an expression flag; one that divides by zero is malformed too."""
+    """The normal form of an expression flag: S-expression text when it
+    opens with a list whose head that grammar knows, ``(+ x 1)``, and infix
+    otherwise, ``(1+x)/2``.  A flag that divides by zero, or that is nested
+    deeper than the readers can follow, is malformed too."""
+    opening = text.replace("(", " ( ").replace(")", " ) ").split()[:2]
     try:
-        if text.lstrip().startswith("("):
-            expr = parse_sexpr(text)
-        else:
-            expr = parse_infix(text, params=params)
-        normalize(expr)
+        if len(opening) == 2 and opening[0] == "(" and opening[1] in _SEXPR_HEADS:
+            return normalize(parse_sexpr(text))
+        return normalize(parse_infix(text, params=params))
     except KitError as exc:
         raise InputError(f"cannot parse expression {text!r}: {exc}") from exc
-    return expr
+    except RecursionError:
+        raise InputError(f"cannot parse expression {text!r}: nested too deeply") from None
 
 
 def _tower_table_for(exprs: Sequence[Expr | None],
@@ -162,7 +166,6 @@ def cmd_darboux_apply(args) -> dict:
     new_family = darboux_potential(family, seed)
     g = darboux_gauge(family, seed)
     return {
-        "command": "darboux apply",
         "input_family": family_to_json(family),
         "theta0": to_sexpr(seed.theta0),
         "level": to_sexpr(seed.level),
@@ -183,7 +186,6 @@ def cmd_darboux_chain(args) -> dict:
     family, theta0 = _theta0_for(_load_family(args.family), args.theta0)
     steps = darboux_chain(family, _fixed_seed(theta0), args.k)
     return {
-        "command": "darboux chain",
         "k": args.k,
         "theta0": to_sexpr(normalize(theta0)),
         "families": [family_to_json(step.family) for step in steps],
@@ -199,7 +201,6 @@ def cmd_sympow_operator(args) -> dict:
     family = _load_family(args.family)
     a2, a1, a0 = sym2_operator(family)
     return {
-        "command": "sympow operator",
         "coefficients": {
             "d2": to_sexpr(a2),
             "d1": to_sexpr(a1),
@@ -213,7 +214,6 @@ def cmd_sympow_system(args) -> dict:
     family = _load_family(args.family)
     lifted = sym_system(companion(family), args.power)
     return {
-        "command": "sympow system",
         "power": args.power,
         "system": system_to_json(lifted),
     }
@@ -259,7 +259,6 @@ def _application_family_from_args(args) -> SecondOrderFamily:
 def cmd_so3_lift(args) -> dict:
     ortho = ROUTES[args.route].system(_so3_family_from_args(args))
     return {
-        "command": "so3 lift",
         "route": args.route,
         **_vector_json(ortho),
         "system": system_to_json(ortho.system()),
@@ -272,7 +271,6 @@ def cmd_so3_darboux(args) -> dict:
     )[0]
     record = base.transform
     return {
-        "command": "so3 darboux",
         "route": args.route,
         "theta0": to_sexpr(base.seed.theta0),
         "transform": _matrix_json(record.gauge),
@@ -292,7 +290,6 @@ def cmd_so3_riccati(args) -> dict:
         ortho = OrthogonalSystem(f, g, h, _tower_table_for([f, g, h]))
     data = so3_to_riccati(ortho)
     document = {
-        "command": "so3 riccati",
         "omega0": to_sexpr(data.omega0),
         "omega1": to_sexpr(data.omega1),
         "mu": to_sexpr(data.mu),
@@ -315,7 +312,6 @@ def cmd_susy_partners(args) -> dict:
     pair = partner_potentials(w, table)
     mf = matrix_formalism(pair, args.order, table)
     return {
-        "command": "susy partners",
         "w": to_sexpr(pair.w),
         "v_minus": to_sexpr(pair.v_minus),
         "v_plus": to_sexpr(pair.v_plus),
@@ -338,7 +334,6 @@ def cmd_susy_spectrum(args) -> dict:
     )
     shift, energies = spectrum(pot, args.n)
     return {
-        "command": "susy spectrum",
         "a": args.a,
         "shift": to_sexpr(shift),
         "energies": [to_sexpr(e) for e in energies],
@@ -349,7 +344,6 @@ def cmd_susy_spectrum(args) -> dict:
 def cmd_susy_states(args) -> dict:
     states, _table = oscillator_states(args.n, order=args.order)
     return {
-        "command": "susy states",
         "order": args.order,
         "ground_state_symbol": "psi0",
         "states": [[to_sexpr(c) for c in state] for state in states],
@@ -364,7 +358,6 @@ def cmd_application_build(args) -> dict:
     family = _application_family_from_args(args)
     ortho, fundamental = orthogonal_lift(family, args.route)
     return {
-        "command": f"{args.command} build",
         "route": args.route,
         "family": family_to_json(family),
         "orthogonal": {**_vector_json(ortho), "system": system_to_json(ortho.system())},
@@ -380,7 +373,6 @@ def cmd_application_chain(args) -> dict:
         rule = _fixed_seed(theta0)
     links = application_chain(family, args.route, rule, args.k)
     return {
-        "command": f"{args.command} chain",
         "route": args.route,
         "k": args.k,
         "steps": [
@@ -400,12 +392,10 @@ def cmd_application_chain(args) -> dict:
 def cmd_verify(args) -> dict:
     from . import golden
 
-    given = {"step": args.step, "interval": args.interval, "tolerance": args.tol}
+    given = {"step": args.step, "interval": args.interval}
     config = golden.VerifyConfig(**{k: v for k, v in given.items() if v is not None})
     seed = golden.DEFAULT_SEED if args.seed is None else args.seed
-    result = golden.run_checks(None if args.all else args.check, seed=seed, config=config)
-    result["command"] = "verify"
-    return result
+    return golden.run_checks(None if args.all else args.check, seed=seed, config=config)
 
 
 # -- parser -----------------------------------------------------------------------
@@ -544,7 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="run one named check (repeatable)")
     # a flag left out keeps golden's default
     p_verify.add_argument("--seed", type=int)
-    p_verify.add_argument("--tol", type=float)
     p_verify.add_argument("--step", type=float)
     p_verify.add_argument("--interval", type=_interval)
     add_out(p_verify)
@@ -592,6 +581,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except KitError as exc:
         print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}), file=sys.stderr)
         return 1
+    document["command"] = " ".join(filter(None, (args.command, vars(args).get("subcommand"))))
     _emit(document, args.out)
     if level and args.out:
         logging.getLogger("darbouxkit").info("wrote %s", args.out)

@@ -1120,10 +1120,11 @@ def differentiate(e: Expr, table: DerivationTable = EMPTY_TABLE) -> Expr:
     the tree gives: its terms are then products of polynomials, whose
     reduced expansion is unique, and it ends in the same quotient.
 
-    A constant's derivative is ``0`` even where the constant is singular:
-    ``differentiate(param("k") / (const(2) - 2))`` is ``0``, while
-    ``normalize`` of that quotient raises :class:`DivisionByZeroExpr`.
+    ``e`` is normalized first, for the check only and uncached: where
+    ``normalize(e)`` raises, so does this, even when the derivative tree
+    drops the singular part, as in ``differentiate(param("k") / (const(2) - 2))``.
     """
+    _to_ratfunc(e)
     tree = _diff(e, table)
     cached = _NORMAL_CACHE.get(tree)
     if cached is not None:
@@ -1171,11 +1172,13 @@ def _poly_derivative(p: Poly, d_gens: dict[Gen, Poly]) -> Poly:
     return _reduce_radicals(out)
 
 
-def _sum(terms: list[Expr]) -> Expr:
-    """The sum of the terms that are not ZERO: a zero operand changes
-    nothing in the fold, since _rf is idempotent on its own results."""
-    terms = [t for t in terms if t is not ZERO]
-    return Add(tuple(terms)) if terms else ZERO
+def _sum(terms: Iterable[Expr]) -> Expr:
+    """The one summation rule: the flat sum of the terms that are not ZERO,
+    a lone term as itself.  A zero operand changes nothing in the fold,
+    since _rf is idempotent on its own results, and a flat sum folds as a
+    left-nested one (see _left_spine)."""
+    terms = tuple(t for t in terms if t is not ZERO)
+    return Add(terms) if len(terms) > 1 else terms[0] if terms else ZERO
 
 
 def _diff(e: Expr, table: DerivationTable) -> Expr:
@@ -1347,30 +1350,6 @@ def depends_on_x(e: Expr) -> bool:
         gen[0] in (0, 2, 3) or gen[0] == 4 and depends_on_x(gen[3].arg)
         for poly in (rf.num, rf.den) for mono in poly for gen, _ in mono[1]
     )
-
-
-def param_coefficients(e: Expr, name: str) -> dict[int, Expr]:
-    """Coefficients of powers of a parameter in the normal form of ``e``.
-
-    Requires the normalized denominator to be free of the parameter.
-    Returns a map power -> coefficient expression (normalized).
-    """
-    rf = _to_ratfunc(e)
-    gen = _gen(Param(name))
-    for mono in rf.den:
-        if any(g == gen for g, _ in mono[1]):
-            raise KitError(f"denominator depends on parameter {name!r}")
-    by_power: dict[int, Poly] = {}
-    for mono, coeff in rf.num.items():
-        power = dict(mono[1]).get(gen, 0)
-        rest = _mono_div(mono, (power, ((gen, power),))) if power else mono
-        by_power.setdefault(power, {})[rest] = coeff
-    den_expr = _poly_to_expr(rf.den)
-    out: dict[int, Expr] = {}
-    for power, poly in by_power.items():
-        num_expr = _poly_to_expr(poly)
-        out[power] = normalize(num_expr if rf.den == _POLY_ONE else Div(num_expr, den_expr))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1588,6 +1567,8 @@ class _InfixParser:
         tok = self.take()
         if tok is None:
             raise KitError("unexpected end of expression")
+        if tok in "+-*/^)":
+            raise KitError(f"unexpected {tok!r} where an operand belongs")
         if tok == "(":
             expr = self.parse_expression()
             if self.take() != ")":

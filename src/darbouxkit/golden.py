@@ -93,26 +93,22 @@ from .susyqm import (
 from .apps import frenet_family, rigid_family
 
 DEFAULT_SEED = 20260810
+# the pass bound of the numeric checks that sweep or integrate constructions
+NUMERIC_TOLERANCE = 1e-8
 
 log = logging.getLogger(__name__)
 
 
 class VerifyConfig(Record):
-    """Numeric knobs for the sampled/integrated checks.
-
-    ``tolerance`` overrides the 1e-8 pass bound of the numeric checks
-    (exactness checks and the mutation floor stay pinned); ``step`` and
-    ``interval`` control every integration.  All three must be finite,
-    the first two positive and the interval increasing.
+    """Numeric knobs for the sampled/integrated checks: ``step`` and
+    ``interval`` control every integration.  Both must be finite, the step
+    positive and the interval increasing.  Every pass bound is fixed.
     """
 
     step: float = DEFAULT_STEP
     interval: tuple[float, float] = DEFAULT_INTERVAL
-    tolerance: float = 1e-8
 
     def __post_init__(self):
-        if not 0 < self.tolerance < math.inf:
-            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
         if not 0 < self.step < math.inf:
             raise ValueError(f"step must be finite and positive, got {self.step}")
         lo, hi = self.interval
@@ -298,7 +294,7 @@ def check_first_integrals(seed: int, config: VerifyConfig) -> dict:
         drift(first_integral_sym2(osc.w), traj, ("z1", "z2", "z3"), {"w": 1.0}),
         drift(first_integral_orthogonal(), traj2, ("alpha", "beta", "gamma")),
     )
-    return _report("first-integrals", float(worst), config.tolerance)
+    return _report("first-integrals", float(worst), NUMERIC_TOLERANCE)
 
 
 def check_riccati_parametrization(seed: int, config: VerifyConfig) -> dict:
@@ -393,7 +389,7 @@ def check_applications(seed: int, config: VerifyConfig) -> dict:
         residual_sweep(pair.matrix, pair.system, grid, indices, bindings)
         for ((_, pair), bindings), grid in zip(cases, grids)
     )
-    return _report("applications", float(worst), config.tolerance,
+    return _report("applications", float(worst), NUMERIC_TOLERANCE,
                    seed=seed, samples=len(indices))
 
 

@@ -9,7 +9,6 @@ no sign ever changes silently.
 from __future__ import annotations
 
 import operator
-from functools import reduce
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .expr import (
@@ -23,6 +22,7 @@ from .expr import (
     Sym,
     ZERO,
     ONE,
+    _sum,
     as_expr,
     const,
     differentiate,
@@ -50,15 +50,6 @@ CHECK_NAMES = (
 
 class SingularGauge(KitError):
     """Gauge matrix with determinant normalizing to zero."""
-
-
-def _sum(terms: Iterable[Expr]) -> Expr:
-    """The one summation rule of :class:`ExprMatrix`: the ``ZERO`` terms
-    are dropped and the rest folded left from the first, so sparse
-    matrices build small trees (callers drop products with a ``ZERO``
-    factor too)."""
-    terms = [t for t in terms if t is not ZERO]
-    return reduce(operator.add, terms) if terms else ZERO
 
 
 class ExprMatrix:
@@ -123,6 +114,7 @@ class ExprMatrix:
         return self._entrywise(other, operator.sub)
 
     def __matmul__(self, other: "ExprMatrix") -> "ExprMatrix":
+        # no product with a ZERO factor and no ZERO term: small sparse trees
         if self.ncols != other.nrows:
             raise ValueError("matrix size mismatch")
         cols = list(zip(*other.rows))

@@ -11,9 +11,7 @@ Two flavours act on the span of degree-m monomials in X_1..X_n, ordered
 Columns of either matrix are coefficient vectors on the monomial basis.
 Solution vectors such as ``(y^2, 2 y y', y'^2)`` are coefficient
 vectors of substituted monomials, so the factor 2 in the middle entry
-comes from expansion; ``sym_power_vector`` builds them.  The plain
-monomial products ``(y^2, y y', y'^2)`` differ by the diagonal of
-multinomial weights, available as ``multinomial_diagonal``.
+comes from expansion; ``sym_power_vector`` builds them.
 """
 
 from __future__ import annotations
@@ -55,18 +53,6 @@ def sym_power_vector(values: list[Expr], m: int) -> list[Expr]:
                 term = term * vi
         out.append(normalize(const(coeff) * term))
     return out
-
-
-def multinomial_diagonal(n: int, m: int) -> ExprMatrix:
-    """Diagonal map from plain monomial products to expansion coefficients."""
-    basis = monomial_basis(n, m)
-    weights = []
-    for e in basis:
-        c = factorial(m)
-        for ei in e:
-            c //= factorial(ei)
-        weights.append(const(c))
-    return ExprMatrix.diagonal(weights)
 
 
 def _substituted_monomial(exponents: tuple[int, ...], images: list[dict]) -> dict:

@@ -50,7 +50,6 @@ from .expr import (
     equal,
     is_zero,
     normalize,
-    param_coefficients,
     rat,
 )
 from .linsys import ExprMatrix, LinearSystem, SecondOrderFamily
@@ -125,21 +124,6 @@ class OrthogonalSystem(Record):
     def system(self) -> LinearSystem:
         # -skew is its transpose, which negates each component only once
         return LinearSystem(self.skew().transpose(), self.table)
-
-    def m_split(self, m_name: str) -> tuple[ExprMatrix, ExprMatrix]:
-        """Split the internal coefficient matrix as base + m * perturbation."""
-        base_rows, pert_rows = [], []
-        for row in self.system().a.rows:
-            base_row, pert_row = [], []
-            for e in row:
-                coeffs = param_coefficients(e, m_name)
-                base_row.append(coeffs.get(0, ZERO))
-                pert_row.append(coeffs.get(1, ZERO))
-                if any(k > 1 for k in coeffs):
-                    raise KitError("coefficient matrix is not affine in the parameter")
-            base_rows.append(base_row)
-            pert_rows.append(pert_row)
-        return ExprMatrix(base_rows), ExprMatrix(pert_rows)
 
 
 # ---------------------------------------------------------------------------

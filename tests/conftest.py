@@ -15,8 +15,11 @@ from darbouxkit.expr import (
     ONE,
     Sym,
     X,
+    ZERO,
     is_zero,
     normalize,
+    param,
+    substitute,
     sym,
     symbol_tower,
 )
@@ -92,6 +95,14 @@ def transported(system: LinearSystem, g: ExprMatrix) -> LinearSystem:
     g_inv = g.inverse()
     a = g @ system.a @ g_inv - g.diff(system.table) @ g_inv
     return LinearSystem(a.normalized(), system.table)
+
+
+def m_split(a: ExprMatrix, m: str = "m") -> tuple[ExprMatrix, ExprMatrix]:
+    """``(A(0), A(1) - A(0))``, once ``A - A(0) - m (A(1) - A(0))`` normalizes to zero."""
+    base, at_one = (a.map(lambda e, v=v: substitute(e, {m: v})) for v in (ZERO, ONE))
+    pert = (at_one - base).normalized()
+    assert (a - base - pert.scale(param(m))).is_zero_matrix()
+    return base, pert
 
 
 def failed_part(t: Transformation) -> str | None:

@@ -13,7 +13,6 @@ from darbouxkit.expr import (
     is_zero,
     normalize,
     param,
-    param_coefficients,
     substitute,
     sym,
     symbol_tower,
@@ -36,7 +35,9 @@ from darbouxkit.linsys import (
     SecondOrderFamily,
     companion,
 )
-from conftest import failed_part, generic_family, oscillator_family, schrodinger_family
+from conftest import (
+    failed_part, generic_family, m_split, oscillator_family, schrodinger_family,
+)
 
 
 def test_seed_requires_riccati_certificate():
@@ -213,8 +214,8 @@ def test_first_order_link_generic():
 def test_shape_preservation_coefficients():
     fam, seed = attach_generic_seed(generic_family())
     new = darboux_potential(fam, seed)
-    coeffs = param_coefficients(new.q - new.m * new.r, fam.m_name)
-    assert equal(coeffs[1], -sym("r"))
+    _, pert = m_split(companion(new).a, fam.m_name)
+    assert equal(pert[1, 0], -sym("r"))
     assert new.p is fam.p
     assert new.r is fam.r
 

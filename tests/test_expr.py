@@ -44,7 +44,6 @@ from darbouxkit.expr import (
     is_zero,
     normalize,
     param,
-    param_coefficients,
     parse_infix,
     parse_sexpr,
     rat,
@@ -289,6 +288,16 @@ def test_differentiate_unknown_symbol():
         differentiate(sym("mystery"))
 
 
+def test_differentiate_of_a_singular_constant_raises_as_normalize_does():
+    # the derivative tree drops the constant, so its singular part must be
+    # caught on the input: the derivative used to be 0
+    for e in (param("k") / (const(2) - 2), X + (const(1) - 1) ** -1):
+        with pytest.raises(DivisionByZeroExpr):
+            normalize(e)
+        with pytest.raises(DivisionByZeroExpr):
+            differentiate(e)
+
+
 def test_radical_auto_derivative():
     r, r1 = sym("r"), sym("r_d1")
     table = DerivationTable({"r": r1})
@@ -329,14 +338,6 @@ def test_substitute_after_derivative():
     e = q + 2 * differentiate(theta0, table)
     got = substitute(e, {"theta0_d1": const(-1)})
     assert equal(got, q - 2)
-
-
-def test_param_coefficients():
-    m, r, q = param("m"), sym("r"), sym("q")
-    coeffs = param_coefficients(q - m * r + 3 * m ** 2, "m")
-    assert equal(coeffs[0], q)
-    assert equal(coeffs[1], -r)
-    assert equal(coeffs[2], const(3))
 
 
 def test_sexpr_round_trip():
@@ -385,6 +386,13 @@ def test_malformed_expression_text_names_its_fault(parse, text, message):
     with pytest.raises(KitError) as info:
         parse(text)
     assert str(info.value) == message
+
+
+def test_infix_reader_rejects_an_operator_where_an_operand_belongs():
+    # "*" and ")" used to read as symbols, and (sym )) does not read back
+    for text in ("+", "-", "*", "/", "^", "(", ")", "x + *"):
+        with pytest.raises(KitError):
+            parse_infix(text)
 
 
 def test_name_walkers_see_symbols_inside_radicals():

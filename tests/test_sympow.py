@@ -23,7 +23,6 @@ from darbouxkit.linsys import (
 )
 from darbouxkit.sympow import (
     monomial_basis,
-    multinomial_diagonal,
     sym2_operator,
     sym_group,
     sym_lie,
@@ -171,9 +170,6 @@ def test_sym_power_vector_weights():
     assert equal(vec[0], y ** 2)
     assert equal(vec[1], 2 * y * yp)
     assert equal(vec[2], yp ** 2)
-    diag = multinomial_diagonal(2, 2)
-    plain = [y ** 2, y * yp, yp ** 2]
-    assert all(equal(a, b) for a, b in zip(diag.apply(plain), vec))
 
 
 def test_sym2_operator_schrodinger_shape():
