@@ -86,19 +86,33 @@ def _vector_json(ortho: OrthogonalSystem) -> dict[str, str]:
 
 
 def _expr_flag(text: str, params: Sequence[str] = ("m",)) -> Expr:
-    """The normal form of an expression flag: S-expression text when it
-    opens with a list whose head that grammar knows, ``(+ x 1)``, and infix
-    otherwise, ``(1+x)/2``.  A flag that divides by zero, or that is nested
-    deeper than the readers can follow, is malformed too."""
-    opening = text.replace("(", " ( ").replace(")", " ) ").split()[:2]
+    """The normal form of an expression flag (see :func:`_read_flag`).  A
+    flag that divides by zero, or that is nested deeper than the readers
+    can follow, is malformed too."""
     try:
-        if len(opening) == 2 and opening[0] == "(" and opening[1] in _SEXPR_HEADS:
-            return normalize(parse_sexpr(text))
-        return normalize(parse_infix(text, params=params))
+        return normalize(_read_flag(text, params))
     except KitError as exc:
         raise InputError(f"cannot parse expression {text!r}: {exc}") from exc
     except RecursionError:
         raise InputError(f"cannot parse expression {text!r}: nested too deeply") from None
+
+
+def _read_flag(text: str, params: Sequence[str]) -> Expr:
+    """S-expression text when it opens with a list whose head that grammar
+    knows and that reader takes it, ``(+ x 1)``, and infix otherwise,
+    ``(1+x)/2`` or ``(c + 1)``.  Text that neither reader takes reports
+    the S-expression reader's error."""
+    opening = text.replace("(", " ( ").replace(")", " ) ").split()[:2]
+    if not (len(opening) == 2 and opening[0] == "(" and opening[1] in _SEXPR_HEADS):
+        return parse_infix(text, params=params)
+    try:
+        return parse_sexpr(text)
+    except (KitError, ValueError) as exc:
+        sexpr_error = exc
+    try:
+        return parse_infix(text, params=params)
+    except KitError:
+        raise KitError(str(sexpr_error)) from sexpr_error
 
 
 def _tower_table_for(exprs: Sequence[Expr | None],

@@ -1056,8 +1056,21 @@ def _poly_to_expr(p: Poly) -> Expr:
 _NORMAL_CACHE: dict[Expr, tuple[Expr, _RatFunc]] = {}
 _NORMAL_CACHE_LIMIT = 1 << 16
 
-# (monomial, coefficient parts) -> its term node; cleared with _NORMAL_CACHE
+# (monomial, coefficient parts) -> its term node
 _TERM_CACHE: dict[tuple, Expr] = {}
+
+# printed root, or term of a printed normal form -> its S-expression text
+_TEXT_CACHE: dict[Expr, str] = {}
+
+
+def _bound_caches() -> None:
+    """Clear the normal-form, term and text caches together once any of
+    them holds more than _NORMAL_CACHE_LIMIT entries."""
+    limit = _NORMAL_CACHE_LIMIT
+    if len(_NORMAL_CACHE) > limit or len(_TERM_CACHE) > limit or len(_TEXT_CACHE) > limit:
+        _NORMAL_CACHE.clear()
+        _TERM_CACHE.clear()
+        _TEXT_CACHE.clear()
 
 
 def normalize(e: Expr) -> Expr:
@@ -1088,9 +1101,7 @@ def _remember(e: Expr, rf: _RatFunc) -> Expr:
         out = ZERO
     else:
         out = Div(_poly_to_expr(rf.num), _poly_to_expr(rf.den))
-    if len(_NORMAL_CACHE) > _NORMAL_CACHE_LIMIT or len(_TERM_CACHE) > _NORMAL_CACHE_LIMIT:
-        _NORMAL_CACHE.clear()
-        _TERM_CACHE.clear()
+    _bound_caches()
     _NORMAL_CACHE[e] = _NORMAL_CACHE[out] = (out, rf)
     return out
 
@@ -1364,13 +1375,50 @@ def depends_on_x(e: Expr) -> bool:
 #   RAT   := optionally signed integer or integer/integer
 
 
-def _rat_str(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+def _rat_text(n: int, d: int) -> str:
+    """The reduced text of the rational ``n/d`` for ``d > 0``."""
+    g = gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
 
 
 def to_sexpr(e: Expr) -> str:
-    """Canonical S-expression text for ``e`` (not normalized first), from one
-    loop over a stack of nodes and text, so a tree of any depth prints."""
+    """Canonical S-expression text for ``e`` (not normalized first).
+
+    The text of each printed root is kept in _TEXT_CACHE, and so is the
+    text of each term of a printed normal form: those are the shared term
+    nodes, so another normal form that holds them prints them by lookup.
+    Interior nodes of other trees are not kept, so a long sum printed
+    once adds one entry, not one per prefix.
+    """
+    text = _TEXT_CACHE.get(e)
+    if text is None:
+        _bound_caches()
+        cached = _NORMAL_CACHE.get(e)
+        text = _TEXT_CACHE[e] = (_normal_sexpr(e) if cached is not None and cached[0] is e
+                                 else _sexpr(e))
+    return text
+
+
+def _normal_sexpr(n: Expr) -> str:
+    """The text of the normal form ``n``, from the kept text of each of the
+    terms of its numerator and denominator."""
+    parts = (n.num, n.den) if type(n) is Div else (n,)
+    texts = []
+    for part in parts:
+        is_sum = type(part) is Add
+        words = []
+        for term in part.terms if is_sum else (part,):
+            word = _TEXT_CACHE.get(term)
+            if word is None:
+                word = _TEXT_CACHE[term] = _sexpr(term)
+            words.append(word)
+        texts.append(f"(+ {' '.join(words)})" if is_sum else words[0])
+    return f"(/ {texts[0]} {texts[1]})" if len(texts) == 2 else texts[0]
+
+
+def _sexpr(e: Expr) -> str:
+    """The text of ``e``, from one loop over a stack of nodes and text, so
+    a tree of any depth prints."""
     out: list[str] = []
     stack: list = [e]
     while stack:
@@ -1381,7 +1429,7 @@ def to_sexpr(e: Expr) -> str:
         elif kind is Const:
             v = node.value
             if v._b:
-                out.append(f"(c {_rat_str(v.re)} {_rat_str(v.im)})")
+                out.append(f"(c {_rat_text(v._a, v._d)} {_rat_text(v._b, v._d)})")
             else:
                 # gcd(a, d) == 1 when b == 0, so a/d is the reduced real part
                 out.append(str(v._a) if v._d == 1 else f"{v._a}/{v._d}")
@@ -1510,11 +1558,24 @@ def _tokenize_infix(text: str) -> list[str]:
     return out
 
 
+# leading minus signs and open parentheses around one operand; each
+# parenthesis costs the reader five frames, so 100 stay well inside the
+# default recursion limit, and the trees they build stay shallow enough
+# for the recursive walks
+_INFIX_MAX_DEPTH = 100
+
+
 class _InfixParser:
     def __init__(self, tokens: list[str], params: set[str]):
         self.tokens = tokens
         self.pos = 0
         self.params = params
+        self.depth = 0
+
+    def nest(self, levels: int) -> None:
+        self.depth += levels
+        if self.depth > _INFIX_MAX_DEPTH:
+            raise KitError("nested too deeply")
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -1541,13 +1602,15 @@ class _InfixParser:
         return expr
 
     def parse_unary(self) -> Expr:
-        if self.peek() == "-":
-            self.take()
-            return -self.parse_unary()
-        if self.peek() == "+":
-            self.take()
-            return self.parse_unary()
-        return self.parse_power()
+        negations = 0
+        while self.peek() in ("-", "+"):
+            negations += self.take() == "-"
+        self.nest(negations)
+        expr = self.parse_power()
+        self.depth -= negations
+        for _ in range(negations):
+            expr = -expr
+        return expr
 
     def parse_power(self) -> Expr:
         base = self.parse_atom()
@@ -1570,10 +1633,7 @@ class _InfixParser:
         if tok in "+-*/^)":
             raise KitError(f"unexpected {tok!r} where an operand belongs")
         if tok == "(":
-            expr = self.parse_expression()
-            if self.take() != ")":
-                raise KitError("missing closing parenthesis")
-            return expr
+            return self.parse_parenthesized()
         if tok.isdigit():
             return Const(int(tok))
         if tok == "i":
@@ -1582,46 +1642,85 @@ class _InfixParser:
             return X
         if tok == "exp" and self.peek() == "(":
             self.take()
-            arg = self.parse_expression()
-            if self.take() != ")":
-                raise KitError("missing closing parenthesis")
-            return Apply("exp", arg)
+            return Apply("exp", self.parse_parenthesized())
         if tok in self.params:
             return Param(tok)
         return Sym(tok)
 
+    def parse_parenthesized(self) -> Expr:
+        """The expression after an opening parenthesis, through its close."""
+        self.nest(1)
+        expr = self.parse_expression()
+        if self.take() != ")":
+            raise KitError("missing closing parenthesis")
+        self.depth -= 1
+        return expr
+
 
 def to_pretty(e: Expr) -> str:
-    """Human-oriented infix rendering (lossy; use to_sexpr to round-trip)."""
-    return _pretty(e, 0)
+    """Human-oriented infix rendering (lossy; use to_sexpr to round-trip).
+
+    One loop over a stack of (node, precedence, number of children) entries,
+    so a tree of any depth prints: a node's entry goes back on the stack
+    above its children's, and once their texts are done it joins them.
+    """
+    done: list[str] = []
+    stack: list = [(e, 0, None)]
+    while stack:
+        node, prec, arity = stack.pop()
+        kind = type(node)
+        if arity is not None:
+            texts = done[len(done) - arity:]
+            del done[len(done) - arity:]
+            done.append(_pretty_join(node, kind, prec, texts))
+        elif kind is Const:
+            done.append(_pretty_const(node.value, prec))
+        elif kind is Var:
+            done.append("x")
+        elif kind is Param or kind is Sym or kind is Radical:
+            done.append(node.name)
+        else:
+            if kind is Add:
+                children = [(t, 1) for t in node.terms]
+            elif kind is Mul:
+                children = [(f, 2) for f in node.factors]
+            elif kind is Pow:
+                children = [(node.base, 3)]
+            elif kind is Div:
+                children = [(node.num, 2), (node.den, 3)]
+            elif kind is Apply:
+                children = [(node.arg, 0)]
+            else:
+                raise TypeError(f"unknown node {kind.__name__}")
+            stack.append((node, prec, len(children)))
+            stack += [(child, p, None) for child, p in reversed(children)]
+    return done[0]
 
 
-def _pretty(e: Expr, prec: int) -> str:
-    if isinstance(e, Const):
-        v = e.value
-        if v.im == 0:
-            s = _rat_str(v.re)
-            return f"({s})" if (v.re < 0 and prec > 0) else s
-        if v.re == 0:
-            if v.im == 1:
-                return "i"
-            return f"{_rat_str(v.im)}*i" if prec <= 1 else f"({_rat_str(v.im)}*i)"
-        s = f"{_rat_str(v.re)}{'+' if v.im > 0 else '-'}{_rat_str(abs(v.im))}*i"
-        return f"({s})"
-    if isinstance(e, Var):
-        return "x"
-    if isinstance(e, (Param, Sym, Radical)):
-        return e.name
-    if isinstance(e, Add):
-        s = " + ".join(_pretty(t, 1) for t in e.terms).replace("+ -", "- ")
+def _pretty_join(node: Expr, kind: type, prec: int, texts: list[str]) -> str:
+    """The text of ``node`` at precedence ``prec`` from its children's."""
+    if kind is Add:
+        s = " + ".join(texts).replace("+ -", "- ")
         return f"({s})" if prec > 1 else s
-    if isinstance(e, Mul):
-        s = "*".join(_pretty(f, 2) for f in e.factors)
+    if kind is Mul:
+        s = "*".join(texts)
         return f"({s})" if prec > 2 else s
-    if isinstance(e, Pow):
-        return f"{_pretty(e.base, 3)}^{e.exponent}"
-    if isinstance(e, Div):
-        return f"{_pretty(e.num, 2)}/{_pretty(e.den, 3)}"
-    if isinstance(e, Apply):
-        return f"{e.func}({_pretty(e.arg, 0)})"
-    raise TypeError(f"unknown node {e!r}")
+    if kind is Pow:
+        return f"{texts[0]}^{node.exponent}"
+    if kind is Div:
+        return f"{texts[0]}/{texts[1]}"
+    return f"{node.func}({texts[0]})"
+
+
+def _pretty_const(v: GaussRat, prec: int) -> str:
+    a, b, d = v._a, v._b, v._d
+    if b == 0:
+        # gcd(a, d) == 1 when b == 0, so a/d is the reduced value
+        s = str(a) if d == 1 else f"{a}/{d}"
+        return f"({s})" if (a < 0 and prec > 0) else s
+    if a == 0:
+        if b == d:
+            return "i"
+        s = _rat_text(b, d)
+        return f"{s}*i" if prec <= 1 else f"({s}*i)"
+    return f"({_rat_text(a, d)}{'+' if b > 0 else '-'}{_rat_text(abs(b), d)}*i)"

@@ -231,13 +231,28 @@ def test_an_operator_where_an_operand_belongs_is_bad_input(capsys):
     (["susy", "partners"], "--w", "(1+x)/2", "1/2+x/2"),
     (["susy", "partners"], "--w", "(-x)", "-x"),
     (["so3", "riccati", "--route", "Q"], "--f", "(x)", "x"),
-], ids=["quotient", "negation", "parenthesized"])
+    (["susy", "partners"], "--w", "(c + 1)", "c + 1"),
+], ids=["quotient", "negation", "parenthesized", "symbol-named-like-a-head"])
 def test_infix_that_opens_with_a_parenthesis_reads_as_infix(capsys, command, flag, text, same):
     # only a list whose head the S-expression grammar knows goes to that
     # reader, as (rad s x) does; this text used to fail there
     code, out, _ = _run(capsys, command + [flag, text])
     assert code == 0
     assert out == _run(capsys, command + [flag, same])[1]
+
+
+@pytest.mark.parametrize("text, detail", [
+    ("(^ x)", "malformed (^ ...) in expression text: expected (^ expr INT)"),
+    ("(c 1 x)", "Invalid literal for Fraction: 'x'"),
+])
+def test_a_flag_neither_reader_takes_reports_the_sexpr_error(capsys, text, detail):
+    # (c + 1) reads as infix when the S-expression reader rejects it; text
+    # that infix rejects as well names the S-expression fault
+    code, out, err = _run(capsys, ["susy", "partners", "--w", text])
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "bad-input", "detail": f"cannot parse expression {text!r}: {detail}",
+    }
 
 
 def test_a_long_flag_is_read_as_its_normal_form(capsys):

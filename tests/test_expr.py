@@ -51,6 +51,7 @@ from darbouxkit.expr import (
     sym,
     symbol_names,
     symbol_tower,
+    to_pretty,
     to_sexpr,
     Var,
 )
@@ -395,6 +396,38 @@ def test_infix_reader_rejects_an_operator_where_an_operand_belongs():
             parse_infix(text)
 
 
+@pytest.mark.parametrize("text", [
+    "-" * 1200 + "x", "(" * 1200 + "x" + ")" * 1200, "exp(" * 1200 + "x" + ")" * 1200,
+], ids=["minus-signs", "parentheses", "applications"])
+def test_infix_nested_too_deeply_raises_kit_error(text):
+    # each used to raise RecursionError
+    with pytest.raises(KitError) as info:
+        parse_infix(text)
+    assert str(info.value) == "nested too deeply"
+
+
+def test_infix_nested_within_the_limit_reads_as_before():
+    # a run of signs is read in a loop and applied innermost first
+    negated = X
+    for _ in range(kernel._INFIX_MAX_DEPTH):
+        negated = -negated
+    assert parse_infix("-" * kernel._INFIX_MAX_DEPTH + "x") == negated
+    assert parse_infix("- + - x") == -(-X)
+    assert parse_infix("(" * kernel._INFIX_MAX_DEPTH + "x" + ")" * kernel._INFIX_MAX_DEPTH) == X
+
+
+@pytest.mark.parametrize("e, text", [
+    (normalize((X + 1) ** 2 / (X - rat(1, 2) * I)), "(x^2 + 2*x + 1)/(x - 1/2*i)"),
+    (exp(-(X ** 2) / 2), "exp((-1)*x^2/2)"),
+    (Const(GaussRat(Fraction(1, 2), -3)) * X, "(1/2-3*i)*x"),
+    ((X + 1) * (X - 1) - I * 3, "(x + 1)*(x + (-1)*1) + (-1)*i*3"),
+    (-I * X + sym("q") ** -2 + Radical("s", X), "(-1)*i*x + q^-2 + s"),
+    (Const(GaussRat(0, Fraction(-2, 3))) + X / (param("k") + I), "-2/3*i + x/(k + i)"),
+])
+def test_pretty_text(e, text):
+    assert to_pretty(e) == text
+
+
 def test_name_walkers_see_symbols_inside_radicals():
     # the radical's square holds the symbol a; only Sym names are
     # table-dependent, so symbol_names skips the radical and the parameter
@@ -628,6 +661,7 @@ def test_array_evaluate_matches_sympy_lambdify(e):
 def _clear_caches():
     kernel._NORMAL_CACHE.clear()
     kernel._TERM_CACHE.clear()
+    kernel._TEXT_CACHE.clear()
 
 
 def _normal_text(e):
@@ -697,6 +731,67 @@ def test_equal_normal_forms_share_their_terms(e):
     first, second = _normal_terms(n), _normal_terms(again)
     assert len(first) == len(second)
     assert all(a is b for a, b in zip(first, second))
+
+
+def _normal_or_none(e):
+    try:
+        return normalize(e)
+    except DivisionByZeroExpr:
+        return None
+
+
+@settings(max_examples=max(150, settings.default.max_examples), deadline=None)
+@given(_numeric_exprs(3))
+def test_warm_text_is_the_cold_text(e):
+    # every subtree and its normal form print once to warm the text cache
+    # (a normal form through the kept text of its terms) and once from it,
+    # and each prints as it does after every cache is cleared
+    _clear_caches()
+    trees = [*_subtrees(e), e]
+    trees += [n for n in map(_normal_or_none, trees) if n is not None]
+    warm = [to_sexpr(t) for t in trees]
+    assert [to_sexpr(t) for t in trees] == warm
+    cold = []
+    for t in trees:
+        _clear_caches()
+        cold.append(to_sexpr(t))
+    assert cold == warm
+
+
+def test_reprinting_a_normal_form_does_not_walk_it(monkeypatch):
+    walked = []
+    walk = kernel._sexpr
+    monkeypatch.setattr(kernel, "_sexpr", lambda e: walked.append(e) or walk(e))
+    _clear_caches()
+    n = normalize((X + param("a")) ** 3 / (X - 1))
+    text = to_sexpr(n)
+    # the first print walks each term once, and the root not at all
+    assert walked == _normal_terms(n)
+    walked.clear()
+    assert to_sexpr(n) == text and walked == []
+    # another normal form walks only the terms it does not share
+    to_sexpr(normalize((X + param("a")) ** 3 + param("z")))
+    assert walked == [param("z")]
+
+
+def test_text_cache_stays_bounded_and_clears_with_the_others(monkeypatch):
+    limit = 16
+    monkeypatch.setattr(kernel, "_NORMAL_CACHE_LIMIT", limit)
+    _clear_caches()
+    n = normalize((X + param("a")) ** 2)
+    to_sexpr(n)
+    # trees printed without being normalized keep one text each, and the
+    # text cache's clearing empties the normal-form and term caches too
+    for i in range(100):
+        to_sexpr(param(f"a{i}") * X + i)
+        assert len(kernel._TEXT_CACHE) <= limit + 1
+    assert not kernel._NORMAL_CACHE and not kernel._TERM_CACHE
+    # and the normal-form cache's clearing empties the text cache
+    to_sexpr(n)
+    assert n in kernel._TEXT_CACHE
+    for i in range(limit):
+        normalize(param(f"b{i}") + X)
+    assert n not in kernel._TEXT_CACHE
 
 
 def _key_read(self):
@@ -796,6 +891,15 @@ def test_a_sum_deeper_than_the_stack_prints_reads_back_and_squares_under_a_radic
     # the radical's generator key prints its square
     s = Radical("s", deep)
     assert normalize(s * s) == normalize(deep)
+
+
+def test_a_sum_deeper_than_the_stack_pretty_prints_as_one_text():
+    deep = sum([param(f"a{i}") * X for i in range(2000)], const(0))
+    assert to_pretty(deep) == " + ".join(["0"] + [f"a{i}*x" for i in range(2000)])
+    # its S-expression text is kept for the root alone, not for each prefix
+    _clear_caches()
+    to_sexpr(deep)
+    assert list(kernel._TEXT_CACHE) == [deep]
 
 
 def test_names_of_a_sum_deeper_than_the_stack():
