@@ -588,8 +588,14 @@ def symbol_tower(base: str, depth: int) -> dict[str, Expr]:
 # of a (monomial, coefficient) pair once and keeps it in _TERM_CACHE.  A
 # term is built from its key alone, so sharing changes which objects a
 # normal form holds, never its structure, and it saves rebuilding and
-# rehashing the term.  The term cache is cleared with _NORMAL_CACHE, once
-# either holds more than _NORMAL_CACHE_LIMIT entries.
+# rehashing the term.
+#
+# Three caches hold the kernel's reusable work: _NORMAL_CACHE (inputs and
+# normal forms to their normal form), _TERM_CACHE (term nodes) and
+# _TEXT_CACHE (the printed text of roots and of the terms of printed
+# normal forms).  One bound, _NORMAL_CACHE_LIMIT, holds for each, and one
+# rule, _bound_caches, clears all three together once any of them passes
+# it, whether normalizing or printing filled it.
 
 Gen = tuple
 Mono = tuple
@@ -1384,11 +1390,9 @@ def _rat_text(n: int, d: int) -> str:
 def to_sexpr(e: Expr) -> str:
     """Canonical S-expression text for ``e`` (not normalized first).
 
-    The text of each printed root is kept in _TEXT_CACHE, and so is the
-    text of each term of a printed normal form: those are the shared term
-    nodes, so another normal form that holds them prints them by lookup.
-    Interior nodes of other trees are not kept, so a long sum printed
-    once adds one entry, not one per prefix.
+    _TEXT_CACHE keeps the text of each printed root and of each term of a
+    printed normal form (the shared term nodes).  Interior nodes of other
+    trees are not kept, so a long sum printed once adds one entry.
     """
     text = _TEXT_CACHE.get(e)
     if text is None:
@@ -1672,7 +1676,7 @@ def to_pretty(e: Expr) -> str:
         if arity is not None:
             texts = done[len(done) - arity:]
             del done[len(done) - arity:]
-            done.append(_pretty_join(node, kind, prec, texts))
+            done.append(_pretty_join(node, prec, texts))
         elif kind is Const:
             done.append(_pretty_const(node.value, prec))
         elif kind is Var:
@@ -1697,8 +1701,9 @@ def to_pretty(e: Expr) -> str:
     return done[0]
 
 
-def _pretty_join(node: Expr, kind: type, prec: int, texts: list[str]) -> str:
+def _pretty_join(node: Expr, prec: int, texts: list[str]) -> str:
     """The text of ``node`` at precedence ``prec`` from its children's."""
+    kind = type(node)
     if kind is Add:
         s = " + ".join(texts).replace("+ -", "- ")
         return f"({s})" if prec > 1 else s
@@ -1715,8 +1720,7 @@ def _pretty_join(node: Expr, kind: type, prec: int, texts: list[str]) -> str:
 def _pretty_const(v: GaussRat, prec: int) -> str:
     a, b, d = v._a, v._b, v._d
     if b == 0:
-        # gcd(a, d) == 1 when b == 0, so a/d is the reduced value
-        s = str(a) if d == 1 else f"{a}/{d}"
+        s = _rat_text(a, d)
         return f"({s})" if (a < 0 and prec > 0) else s
     if a == 0:
         if b == d:
