@@ -1259,7 +1259,10 @@ def evaluate(e: Expr, bindings: Mapping[str, complex]) -> complex | np.ndarray:
     global np
     if np is None:
         import numpy as np
-    return _evaluate(e, bindings)
+    try:
+        return _evaluate(e, bindings)
+    except RecursionError:
+        return _evaluate_stack(e, bindings)
 
 
 def _evaluate(e: Expr, bindings: Mapping[str, complex]) -> complex | np.ndarray:
@@ -1289,6 +1292,51 @@ def _evaluate(e: Expr, bindings: Mapping[str, complex]) -> complex | np.ndarray:
     if isinstance(e, Apply):
         return np.exp(_evaluate(e.arg, bindings))
     raise TypeError(f"unknown node {e!r}")
+
+
+def _evaluate_stack(e: Expr, bindings: Mapping[str, complex]) -> complex | np.ndarray:
+    """:func:`_evaluate` as one loop over a stack of ``(node, children,
+    values)`` frames, for trees deeper than the interpreter's stack.  Each
+    node folds its children's values with the same operations in the same
+    order, so the value is bitwise the recursive walk's."""
+    frames: list = []
+    node = e
+    while True:
+        kind = type(node)
+        children = (node.terms if kind is Add else node.factors if kind is Mul
+                    else (node.base,) if kind is Pow else (node.den, node.num) if kind is Div
+                    else (node.arg,) if kind is Apply else None)
+        if children:
+            frames.append((node, children, []))
+            node = children[0]
+            continue
+        value = _evaluate(node, bindings)  # a leaf, or an empty sum or product
+        while frames:
+            node, children, values = frames[-1]
+            if type(node) is Div and not values and np.any(value == 0):
+                raise EvalSingularity("division by numeric zero")
+            values.append(value)
+            if len(values) < len(children):
+                node = children[len(values)]
+                break
+            frames.pop()
+            kind = type(node)
+            if kind is Add:
+                value = sum(values)
+            elif kind is Mul:
+                value = 1 + 0j
+                for v in values:
+                    value *= v
+            elif kind is Pow:
+                if node.exponent < 0 and np.any(values[0] == 0):
+                    raise EvalSingularity("zero base with negative exponent")
+                value = values[0] ** node.exponent
+            elif kind is Div:
+                value = values[1] / values[0]
+            else:
+                value = np.exp(values[0])
+        else:
+            return value
 
 
 def _binding(bindings: Mapping[str, complex], name: str):
@@ -1685,7 +1733,7 @@ def to_pretty(e: Expr) -> str:
             done.append(node.name)
         else:
             if kind is Add:
-                children = [(t, 1) for t in node.terms]
+                children = [(t, 1) for t in _sum_run(node)]
             elif kind is Mul:
                 children = [(f, 2) for f in node.factors]
             elif kind is Pow:
@@ -1699,6 +1747,22 @@ def to_pretty(e: Expr) -> str:
             stack.append((node, prec, len(children)))
             stack += [(child, p, None) for child, p in reversed(children)]
     return done[0]
+
+
+def _sum_run(e: Add) -> list[Expr]:
+    """The terms of ``e`` with each nonempty first term that is itself a
+    sum replaced by its terms, down the left spine.  A sum inside a sum is
+    never parenthesized and the outer join's replace covers the inner one's,
+    so ``to_pretty`` joins the whole run at once: in linear time, where
+    joining level by level copies every lower level's text again."""
+    rests = []
+    while e.terms and type(e.terms[0]) is Add and e.terms[0].terms:
+        rests.append(e.terms[1:])
+        e = e.terms[0]
+    out = list(e.terms)
+    for rest in reversed(rests):
+        out.extend(rest)
+    return out
 
 
 def _pretty_join(node: Expr, prec: int, texts: list[str]) -> str:

@@ -344,7 +344,7 @@ def check_susy_oscillator(seed: int, config: VerifyConfig) -> dict:
 
 
 def check_applications(seed: int, config: VerifyConfig) -> dict:
-    from .numverify import companion_solution_grids, residual_sweep
+    from .numverify import companion_solution_grids, residual_sweeps
 
     rng = Random(seed)
     table = DerivationTable(
@@ -385,9 +385,15 @@ def check_applications(seed: int, config: VerifyConfig) -> dict:
         [(family, bindings) for (family, _), bindings in cases], config.interval, config.step,
     )
     indices = grids[0].sample_indices(5)
+    # one sweep per route, over the grids of its five bindings
     worst = max(
-        residual_sweep(pair.matrix, pair.system, grid, indices, bindings)
-        for ((_, pair), bindings), grid in zip(cases, grids)
+        value
+        for route in lifted
+        for value in residual_sweeps(
+            route[1].matrix, route[1].system,
+            [(grid, bindings) for (owner, bindings), grid in zip(cases, grids) if owner is route],
+            indices,
+        )
     )
     return _report("applications", float(worst), NUMERIC_TOLERANCE,
                    seed=seed, samples=len(indices))

@@ -4,22 +4,27 @@ Classical fixed-step RK4 over complex state vectors or matrices (a
 fundamental matrix is one matrix state), plus residual and
 first-integral drift measurements of symbolic predictions along
 integrated trajectories.  Each expression is evaluated for many points
-at once with array bindings: the coefficient matrix per block of steps
-at the block's grid nodes and midpoints, a residual's candidate and
-coefficient matrix around its samples (differenced for the derivative),
-a first integral along the whole trajectory.  From a block's
-coefficient values every step's RK4 increment matrix ``D_k`` (with
-``X_{k+1} = X_k + D_k X_k``) is built in batch.  The block's L steps
-are then stepped in about sqrt(L) runs: one prefix scan over all runs
-at once turns each run's increments into the products of its leading
-steps, and each run then maps the state to all of its steps' states in
-one stacked product, so a block takes O(sqrt L) Python iterations, not
-L.  Independent problems of one size are stacked and share that
-stepping (:func:`integrate_many`), and :func:`integrate` is the
-one-problem case.  Solution grids are built from second-order families:
-two companion solutions back the entries of the family's abstract
-fundamental matrix, and a symbolic Wronskian datum ``w`` is integrated
-alongside from ``w' = p w``.
+at once with array bindings: the coefficient matrix once per block of
+steps at the block's grid nodes and midpoints, a residual's candidate
+and coefficient matrix around the samples of every case of a sweep
+(differenced for the derivative), a first integral along the whole
+trajectory.  The steps are cut into segments of 256.  A block takes as
+many whole segments as keep its increment entries ``n * n * P * L`` (P
+stacked n x n problems, L steps) within ten 3 x 3 problems over one
+segment, and at least one; a partial last segment is a block of its
+own.  From a block's coefficient values every step's RK4 increment
+matrix ``D_k`` (with ``X_{k+1} = X_k + D_k X_k``) is built in batch, one
+segment at a time.  A segment is stepped in 16 runs of 16 steps (a
+partial one of L steps in about sqrt(L) runs): one prefix scan over all
+of a block's runs at once turns each run's increments into the products
+of its leading steps, and each run then maps the state to all of its
+steps' states in one stacked product, so a block of L steps takes about
+L/16 + 16 Python iterations, not L.  Independent problems of one size
+are stacked and share that stepping (:func:`integrate_many`), and
+:func:`integrate` is the one-problem case.  Solution grids are built
+from second-order families: two companion solutions back the entries of
+the family's abstract fundamental matrix, and a symbolic Wronskian datum
+``w`` is integrated alongside from ``w' = p w``.
 Defaults: step 1e-3 on [0, 1] (global RK4 error ~ h^4 leaves three
 orders of margin for roundoff under the 1e-8 pass tolerance of the
 verify checks).  No adaptivity and no stiffness handling; coefficient
@@ -44,7 +49,9 @@ from .linsys import (
     companion,
 )
 
-_BLOCK = 256  # RK4 steps per coefficient evaluation; bounds the arrays of one block
+# Bound on the increment entries n*n*P*L of one block of L RK4 steps for P
+# stacked n x n problems: ten 3 x 3 problems over one 256-step segment
+_BLOCK_ENTRIES = 10 * 3 * 3 * 256
 # Sixth-order central first difference in units of 1/h: at step 5e-3 a
 # fourth-order one errs by ~5e-8, above both RK4's ~8e-10 and the 1e-8 bound
 _CENTRAL = np.array([-1, 9, -45, 0, 45, -9, 1]) / 60
@@ -118,12 +125,16 @@ def _rk4(problems, interval: tuple[float, float], h: float) -> list[Trajectory]:
     :func:`integrate`.  Both call it directly, so that a traced
     :func:`integrate` call is one span that holds its own stepping.
 
-    A block of L steps is cut into runs of ``isqrt(L - 1) + 1`` steps.
-    A scan within all runs at once replaces each increment by ``T - I``
-    for the product ``T`` of the run's steps up to it, using ``(I + a)(I
-    + b) = I + a + b + a b``; then the runs are walked in order, each
-    giving its states as ``y + (T - I) y`` from the state ``y`` before
-    it.  ``I + D`` is never formed, so its rounding never accumulates.
+    Blocks are sized by ``_BLOCK_ENTRIES`` in whole 256-step segments, and
+    a block's runs are 16 steps (``isqrt(L - 1) + 1`` steps in a partial
+    last segment of L steps), so that no run straddles two segments.
+    A scan within all of a block's runs at once replaces each increment
+    by ``T - I`` for the product ``T`` of the run's steps up to it, using
+    ``(I + a)(I + b) = I + a + b + a b``; then the runs are walked in
+    order, each giving its states as ``y + (T - I) y`` from the state
+    ``y`` before it.  ``I + D`` is never formed, so its rounding never
+    accumulates.  Every step gets the same arithmetic at any block size,
+    so a trajectory does not depend on how many problems share it.
     Increments and states are stored with the matrix axes first and the
     batch axes (problem, step) last, so that each numpy operation runs
     over long contiguous axes."""
@@ -150,22 +161,35 @@ def _rk4(problems, interval: tuple[float, float], h: float) -> list[Trajectory]:
     y = np.moveaxis(np.stack(starts).reshape(len(problems), n, -1), 0, -1)
     states = np.empty((len(problems), steps + 1) + y.shape[:2], dtype=np.complex128)
     states[:, 0] = np.moveaxis(y, -1, 0)
-    for first in range(0, steps, _BLOCK):
-        last = min(first + _BLOCK, steps)
-        nodes = np.empty(2 * (last - first) + 1)
+    # segments of 16 runs of 16 steps: whole ones first, as many to a block
+    # as _BLOCK_ENTRIES allows but at least one, then the partial last
+    # segment as a block of its own
+    segment = 256
+    whole = steps - steps % segment
+    per_block = max(1, _BLOCK_ENTRIES // (n * n * len(problems) * segment)) * segment
+    blocks = [(first, min(first + per_block, whole)) for first in range(0, whole, per_block)]
+    if whole < steps:
+        blocks.append((whole, steps))
+    for first, last in blocks:
+        size = last - first
+        nodes = np.empty(2 * size + 1)
         nodes[0::2] = xs[first:last + 1]
         nodes[1::2] = xs[first:last] + h / 2
         # the block's increments in `chunks` runs of `run` steps, axes (row,
-        # column, problem, step); zero increments pad the last run
-        run = math.isqrt(last - first - 1) + 1
-        chunks = -(-(last - first) // run)
+        # column, problem, step); zero increments pad the last run.  A whole
+        # segment is 16 runs of 16 steps, so runs never straddle segments
+        run = math.isqrt(min(size, segment) - 1) + 1
+        chunks = -(-size // run)
         d = np.zeros((n, n, len(problems), chunks * run), dtype=np.complex128)
         for p, (exprs, (_, _, bindings)) in enumerate(zip(entries, problems)):
             values = _grid_values(exprs, bindings or {}, nodes, "coefficient")
             # -A at the nodes, axes (row, column, node); step k uses nodes
             # 2j, 2j + 1 and 2j + 2 with j = k - first
             f = -np.stack([np.broadcast_to(v, nodes.shape) for v in values]).reshape(n, n, -1)
-            d[:, :, p, :last - first] = _increments(f[..., 0:-1:2], f[..., 1::2], f[..., 2::2], h)
+            for a in range(0, size, segment):
+                b = min(a + segment, size)
+                d[:, :, p, a:b] = _increments(f[..., 2 * a:2 * b:2], f[..., 2 * a + 1:2 * b:2],
+                                              f[..., 2 * a + 2:2 * b + 1:2], h)
         d = d.reshape(n, n, len(problems), chunks, run)
         for j in range(1, run):
             d[..., j] += d[..., j - 1] + _matmul(d[..., j], d[..., j - 1])
@@ -189,14 +213,15 @@ def integrate_many(
     triple as taken by :func:`integrate`; all share ``n`` and the state
     shape (a vector of length n or an n x m matrix), and an empty list
     raises ``ValueError``.  The states are stacked and stepped together:
-    per block of steps every problem's coefficient matrix is evaluated at
-    the block's grid nodes and midpoints and its RK4 increments ``D_k``
-    are built in batch (with ``X_{k+1} = X_k + D_k X_k``, the exact RK4
-    map of a linear system) into one array for the stack; the block is
-    then stepped in about sqrt(L) runs of its L steps, each one stacked
-    product for every problem and every step of the run.  Returns one
-    trajectory per problem, in order; each problem gets the arithmetic
-    that :func:`integrate` does for it alone.
+    per block of whole 256-step segments (as many as keep the stack's
+    increments within ``_BLOCK_ENTRIES``) every problem's coefficient
+    matrix is evaluated at the block's grid nodes and midpoints, and its
+    RK4 increments ``D_k`` are built in batch (with ``X_{k+1} = X_k + D_k
+    X_k``, the exact RK4 map of a linear system) into one array for the
+    stack; the block is then stepped in runs of 16 steps, each one
+    stacked product for every problem and every step of the run.
+    Returns one trajectory per problem, in order; each problem gets the
+    arithmetic that :func:`integrate` does for it alone, bit for bit.
     """
     return _rk4(problems, interval, h)
 
@@ -214,10 +239,10 @@ def integrate(
     are integrated together.  ``bindings`` fixes numeric values for every
     parameter and symbol appearing in the coefficient matrix.  This is
     the one-problem call of :func:`integrate_many`, which has the only
-    stepping routine: per block of steps the RK4 increments ``D_k`` (with
-    ``X_{k+1} = X_k + D_k X_k``) are built in batch, and the block is
-    stepped in about sqrt(L) runs of its L steps, one stacked product
-    per run.
+    stepping routine: per block of whole 256-step segments the RK4
+    increments ``D_k`` (with ``X_{k+1} = X_k + D_k X_k``) are built in
+    batch, and the block is stepped in runs of 16 steps, one stacked
+    product per run.
     """
     (trajectory,) = _rk4([(system, x0_state, bindings)], interval, h)
     return trajectory
@@ -238,34 +263,81 @@ def residual_sweep(
     the sixth-order central difference of its grid values around each
     sample index (moved inward to have three points on either side), so
     the grid needs at least 7 points.  At least one index is needed, and
-    each must be an integer (not a bool) that lies on the grid.
+    each must be an integer (not a bool) that lies on the grid.  This is
+    the one-case call of :func:`residual_sweeps`.
     """
-    count = len(grid.xs)
-    if count < len(_CENTRAL):
-        raise ValueError(f"residual sweep needs at least 7 grid points, got {count}")
+    (value,) = residual_sweeps(candidate, system, [(grid, bindings)], sample_indices)
+    return value
+
+
+def residual_sweeps(
+    candidate: ExprMatrix,
+    system: LinearSystem,
+    cases: Sequence[tuple[SolutionGrid, Mapping[str, complex] | None]],
+    sample_indices: Sequence[int],
+) -> list[float]:
+    """:func:`residual_sweep` of one candidate and one system for each
+    ``(grid, bindings)`` case, one maximum per case, in order.
+
+    The entries are evaluated once, over the stencil points of every case
+    together.  A name bound to one scalar in every case stays a scalar;
+    any other binding becomes one array over all the points, so a single
+    case is evaluated just as :func:`residual_sweep` always did.  In a
+    batch, a subexpression free of ``x`` and of the grid's symbols is
+    then evaluated on arrays, where numpy rounds a complex quotient, and a
+    product of two non-real numbers, differently from Python's scalars;
+    where the entries hold neither, as the application routes' do, each
+    case gets the maximum it gets alone.  Every case must bind the same
+    names, and the sample indices must lie on every grid.  A singularity
+    names the first singular ``x`` of the first case that has one.
+    """
     for i in sample_indices:
         if isinstance(i, bool) or not isinstance(i, numbers.Integral):
             raise ValueError(f"sample indices must be integers, got {i!r}")
     samples = np.asarray(sample_indices, dtype=int)
     if samples.size == 0:
         raise ValueError("residual sweep needs at least one sample index")
-    if samples.min() < 0 or samples.max() >= count:
-        raise ValueError(f"sample indices must lie in [0, {count}), got {samples.min()}"
-                         f" to {samples.max()}")
+    if not cases:
+        raise ValueError("the case list is empty: nothing to sweep")
     reach = len(_CENTRAL) // 2
-    centres = np.clip(samples, reach, count - 1 - reach)
-    points = (centres[:, None] + np.arange(-reach, reach + 1)).ravel()
-    env = {**(bindings or {}), **{name: vals[points] for name, vals in grid.values.items()}}
+    points, envs = [], []
+    for grid, bindings in cases:
+        count = len(grid.xs)
+        if count < len(_CENTRAL):
+            raise ValueError(f"residual sweep needs at least 7 grid points, got {count}")
+        if samples.min() < 0 or samples.max() >= count:
+            raise ValueError(f"sample indices must lie in [0, {count}), got {samples.min()}"
+                             f" to {samples.max()}")
+        centres = np.clip(samples, reach, count - 1 - reach)
+        at = (centres[:, None] + np.arange(-reach, reach + 1)).ravel()
+        points.append(at)
+        envs.append({**(bindings or {}), **{name: vals[at] for name, vals in grid.values.items()}})
+    if any(env.keys() != envs[0].keys() for env in envs):
+        raise ValueError(f"cases must bind the same names, got {[sorted(e) for e in envs]}")
+    env = {}
+    for name in envs[0]:
+        bound = [e[name] for e in envs]
+        if not any(isinstance(v, np.ndarray) or v != bound[0] for v in bound):
+            env[name] = bound[0]
+        else:
+            env[name] = np.concatenate([
+                v if isinstance(v, np.ndarray) else np.full(at.shape, complex(v))
+                for v, at in zip(bound, points)
+            ])
     entries = [e for m in (candidate, system.a) for row in m.rows for e in row]
-    values = _grid_values(entries, env, grid.xs[points], "residual")
-    # axes (sample, stencil point, entry)
-    values = np.stack([np.broadcast_to(v, points.shape) for v in values], axis=-1)
-    values = values.reshape(len(centres), len(_CENTRAL), -1)
+    xs = np.concatenate([grid.xs[at] for (grid, _), at in zip(cases, points)])
+    values = _grid_values(entries, env, xs, "residual")
+    # axes (case, sample, stencil point, entry)
+    values = np.stack([np.broadcast_to(v, xs.shape) for v in values], axis=-1)
+    values = values.reshape(len(cases), len(samples), len(_CENTRAL), -1)
     split = candidate.nrows * candidate.ncols
-    z = values[..., :split].reshape(values.shape[:2] + (candidate.nrows, candidate.ncols))
-    a = values[:, reach, split:].reshape(len(centres), system.n, system.n)
-    dz = np.tensordot(_CENTRAL, z, axes=(0, 1)) / (grid.xs[1] - grid.xs[0])
-    return float(np.max(np.abs(dz + a @ z[:, reach])))
+    sweeps = []
+    for (grid, _), part in zip(cases, values):
+        z = part[..., :split].reshape(part.shape[:2] + (candidate.nrows, candidate.ncols))
+        a = part[:, reach, split:].reshape(len(samples), system.n, system.n)
+        dz = np.tensordot(_CENTRAL, z, axes=(0, 1)) / (grid.xs[1] - grid.xs[0])
+        sweeps.append(float(np.max(np.abs(dz + a @ z[:, reach]))))
+    return sweeps
 
 
 def drift(

@@ -16,10 +16,11 @@ from darbouxkit.expr import (
     rat,
     sym,
 )
-from darbouxkit.apps import frenet_family
+from darbouxkit.apps import frenet_family, rigid_family
 from darbouxkit.linsys import ExprMatrix, LinearSystem, SecondOrderFamily, companion
+import darbouxkit.numverify as numverify
 from darbouxkit.numverify import (
-    _BLOCK,
+    _BLOCK_ENTRIES,
     SolutionGrid,
     companion_solution_grid,
     companion_solution_grids,
@@ -29,6 +30,7 @@ from darbouxkit.numverify import (
     integrate,
     integrate_many,
     residual_sweep,
+    residual_sweeps,
 )
 from darbouxkit.tensordt import (
     FRAME_DATUM,
@@ -97,8 +99,9 @@ def _textbook_rk4(a_at, y0, steps):
     "y0", [[1.0, 0.5j, -2.0], np.arange(6).reshape(3, 2) + 1j * np.eye(3, 2)]
 )
 def test_integrate_matches_textbook_rk4(y0):
-    steps = 600  # not a multiple of the block size: crosses block boundaries
-    assert steps % _BLOCK != 0 and steps > 2 * _BLOCK
+    # two whole 256-step segments in one block, then an 88-step last block
+    steps = 600
+    assert 3 * 3 * 512 <= _BLOCK_ENTRIES
     system, a_at = _variable_system()
     traj = integrate(system, y0, (0.0, 1.0), 1.0 / steps)
     reference = _textbook_rk4(a_at, y0, steps)
@@ -106,9 +109,10 @@ def test_integrate_matches_textbook_rk4(y0):
     assert np.max(np.abs(traj.states - reference)) <= 1e-12 * np.max(np.abs(reference))
 
 
-# step counts around the block and run sizes: one-step blocks, primes, a
-# perfect square (a full block of 16 runs of 16), a padded last run
-_RUN_LAYOUTS = [1, 2, 3, 255, 256, 257]
+# step counts around the segment and run sizes: one-step blocks, primes, a
+# perfect square (a whole segment of 16 runs of 16), a padded last run;
+# then several segments to a block, with and without a last partial one
+_RUN_LAYOUTS = [1, 2, 3, 255, 256, 257, 511, 512, 513, 1792, 2000, 2817]
 
 
 @pytest.mark.parametrize("steps", _RUN_LAYOUTS)
@@ -220,7 +224,22 @@ def _vector_problems():
     ]
 
 
-@pytest.mark.parametrize("problems", [_matrix_problems, _vector_problems])
+def _two_problems():
+    # the two 3-vectors of the first-integrals check
+    return _vector_problems()[:2]
+
+
+def _ten_problems():
+    # ten 3 x 2 states of 3 x 3 systems, as many as the applications check
+    # stacks: their blocks hold one segment, where one problem's hold ten
+    systems = [problem[0] for problem in _vector_problems()]
+    return [(systems[k % 3], np.eye(3, 2) + 0.25j * k, {"m": k / 4 - 1}) for k in range(10)]
+
+
+_PROBLEM_SETS = [_matrix_problems, _vector_problems, _two_problems, _ten_problems]
+
+
+@pytest.mark.parametrize("problems", _PROBLEM_SETS)
 def test_integrate_many_matches_one_problem_at_a_time(problems):
     steps = 600  # crosses block boundaries
     together = integrate_many(problems(), (0.0, 1.0), 1.0 / steps)
@@ -232,13 +251,43 @@ def test_integrate_many_matches_one_problem_at_a_time(problems):
 
 
 @pytest.mark.parametrize("steps", _RUN_LAYOUTS)
-@pytest.mark.parametrize("problems", [_matrix_problems, _vector_problems])
+@pytest.mark.parametrize("problems", _PROBLEM_SETS)
 def test_integrate_many_matches_one_problem_at_every_run_layout(problems, steps):
     together = integrate_many(problems(), (0.0, 1.0), 1.0 / steps)
     for (system, state, bindings), traj in zip(problems(), together, strict=True):
         alone = integrate(system, state, (0.0, 1.0), 1.0 / steps, bindings)
         assert np.array_equal(traj.xs, alone.xs)
         assert np.array_equal(traj.states, alone.states)
+
+
+def _one_problem():
+    return _vector_problems()[:1]
+
+
+@pytest.mark.parametrize("problems, steps, blocks", [
+    (_one_problem, 2000, 2),  # ten segments fit a block: 1792 steps, then 208
+    (_one_problem, 2817, 3),  # 2560 steps, 256, then the 1-step partial segment
+    (_two_problems, 2000, 3),  # five segments fit a block: 1280, 512, then 208
+    (_ten_problems, 2000, 8),  # one segment to a block: seven, then 208 steps
+    (_ten_problems, 256, 1),
+])
+def test_blocks_are_sized_by_their_entries(monkeypatch, problems, steps, blocks):
+    # one coefficient evaluation per problem per block
+    nodes = []
+    grid_values = numverify._grid_values
+
+    def counted(exprs, env, xs, what):
+        nodes.append(len(xs))
+        return grid_values(exprs, env, xs, what)
+
+    monkeypatch.setattr(numverify, "_grid_values", counted)
+    stack = problems()
+    integrate_many(stack, (0.0, 1.0), 1.0 / steps)
+    assert len(nodes) == blocks * len(stack)
+    assert sum(nodes) == len(stack) * (2 * steps + blocks)
+    # a block of L steps for P stacked 3 x 3 problems holds 9 P L <= _BLOCK_ENTRIES
+    # increment entries, or one segment where that is more
+    assert max(nodes) - 1 <= 2 * max(256, _BLOCK_ENTRIES // (9 * len(stack)))
 
 
 @pytest.mark.parametrize("run", [integrate_many, companion_solution_grids],
@@ -399,6 +448,74 @@ def test_residual_sweep_rejects_indices_that_are_not_integers(indices, bad):
         residual_sweep(pair.matrix, pair.system, grid, indices, {"m": 0})
     # numpy integers are integers
     assert residual_sweep(pair.matrix, pair.system, grid, np.array([2, 50]), {"m": 0}) <= 1e-8
+
+
+def _application_routes():
+    # the applications check's two routes over their parameters
+    a, b, c, d, e = (param(name) for name in "abcde")
+    rigid = rigid_family(None, a + b * X, "Q")
+    frenet = frenet_family(normalize(c + d * X), normalize(e * X), "S")
+    return [(rigid, orthogonal_lift(rigid, "Q")[1],
+             [{"a": 1 + k % 4, "b": (k - 2) / 4, "m": 0.37 * k - 0.8} for k in range(5)]),
+            (frenet, orthogonal_lift(frenet, "S")[1],
+             [{"c": 2 + k % 3, "d": (k % 3 - 1) / 4, "e": (k - 2) / 3, "m": 0.8 - 0.41 * k}
+              for k in range(5)])]
+
+
+@pytest.mark.parametrize("route", [0, 1], ids=["rigid Q", "Frenet S"])
+def test_residual_sweeps_equal_each_case_alone(route):
+    family, pair, bindings = _application_routes()[route]
+    grids = companion_solution_grids([(family, b) for b in bindings], (0.0, 1.0), 5e-3)
+    indices = grids[0].sample_indices(5)
+    together = residual_sweeps(pair.matrix, pair.system, list(zip(grids, bindings)), indices)
+    alone = [residual_sweep(pair.matrix, pair.system, grid, indices, b)
+             for grid, b in zip(grids, bindings)]
+    assert together == alone
+    assert max(together) <= 1e-8
+
+
+def test_residual_sweeps_keep_their_negative_controls():
+    # a grid integrated at another m, and a grid of noise, fail inside a batch
+    family = schrodinger_family(ONE)
+    _, pair = orthogonal_lift(family, "Q")
+    grid = companion_solution_grid(family, bindings={"m": 0.3})
+    rng = np.random.default_rng(7)
+    noise = SolutionGrid(grid.xs, {
+        name: rng.standard_normal(grid.xs.shape) + 1j * rng.standard_normal(grid.xs.shape)
+        for name in grid.values
+    })
+    cases = [(grid, {"m": 0.3}), (grid, {"m": -0.7}), (noise, {"m": 0.3}), (grid, {"m": 0.3})]
+    values = residual_sweeps(pair.matrix, pair.system, cases, grid.sample_indices(5))
+    assert values == [residual_sweep(pair.matrix, pair.system, g, grid.sample_indices(5), b)
+                      for g, b in cases]
+    assert values[0] == values[3] <= 1e-8
+    assert values[1] > 1e-2 and values[2] > 1e-2
+
+
+def test_residual_sweeps_reject_cases_that_bind_other_names():
+    family = schrodinger_family(ONE)
+    _, pair = orthogonal_lift(family, "Q")
+    grid = companion_solution_grid(family, bindings={"m": 0})
+    indices = grid.sample_indices(5)
+    with pytest.raises(ValueError, match="cases must bind the same names"):
+        residual_sweeps(pair.matrix, pair.system, [(grid, {"m": 0}), (grid, {"m": 0, "c": 1})],
+                        indices)
+    with pytest.raises(ValueError, match="the case list is empty"):
+        residual_sweeps(pair.matrix, pair.system, [], indices)
+
+
+def test_residual_sweeps_name_the_singular_x_of_the_case_alone():
+    sys = _circle_system()
+    grid = companion_solution_grid(_circle_family(), bindings={"m": 0})
+    candidate = ExprMatrix([[1 / (X - param("c")), ZERO], [ZERO, ZERO]])
+    indices = grid.sample_indices(5)
+    with pytest.raises(EvalSingularity) as alone:
+        residual_sweep(candidate, sys, grid, indices, {"m": 0, "c": 0.6})
+    with pytest.raises(EvalSingularity) as together:
+        residual_sweeps(candidate, sys, [(grid, {"m": 0, "c": 0.25}), (grid, {"m": 0, "c": 0.6}),
+                                         (grid, {"m": 0, "c": 0.4})], indices)
+    assert "residual singular at x = 0.6:" in str(alone.value)
+    assert str(together.value) == str(alone.value)
 
 
 def _exact_circle_grid(xs):
