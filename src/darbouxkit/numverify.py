@@ -176,8 +176,7 @@ def _rk4(problems, interval: tuple[float, float], h: float) -> list[Trajectory]:
         nodes[0::2] = xs[first:last + 1]
         nodes[1::2] = xs[first:last] + h / 2
         # the block's increments in `chunks` runs of `run` steps, axes (row,
-        # column, problem, step); zero increments pad the last run.  A whole
-        # segment is 16 runs of 16 steps, so runs never straddle segments
+        # column, problem, step); zero increments pad the last run
         run = math.isqrt(min(size, segment) - 1) + 1
         chunks = -(-size // run)
         d = np.zeros((n, n, len(problems), chunks * run), dtype=np.complex128)

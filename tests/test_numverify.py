@@ -492,6 +492,32 @@ def test_residual_sweeps_keep_their_negative_controls():
     assert values[1] > 1e-2 and values[2] > 1e-2
 
 
+def test_residual_sweeps_take_each_grid_step(monkeypatch):
+    # grids of two steps in one batch; a binding shared by every case stays
+    # a scalar, so one case is evaluated as the one-case call always was
+    family = schrodinger_family(ONE)
+    _, pair = orthogonal_lift(family, "Q")
+    fine = companion_solution_grid(family, (0.0, 1.0), 1e-3, {"m": 0.3})
+    coarse = companion_solution_grid(family, (0.0, 1.0), 2e-3, {"m": 0.3})
+    indices = coarse.sample_indices(5)
+    envs = []
+    grid_values = numverify._grid_values
+
+    def recorded(exprs, env, xs, what):
+        envs.append(env)
+        return grid_values(exprs, env, xs, what)
+
+    monkeypatch.setattr(numverify, "_grid_values", recorded)
+    values = residual_sweeps(pair.matrix, pair.system,
+                             [(fine, {"m": 0.3}), (coarse, {"m": 0.3})], indices)
+    assert values == [residual_sweep(pair.matrix, pair.system, grid, indices, {"m": 0.3})
+                      for grid in (fine, coarse)]
+    assert max(values) <= 1e-8
+    assert envs[0]["m"] == 0.3 and not isinstance(envs[0]["m"], np.ndarray)
+    residual_sweeps(pair.matrix, pair.system, [(fine, {"m": 0.3}), (fine, {"m": 0.5})], indices)
+    assert isinstance(envs[-1]["m"], np.ndarray)
+
+
 def test_residual_sweeps_reject_cases_that_bind_other_names():
     family = schrodinger_family(ONE)
     _, pair = orthogonal_lift(family, "Q")
