@@ -97,7 +97,7 @@ __version__ = "0.1.0"
 _LAZY = {
     **dict.fromkeys(("Trajectory", "companion_solution_grid", "companion_solution_grids",
                      "convergence_ratio", "drift", "integrate", "integrate_many",
-                     "residual_sweep", "residual_sweeps"), "numverify"),
+                     "residual_sweep"), "numverify"),
     "run_checks": "golden",
 }
 

@@ -1259,10 +1259,7 @@ def evaluate(e: Expr, bindings: Mapping[str, complex]) -> complex | np.ndarray:
     global np
     if np is None:
         import numpy as np
-    try:
-        return _evaluate(e, bindings)
-    except RecursionError:
-        return _evaluate_stack(e, bindings)
+    return _evaluate(e, bindings)
 
 
 def _evaluate(e: Expr, bindings: Mapping[str, complex]) -> complex | np.ndarray:
@@ -1292,51 +1289,6 @@ def _evaluate(e: Expr, bindings: Mapping[str, complex]) -> complex | np.ndarray:
     if isinstance(e, Apply):
         return np.exp(_evaluate(e.arg, bindings))
     raise TypeError(f"unknown node {e!r}")
-
-
-def _evaluate_stack(e: Expr, bindings: Mapping[str, complex]) -> complex | np.ndarray:
-    """:func:`_evaluate` as one loop over a stack of ``(node, children,
-    values)`` frames, for trees deeper than the interpreter's stack.  Each
-    node folds its children's values with the same operations in the same
-    order, so the value is bitwise the recursive walk's."""
-    frames: list = []
-    node = e
-    while True:
-        kind = type(node)
-        children = (node.terms if kind is Add else node.factors if kind is Mul
-                    else (node.base,) if kind is Pow else (node.den, node.num) if kind is Div
-                    else (node.arg,) if kind is Apply else None)
-        if children:
-            frames.append((node, children, []))
-            node = children[0]
-            continue
-        value = _evaluate(node, bindings)  # a leaf, or an empty sum or product
-        while frames:
-            node, children, values = frames[-1]
-            if type(node) is Div and not values and np.any(value == 0):
-                raise EvalSingularity("division by numeric zero")
-            values.append(value)
-            if len(values) < len(children):
-                node = children[len(values)]
-                break
-            frames.pop()
-            kind = type(node)
-            if kind is Add:
-                value = sum(values)
-            elif kind is Mul:
-                value = 1 + 0j
-                for v in values:
-                    value *= v
-            elif kind is Pow:
-                if node.exponent < 0 and np.any(values[0] == 0):
-                    raise EvalSingularity("zero base with negative exponent")
-                value = values[0] ** node.exponent
-            elif kind is Div:
-                value = values[1] / values[0]
-            else:
-                value = np.exp(values[0])
-        else:
-            return value
 
 
 def _binding(bindings: Mapping[str, complex], name: str):

@@ -344,7 +344,7 @@ def check_susy_oscillator(seed: int, config: VerifyConfig) -> dict:
 
 
 def check_applications(seed: int, config: VerifyConfig) -> dict:
-    from .numverify import companion_solution_grids, residual_sweeps
+    from .numverify import _residual_sweeps, companion_solution_grids
 
     rng = Random(seed)
     table = DerivationTable(
@@ -389,7 +389,7 @@ def check_applications(seed: int, config: VerifyConfig) -> dict:
     worst = max(
         value
         for route in lifted
-        for value in residual_sweeps(
+        for value in _residual_sweeps(
             route[1].matrix, route[1].system,
             [(grid, bindings) for (owner, bindings), grid in zip(cases, grids) if owner is route],
             indices,

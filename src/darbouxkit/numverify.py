@@ -50,7 +50,9 @@ from .linsys import (
 )
 
 # Bound on the increment entries n*n*P*L of one block of L RK4 steps for P
-# stacked n x n problems: ten 3 x 3 problems over one 256-step segment
+# stacked n x n problems: ten 3 x 3 problems over one 256-step segment.  It
+# bounds the increment array only; a problem's coefficient values at the
+# block's 2L + 1 nodes grow with L, ten times over for one 3 x 3 problem
 _BLOCK_ENTRIES = 10 * 3 * 3 * 256
 # Sixth-order central first difference in units of 1/h: at step 5e-3 a
 # fourth-order one errs by ~5e-8, above both RK4's ~8e-10 and the 1e-8 bound
@@ -263,13 +265,13 @@ def residual_sweep(
     sample index (moved inward to have three points on either side), so
     the grid needs at least 7 points.  At least one index is needed, and
     each must be an integer (not a bool) that lies on the grid.  This is
-    the one-case call of :func:`residual_sweeps`.
+    the one-case call of :func:`_residual_sweeps`.
     """
-    (value,) = residual_sweeps(candidate, system, [(grid, bindings)], sample_indices)
+    (value,) = _residual_sweeps(candidate, system, [(grid, bindings)], sample_indices)
     return value
 
 
-def residual_sweeps(
+def _residual_sweeps(
     candidate: ExprMatrix,
     system: LinearSystem,
     cases: Sequence[tuple[SolutionGrid, Mapping[str, complex] | None]],

@@ -44,7 +44,7 @@ EXACT_COMMANDS = [
 ]
 NUMERIC_NAMES = {"Trajectory", "companion_solution_grid", "companion_solution_grids",
                  "convergence_ratio", "drift", "integrate", "integrate_many",
-                 "residual_sweep", "residual_sweeps"}
+                 "residual_sweep"}
 
 
 def _fresh(code: str):

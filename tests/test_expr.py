@@ -910,44 +910,6 @@ def test_a_left_nested_sum_pretty_prints_as_its_flat_sum():
     assert to_pretty(Add((Add(()), X))) == " + x"
 
 
-def _bits(value):
-    return np.atleast_1d(np.asarray(value, dtype=np.complex128)).view(np.float64)
-
-
-@pytest.mark.parametrize("x", [0.3, np.linspace(0.0, 1.0, 11)], ids=["scalar", "array"])
-def test_a_sum_deeper_than_the_stack_evaluates(x):
-    deep = sum([param(f"a{i}") * X for i in range(2000)], ZERO)
-    bindings = {f"a{i}": (i % 7 - 3) / 5 + 0.25j for i in range(2000)}
-    # the recursive walk's folds, one level at a time, from the value of 0
-    expected = 0j
-    for i in range(2000):
-        expected = 0 + expected + (1 + 0j) * bindings[f"a{i}"] * x
-    assert np.array_equal(_bits(evaluate(deep, {**bindings, "x": x})), _bits(expected))
-
-
-@pytest.mark.parametrize("x", [0.37, np.linspace(0.0, 1.0, 11)], ids=["scalar", "array"])
-def test_the_stack_walk_evaluates_bitwise_as_the_recursive_walk(x):
-    # 300 terms of every interior kind, with non-real values throughout
-    kinds = [
-        lambda p: p * X,
-        lambda p: (X + p) ** 2,
-        lambda p: (X - I * p) ** -1,
-        lambda p: p / (X + 2),
-        lambda p: exp(p * X / 3),
-        lambda p: rat(1, 2) * p * X * I,
-        lambda p: Add(()) + Mul(()) * p,
-    ]
-    tree = Add(tuple(kinds[i % len(kinds)](param(f"a{i % 10}")) for i in range(300)))
-    bindings = {f"a{i}": complex(0.1 * i - 0.4, 0.3 - 0.07 * i) for i in range(10)}
-    bindings["x"] = x
-    recursive = evaluate(tree, bindings)  # shallow: no fallback
-    assert np.array_equal(_bits(kernel._evaluate_stack(tree, bindings)), _bits(recursive))
-    with pytest.raises(EvalSingularity, match="division by numeric zero"):
-        kernel._evaluate_stack(param("a0") / (X - X), {"a0": 1, "x": x})
-    with pytest.raises(EvalSingularity, match="zero base"):
-        kernel._evaluate_stack(X ** -2, {"x": 0.0})
-
-
 def test_names_of_a_sum_deeper_than_the_stack():
     # the leaf-name walks visit a 2,000-deep sum without recursing
     deep = sum([param(f"a{i}") * X for i in range(2000)], const(0)) + sym("s")

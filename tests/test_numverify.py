@@ -21,6 +21,7 @@ from darbouxkit.linsys import ExprMatrix, LinearSystem, SecondOrderFamily, compa
 import darbouxkit.numverify as numverify
 from darbouxkit.numverify import (
     _BLOCK_ENTRIES,
+    _residual_sweeps,
     SolutionGrid,
     companion_solution_grid,
     companion_solution_grids,
@@ -30,7 +31,6 @@ from darbouxkit.numverify import (
     integrate,
     integrate_many,
     residual_sweep,
-    residual_sweeps,
 )
 from darbouxkit.tensordt import (
     FRAME_DATUM,
@@ -467,7 +467,7 @@ def test_residual_sweeps_equal_each_case_alone(route):
     family, pair, bindings = _application_routes()[route]
     grids = companion_solution_grids([(family, b) for b in bindings], (0.0, 1.0), 5e-3)
     indices = grids[0].sample_indices(5)
-    together = residual_sweeps(pair.matrix, pair.system, list(zip(grids, bindings)), indices)
+    together = _residual_sweeps(pair.matrix, pair.system, list(zip(grids, bindings)), indices)
     alone = [residual_sweep(pair.matrix, pair.system, grid, indices, b)
              for grid, b in zip(grids, bindings)]
     assert together == alone
@@ -485,7 +485,7 @@ def test_residual_sweeps_keep_their_negative_controls():
         for name in grid.values
     })
     cases = [(grid, {"m": 0.3}), (grid, {"m": -0.7}), (noise, {"m": 0.3}), (grid, {"m": 0.3})]
-    values = residual_sweeps(pair.matrix, pair.system, cases, grid.sample_indices(5))
+    values = _residual_sweeps(pair.matrix, pair.system, cases, grid.sample_indices(5))
     assert values == [residual_sweep(pair.matrix, pair.system, g, grid.sample_indices(5), b)
                       for g, b in cases]
     assert values[0] == values[3] <= 1e-8
@@ -508,13 +508,13 @@ def test_residual_sweeps_take_each_grid_step(monkeypatch):
         return grid_values(exprs, env, xs, what)
 
     monkeypatch.setattr(numverify, "_grid_values", recorded)
-    values = residual_sweeps(pair.matrix, pair.system,
+    values = _residual_sweeps(pair.matrix, pair.system,
                              [(fine, {"m": 0.3}), (coarse, {"m": 0.3})], indices)
     assert values == [residual_sweep(pair.matrix, pair.system, grid, indices, {"m": 0.3})
                       for grid in (fine, coarse)]
     assert max(values) <= 1e-8
     assert envs[0]["m"] == 0.3 and not isinstance(envs[0]["m"], np.ndarray)
-    residual_sweeps(pair.matrix, pair.system, [(fine, {"m": 0.3}), (fine, {"m": 0.5})], indices)
+    _residual_sweeps(pair.matrix, pair.system, [(fine, {"m": 0.3}), (fine, {"m": 0.5})], indices)
     assert isinstance(envs[-1]["m"], np.ndarray)
 
 
@@ -524,10 +524,10 @@ def test_residual_sweeps_reject_cases_that_bind_other_names():
     grid = companion_solution_grid(family, bindings={"m": 0})
     indices = grid.sample_indices(5)
     with pytest.raises(ValueError, match="cases must bind the same names"):
-        residual_sweeps(pair.matrix, pair.system, [(grid, {"m": 0}), (grid, {"m": 0, "c": 1})],
+        _residual_sweeps(pair.matrix, pair.system, [(grid, {"m": 0}), (grid, {"m": 0, "c": 1})],
                         indices)
     with pytest.raises(ValueError, match="the case list is empty"):
-        residual_sweeps(pair.matrix, pair.system, [], indices)
+        _residual_sweeps(pair.matrix, pair.system, [], indices)
 
 
 def test_residual_sweeps_name_the_singular_x_of_the_case_alone():
@@ -538,7 +538,7 @@ def test_residual_sweeps_name_the_singular_x_of_the_case_alone():
     with pytest.raises(EvalSingularity) as alone:
         residual_sweep(candidate, sys, grid, indices, {"m": 0, "c": 0.6})
     with pytest.raises(EvalSingularity) as together:
-        residual_sweeps(candidate, sys, [(grid, {"m": 0, "c": 0.25}), (grid, {"m": 0, "c": 0.6}),
+        _residual_sweeps(candidate, sys, [(grid, {"m": 0, "c": 0.25}), (grid, {"m": 0, "c": 0.6}),
                                          (grid, {"m": 0, "c": 0.4})], indices)
     assert "residual singular at x = 0.6:" in str(alone.value)
     assert str(together.value) == str(alone.value)
