@@ -491,7 +491,8 @@ class DerivationTable:
 
     Entries may reference x, parameters, radicals, and symbols that are
     themselves in the table, so derivatives of arbitrary order stay
-    resolvable (or fail loudly with UnknownSymbol).
+    resolvable (or fail loudly with UnknownSymbol).  Tables compare and
+    hash by their entries.
     """
 
     __slots__ = ("_entries",)
@@ -512,6 +513,14 @@ class DerivationTable:
         merged = dict(self._entries)
         merged.update(entries)
         return DerivationTable(merged)
+
+    def __eq__(self, other):
+        if isinstance(other, DerivationTable):
+            return self._entries == other._entries
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(frozenset(self._entries.items()))
 
     def __repr__(self):
         names = ", ".join(sorted(self._entries))

@@ -362,7 +362,8 @@ def check_applications(seed: int, config: VerifyConfig) -> dict:
     _holds("rigid S w = -2/omega1", rigid_s.w + 2 / w1)
     _holds("rigid S q = omega1^2/4", rigid_s.q - w1 ** 2 / 4)
     # one family per sampled route, over the sample's parameters, lifted
-    # once: the route constraint and the lift then hold for every binding
+    # once: the route constraint and the lift then hold for every binding,
+    # the lift by its frame record and its Sym2 solution
     a, b, c, d, e = (param(name) for name in "abcde")
     omega2 = a + b * X
     lifted = []
@@ -371,8 +372,8 @@ def check_applications(seed: int, config: VerifyConfig) -> dict:
         ("Frenet S", "S", frenet_family(normalize(c + d * X), normalize(e * X), "S")),
     ):
         pair = orthogonal_lift(family, route)[1]
-        _holds(f"{name} lift over parameters solves its system",
-               residual(pair.system, pair.matrix))
+        for part, res in pair.residuals():
+            _holds(f"{name} {part}", res)
         lifted.append((family, pair))
     rigid, frenet = lifted
     # five rigid Q then five Frenet S bindings, each drawn with its m

@@ -59,7 +59,9 @@ class ExprMatrix:
     builds (m+1)x(m+1)), so determinants and inverses use cofactor
     expansion / adjugates rather than elimination; their cost grows as
     n!, which is why certificates use :func:`gauge_residual`, which
-    needs no inverse.
+    needs no inverse.  ``==`` and ``hash`` go by the entries as trees, so
+    records that hold matrices compare by their entries; :meth:`equals`
+    compares normal forms.
     """
 
     __slots__ = ("rows",)
@@ -101,6 +103,14 @@ class ExprMatrix:
 
     def __iter__(self):
         return iter(self.rows)
+
+    def __eq__(self, other):
+        if isinstance(other, ExprMatrix):
+            return self.rows == other.rows
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.rows)
 
     def _entrywise(self, other: "ExprMatrix", op) -> "ExprMatrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):

@@ -20,7 +20,10 @@ system, so every lift is a product with K: a 2x2 gauge G lifts to
 ``K Sym2(G) K^-1`` (:meth:`Route.lift`; T1 and T2 are the lifts of the
 Darboux gauge) and a companion fundamental matrix X to ``K Sym2(X)``.
 A lifted matrix is certified as a transformation by
-:func:`~darbouxkit.linsys.gauge_residual`, with no lift of its inverse.
+:func:`~darbouxkit.linsys.gauge_residual`, with no lift of its inverse,
+and a lifted fundamental matrix by K's record
+(:meth:`Route.transformation`) and the Sym2 solution, without
+differentiating the product (:meth:`FundamentalPair.residuals`).
 
 Every lifted transformation matrix here is *constructed* from the
 functorial definitions (symmetric powers of the 2x2 gauge), and the
@@ -32,7 +35,7 @@ sign.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .expr import (
     DerivationTable,
@@ -52,9 +55,9 @@ from .expr import (
     normalize,
     rat,
 )
-from .linsys import ExprMatrix, LinearSystem, SecondOrderFamily
-from .darboux import DarbouxSeed
-from .sympow import sym_group
+from .linsys import ExprMatrix, LinearSystem, SecondOrderFamily, companion, residual
+from .darboux import DarbouxSeed, Transformation
+from .sympow import sym_group, sym_system
 
 
 class NotTraceless(KitError):
@@ -272,11 +275,30 @@ class Route(Record):
         """``(K, K^-1)``, the gauge from Sym2 of the companion system to the
         route's orthogonal system: ``K = conj diag(w^e)`` and
         ``K^-1 = diag(w^-e) conj^-1``, so ``K = w Q`` on route Q and
-        ``K = S Sym2(Delta) = S diag(1, w, w^2)`` on route S."""
+        ``K = S Sym2(Delta) = S diag(1, w, w^2)`` on route S.  K is
+        certified as that gauge by :meth:`transformation`, its record, and
+        every lift ``K Sym2(X)`` by that record and the Sym2 solution
+        (:meth:`FundamentalPair.residuals`)."""
         d = [family.w ** e for e in self.exponents]
         k = ExprMatrix([[c * e for c, e in zip(row, d)] for row in self.conj.rows])
         k_inv = ExprMatrix([[c / e for c in row] for e, row in zip(d, self.conj_inv.rows)])
         return k.normalized(), k_inv.normalized()
+
+    def transformation(self, family: SecondOrderFamily) -> Transformation:
+        """The frame K of :meth:`frame` as a record, from
+        ``sym_system(companion(family), 2)`` to ``system(family).system()``,
+        with the closed-form determinant ``det(conj) w^3``."""
+        return self._transformation(family, self.system(family))
+
+    def _transformation(self, family: SecondOrderFamily,
+                        ortho: OrthogonalSystem) -> Transformation:
+        # the record with the route's system already built as ortho
+        return Transformation(
+            sym_system(companion(family), 2),
+            self.frame(family)[0],
+            ortho.system(),
+            normalize(self.conj.det() * family.w ** 3),
+        )
 
     def lift(self, family: SecondOrderFamily, gauge: ExprMatrix) -> ExprMatrix:
         """The lifting rule ``G -> K Sym2(G) K^-1`` of a 2x2 gauge of the
@@ -368,8 +390,36 @@ def t2_explicit(family: SecondOrderFamily, seed: DarbouxSeed) -> ExprMatrix:
 
 
 class FundamentalPair(Record):
-    matrix: ExprMatrix
-    system: LinearSystem
+    """A fundamental matrix of a route's orthogonal system, as the product
+    of the route's frame record and a Sym2 solution.
+
+    ``frame`` is :meth:`Route.transformation`, the gauge K from the Sym2
+    system S2 of the companion system to the orthogonal system A;
+    ``sym2`` is ``Y2 = Sym2(X)`` for X the companion fundamental matrix,
+    over the solution symbols that ``table`` registers.  ``matrix`` is
+    ``Z = K Y2`` and ``system`` is A over ``table``; both are built from
+    those fields.  :meth:`residuals` certifies Z without differentiating
+    it: by Leibniz, ``Z' + A Z = (K' + A K - K S2) Y2 + K (Y2' + S2 Y2)``,
+    so a zero frame gauge residual and a zero Sym2 residual make Z a
+    solution, and the frame det makes it invertible.
+    """
+
+    frame: Transformation
+    sym2: ExprMatrix
+    table: DerivationTable
+
+    def __post_init__(self):
+        object.__setattr__(self, "matrix", (self.frame.gauge @ self.sym2).normalized())
+        object.__setattr__(self, "system", LinearSystem(self.frame.target.a, self.table))
+
+    def residuals(self) -> Iterator[tuple[str, Expr | ExprMatrix]]:
+        """The frame record's named residuals, as ``"frame det"`` and
+        ``"frame gauge"``, and then ``("Sym2 Y", residual(S2, Y2))`` over
+        ``table``, each of which must normalize to zero.  Lazy, as
+        :meth:`~darbouxkit.darboux.Transformation.residuals` is."""
+        for part, res in self.frame.residuals():
+            yield f"frame {part}", res
+        yield "Sym2 Y", residual(LinearSystem(self.frame.source.a, self.table), self.sym2)
 
 
 def orthogonal_lift(family: SecondOrderFamily,
@@ -377,14 +427,14 @@ def orthogonal_lift(family: SecondOrderFamily,
     """The route's orthogonal system with a fundamental matrix of it.
 
     The matrix is ``K Sym2(X)`` for K the route's :meth:`Route.frame` and
-    X the companion fundamental matrix; it satisfies
-    ``matrix' + A matrix == 0`` exactly.
+    X the companion fundamental matrix; :meth:`FundamentalPair.residuals`
+    certifies that it satisfies ``matrix' + A matrix == 0`` exactly, by
+    the route's :meth:`Route.transformation` and the Sym2 solution.
     """
     r = ROUTES[route]
     x_mat, table = family.fundamental_matrix()
-    z_mat = (r.frame(family)[0] @ sym_group(x_mat, 2)).normalized()
     ortho = r.system(family)
-    return ortho, FundamentalPair(z_mat, LinearSystem(ortho.system().a, table))
+    return ortho, FundamentalPair(r._transformation(family, ortho), sym_group(x_mat, 2), table)
 
 
 # ---------------------------------------------------------------------------

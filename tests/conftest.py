@@ -24,6 +24,7 @@ from darbouxkit.expr import (
     symbol_tower,
 )
 from darbouxkit.darboux import Transformation
+from darbouxkit.tensordt import FundamentalPair
 from darbouxkit.linsys import (
     ExprMatrix,
     LinearSystem,
@@ -105,9 +106,11 @@ def m_split(a: ExprMatrix, m: str = "m") -> tuple[ExprMatrix, ExprMatrix]:
     return base, pert
 
 
-def failed_part(t: Transformation) -> str | None:
+def failed_part(t: Transformation | FundamentalPair) -> str | None:
     """The first part of the record's certificate whose residual does not
-    normalize to zero (``"det"`` or ``"gauge"``), or None when it holds."""
+    normalize to zero (``"det"`` or ``"gauge"`` of a transformation;
+    ``"frame det"``, ``"frame gauge"`` or ``"Sym2 Y"`` of a lift), or None
+    when it holds."""
     for part, residual in t.residuals():
         entries = residual.rows if isinstance(residual, ExprMatrix) else [[residual]]
         if not all(is_zero(e) for row in entries for e in row):

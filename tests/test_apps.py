@@ -20,7 +20,7 @@ from darbouxkit.expr import (
 )
 from darbouxkit.apps import application_chain, frenet_family, rigid_family
 from darbouxkit.darboux import Transformation, auto_level_seed, darboux_gauge, generic_seed
-from darbouxkit.linsys import ExprMatrix, family_to_json
+from darbouxkit.linsys import ExprMatrix, family_to_json, residual
 from darbouxkit.sympow import sym_group
 from darbouxkit.numverify import (
     companion_solution_grid,
@@ -420,3 +420,67 @@ def test_chain_records_certify(application):
     assert failed_part(t1) is None
     # negative control: link 0's gauge against link 2's system
     assert failed_part(t0.replace(target=t1.target)) == "gauge"
+
+
+# -- the lift certificate: frame record and Sym2 solution ----------------------
+
+# the four parametric application families of acceptance criterion 8, and
+# the symbolic-tower Frenet S and rigid Q families of the applications check
+def _linear():
+    return normalize(param("a") + param("b") * X)
+
+
+LIFT_APPLICATIONS = {
+    "frenet-q": ("Q", lambda: frenet_family(_linear(), -2 * I, "Q")),
+    "frenet-s": ("S", lambda: frenet_family(_linear(), normalize(param("c") * X), "S")),
+    "rigid-q": ("Q", lambda: rigid_family(normalize(-I * (2 - _linear())), _linear(), "Q")),
+    "rigid-s": ("S", lambda: rigid_family(_linear(), ZERO, "S")),
+    "frenet-s-tower": ("S", lambda: frenet_family(
+        sym("kappa"), sym("tau"), "S", _sym_tables("kappa", "tau"))),
+    "rigid-q-tower": ("Q", lambda: rigid_family(sym("w1"), None, "Q", _sym_tables("w1"))),
+}
+
+
+def _lift(application):
+    route, build = LIFT_APPLICATIONS[application]
+    family = build()
+    return route, family, orthogonal_lift(family, route)[1]
+
+
+@pytest.mark.parametrize("application", LIFT_APPLICATIONS)
+def test_lift_certificate_and_direct_residual_both_vanish(application):
+    route, family, pair = _lift(application)
+    assert [part for part, _ in pair.residuals()] == ["frame det", "frame gauge", "Sym2 Y"]
+    assert failed_part(pair) is None
+    assert residual(pair.system, pair.matrix).is_zero_matrix()
+    # the pair is its frame record times the Sym2 solution
+    assert pair.frame == ROUTES[route].transformation(family)
+    assert pair.matrix.equals((pair.frame.gauge @ pair.sym2).normalized())
+
+
+@pytest.mark.parametrize("application", ["frenet-q", "frenet-s"])
+def test_lift_with_a_w_squared_frame_det_fails_at_frame_det(application):
+    # both families have w != 1, so w^2 is not w^3
+    route, family, pair = _lift(application)
+    det_conj = ROUTES[route].conj.det()
+    wrong = pair.frame.replace(det=det_conj * family.w ** 2)
+    assert failed_part(pair.replace(frame=wrong)) == "frame det"
+
+
+@pytest.mark.parametrize("application", ["frenet-s", "frenet-s-tower"])
+def test_lift_with_wrong_frame_exponents_fails_at_frame_gauge(application):
+    # K = S diag(1, w, w), given its own det, is invertible but no gauge
+    _, family, pair = _lift(application)
+    frame = ROUTES["S"].replace(exponents=(0, 1, 1)).transformation(family)
+    frame = frame.replace(det=frame.gauge.det())
+    assert failed_part(frame) == "gauge"
+    assert failed_part(pair.replace(frame=frame)) == "frame gauge"
+
+
+@pytest.mark.parametrize("application", ["rigid-q", "frenet-s"])
+def test_lift_with_one_flipped_solution_entry_fails_at_sym2(application):
+    _, _, pair = _lift(application)
+    flipped = pair.table.extended({"y2_p": normalize(-pair.table.get("y2_p"))})
+    bad = pair.replace(table=flipped)
+    assert failed_part(bad) == "Sym2 Y"
+    assert not residual(bad.system, bad.matrix).is_zero_matrix()

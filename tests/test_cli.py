@@ -666,6 +666,30 @@ def test_verify_names_the_failing_record_part(capsys, monkeypatch):
     }
 
 
+def test_verify_names_the_failing_frame_record_part(capsys, monkeypatch):
+    # frame exponents (0, 1, 1) give det K = 2 w^2 against the record's
+    # det(S) w^3, so the Frenet S lift fails at its frame record's det
+    from darbouxkit import tensordt
+
+    monkeypatch.setitem(tensordt.ROUTES, "S", tensordt.ROUTES["S"].replace(exponents=(0, 1, 1)))
+    code, out, _ = _run(capsys, ["verify", "--check", "applications"])
+    assert code == 1
+    (report,) = json.loads(out)["checks"]
+    assert report["pass"] is False
+    assert report["identity"] == "Frenet S frame det"
+    assert set(report) == {"check", "max_residual", "tolerance", "pass", "mode",
+                           "identity", "residual"}
+
+
+def test_verify_applications_report_keeps_its_keys(capsys):
+    code, out, _ = _run(capsys, ["verify", "--check", "applications"])
+    assert code == 0
+    (report,) = json.loads(out)["checks"]
+    assert report["pass"] is True
+    assert set(report) == {"check", "max_residual", "tolerance", "pass", "mode",
+                           "seed", "samples"}
+
+
 def test_seed_failure_exit_code(capsys, oscillator_json):
     code, _, err = _run(
         capsys,

@@ -37,6 +37,7 @@ def test_identity_names_are_unique_within_each_check(monkeypatch):
         assert len(names) == len(set(names)), check
         counts[check] = len(names)
     assert counts["darboux-gauge"] == 3
+    assert counts["applications"] == 12
     assert counts["lifted-transforms"] == 9
     assert counts["susy-oscillator"] == 16
     assert counts["riccati-parametrization"] == 7

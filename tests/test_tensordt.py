@@ -87,16 +87,36 @@ def test_route_frame_inverts_exactly(route):
 
 @pytest.mark.parametrize("route", ROUTES)
 def test_route_frame_is_a_gauge(route):
-    # K carries Sym2 of the companion system to the route's orthogonal
-    # system; det Q = 2i and det S = 2, and either frame adds w^3
+    # the frame record: K carries Sym2 of the companion system to the
+    # route's orthogonal system; det Q = 2i and det S = 2, and either
+    # frame adds w^3
     fam = generic_family()
-    frame = Transformation(
+    frame = ROUTES[route].transformation(fam)
+    assert frame == Transformation(
         sym_system(companion(fam), 2),
         ROUTES[route].frame(fam)[0],
         ROUTES[route].system(fam).system(),
-        {"Q": 2 * I, "S": const(2)}[route] * fam.w ** 3,
+        frame.det,
     )
+    assert equal(frame.det, {"Q": 2 * I, "S": const(2)}[route] * fam.w ** 3)
     assert failed_part(frame) is None
+
+
+def test_records_compare_and_hash_by_their_entries():
+    from darbouxkit import golden
+
+    fam = generic_family()
+    for make in (lambda: companion(fam), golden._oscillator,
+                 lambda: ROUTES["S"].transformation(fam)):
+        first, second = make(), make()
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+    assert companion(fam) != companion(golden._oscillator())
+    assert fam.table == generic_family().table != DerivationTable()
+    # entries compare as trees; ``equals`` compares normal forms
+    x = sym("x0")
+    assert ExprMatrix([[x + x]]) != ExprMatrix([[2 * x]])
+    assert ExprMatrix([[x + x]]).equals(ExprMatrix([[2 * x]]))
 
 
 def test_q_conjugation_of_sym2_is_skew():
