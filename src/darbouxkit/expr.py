@@ -1283,7 +1283,7 @@ def _evaluate(e: Expr, bindings: Mapping[str, complex]) -> complex | np.ndarray:
     if isinstance(e, Mul):
         out = 1 + 0j
         for f in e.factors:
-            out *= _evaluate(f, bindings)
+            out = out * _evaluate(f, bindings)
         return out
     if isinstance(e, Pow):
         base = _evaluate(e.base, bindings)

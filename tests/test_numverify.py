@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from darbouxkit.expr import (
     DerivationTable,
@@ -264,30 +265,110 @@ def _one_problem():
     return _vector_problems()[:1]
 
 
-@pytest.mark.parametrize("problems, steps, blocks", [
-    (_one_problem, 2000, 2),  # ten segments fit a block: 1792 steps, then 208
-    (_one_problem, 2817, 3),  # 2560 steps, 256, then the 1-step partial segment
-    (_two_problems, 2000, 3),  # five segments fit a block: 1280, 512, then 208
-    (_ten_problems, 2000, 8),  # one segment to a block: seven, then 208 steps
-    (_ten_problems, 256, 1),
+@pytest.mark.parametrize("problems, steps, blocks, groups", [
+    (_one_problem, 2000, 2, 1),  # ten segments fit a block: 1792 steps, then 208
+    (_one_problem, 2817, 3, 1),  # 2560 steps, 256, then the 1-step partial segment
+    (_two_problems, 2000, 3, 2),  # five segments fit a block: 1280, 512, then 208
+    (_ten_problems, 2000, 8, 3),  # one segment to a block: seven, then 208 steps
+    (_ten_problems, 256, 1, 3),
 ])
-def test_blocks_are_sized_by_their_entries(monkeypatch, problems, steps, blocks):
-    # one coefficient evaluation per problem per block
-    nodes = []
-    grid_values = numverify._grid_values
+def test_blocks_are_sized_by_their_entries(monkeypatch, problems, steps, blocks, groups):
+    # one coefficient evaluation per shared matrix per 256-step segment, over
+    # a row of the segment's nodes with a column of values per bound name
+    nodes, members, layout = [], [], []
+    grid_values, blocks_of = numverify._grid_values, numverify._blocks
 
     def counted(exprs, env, xs, what):
-        nodes.append(len(xs))
+        nodes.append(xs.shape[1])
+        members.append({v.shape for v in env.values()})
         return grid_values(exprs, env, xs, what)
 
+    def recorded(steps, entries):
+        layout.extend(blocks_of(steps, entries))
+        return layout
+
     monkeypatch.setattr(numverify, "_grid_values", counted)
+    monkeypatch.setattr(numverify, "_blocks", recorded)
     stack = problems()
     integrate_many(stack, (0.0, 1.0), 1.0 / steps)
-    assert len(nodes) == blocks * len(stack)
-    assert sum(nodes) == len(stack) * (2 * steps + blocks)
+    segments = -(-steps // 256)
+    assert len(nodes) == groups * segments
+    assert sum(nodes) == groups * (2 * steps + segments)
+    assert max(nodes) == 2 * min(steps, 256) + 1
+    # every problem binds m, one value per member of its group
+    assert sum(shape[0] for (shape,) in members) == len(stack) * segments
+    assert all(shape[1] == 1 for (shape,) in members)
     # a block of L steps for P stacked 3 x 3 problems holds 9 P L <= _BLOCK_ENTRIES
     # increment entries, or one segment where that is more
-    assert max(nodes) - 1 <= 2 * max(256, _BLOCK_ENTRIES // (9 * len(stack)))
+    assert len(layout) == blocks
+    assert [first for first, _, _ in layout[1:]] == [last for _, last, _ in layout[:-1]]
+    assert layout[0][0] == 0 and layout[-1][1] == steps
+    assert max(last - first for first, last, _ in layout) <= max(256, _BLOCK_ENTRIES // (9 * len(stack)))
+
+
+def _stack_entry(kind, n, i, j):
+    # entry (i, j) of a coefficient matrix over a and b: x-dependent and
+    # x-free parts, with x-free quotients and products of non-real values
+    a, b = param("a"), param("b")
+    terms = [
+        lambda: (i - j) * X + a,
+        lambda: a * b - I * X,
+        lambda: a / b + X * b,
+        lambda: (a * a) / (b + i + 1) - const(j) * X,
+        lambda: 1 / (a * b) + X * X / 4,
+        lambda: (X + a) / (X + b),
+    ]
+    return terms[(kind + 2 * i + 3 * j) % len(terms)]() * rat(1, n)
+
+
+def _stack_system(kind, n):
+    return LinearSystem(ExprMatrix([[_stack_entry(kind, n, i, j) for j in range(n)]
+                                    for i in range(n)]), DerivationTable())
+
+
+_nonreal = st.tuples(st.floats(-1.5, 1.5), st.floats(0.25, 1.0), st.booleans()).map(
+    lambda t: complex(t[0], t[1] if t[2] else -t[1]))
+
+
+@settings(deadline=None)
+@given(st.sampled_from([2, 3]), st.booleans(), st.sampled_from([1, 7, 256, 300, 529]),
+       st.lists(st.tuples(st.integers(0, 2), _nonreal, _nonreal), min_size=1, max_size=6))
+def test_one_problem_alone_equals_the_same_problem_in_a_stack(n, matrix_state, steps, drawn):
+    # non-real bindings go through numpy columns in a stack and alone, so
+    # every trajectory is bit for bit its own integration
+    stack = [(_stack_system(kind, n), np.eye(n, 2) + 0.5j if matrix_state else np.arange(1, n + 1),
+              {"a": a, "b": b}) for kind, a, b in drawn]
+    together = integrate_many(stack, (0.0, 1.0), 1.0 / steps)
+    for (system, state, bindings), traj in zip(stack, together, strict=True):
+        alone = integrate(system, state, (0.0, 1.0), 1.0 / steps, bindings)
+        assert traj.states.shape == alone.states.shape
+        assert np.array_equal(traj.states, alone.states)
+
+
+def test_an_equal_rebuilt_matrix_joins_the_same_group(monkeypatch):
+    # two matrices built apart, with their terms in another order, share one
+    # evaluation a segment: problems are grouped by normal form
+    a = param("a")
+    first = LinearSystem(ExprMatrix([[a * X, ONE], [-ONE, X + a]]), DerivationTable())
+    second = LinearSystem(ExprMatrix([[X * a, const(1)], [const(-1), a + X]]), DerivationTable())
+    assert first.a is not second.a and first.a.rows is not second.a.rows
+    envs = []
+    grid_values = numverify._grid_values
+
+    def recorded(exprs, env, xs, what):
+        envs.append(env)
+        return grid_values(exprs, env, xs, what)
+
+    monkeypatch.setattr(numverify, "_grid_values", recorded)
+    stack = [(first, [1.0, 0.0], {"a": 0.5j}), (second, [0.0, 1.0], {"a": 2.0}),
+             (first, [1.0, 1.0], {"a": -1.0})]
+    integrate_many(stack, (0.0, 1.0), 1.0 / 300)
+    assert len(envs) == 2  # one group over two segments
+    assert np.array_equal(envs[0]["a"], [[0.5j], [2.0], [-1.0]])
+    # another set of bound names is another group, even where it binds nothing used
+    envs.clear()
+    integrate_many(stack + [(second, [0.0, 1.0], {"a": 2.0, "c": 1.0})], (0.0, 1.0), 1.0 / 300)
+    assert len(envs) == 4
 
 
 @pytest.mark.parametrize("run", [integrate_many, companion_solution_grids],
@@ -303,6 +384,16 @@ def test_integrate_many_reports_singularity_in_a_later_problem():
     with pytest.raises(EvalSingularity, match=r"coefficient singular at x = 0\.5:"):
         integrate_many([(_circle_system(), [1.0, 0.0], {"m": 0}),
                         (singular, [1.0, 0.0], None)], (0.0, 1.0), 0.25)
+
+
+def test_integrate_many_names_the_first_singular_member_of_a_group():
+    # three bindings of one matrix share its evaluation; the second is the
+    # first singular member, though the third is singular at a smaller x
+    c = param("c")
+    singular = LinearSystem(ExprMatrix([[1 / (X - c), ZERO], [ZERO, ONE]]), DerivationTable())
+    with pytest.raises(EvalSingularity, match=r"coefficient singular at x = 0\.75:"):
+        integrate_many([(singular, [1.0, 0.0], {"c": value}) for value in (2.0, 0.75, 0.25)],
+                       (0.0, 1.0), 0.25)
 
 
 @pytest.mark.parametrize("second", [
@@ -667,6 +758,32 @@ def test_companion_grids_match_one_system_at_a_time():
         assert grid.values.keys() == alone.values.keys() == {"y1", "y1_p", "y2", "y2_p", "w"}
         for name, values in alone.values.items():
             assert np.array_equal(grid.values[name], values)
+
+
+def test_companion_grids_build_each_family_once(monkeypatch):
+    # the applications' grids: five bindings of each of two families
+    routes = _application_routes()
+    pairs = [(family, bindings) for family, _, cases in routes for bindings in cases]
+    alone = [companion_solution_grid(family, (0.0, 1.0), 5e-3, bindings) for family, bindings in pairs]
+    built = {"companion": 0, "fundamental_matrix": 0}
+    build_companion = numverify.companion
+    fundamental_matrix = SecondOrderFamily.fundamental_matrix
+
+    def counted_companion(family):
+        built["companion"] += 1
+        return build_companion(family)
+
+    def counted_fundamental_matrix(family):
+        built["fundamental_matrix"] += 1
+        return fundamental_matrix(family)
+
+    monkeypatch.setattr(numverify, "companion", counted_companion)
+    monkeypatch.setattr(SecondOrderFamily, "fundamental_matrix", counted_fundamental_matrix)
+    grids = companion_solution_grids(pairs, (0.0, 1.0), 5e-3)
+    assert built == {"companion": 2, "fundamental_matrix": 2}
+    for grid, one in zip(grids, alone, strict=True):
+        assert grid.values.keys() == one.values.keys()
+        assert all(np.array_equal(grid.values[name], one.values[name]) for name in one.values)
 
 
 def test_companion_grid_backs_the_frame_datum():
