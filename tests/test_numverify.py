@@ -285,7 +285,7 @@ def test_blocks_are_sized_by_their_entries(monkeypatch, problems, steps, blocks,
 
     def recorded(steps, entries):
         layout.extend(blocks_of(steps, entries))
-        return layout
+        return list(layout)
 
     monkeypatch.setattr(numverify, "_grid_values", counted)
     monkeypatch.setattr(numverify, "_blocks", recorded)
@@ -310,15 +310,9 @@ def _stack_entry(kind, n, i, j):
     # entry (i, j) of a coefficient matrix over a and b: x-dependent and
     # x-free parts, with x-free quotients and products of non-real values
     a, b = param("a"), param("b")
-    terms = [
-        lambda: (i - j) * X + a,
-        lambda: a * b - I * X,
-        lambda: a / b + X * b,
-        lambda: (a * a) / (b + i + 1) - const(j) * X,
-        lambda: 1 / (a * b) + X * X / 4,
-        lambda: (X + a) / (X + b),
-    ]
-    return terms[(kind + 2 * i + 3 * j) % len(terms)]() * rat(1, n)
+    terms = [(i - j) * X + a, a * b - I * X, a / b + X * b, (a * a) / (b + i + 1) - const(j) * X,
+             1 / (a * b) + X * X / 4, (X + a) / (X + b)]
+    return terms[(kind + 2 * i + 3 * j) % len(terms)] * rat(1, n)
 
 
 def _stack_system(kind, n):
