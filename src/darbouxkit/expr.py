@@ -600,11 +600,13 @@ def symbol_tower(base: str, depth: int) -> dict[str, Expr]:
 # rehashing the term.
 #
 # Three caches hold the kernel's reusable work: _NORMAL_CACHE (inputs and
-# normal forms to their normal form), _TERM_CACHE (term nodes) and
-# _TEXT_CACHE (the printed text of roots and of the terms of printed
-# normal forms).  One bound, _NORMAL_CACHE_LIMIT, holds for each, and one
-# rule, _bound_caches, clears all three together once any of them passes
-# it, whether normalizing or printing filled it.
+# normal forms to their normal form, and every sum, power and quotient
+# that _to_ratfunc converts to its _RatFunc alone, as (None, rf), so a
+# shared one converts once), _TERM_CACHE (term nodes) and _TEXT_CACHE
+# (the printed text of roots and of the terms of printed normal forms).
+# One bound, _NORMAL_CACHE_LIMIT, holds for each, and one rule,
+# _bound_caches, clears all three together once any of them passes it,
+# whether normalizing or printing filled it.
 
 Gen = tuple
 Mono = tuple
@@ -695,6 +697,15 @@ def _poly_mul(a: Poly, b: Poly) -> Poly:
         return dict(b)
     if b == _POLY_ONE:
         return dict(a)
+    # a one-term factor maps distinct monomials to distinct ones, and no
+    # product of nonzero coefficients is zero: the loop below would meet
+    # no collision, and it keeps the other factor's order too
+    if len(a) == 1:
+        (ma, ca), = a.items()
+        return {_mono_mul(ma, mb): ca * cb for mb, cb in b.items()}
+    if len(b) == 1:
+        (mb, cb), = b.items()
+        return {_mono_mul(ma, mb): ca * cb for ma, ca in a.items()}
     out: Poly = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
@@ -903,7 +914,10 @@ def _rf(num: Poly, den: Poly) -> _RatFunc:
         return _RatFunc({}, dict(_POLY_ONE))
     if den_p != _POLY_ONE:
         num_p, den_p = _poly_cancel_content(num_p, den_p)
-        quotient = _poly_exact_div(num_p, den_p)
+        # with the common monomial struck, some numerator term lacks a power
+        # of a one-term, non-constant denominator, which so never divides
+        quotient = (_poly_exact_div(num_p, den_p)
+                    if len(den_p) > 1 or not min(den_p)[0] else None)
         if quotient is not None:
             return _RatFunc(quotient, dict(_POLY_ONE))
     scale = den_p[max(den_p)]
@@ -971,8 +985,9 @@ def _operands(e: Add | Mul) -> tuple:
 
 
 def _left_spine(e: Add | Mul) -> list[Expr]:
-    """The operands of ``e``, with an uncached first operand of the same
-    type replaced by its own operands, down the left spine."""
+    """The operands of ``e``, with a first operand of the same type that
+    _NORMAL_CACHE does not hold replaced by its own operands, down the
+    left spine."""
     kind = type(e)
     ops = _operands(e)
     rests = []
@@ -1008,7 +1023,7 @@ def _to_ratfunc(e: Expr) -> _RatFunc:
             else:
                 out = _rf_add(_RatFunc(num, den) if reduced else _rf(num, den), b)
                 num, den, reduced = out.num, out.den, True
-        return _RatFunc(num, den) if reduced else _rf(num, den)
+        return _keep(e, _RatFunc(num, den) if reduced else _rf(num, den))
     if isinstance(e, Mul):
         factors = _left_spine(e)
         if not factors:
@@ -1019,15 +1034,22 @@ def _to_ratfunc(e: Expr) -> _RatFunc:
             out = _rf_mul(out, _to_ratfunc(f))
         return out
     if isinstance(e, Pow):
-        return _rf_pow(_to_ratfunc(e.base), e.exponent)
+        return _keep(e, _rf_pow(_to_ratfunc(e.base), e.exponent))
     if isinstance(e, Div):
-        return _rf_div(_to_ratfunc(e.num), _to_ratfunc(e.den))
+        return _keep(e, _rf_div(_to_ratfunc(e.num), _to_ratfunc(e.den)))
     if isinstance(e, Apply):
         arg = normalize(e.arg)
         if isinstance(arg, Const) and arg.value.is_zero():
             return _RatFunc(dict(_POLY_ONE), dict(_POLY_ONE))
         return _RatFunc(_poly_gen(_gen(Apply(e.func, arg))), dict(_POLY_ONE))
     raise TypeError(f"unknown node {e!r}")
+
+
+def _keep(e: Add | Pow | Div, rf: _RatFunc) -> _RatFunc:
+    """Cache ``rf``, which depends on ``e`` alone, with no normal form."""
+    _bound_caches()
+    _NORMAL_CACHE[e] = (None, rf)
+    return rf
 
 
 def _gen_to_expr(gen: Gen) -> Expr:
@@ -1066,9 +1088,10 @@ def _poly_to_expr(p: Poly) -> Expr:
     return terms[0] if len(terms) == 1 else Add(tuple(terms))
 
 
-# input and normal form -> (normal form, its _RatFunc); the polynomials
-# are shared by every hit and must never be mutated
-_NORMAL_CACHE: dict[Expr, tuple[Expr, _RatFunc]] = {}
+# input and normal form -> (normal form, its _RatFunc), and a converted
+# sum, power or quotient -> (None, its _RatFunc); the polynomials are
+# shared by every hit and must never be mutated
+_NORMAL_CACHE: dict[Expr, tuple[Expr | None, _RatFunc]] = {}
 _NORMAL_CACHE_LIMIT = 1 << 16
 
 # (monomial, coefficient parts) -> its term node
@@ -1103,9 +1126,10 @@ def normalize(e: Expr) -> Expr:
     factor, so equal values can have different nonzero normal forms.
     """
     cached = _NORMAL_CACHE.get(e)
-    if cached is not None:
-        return cached[0]
-    return _remember(e, _to_ratfunc(e))
+    if cached is None:
+        return _remember(e, _to_ratfunc(e))
+    # a converted sum, power or quotient holds its _RatFunc alone
+    return cached[0] if cached[0] is not None else _remember(e, cached[1])
 
 
 def _remember(e: Expr, rf: _RatFunc) -> Expr:
@@ -1146,17 +1170,18 @@ def differentiate(e: Expr, table: DerivationTable = EMPTY_TABLE) -> Expr:
     the tree gives: its terms are then products of polynomials, whose
     reduced expansion is unique, and it ends in the same quotient.
 
-    ``e`` is normalized first, for the check only and uncached: where
-    ``normalize(e)`` raises, so does this, even when the derivative tree
-    drops the singular part, as in ``differentiate(param("k") / (const(2) - 2))``.
+    ``e`` is converted first, so that where ``normalize(e)`` raises, so
+    does this, even when the derivative tree drops the singular part, as
+    in ``differentiate(param("k") / (const(2) - 2))``.  Its sums, powers
+    and quotients are cached as converted; no normal form of ``e`` is built.
     """
     _to_ratfunc(e)
     tree = _diff(e, table)
     cached = _NORMAL_CACHE.get(tree)
-    if cached is not None:
-        return cached[0]
-    rf = _normal_form_derivative(e, table)
-    return normalize(tree) if rf is None else _remember(tree, rf)
+    if cached is None:
+        rf = _normal_form_derivative(e, table)
+        return normalize(tree) if rf is None else _remember(tree, rf)
+    return cached[0] if cached[0] is not None else _remember(tree, cached[1])
 
 
 def _normal_form_derivative(e: Expr, table: DerivationTable) -> _RatFunc | None:
@@ -1258,9 +1283,11 @@ def evaluate(e: Expr, bindings: Mapping[str, complex]) -> complex | np.ndarray:
     """IEEE double-complex value of ``e``; every free name must be bound.
 
     The independent variable is bound under the key ``"x"``.  Any binding
-    may be a complex scalar or a 1-D numpy array; array bindings share one
-    length and the tree is walked once for all of their points, giving a
-    complex128 array (a subtree free of array-bound names stays a scalar).
+    may be a complex scalar or a numpy array; array bindings broadcast
+    together, as 1-D arrays of one length or as a ``(1, N)`` row of ``x``
+    against ``(M, 1)`` columns giving ``(M, N)`` values, and the tree is
+    walked once for all of their points, giving an array of the broadcast
+    shape (a subtree free of array-bound names stays a scalar).
     ``exp`` is ``numpy.exp``; numpy is imported by the first call.  A zero
     denominator or a zero base of a negative power at any point raises
     :class:`EvalSingularity`.

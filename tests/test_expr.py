@@ -239,6 +239,44 @@ def test_exact_division_recovers_the_cofactor(a, b):
     assert kernel._poly_exact_div(kernel._poly_mul(a, b), b) == a
 
 
+_terms = st.dictionaries(_monos, _coeffs, min_size=1, max_size=1)
+
+
+@settings(max_examples=_EXACT_DIVISION_EXAMPLES, deadline=None)
+@given(_polys, _monos, _terms)
+def test_one_term_denominator_left_by_cancel_content_never_divides(p, shared, den):
+    # the numerator may share any part of the denominator's monomial
+    num = kernel._poly_mul(p, {shared: kernel._UNIT})
+    num, den = kernel._poly_cancel_content(num, den)
+    assume(len(den) == 1 and min(den)[0])
+    assert kernel._poly_exact_div(num, den) is None
+
+
+def _poly_mul_loop(a, b):
+    """The product of two polynomials by the general loop, with its
+    collision checks."""
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            mono = kernel._mono_mul(ma, mb)
+            s = out.get(mono)
+            s = ca * cb if s is None else s + ca * cb
+            if s.is_zero():
+                del out[mono]
+            else:
+                out[mono] = s
+    return out
+
+
+@settings(max_examples=_EXACT_DIVISION_EXAMPLES, deadline=None)
+@given(_terms, _polys)
+def test_one_term_product_matches_the_general_loop(term, p):
+    for a, b in ((term, p), (p, term)):
+        got = kernel._poly_mul(a, b)
+        assert list(got.items()) == list(_poly_mul_loop(a, b).items())
+        assert got is not a and got is not b
+
+
 @settings(deadline=None)
 @given(_reduced_polys)
 def test_generators_recover_their_leaves(p):
@@ -624,6 +662,18 @@ def test_array_evaluate_matches_pointwise(e):
     )
 
 
+def test_a_row_of_x_and_columns_of_parameters_broadcast_to_a_grid():
+    # the RK4 oracle binds x as a (1, N) row and each parameter as an
+    # (M, 1) column, one value per member of a stack
+    e = (param("k") * X ** 2 + exp(param("k") * X)) / (X + 3) - param("k") ** -2 + _S
+    xs, ks = _GRID[:5], np.array([0.75 - 0.5j, 1.5, -2j])
+    got = evaluate(e, {"x": xs[None, :], "k": ks[:, None], "s": np.sqrt(xs + 2)[None, :]})
+    assert got.shape == (3, 5)
+    want = [[evaluate(e, {"x": x, "k": k, "s": np.sqrt(x + 2)}) for x in xs] for k in ks]
+    # numpy's complex arithmetic may round the last bit as Python's does not
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
 def _to_sympy(e):
     if isinstance(e, Const):
         re, im = e.value.re, e.value.im
@@ -707,6 +757,71 @@ def test_normal_form_does_not_depend_on_cache_state(e):
         assume("DivisionByZeroExpr" not in texts)
         rebuilt = type(e)(tuple(normalize(p) for p in parts))
         assert _normal_text(rebuilt) == cold
+
+
+def _converted(trees):
+    """The trees that the normal-form cache holds as converted only."""
+    return [t for t in trees if kernel._NORMAL_CACHE.get(t, (t,))[0] is None]
+
+
+_PARENTS = [lambda s: s + X, lambda s: X * s, lambda s: s / (X + 1), lambda s: s ** 2,
+            lambda s: param("k") - s]
+
+
+def _derivative_text(e):
+    try:
+        return to_sexpr(differentiate(e))
+    except DivisionByZeroExpr:
+        return "DivisionByZeroExpr"
+
+
+@settings(max_examples=max(150, settings.default.max_examples), deadline=None)
+@given(_numeric_exprs(3), st.data())
+def test_normal_form_does_not_depend_on_converted_subtrees(e, data):
+    _clear_caches()
+    cold = _normal_text(e)
+    _clear_caches()
+    cold_derivative = _derivative_text(e)
+    # convert some subtrees of e and of its derivative tree alone, inside
+    # random parents or through the check that differentiate makes, so
+    # that e and its derivative then read their entries
+    _clear_caches()
+    tree = kernel._diff(e, kernel.EMPTY_TABLE)
+    subs = [*_subtrees(e), *_subtrees(tree)]
+    picks = data.draw(st.lists(st.sampled_from(subs), max_size=4)) if subs else []
+    picks += [tree] * data.draw(st.integers(0, 1))
+    for sub in picks:
+        parent = data.draw(st.sampled_from(_PARENTS))(sub)
+        try:
+            normalize(parent) if data.draw(st.booleans()) else differentiate(parent)
+        except DivisionByZeroExpr:
+            pass
+    assert _derivative_text(e) == cold_derivative
+    assert _normal_text(e) == cold
+
+
+@settings(max_examples=max(150, settings.default.max_examples), deadline=None)
+@given(_numeric_exprs(3))
+def test_normalize_of_a_converted_subtree_is_its_cold_normal_form(e):
+    _clear_caches()
+    try:
+        kernel._to_ratfunc(e)
+    except DivisionByZeroExpr:
+        assume(False)
+    trees = _converted([*_subtrees(e), e])
+    if isinstance(e, (Add, Pow, Div)):
+        assert e in trees
+    warm = []
+    for t in trees:
+        n = normalize(t)
+        # the entry now holds the normal form, and so does the form's own
+        assert kernel._NORMAL_CACHE[t][0] is n and kernel._NORMAL_CACHE[n][0] is n
+        warm.append(to_sexpr(n))
+    cold = []
+    for t in trees:
+        _clear_caches()
+        cold.append(to_sexpr(normalize(t)))
+    assert warm == cold
 
 
 def _normal_terms(n):
@@ -812,16 +927,22 @@ def test_a_node_hashes_without_reading_its_key(monkeypatch, kind):
 @settings(max_examples=max(150, settings.default.max_examples), deadline=None)
 @given(_numeric_exprs(2), _numeric_exprs(2))
 def test_cached_ratfunc_is_never_mutated(e, f):
+    _clear_caches()
     try:
         n = normalize(e)
     except DivisionByZeroExpr:
         assume(False)
-    rf = kernel._NORMAL_CACHE[n][1]
-    snapshot = (list(rf.num.items()), list(rf.den.items()))
+    try:
+        kernel._to_ratfunc(f)
+    except DivisionByZeroExpr:
+        pass
+    # the normal form's entry and the converted sums, powers and quotients of f
+    kept = [rf for _, rf in kernel._NORMAL_CACHE.values()]
+    snapshot = [(list(rf.num.items()), list(rf.den.items())) for rf in kept]
     for use in (n + f, f - n, n * f, f * n * n, n / f, f / n, n ** -1, (n + f) ** -2,
-                n + n + f, f + n + n, n * n * f):
+                n + n + f, f + n + n, n * n * f, f + f * n, f ** 2 + n):
         _normal_text(use)
-    assert (list(rf.num.items()), list(rf.den.items())) == snapshot
+    assert [(list(rf.num.items()), list(rf.den.items())) for rf in kept] == snapshot
 
 
 # -- the fold of sums and products ----------------------------------------------
@@ -955,14 +1076,21 @@ def test_caches_stay_bounded_and_results_match_cold(monkeypatch):
         ((param(f"a{i}") + X) ** (i % 3 + 1) + i + exp(param(f"a{i}"))) / (X ** 2 + i + 1)
         for i in range(300)
     ]
-    warm = []
+    warm, converted = [], {}
     for e in exprs:
         warm.append(normalize(e))
+        # converted sums, powers and quotients count against the bound too
+        converted.update((t, rf) for t, (n, rf) in kernel._NORMAL_CACHE.items() if n is None)
         assert len(kernel._NORMAL_CACHE) <= limit + 2
         assert len(kernel._TERM_CACHE) <= limit
+    assert len(converted) > limit
     for e, result in zip(exprs, warm):
         _clear_caches()
         assert normalize(e) == result
+    for t, rf in converted.items():
+        _clear_caches()
+        cold = kernel._to_ratfunc(t)
+        assert (cold.num, cold.den) == (rf.num, rf.den)
 
 
 # -- one reduction per denominator, and derivatives on polynomials -----------------
