@@ -916,10 +916,10 @@ def _rf(num: Poly, den: Poly) -> _RatFunc:
         num_p, den_p = _poly_cancel_content(num_p, den_p)
         # with the common monomial struck, some numerator term lacks a power
         # of a one-term, non-constant denominator, which so never divides
-        quotient = (_poly_exact_div(num_p, den_p)
-                    if len(den_p) > 1 or not min(den_p)[0] else None)
-        if quotient is not None:
-            return _RatFunc(quotient, dict(_POLY_ONE))
+        if len(den_p) > 1 or not min(den_p)[0]:
+            quotient = _poly_exact_div(num_p, den_p)
+            if quotient is not None:
+                return _RatFunc(quotient, dict(_POLY_ONE))
     scale = den_p[max(den_p)]
     if not (scale == _UNIT):
         inv = _UNIT / scale
@@ -985,9 +985,8 @@ def _operands(e: Add | Mul) -> tuple:
 
 
 def _left_spine(e: Add | Mul) -> list[Expr]:
-    """The operands of ``e``, with a first operand of the same type that
-    _NORMAL_CACHE does not hold replaced by its own operands, down the
-    left spine."""
+    """The operands of ``e``, with a first operand of its type that
+    _NORMAL_CACHE lacks replaced by its own operands, down the left spine."""
     kind = type(e)
     ops = _operands(e)
     rests = []
@@ -1177,6 +1176,7 @@ def differentiate(e: Expr, table: DerivationTable = EMPTY_TABLE) -> Expr:
     """
     _to_ratfunc(e)
     tree = _diff(e, table)
+    # one lookup: each compares the new tree with its key node by node
     cached = _NORMAL_CACHE.get(tree)
     if cached is None:
         rf = _normal_form_derivative(e, table)
