@@ -1124,11 +1124,11 @@ def normalize(e: Expr) -> Expr:
     nonzero), and without a polynomial GCD a fraction may keep a common
     factor, so equal values can have different nonzero normal forms.
     """
-    cached = _NORMAL_CACHE.get(e)
-    if cached is None:
-        return _remember(e, _to_ratfunc(e))
+    n, rf = _NORMAL_CACHE.get(e, (None, None))
+    if n is not None:
+        return n
     # a converted sum, power or quotient holds its _RatFunc alone
-    return cached[0] if cached[0] is not None else _remember(e, cached[1])
+    return _remember(e, _to_ratfunc(e) if rf is None else rf)
 
 
 def _remember(e: Expr, rf: _RatFunc) -> Expr:
@@ -1177,11 +1177,12 @@ def differentiate(e: Expr, table: DerivationTable = EMPTY_TABLE) -> Expr:
     _to_ratfunc(e)
     tree = _diff(e, table)
     # one lookup: each compares the new tree with its key node by node
-    cached = _NORMAL_CACHE.get(tree)
-    if cached is None:
+    n, rf = _NORMAL_CACHE.get(tree, (None, None))
+    if n is not None:
+        return n
+    if rf is None:
         rf = _normal_form_derivative(e, table)
-        return normalize(tree) if rf is None else _remember(tree, rf)
-    return cached[0] if cached[0] is not None else _remember(tree, cached[1])
+    return normalize(tree) if rf is None else _remember(tree, rf)
 
 
 def _normal_form_derivative(e: Expr, table: DerivationTable) -> _RatFunc | None:
