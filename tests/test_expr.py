@@ -670,7 +670,7 @@ def test_a_row_of_x_and_columns_of_parameters_broadcast_to_a_grid():
     got = evaluate(e, {"x": xs[None, :], "k": ks[:, None], "s": np.sqrt(xs + 2)[None, :]})
     assert got.shape == (3, 5)
     want = [[evaluate(e, {"x": x, "k": k, "s": np.sqrt(x + 2)}) for x in xs] for k in ks]
-    # numpy's complex arithmetic may round the last bit as Python's does not
+    # numpy's complex arithmetic may round the last bit differently from Python's
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
 
