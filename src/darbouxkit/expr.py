@@ -578,10 +578,16 @@ def symbol_tower(base: str, depth: int) -> dict[str, Expr]:
 # on cache state.
 #
 # Every _RatFunc has radical powers at most one and a radical-free
-# denominator.  So a product of polynomials needs reduction only when
-# both factors hold a radical, and _rf_mul calls _rf only for fractions.
+# denominator (but for _rf_pow's transient inverse).  Only a quotient
+# (_rf_div), a derivative formed on polynomials (_normal_form_derivative)
+# and a negative power can break that, so only they call _rf, which
+# reduces radical powers and rationalizes the denominator.  Every other
+# path relies on the invariant and calls _rf_reduced, _rf's tail: a sum
+# (_rf_add, the Add fold) keeps it as it is, and a product of
+# polynomials needs reduction only when both factors hold a radical, as
+# _rf_mul checks.
 # A sum adds the numerators of a run of terms over one denominator D (or
-# over one) unreduced and calls _rf once, when another denominator comes
+# over one) unreduced and reduces once, when another denominator comes
 # or at the end.  A fold reducing after every term gives the same: its
 # sum so far is num/D with a monomial and a constant struck from both,
 # or an exact quotient of num by D, and either way adding n/D reduces
@@ -699,12 +705,21 @@ def _poly_mul(a: Poly, b: Poly) -> Poly:
         return dict(a)
     # a one-term factor maps distinct monomials to distinct ones, and no
     # product of nonzero coefficients is zero: the loop below would meet
-    # no collision, and it keeps the other factor's order too
+    # no collision, and it keeps the other factor's order too.  An empty
+    # monomial needs no monomial product, a unit no coefficient product
     if len(a) == 1:
         (ma, ca), = a.items()
+        if not ma[0]:
+            return {mb: ca * cb for mb, cb in b.items()}
+        if ca == _UNIT:
+            return {_mono_mul(ma, mb): cb for mb, cb in b.items()}
         return {_mono_mul(ma, mb): ca * cb for mb, cb in b.items()}
     if len(b) == 1:
         (mb, cb), = b.items()
+        if not mb[0]:
+            return {ma: ca * cb for ma, ca in a.items()}
+        if cb == _UNIT:
+            return {_mono_mul(ma, mb): ca for ma, ca in a.items()}
         return {_mono_mul(ma, mb): ca * cb for ma, ca in a.items()}
     out: Poly = {}
     for ma, ca in a.items():
@@ -803,23 +818,37 @@ def _poly_exact_div(num: Poly, den: Poly) -> Poly | None:
 def _poly_cancel_content(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     """Strip the common monomial factor of two polynomials, reading the
     denominator (most often one monomial) first; a constant term has none."""
-    common: dict | None = None
-    for poly in (den, num):
-        for degree, factors in poly:
-            if not degree:
+    den_factors = next(iter(den))[1] if len(den) == 1 else ()
+    if len(den_factors) == 1:
+        # den is c*g**k: the factor is g to its least power over both
+        (g, least), = den_factors
+        for _, terms in num:
+            for h, p in terms:
+                if h == g:
+                    if p < least:
+                        least = p
+                    break
+            else:
                 return num, den
-            if common is None:
-                common = dict(factors)
-                continue
-            kept = {}
-            for g, p in factors:
-                c = common.get(g)
-                if c is not None:
-                    kept[g] = p if p < c else c
-            if not kept:
-                return num, den
-            common = kept
-    factor = (sum(common.values()), tuple(sorted(common.items(), reverse=True)))
+        factor = (least, ((g, least),))
+    else:
+        common: dict | None = None
+        for poly in (den, num):
+            for degree, factors in poly:
+                if not degree:
+                    return num, den
+                if common is None:
+                    common = dict(factors)
+                    continue
+                kept = {}
+                for g, p in factors:
+                    c = common.get(g)
+                    if c is not None:
+                        kept[g] = p if p < c else c
+                if not kept:
+                    return num, den
+                common = kept
+        factor = (sum(common.values()), tuple(sorted(common.items(), reverse=True)))
 
     def strip(poly: Poly) -> Poly:
         return {_mono_div(mono, factor): coeff for mono, coeff in poly.items()}
@@ -841,7 +870,10 @@ def _poly_radical_gens(a: Poly) -> set[Gen]:
 
 
 class _RatFunc:
-    """Reduced fraction of polynomials; denominators are radical-free."""
+    """Reduced fraction of polynomials: radical powers are at most one and
+    denominators are radical-free.  The one exception is the transient
+    inverse that _rf_pow builds for a negative power, whose denominator
+    may hold a radical until _rf rationalizes it."""
 
     __slots__ = ("num", "den")
 
@@ -881,9 +913,8 @@ def _reduce_radicals(a: Poly) -> Poly:
 
 
 def _rf(num: Poly, den: Poly) -> _RatFunc:
-    """``num/den`` with radicals reduced and out of the denominator, free of
-    common monomial factors, divided out if exact, and monic; without a
-    GCD other common factors stay."""
+    """``num/den`` with radicals reduced and out of the denominator, then
+    reduced as :func:`_rf_reduced` does."""
     if _poly_is_zero(den):
         raise DivisionByZeroExpr("denominator normalized to zero")
     num_p = _reduce_radicals(dict(num))
@@ -910,22 +941,30 @@ def _rf(num: Poly, den: Poly) -> _RatFunc:
         den_p = _reduce_radicals(_poly_mul(den_p, conj))
         if _poly_is_zero(den_p):
             raise DivisionByZeroExpr("denominator normalized to zero")
-    if _poly_is_zero(num_p):
+    return _rf_reduced(num_p, den_p)
+
+
+def _rf_reduced(num: Poly, den: Poly) -> _RatFunc:
+    """``num/den`` free of common monomial factors, divided out if exact,
+    and monic; without a GCD other common factors stay.  Radical powers in
+    ``num`` are at most one and ``den`` is nonzero and radical-free.  The
+    result may hold either polynomial as it is."""
+    if _poly_is_zero(num):
         return _RatFunc({}, dict(_POLY_ONE))
-    if den_p != _POLY_ONE:
-        num_p, den_p = _poly_cancel_content(num_p, den_p)
+    if den != _POLY_ONE:
+        num, den = _poly_cancel_content(num, den)
         # with the common monomial struck, some numerator term lacks a power
         # of a one-term, non-constant denominator, which so never divides
-        if len(den_p) > 1 or not min(den_p)[0]:
-            quotient = _poly_exact_div(num_p, den_p)
+        if len(den) > 1 or not min(den)[0]:
+            quotient = _poly_exact_div(num, den)
             if quotient is not None:
                 return _RatFunc(quotient, dict(_POLY_ONE))
-    scale = den_p[max(den_p)]
+    scale = den[max(den)]
     if not (scale == _UNIT):
         inv = _UNIT / scale
-        num_p = _poly_scale(num_p, inv)
-        den_p = _poly_scale(den_p, inv)
-    return _RatFunc(num_p, den_p)
+        num = _poly_scale(num, inv)
+        den = _poly_scale(den, inv)
+    return _RatFunc(num, den)
 
 
 def _rf_same_den_or_divisible(a: _RatFunc, b: _RatFunc):
@@ -945,19 +984,19 @@ def _rf_add(a: _RatFunc, b: _RatFunc) -> _RatFunc:
     shared = _rf_same_den_or_divisible(a, b)
     if shared is not None:
         num_a, num_b, den = shared
-        return _rf(_poly_add(num_a, num_b), dict(den))
+        return _rf_reduced(_poly_add(num_a, num_b), den)
     num = _poly_add_into(_poly_mul(a.num, b.den), _poly_mul(b.num, a.den))
-    return _rf(num, _poly_mul(a.den, b.den))
+    return _rf_reduced(num, _poly_mul(a.den, b.den))
 
 
 def _rf_mul(a: _RatFunc, b: _RatFunc) -> _RatFunc:
+    # radical powers are at most one in each factor
+    prod = _poly_mul(a.num, b.num)
+    if _poly_has_radical(a.num) and _poly_has_radical(b.num):
+        prod = _reduce_radicals(prod)
     if a.den == _POLY_ONE and b.den == _POLY_ONE:
-        # radical powers are at most one in each factor
-        prod = _poly_mul(a.num, b.num)
-        if _poly_has_radical(a.num) and _poly_has_radical(b.num):
-            prod = _reduce_radicals(prod)
         return _RatFunc(prod, dict(_POLY_ONE))
-    return _rf(_poly_mul(a.num, b.num), _poly_mul(a.den, b.den))
+    return _rf_reduced(prod, _poly_mul(a.den, b.den))
 
 
 def _rf_div(a: _RatFunc, b: _RatFunc) -> _RatFunc:
@@ -967,16 +1006,17 @@ def _rf_div(a: _RatFunc, b: _RatFunc) -> _RatFunc:
 
 
 def _rf_pow(a: _RatFunc, n: int) -> _RatFunc:
-    if n == 0:
-        return _RatFunc(dict(_POLY_ONE), dict(_POLY_ONE))
-    if n < 0:
-        if _poly_is_zero(a.num):
-            raise DivisionByZeroExpr("zero raised to a negative power")
-        a = _RatFunc(a.den, a.num)
-        n = -n
     out = _RatFunc(dict(_POLY_ONE), dict(_POLY_ONE))
-    for _ in range(n):
-        out = _rf_mul(out, a)
+    if n >= 0:
+        for _ in range(n):
+            out = _rf_mul(out, a)
+        return out
+    if _poly_is_zero(a.num):
+        raise DivisionByZeroExpr("zero raised to a negative power")
+    # the inverse a.den/a.num may hold a radical in its denominator, so
+    # every step reduces and rationalizes in full
+    for _ in range(-n):
+        out = _rf(_poly_mul(out.num, a.den), _poly_mul(out.den, a.num))
     return out
 
 
@@ -1010,7 +1050,7 @@ def _to_ratfunc(e: Expr) -> _RatFunc:
     if isinstance(e, Add):
         # num/den is the sum so far, unreduced after a run over den != 1; a
         # zero sum takes the next term as it is.  num is a copy or a fresh
-        # _rf result, so terms add in place
+        # _rf_add result, so terms add in place
         num, den, reduced = {}, dict(_POLY_ONE), True
         for t in _left_spine(e):
             b = _to_ratfunc(t)
@@ -1020,9 +1060,9 @@ def _to_ratfunc(e: Expr) -> _RatFunc:
                 _poly_add_into(num, b.num)
                 reduced = den == _POLY_ONE
             else:
-                out = _rf_add(_RatFunc(num, den) if reduced else _rf(num, den), b)
+                out = _rf_add(_RatFunc(num, den) if reduced else _rf_reduced(num, den), b)
                 num, den, reduced = out.num, out.den, True
-        return _keep(e, _RatFunc(num, den) if reduced else _rf(num, den))
+        return _keep(e, _RatFunc(num, den) if reduced else _rf_reduced(num, den))
     if isinstance(e, Mul):
         factors = _left_spine(e)
         if not factors:

@@ -217,6 +217,11 @@ _reduced_polys = st.dictionaries(
     min_size=1,
     max_size=5,
 )
+# no radical at all, as in every denominator of a normal form
+_radical_free_monos = _powers.map(
+    lambda powers: _mono_from({i: p for i, p in powers.items() if _GENS[i][0] != 3})
+)
+_radical_free_polys = st.dictionaries(_radical_free_monos, _coeffs, min_size=1, max_size=5)
 # 150 examples, or more under a profile that asks for more
 _EXACT_DIVISION_EXAMPLES = max(150, settings.default.max_examples)
 
@@ -239,7 +244,14 @@ def test_exact_division_recovers_the_cofactor(a, b):
     assert kernel._poly_exact_div(kernel._poly_mul(a, b), b) == a
 
 
-_terms = st.dictionaries(_monos, _coeffs, min_size=1, max_size=1)
+# one term, often with the empty monomial or the unit coefficient, which
+# the one-term product multiplies by no monomial or coefficient
+_terms = st.dictionaries(
+    st.one_of(st.just(kernel._EMPTY_MONO), _monos),
+    st.one_of(st.just(kernel._UNIT), _coeffs),
+    min_size=1,
+    max_size=1,
+)
 
 
 @settings(max_examples=_EXACT_DIVISION_EXAMPLES, deadline=None)
@@ -250,6 +262,50 @@ def test_one_term_denominator_left_by_cancel_content_never_divides(p, shared, de
     num, den = kernel._poly_cancel_content(num, den)
     assume(len(den) == 1 and min(den)[0])
     assert kernel._poly_exact_div(num, den) is None
+
+
+def _cancel_content_general(num, den):
+    """The common monomial factor of two polynomials struck by intersecting
+    the factors of every monomial, whatever the denominator."""
+    common = None
+    for poly in (den, num):
+        for degree, factors in poly:
+            if not degree:
+                return num, den
+            if common is None:
+                common = dict(factors)
+                continue
+            common = {g: min(p, common[g]) for g, p in factors if g in common}
+            if not common:
+                return num, den
+    factor = (sum(common.values()), tuple(sorted(common.items(), reverse=True)))
+    return tuple({kernel._mono_div(m, factor): c for m, c in poly.items()}
+                 for poly in (num, den))
+
+
+@settings(max_examples=_EXACT_DIVISION_EXAMPLES, deadline=None)
+@given(_polys, _monos, st.integers(0, len(_GENS) - 1), st.integers(1, 4), _coeffs)
+def test_one_generator_cancel_content_matches_the_general_intersection(
+        p, shared, index, power, c):
+    # the denominator is c*g**k; the numerator may share any power of g
+    den = {(power, ((_GENS[index], power),)): c}
+    num = kernel._poly_mul(p, {shared: kernel._UNIT})
+    got = kernel._poly_cancel_content(num, den)
+    want = _cancel_content_general(num, den)
+    assert [list(poly.items()) for poly in got] == [list(poly.items()) for poly in want]
+
+
+@settings(max_examples=_EXACT_DIVISION_EXAMPLES, deadline=None)
+@given(_reduced_polys, _radical_free_polys, _radical_free_monos, st.booleans())
+def test_rf_reduced_matches_rf_over_a_radical_free_denominator(num, den, shared, exact):
+    # a shared monomial is struck, and a shared denominator divides out
+    shared = {shared: kernel._UNIT}
+    num = kernel._poly_mul(kernel._poly_mul(num, den) if exact else num, shared)
+    den = kernel._poly_mul(den, shared)
+    got = kernel._rf_reduced(dict(num), dict(den))
+    want = kernel._rf(num, den)
+    assert list(got.num.items()) == list(want.num.items())
+    assert list(got.den.items()) == list(want.den.items())
 
 
 def _poly_mul_loop(a, b):
@@ -1065,6 +1121,35 @@ def test_rf_is_idempotent_on_normal_forms(e):
     rf = kernel._NORMAL_CACHE[n][1]
     again = kernel._rf(rf.num, rf.den)
     assert (again.num, again.den) == (rf.num, rf.den)
+
+
+@settings(max_examples=max(150, settings.default.max_examples), deadline=None)
+@given(_numeric_exprs(3))
+def test_normal_forms_have_radical_free_denominators(e):
+    try:
+        n = normalize(e)
+    except DivisionByZeroExpr:
+        assume(False)
+    rf = kernel._NORMAL_CACHE[n][1]
+    assert not kernel._poly_has_radical(rf.den)
+    assert all(p == 1 for mono in rf.num for g, p in mono[1] if g[0] == 3)
+
+
+def test_negative_powers_of_radicals_have_radical_free_denominators():
+    # the inverse of a radical is rationalized at every step of the power
+    _clear_caches()
+    n = normalize(_S ** -1)
+    assert to_sexpr(n) == "(/ (rad s (+ x 2)) (+ x 2))"
+    assert not kernel._poly_has_radical(kernel._NORMAL_CACHE[n][1].den)
+    n = normalize((_S * _S - _S / 2) ** -2)
+    assert not kernel._poly_has_radical(kernel._NORMAL_CACHE[n][1].den)
+    assert to_sexpr(n) == (
+        "(/ (+ (* (^ x 3) (rad s (+ x 2))) (^ x 4) (* 23/4 (^ x 2) (rad s (+ x 2)))"
+        " (* 8 (^ x 3)) (* 11 x (rad s (+ x 2))) (* 383/16 (^ x 2)) (* 7 (rad s (+ x 2)))"
+        " (* 127/4 x) 63/4)"
+        " (+ (^ x 6) (* 45/4 (^ x 5)) (* 843/16 (^ x 4)) (* 8415/64 (^ x 3))"
+        " (* 5901/32 (^ x 2)) (* 2205/16 x) 343/8))"
+    )
 
 
 def test_caches_stay_bounded_and_results_match_cold(monkeypatch):
