@@ -857,7 +857,14 @@ def _poly_cancel_content(num: Poly, den: Poly) -> tuple[Poly, Poly]:
 
 
 def _poly_has_radical(a: Poly) -> bool:
-    return any(g[0] == 3 for mono in a for g, _ in mono[1])
+    # factors descend in rank, and only applications rank above radicals
+    for _, factors in a:
+        for g, _ in factors:
+            if g[0] <= 3:
+                if g[0] == 3:
+                    return True
+                break
+    return False
 
 
 def _poly_radical_gens(a: Poly) -> set[Gen]:

@@ -308,6 +308,11 @@ def test_rf_reduced_matches_rf_over_a_radical_free_denominator(num, den, shared,
     assert list(got.den.items()) == list(want.den.items())
 
 
+@given(_polys)
+def test_radical_scan_stops_below_the_radical_rank(p):
+    assert kernel._poly_has_radical(p) == any(g[0] == 3 for mono in p for g, _ in mono[1])
+
+
 def _poly_mul_loop(a, b):
     """The product of two polynomials by the general loop, with its
     collision checks."""
