@@ -1187,6 +1187,11 @@ def _remember(e: Expr, rf: _RatFunc) -> Expr:
     else:
         out = Div(_poly_to_expr(rf.num), _poly_to_expr(rf.den))
     _bound_caches()
+    # an equal normal form built before stays the one node, so every entry
+    # that holds this form holds the same node
+    known = _NORMAL_CACHE.get(out, (None,))[0]
+    if known is not None:
+        out = known
     _NORMAL_CACHE[e] = _NORMAL_CACHE[out] = (out, rf)
     return out
 

@@ -885,6 +885,13 @@ def test_normalize_of_a_converted_subtree_is_its_cold_normal_form(e):
     assert warm == cold
 
 
+def test_equal_normal_forms_of_different_trees_are_one_node():
+    _clear_caches()
+    first = normalize(2 / _S)
+    assert normalize((2 / _S) / (X / X)) is first
+    assert normalize(first) is first and normalize(2 / _S) is first
+
+
 def _normal_terms(n):
     """The term nodes of a normal form, numerator then denominator."""
     parts = (n.num, n.den) if isinstance(n, Div) else (n,)
