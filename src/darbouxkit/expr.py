@@ -578,10 +578,11 @@ def symbol_tower(base: str, depth: int) -> dict[str, Expr]:
 # on cache state.
 #
 # Every _RatFunc has radical powers at most one and a radical-free
-# denominator (but for _rf_pow's transient inverse).  Only a quotient
-# (_rf_div), a derivative formed on polynomials (_normal_form_derivative)
-# and a negative power can break that, so only they call _rf, which
-# reduces radical powers and rationalizes the denominator.  Every other
+# denominator.  Only a quotient (_rf_div), a derivative formed on
+# polynomials (_normal_form_derivative) and a negative power, whose
+# inverse den/num may hold a radical in its denominator, can break that,
+# so only they call _rf, which reduces radical powers and rationalizes
+# the denominator.  Every other
 # path relies on the invariant and calls _rf_reduced, _rf's tail: a sum
 # (_rf_add, the Add fold) keeps it as it is, and a product of
 # polynomials needs reduction only when both factors hold a radical, as
@@ -878,9 +879,9 @@ def _poly_radical_gens(a: Poly) -> set[Gen]:
 
 class _RatFunc:
     """Reduced fraction of polynomials: radical powers are at most one and
-    denominators are radical-free.  The one exception is the transient
-    inverse that _rf_pow builds for a negative power, whose denominator
-    may hold a radical until _rf rationalizes it."""
+    denominators are radical-free.  The inverse den/num of a negative power
+    may break that, so _rf_pow hands it to _rf at every step and never
+    keeps it as a _RatFunc."""
 
     __slots__ = ("num", "den")
 
